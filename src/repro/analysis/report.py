@@ -92,10 +92,13 @@ def routing_report(
                 f"(mean {stats.mean_ratio:.3f}, max {stats.max_ratio:.3f} "
                 f"on {stats.worst_net})"
             )
+        # Time each net on the layers it was routed on: the run's own
+        # technology has every plane the result uses.
+        delay_tech = levelb.technology or ensure_overcell_planes(tech, num_planes)
         delays = []
         for routed in levelb.routed:
             for pin_name, delay in levelb_net_delays(
-                routed, tech, driver or DriverModel()
+                routed, delay_tech, driver or DriverModel()
             ).items():
                 delays.append((delay, routed.net.name, pin_name))
         if delays:

@@ -206,9 +206,11 @@ class MBFSEngine(ConnectionEngine):
             outcome = search.run()
             ctx.add_nodes(outcome.nodes_created)
             if not outcome.found:
+                outcome.release()
                 continue
             cands = candidate_paths(outcome, grid)
             best, cost = select_best_path(cands, evaluator)
+            outcome.release()
             if best is None:
                 continue
             with grid.transaction():

@@ -38,13 +38,14 @@ from repro.instrument.names import (
 )
 from repro.geometry import Interval, Point
 from repro.grid import RoutingGrid
+from repro.grid.occupancy import bit_run
 from repro.core.tig import GridTerminal
 
 VERTICAL = "V"
 HORIZONTAL = "H"
 
 
-@dataclass
+@dataclass(slots=True)
 class PSTNode:
     """One node of a Path Selection Tree: a visit to a track.
 
@@ -134,6 +135,22 @@ class SearchResult:
     def found(self) -> bool:
         return self.min_corners is not None
 
+    def release(self) -> None:
+        """Free the Path Selection Trees without waiting for the collector.
+
+        A tree is a web of reference cycles (``parent`` up, ``children``
+        down), so a dropped result would otherwise linger until a cyclic
+        garbage collection.  Emptying every ``children`` list lets
+        reference counting free each node as soon as nothing else holds
+        it.  Leaves and their candidates stay usable: ``chain()`` only
+        walks ``parent``.
+        """
+        stack = list(self.roots)
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children)
+            node.children.clear()
+
 
 class MBFSearch:
     """One two-terminal search instance.
@@ -179,6 +196,10 @@ class MBFSearch:
         self.max_depth = max_depth
         self.max_nodes = max_nodes
         self.max_entries_per_track = max_entries_per_track
+        # Validate both terminals once: the search indexes bitmasks by
+        # track, where a bad index would shift silently instead of raise.
+        source.position(grid)
+        target.position(grid)
         if region is None:
             v_iv = Interval(0, grid.num_vtracks - 1)
             h_iv = Interval(0, grid.num_htracks - 1)
@@ -194,6 +215,13 @@ class MBFSearch:
         self.h_region = h_iv
         self._nodes_created = 0
         self._aborted = False
+        # Per-search row cache, one dict per track kind: track index ->
+        # ``RoutingGrid.track_bits`` over the region.  The grid does not
+        # change during a search, so each row is read at most once.
+        self._rows: dict[str, dict[int, tuple[int, int]]] = {
+            VERTICAL: {},
+            HORIZONTAL: {},
+        }
 
     # ------------------------------------------------------------------
     def run(self) -> SearchResult:
@@ -240,117 +268,125 @@ class MBFSearch:
     def _single_search(
         self, root_kind: str, depth_limit: int
     ) -> tuple[PSTNode | None, list[PSTNode], int | None]:
-        """One MBFS from one of the source's two tracks."""
+        """One MBFS from one of the source's two tracks.
+
+        Whole-row bit operations stand in for per-crossing bookkeeping.
+        Per child kind, an *enterable* bitmask over the region's tracks
+        holds the tracks a child may still enter: a track leaves it at
+        the end of the level that first reached it (it is examined once)
+        or as soon as its same-level entry cap is hit.  The target track
+        never leaves it.  A node's children are then the set bits of
+        ``corner & span & enterable & ~entry``, walked in ascending order.
+        """
+        source, target = self.source, self.target
         if root_kind == VERTICAL:
-            track, entry = self.source.v_idx, self.source.h_idx
+            track, entry = source.v_idx, source.h_idx
         else:
-            track, entry = self.source.h_idx, self.source.v_idx
+            track, entry = source.h_idx, source.v_idx
         root = PSTNode(
             kind=root_kind, track=track, entry=entry, span=None, parent=None, depth=0
         )
         if self._node_span(root) is None:
             return None, [], None
         self._nodes_created += 1
-        # visited[(kind, track)] -> level at which the track was first
-        # reached; target tracks are exempt and never recorded.
-        visited: dict[tuple[str, int], int] = {(root_kind, track): 0}
         if self._completes(root):
             return root, [root], 0
+        cap = self.max_entries_per_track
+        # Per kind: region offset of its track indices, target bit and
+        # enterable mask (indexed by track - offset).
+        offset = {VERTICAL: self.v_region.lo, HORIZONTAL: self.h_region.lo}
+        target_bit = {
+            VERTICAL: 1 << (target.v_idx - offset[VERTICAL]),
+            HORIZONTAL: 1 << (target.h_idx - offset[HORIZONTAL]),
+        }
+        enterable = {
+            VERTICAL: (1 << self.v_region.count) - 1 if cap > 0 else 0,
+            HORIZONTAL: (1 << self.h_region.count) - 1 if cap > 0 else 0,
+        }
+        # The root's own track counts as reached at level 0.
+        enterable[root_kind] &= ~(1 << (track - offset[root_kind]))
+        for k in (VERTICAL, HORIZONTAL):
+            enterable[k] |= target_bit[k]
+        rows = self._rows
+        nodes_created = self._nodes_created
+        max_nodes = self.max_nodes
         frontier = [root]
         level = 0
+        kind = root_kind
         while frontier and level < depth_limit:
             level += 1
+            child_kind = HORIZONTAL if kind == VERTICAL else VERTICAL
+            node_rows = rows[kind]
+            base = offset[child_kind]
+            t_bit = target_bit[child_kind]
+            enter = enterable[child_kind]
+            entries = [0] * (enter.bit_length())
+            reached = 0
             next_frontier: list[PSTNode] = []
             completions: list[PSTNode] = []
-            entries_this_level: dict[tuple[str, int], int] = {}
             for node in frontier:
-                children = self._expand(node, visited, entries_this_level, level)
-                if children is None:  # node budget exhausted
-                    self._aborted = True
-                    return root, [], None
-                for child in children:
-                    if self._is_target_track(
-                        child.kind, child.track
-                    ) and self._completes(child):
-                        completions.append(child)
+                span = self._node_span(node)  # also caches the node's row
+                if span is None:  # entry cell got unusable - cannot happen
+                    continue
+                corner = node_rows[node.track][1]
+                cands = (
+                    corner
+                    & ((1 << (span.hi - base + 1)) - (1 << (span.lo - base)))
+                    & enter
+                    & ~(1 << (node.entry - base))
+                )
+                depth = node.depth + 1
+                children = node.children
+                on_target: PSTNode | None = None
+                while cands:
+                    low = cands & -cands
+                    cands ^= low
+                    i = low.bit_length() - 1
+                    if low != t_bit:
+                        seen = entries[i] + 1
+                        entries[i] = seen
+                        reached |= low
+                        if seen >= cap:
+                            enter &= ~low
+                    child = PSTNode(child_kind, base + i, node.track, None, node, depth)
+                    children.append(child)
+                    nodes_created += 1
+                    if nodes_created > max_nodes:  # node budget exhausted
+                        self._nodes_created = nodes_created
+                        self._aborted = True
+                        return root, [], None
                     next_frontier.append(child)
+                    if low == t_bit:
+                        on_target = child
+                if on_target is not None and self._completes(on_target):
+                    completions.append(on_target)
+            self._nodes_created = nodes_created
+            enterable[child_kind] = enter & ~reached
             if completions:
                 return root, completions, level
             frontier = next_frontier
+            kind = child_kind
         return root, [], None
 
     def _node_span(self, node: PSTNode) -> Interval | None:
-        """The node's slide interval, computed on first use."""
-        if node.span is None:
-            if node.kind == VERTICAL:
-                node.span = self.grid.free_span_v(
-                    node.track, node.entry, self.net_id, within=self.h_region
-                )
-            else:
-                node.span = self.grid.free_span_h(
-                    node.track, node.entry, self.net_id, within=self.v_region
-                )
-        return node.span
+        """The node's slide interval, computed on first use.
 
-    def _expand(
-        self,
-        node: PSTNode,
-        visited: dict[tuple[str, int], int],
-        entries_this_level: dict[tuple[str, int], int],
-        level: int,
-    ) -> list[PSTNode] | None:
-        """Children of ``node``: turns onto crossing tracks in its span.
-
-        Corner availability along the whole span is checked in one
-        vectorised pass; children are created without spans (lazy).
+        Read off the track's usable bits with :func:`bit_run`; each
+        track's bits are fetched once per search (both runs share them).
         """
-        grid = self.grid
-        net = self.net_id
-        span = self._node_span(node)
-        if span is None:  # entry cell got unusable - cannot happen mid-search
-            return []
-        child_kind = HORIZONTAL if node.kind == VERTICAL else VERTICAL
-        if node.kind == VERTICAL:
-            crossings = grid.corner_candidates_on_v(
-                node.track, span.lo, span.hi, net
-            )
-        else:
-            crossings = grid.corner_candidates_on_h(
-                node.track, span.lo, span.hi, net
-            )
-        children: list[PSTNode] = []
-        for cross in crossings:
-            if cross == node.entry:
-                continue
-            key = (child_kind, cross)
-            is_target = self._is_target_track(child_kind, cross)
-            if not is_target:
-                seen_level = visited.get(key)
-                if seen_level is not None and seen_level < level:
-                    continue
-                if entries_this_level.get(key, 0) >= self.max_entries_per_track:
-                    continue
-                visited.setdefault(key, level)
-                entries_this_level[key] = entries_this_level.get(key, 0) + 1
-            child = PSTNode(
-                kind=child_kind,
-                track=cross,
-                entry=node.track,
-                span=None,
-                parent=node,
-                depth=node.depth + 1,
-            )
-            node.children.append(child)
-            self._nodes_created += 1
-            if self._nodes_created > self.max_nodes:
-                return None
-            children.append(child)
-        return children
-
-    def _is_target_track(self, kind: str, track: int) -> bool:
-        if kind == VERTICAL:
-            return track == self.target.v_idx
-        return track == self.target.h_idx
+        if node.span is None:
+            kind = node.kind
+            bits = self._rows[kind].get(node.track)
+            iv = self.h_region if kind == VERTICAL else self.v_region
+            if bits is None:
+                bits = self.grid.track_bits(
+                    kind == VERTICAL, node.track, iv.lo, iv.hi, self.net_id
+                )
+                self._rows[kind][node.track] = bits
+            run = bit_run(bits[0], node.entry - iv.lo)
+            if run is not None:
+                node.span = Interval(run[0] + iv.lo, run[1] + iv.lo)
+        return node.span
 
     def _completes(self, node: PSTNode) -> bool:
         """Can the path slide along ``node``'s track onto the terminal?"""

@@ -676,10 +676,16 @@ class RoutingGrid:
         """Can ``net_id`` place a corner/via at this intersection?"""
         self._check_indices(v_idx, h_idx)
         fp = self._footprints.get(net_id)
-        if fp is None:
-            h = self._h_owner[h_idx, v_idx]
-            v = self._v_owner[v_idx, h_idx]
-            return h in (FREE, net_id) and v in (FREE, net_id)
+        if fp is not None:
+            return self._block_free(v_idx, h_idx, net_id, fp)
+        h = self._h_owner[h_idx, v_idx]
+        v = self._v_owner[v_idx, h_idx]
+        return h in (FREE, net_id) and v in (FREE, net_id)
+
+    def _block_free(
+        self, v_idx: int, h_idx: int, net_id: int, fp: tuple[int, int]
+    ) -> bool:
+        """Is a wide net's whole corner block at (v_idx, h_idx) usable?"""
         for v in self._expand_rows(v_idx, fp, self.num_vtracks):
             for h in self._expand_rows(h_idx, fp, self.num_htracks):
                 if self._h_owner[h, v] not in (FREE, net_id) or (
@@ -696,125 +702,117 @@ class RoutingGrid:
         self._check_indices(v_idx, h_idx)
         return int(self._v_owner[v_idx, h_idx])
 
+    def track_bits(
+        self, vertical: bool, track: int, lo: int, hi: int, net_id: int
+    ) -> tuple[int, int]:
+        """Packed ``(usable, corner)`` bitmasks of one track over ``[lo, hi]``.
+
+        ``vertical`` selects v-track ``track`` (positions are h indices)
+        or h-track ``track`` (positions are v indices).  Bit ``i`` of
+        ``usable`` is set when ``net_id`` may run wire through position
+        ``lo + i`` — the track's own slot is free or the net's, on every
+        row of a wide net's footprint.  Bit ``i`` of ``corner`` is set
+        when the net may also place a corner via there, i.e. exactly
+        where :meth:`corner_free` holds.
+
+        The availability primitive behind the span and corner queries
+        and both connection engines: each store is read once by slicing
+        (so a sparse backend materialises only ``[lo, hi]``), compared
+        once and packed into a Python int whose bit operations replace
+        per-cell scans.  A wide net's corner bits are the exception:
+        they come from :meth:`corner_free`'s per-cell block check.
+        Indices are validated here, once per row.
+        """
+        if vertical:
+            along, across = self._v_owner, self._h_owner
+            n_tracks, n_pos, axis = self.num_vtracks, self.num_htracks, "v"
+        else:
+            along, across = self._h_owner, self._v_owner
+            n_tracks, n_pos, axis = self.num_htracks, self.num_vtracks, "h"
+        if not 0 <= track < n_tracks:
+            raise IndexError(
+                f"{axis}-track index {track} out of range [0, {n_tracks - 1}]"
+            )
+        if not 0 <= lo <= hi < n_pos:
+            raise IndexError(
+                f"{axis}-track window [{lo}, {hi}] out of range [0, {n_pos - 1}]"
+            )
+        fp = self._footprints.get(net_id)
+        if fp is None:
+            usable = _usable(along[track, lo : hi + 1], net_id)
+            corner = usable & _usable(across[lo : hi + 1, track], net_id)
+            return _pack(usable), _pack(corner)
+        # A wide net runs wire where every row of its footprint is free
+        # (or its own); a corner needs the whole expanded block around
+        # the position, checked cell by cell as corner_free does.
+        rows = self._expand_rows(track, fp, n_tracks)
+        block = _usable(along[rows.start : rows.stop, lo : hi + 1], net_id)
+        usable = np.logical_and.reduce(block, axis=0)
+        if vertical:
+            cells = [self._block_free(track, p, net_id, fp) for p in range(lo, hi + 1)]
+        else:
+            cells = [self._block_free(p, track, net_id, fp) for p in range(lo, hi + 1)]
+        corner = np.array(cells, dtype=bool)
+        return _pack(usable), _pack(corner)
+
     def free_span_h(
         self, h_idx: int, v_idx: int, net_id: int, within: Interval | None = None
     ) -> Interval | None:
         """Maximal v-index interval around ``v_idx`` usable on h-track.
 
         A cell is usable when its horizontal slot is free or already
-        owned by ``net_id``.  Returns ``None`` when the entry cell
-        itself is unusable.  ``within`` clips the search window (the
-        paper bounds each search to a rectangle around the terminals) —
-        and is applied *before* the store is read, so a bounded search
-        on a sparse backend never materialises a full track row.
+        owned by ``net_id`` (on every footprint row of a wide net).
+        Returns ``None`` when the entry cell itself is unusable.
+        ``within`` clips the search window (the paper bounds each search
+        to a rectangle around the terminals) — and is applied *before*
+        the store is read, so a bounded search on a sparse backend never
+        materialises a full track row.
         """
-        lo = 0 if within is None else max(0, within.lo)
-        hi = (
-            self.num_vtracks - 1
-            if within is None
-            else min(self.num_vtracks - 1, within.hi)
-        )
-        if not lo <= v_idx <= hi:
-            return None
-        fp = self._footprints.get(net_id)
-        if fp is None:
-            win = self._h_owner[h_idx, lo : hi + 1]
-            return _free_span(win, v_idx - lo, net_id, lo)
-        usable = self._usable_mask_h(h_idx, lo, hi, net_id, fp)
-        return _free_span_mask(usable, v_idx - lo, lo)
+        return self._span_around(False, h_idx, v_idx, net_id, within)
 
     def free_span_v(
         self, v_idx: int, h_idx: int, net_id: int, within: Interval | None = None
     ) -> Interval | None:
         """Maximal h-index interval around ``h_idx`` usable on v-track."""
+        return self._span_around(True, v_idx, h_idx, net_id, within)
+
+    def _span_around(
+        self,
+        vertical: bool,
+        track: int,
+        pos: int,
+        net_id: int,
+        within: Interval | None,
+    ) -> Interval | None:
+        last = (self.num_htracks if vertical else self.num_vtracks) - 1
         lo = 0 if within is None else max(0, within.lo)
-        hi = (
-            self.num_htracks - 1
-            if within is None
-            else min(self.num_htracks - 1, within.hi)
-        )
-        if not lo <= h_idx <= hi:
+        hi = last if within is None else min(last, within.hi)
+        if not lo <= pos <= hi:
             return None
-        fp = self._footprints.get(net_id)
-        if fp is None:
-            win = self._v_owner[v_idx, lo : hi + 1]
-            return _free_span(win, h_idx - lo, net_id, lo)
-        usable = self._usable_mask_v(v_idx, lo, hi, net_id, fp)
-        return _free_span_mask(usable, h_idx - lo, lo)
-
-    def _usable_mask_h(
-        self, h_idx: int, lo: int, hi: int, net_id: int, fp: tuple[int, int]
-    ) -> list[bool]:
-        """Per-cell usability of an h-track window for a wide net.
-
-        A cell is usable when the *whole footprint* anchored at
-        ``h_idx`` — metal rows plus guard rows — is free (or the net's
-        own) at that v-position, i.e. the AND across the expanded rows.
-        """
-        mask: np.ndarray | None = None
-        for row in self._expand_rows(h_idx, fp, self.num_htracks):
-            win = np.asarray(self._h_owner[row, lo : hi + 1])
-            ok = (win == FREE) | (win == net_id)
-            mask = ok if mask is None else (mask & ok)
-        assert mask is not None
-        return mask.tolist()
-
-    def _usable_mask_v(
-        self, v_idx: int, lo: int, hi: int, net_id: int, fp: tuple[int, int]
-    ) -> list[bool]:
-        mask: np.ndarray | None = None
-        for row in self._expand_rows(v_idx, fp, self.num_vtracks):
-            win = np.asarray(self._v_owner[row, lo : hi + 1])
-            ok = (win == FREE) | (win == net_id)
-            mask = ok if mask is None else (mask & ok)
-        assert mask is not None
-        return mask.tolist()
+        usable, _ = self.track_bits(vertical, track, lo, hi, net_id)
+        run = bit_run(usable, pos - lo)
+        if run is None:
+            return None
+        return Interval(run[0] + lo, run[1] + lo)
 
     def corner_candidates_on_v(
         self, v_idx: int, h_lo: int, h_hi: int, net_id: int
     ) -> list[int]:
         """h-indices in ``[h_lo, h_hi]`` where ``net_id`` may corner.
 
-        Batched form of :meth:`corner_free` along a vertical track -
-        the level B search's hot path.  Spans here are typically a few
-        dozen cells, where a plain-Python scan over ``tolist()`` beats
-        numpy's fixed per-op overhead by several times.
+        Batched form of :meth:`corner_free` along a vertical track.
         """
-        fp = self._footprints.get(net_id)
-        if fp is not None:
-            return [
-                h_idx
-                for h_idx in range(h_lo, h_hi + 1)
-                if self.corner_free(v_idx, h_idx, net_id)
-            ]
-        h = self._h_owner[h_lo : h_hi + 1, v_idx].tolist()
-        v = self._v_owner[v_idx, h_lo : h_hi + 1].tolist()
-        allowed = (FREE, net_id)
-        return [
-            h_lo + i
-            for i, (hs, vs) in enumerate(zip(h, v))
-            if hs in allowed and vs in allowed
-        ]
+        if h_lo > h_hi:
+            return []
+        return set_bits(self.track_bits(True, v_idx, h_lo, h_hi, net_id)[1], h_lo)
 
     def corner_candidates_on_h(
         self, h_idx: int, v_lo: int, v_hi: int, net_id: int
     ) -> list[int]:
         """v-indices in ``[v_lo, v_hi]`` where ``net_id`` may corner."""
-        fp = self._footprints.get(net_id)
-        if fp is not None:
-            return [
-                v_idx
-                for v_idx in range(v_lo, v_hi + 1)
-                if self.corner_free(v_idx, h_idx, net_id)
-            ]
-        h = self._h_owner[h_idx, v_lo : v_hi + 1].tolist()
-        v = self._v_owner[v_lo : v_hi + 1, h_idx].tolist()
-        allowed = (FREE, net_id)
-        return [
-            v_lo + i
-            for i, (hs, vs) in enumerate(zip(h, v))
-            if hs in allowed and vs in allowed
-        ]
+        if v_lo > v_hi:
+            return []
+        return set_bits(self.track_bits(False, h_idx, v_lo, v_hi, net_id)[1], v_lo)
 
     def span_usable_h(
         self, h_idx: int, v_lo: int, v_hi: int, net_id: int
@@ -822,22 +820,16 @@ class RoutingGrid:
         """Is the whole h-track span ``[v_lo, v_hi]`` usable by the net?"""
         if v_lo > v_hi:
             v_lo, v_hi = v_hi, v_lo
-        fp = self._footprints.get(net_id)
-        if fp is not None:
-            return all(self._usable_mask_h(h_idx, v_lo, v_hi, net_id, fp))
-        row = self._h_owner[h_idx, v_lo : v_hi + 1]
-        return bool(((row == FREE) | (row == net_id)).all())
+        usable, _ = self.track_bits(False, h_idx, v_lo, v_hi, net_id)
+        return usable == (1 << (v_hi - v_lo + 1)) - 1
 
     def span_usable_v(
         self, v_idx: int, h_lo: int, h_hi: int, net_id: int
     ) -> bool:
         if h_lo > h_hi:
             h_lo, h_hi = h_hi, h_lo
-        fp = self._footprints.get(net_id)
-        if fp is not None:
-            return all(self._usable_mask_v(v_idx, h_lo, h_hi, net_id, fp))
-        row = self._v_owner[v_idx, h_lo : h_hi + 1]
-        return bool(((row == FREE) | (row == net_id)).all())
+        usable, _ = self.track_bits(True, v_idx, h_lo, h_hi, net_id)
+        return usable == (1 << (h_hi - h_lo + 1)) - 1
 
     # ------------------------------------------------------------------
     # Mutation (the O(t)-per-segment update of section 3.4)
@@ -1109,46 +1101,39 @@ class RoutingGrid:
         )
 
 
-def _free_span(
-    window: np.ndarray, pos: int, net_id: int, offset: int
-) -> Interval | None:
-    """Maximal usable index interval around position ``pos`` of a
-    pre-clipped slot window starting at global index ``offset``.
+def _usable(slots: object, net_id: int) -> np.ndarray:
+    """Cells of an owner-store read that are free or ``net_id``'s own."""
+    arr = np.asarray(slots)
+    ok: np.ndarray = (arr == FREE) | (arr == net_id)
+    return ok
 
-    Implemented as an outward scan over ``tolist()``: search windows
-    are small (a terminal bounding box plus margin), so this beats
-    numpy's per-op overhead on the hot path.
+
+def _pack(mask: np.ndarray) -> int:
+    """A boolean row as an int whose bit ``i`` is ``mask[i]``."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def bit_run(bits: int, pos: int) -> tuple[int, int] | None:
+    """The maximal run of set bits of ``bits`` that contains bit ``pos``.
+
+    Returns ``(lo, hi)`` bit positions, or ``None`` when bit ``pos``
+    (``pos >= 0``) is clear.  Two bit scans: the lowest clear bit above
+    ``pos`` and the highest clear bit below it.
     """
-    win = window.tolist()
-    allowed = (FREE, net_id)
-    if win[pos] not in allowed:
+    if not (bits >> pos) & 1:
         return None
-    lo = pos
-    while lo > 0 and win[lo - 1] in allowed:
-        lo -= 1
-    hi = pos
-    last = len(win) - 1
-    while hi < last and win[hi + 1] in allowed:
-        hi += 1
-    return Interval(lo + offset, hi + offset)
+    clear = ~bits
+    above = clear >> pos
+    hi = pos + (above & -above).bit_length() - 2
+    below = clear & ((1 << pos) - 1)
+    return below.bit_length(), hi
 
 
-def _free_span_mask(
-    usable: list[bool], pos: int, offset: int
-) -> Interval | None:
-    """:func:`_free_span` over a precomputed per-cell usability mask.
-
-    The footprint-aware variant: the caller ANDs usability across the
-    net's expanded rows, this scans outward from ``pos`` exactly like
-    the single-row case.
-    """
-    if not usable[pos]:
-        return None
-    lo = pos
-    while lo > 0 and usable[lo - 1]:
-        lo -= 1
-    hi = pos
-    last = len(usable) - 1
-    while hi < last and usable[hi + 1]:
-        hi += 1
-    return Interval(lo + offset, hi + offset)
+def set_bits(bits: int, offset: int) -> list[int]:
+    """Positions of the set bits of ``bits``, ascending, plus ``offset``."""
+    out: list[int] = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1 + offset)
+        bits ^= low
+    return out

@@ -11,6 +11,13 @@ generalisation of Lee's algorithm to weighted grids - and it returns a
 minimum-cost path whenever one exists, which also makes it the test
 oracle for the MBFS router's completeness within a region.
 
+Availability is read a track at a time: each call caches
+:meth:`~repro.grid.RoutingGrid.track_bits` per track it reaches (packed
+usable and corner bits over the region), so a probe is one shift-and-
+mask instead of a bounds-checked slot read.  States are coded as
+integers whose order equals the ``(v_idx, h_idx, direction)`` tuple
+order, so the heap pops them in the same ``(cost, state)`` order.
+
 :class:`LeeEngine` packages the search as a registered
 :class:`~repro.core.engine.ConnectionEngine` (name ``"lee"``), so the
 same code serves as the standalone :class:`MazeRouter` baseline and as
@@ -73,6 +80,10 @@ def lee_search(
     :meth:`repro.grid.RoutingGrid.commit_path`.
     """
     stats = LeeSearchStats()
+    # Validate both terminals once; every probe below stays inside the
+    # (clipped) region, so the row reads need no per-cell checks.
+    source.position(grid)
+    target.position(grid)
     if region is None:
         v_iv = Interval(0, grid.num_vtracks - 1)
         h_iv = Interval(0, grid.num_htracks - 1)
@@ -84,66 +95,73 @@ def lee_search(
             region[1].hull(Interval.spanning(source.h_idx, target.h_idx))
         )
     xs, ys = grid.vtracks.coords, grid.htracks.coords
+    v_lo, v_hi, h_lo, h_hi = v_iv.lo, v_iv.hi, h_iv.lo, h_iv.hi
 
-    # Footprinted (wide) nets claim their expanded block at every cell
-    # and corner, so the wave must probe the same expansion the commit
-    # will make; single-track nets keep the raw-slot fast path.
-    if grid.footprint_of(net_id) != (1, 0):
+    # Row cache for this call: track -> ``RoutingGrid.track_bits`` over
+    # the region, (usable, corner) packed by position.  A horizontal
+    # move reads the h-track's usable bits, a vertical move the
+    # v-track's, a corner either track's corner bits (the grid folds a
+    # wide net's footprint into both).
+    h_rows: dict[int, tuple[int, int]] = {}
+    v_rows: dict[int, tuple[int, int]] = {}
 
-        def h_ok(v: int, h: int) -> bool:
-            return grid.span_usable_h(h, v, v, net_id)
-
-        def v_ok(v: int, h: int) -> bool:
-            return grid.span_usable_v(v, h, h, net_id)
-
-        def corner_ok(v: int, h: int) -> bool:
-            return grid.corner_free(v, h, net_id)
-
-    else:
-
-        def h_ok(v: int, h: int) -> bool:
-            return grid.h_slot(v, h) in (0, net_id)
-
-        def v_ok(v: int, h: int) -> bool:
-            return grid.v_slot(v, h) in (0, net_id)
-
-        def corner_ok(v: int, h: int) -> bool:
-            return h_ok(v, h) and v_ok(v, h)
-
-    dist: dict[State, float] = {}
-    parent: dict[State, State | None] = {}
-    heap: list[tuple[float, State]] = []
-    for direction, ok in ((HORIZONTAL, h_ok), (VERTICAL, v_ok)):
-        if ok(source.v_idx, source.h_idx):
-            state = (source.v_idx, source.h_idx, direction)
+    # State (v, h, direction) is coded ((v * nh + h) << 1) | direction.
+    nh = grid.num_htracks
+    v_step, h_step = nh << 1, 2
+    dist: dict[int, float] = {}
+    parent: dict[int, int] = {}
+    heap: list[tuple[float, int]] = []
+    sv, sh = source.v_idx, source.h_idx
+    h_rows[sh] = grid.track_bits(False, sh, v_lo, v_hi, net_id)
+    v_rows[sv] = grid.track_bits(True, sv, h_lo, h_hi, net_id)
+    for direction, usable in (
+        (HORIZONTAL, (h_rows[sh][0] >> (sv - v_lo)) & 1),
+        (VERTICAL, (v_rows[sv][0] >> (sh - h_lo)) & 1),
+    ):
+        if usable:
+            state = ((sv * nh + sh) << 1) | direction
             dist[state] = 0.0
-            parent[state] = None
+            parent[state] = -1
             heapq.heappush(heap, (0.0, state))
             stats.nodes_pushed += 1
 
-    goal: State | None = None
+    goal_cell = target.v_idx * nh + target.h_idx
+    goal: int | None = None
     while heap:
         d, state = heapq.heappop(heap)
-        if d > dist.get(state, float("inf")):
+        if d > dist[state]:
             continue
         stats.nodes_expanded += 1
-        v, h, direction = state
-        if v == target.v_idx and h == target.h_idx:
+        cell = state >> 1
+        if cell == goal_cell:
             goal = state
             break
-        moves: list[tuple[State, float]] = []
-        if direction == HORIZONTAL:
-            for nv in (v - 1, v + 1):
-                if v_iv.contains(nv) and h_ok(nv, h):
-                    moves.append(((nv, h, HORIZONTAL), float(abs(xs[nv] - xs[v]))))
-            if corner_ok(v, h):
-                moves.append(((v, h, VERTICAL), via_penalty))
+        v, h = divmod(cell, nh)
+        moves: list[tuple[int, float]] = []
+        if (state & 1) == HORIZONTAL:
+            bits = h_rows.get(h)
+            if bits is None:
+                bits = h_rows[h] = grid.track_bits(False, h, v_lo, v_hi, net_id)
+            usable, corner = bits
+            i = v - v_lo
+            if v > v_lo and (usable >> (i - 1)) & 1:
+                moves.append((state - v_step, float(abs(xs[v - 1] - xs[v]))))
+            if v < v_hi and (usable >> (i + 1)) & 1:
+                moves.append((state + v_step, float(abs(xs[v + 1] - xs[v]))))
+            if (corner >> i) & 1:
+                moves.append((state | VERTICAL, via_penalty))
         else:
-            for nh in (h - 1, h + 1):
-                if h_iv.contains(nh) and v_ok(v, nh):
-                    moves.append(((v, nh, VERTICAL), float(abs(ys[nh] - ys[h]))))
-            if corner_ok(v, h):
-                moves.append(((v, h, HORIZONTAL), via_penalty))
+            bits = v_rows.get(v)
+            if bits is None:
+                bits = v_rows[v] = grid.track_bits(True, v, h_lo, h_hi, net_id)
+            usable, corner = bits
+            i = h - h_lo
+            if h > h_lo and (usable >> (i - 1)) & 1:
+                moves.append((state - h_step, float(abs(ys[h - 1] - ys[h]))))
+            if h < h_hi and (usable >> (i + 1)) & 1:
+                moves.append((state + h_step, float(abs(ys[h + 1] - ys[h]))))
+            if (corner >> i) & 1:
+                moves.append((state ^ VERTICAL, via_penalty))
         for nstate, cost in moves:
             nd = d + cost
             if nd < dist.get(nstate, float("inf")):
@@ -164,9 +182,10 @@ def lee_search(
 
     # Walk parents, then compress to waypoints at direction changes.
     states: list[State] = []
-    cursor: State | None = goal
-    while cursor is not None:
-        states.append(cursor)
+    cursor = goal
+    while cursor >= 0:
+        v, h = divmod(cursor >> 1, nh)
+        states.append((v, h, cursor & 1))
         cursor = parent[cursor]
     states.reverse()
     waypoints: list[Point] = [Point(xs[states[0][0]], ys[states[0][1]])]
@@ -177,7 +196,7 @@ def lee_search(
             point = Point(xs[prev[0]], ys[prev[1]])
             if point != waypoints[-1]:
                 waypoints.append(point)
-    end = Point(xs[goal[0]], ys[goal[1]])
+    end = Point(xs[states[-1][0]], ys[states[-1][1]])
     if end != waypoints[-1]:
         waypoints.append(end)
     elif len(waypoints) == 1:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.netlist import Net
-from repro.technology import Technology
+from repro.technology import LayerStack, Technology
 from repro.timing.rctree import RCTree
 
 
@@ -35,13 +35,15 @@ def build_levelb_rctree(
 ) -> RCTree:
     """RC tree of one level B :class:`~repro.core.router.RoutedNet`.
 
-    Horizontal segments take metal4's parasitics, vertical segments
-    metal3's (the reserved-layer model).  Corner via resistance is
-    folded into the segment entering the corner.  The driver attaches
-    at the net's first pin; every other pin gets a sink load.
+    Segments take the parasitics of the net's own over-cell plane
+    (``routed.plane``): horizontal segments its horizontal layer,
+    vertical segments its vertical layer (the reserved-layer model) -
+    metal4/metal3 on plane 0, metal6/metal5 on plane 1, and so on.
+    Corner via resistance is folded into the segment entering the
+    corner.  The driver attaches at the net's first pin; every other pin
+    gets a sink load.
     """
-    m3 = technology.layer(3)
-    m4 = technology.layer(4)
+    plane = LayerStack.from_technology(technology).plane(routed.plane)
     tree = RCTree()
     source = routed.net.pins[0].position
     tree.add_node_cap(source, 0.0)
@@ -50,7 +52,7 @@ def build_levelb_rctree(
         for seg in conn.path:
             if seg.is_point:
                 continue
-            layer = m4 if seg.is_horizontal else m3
+            layer = plane.horizontal if seg.is_horizontal else plane.vertical
             resistance = layer.resistance_per_lambda * seg.length
             if not first:
                 resistance += driver.via_resistance  # corner via entering

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import CongestionMap, congestion_map, routing_report
 from repro.bench_suite import random_design
-from repro.flow import overcell_flow, two_layer_flow
+from repro.flow import FlowParams, overcell_flow, two_layer_flow
 from repro.grid import RoutingGrid, TrackSet
 
 
@@ -89,6 +89,16 @@ class TestRoutingReport:
         short = routing_report(overcell_result, top_n=2)
         pin_lines = [l for l in short.splitlines() if "->" in l]
         assert len(pin_lines) <= 2
+
+    def test_report_times_upper_plane_nets(self):
+        """A two-plane report times plane-1 nets on the run's own stack."""
+        design = random_design("rep1", seed=15, num_cells=8, num_nets=20,
+                               num_critical=2)
+        result = overcell_flow(design, FlowParams(planes=2))
+        assert any(r.plane == 1 for r in result.levelb.routed)
+        report = routing_report(result)
+        assert "metal5/metal6" in report
+        assert "slowest level B pins" in report
 
 
 class TestWirelengthStats:

@@ -1,9 +1,11 @@
 """Tests for the Elmore timing substrate."""
 
+import dataclasses
+
 import pytest
 
-from repro.bench_suite import random_design
-from repro.flow import overcell_flow
+from repro.bench_suite import SUITES, random_design
+from repro.flow import FlowParams, overcell_flow
 from repro.geometry import Rect
 from repro.netlist import Design, Edge
 from repro.core import LevelBRouter
@@ -148,6 +150,34 @@ class TestFlowIntegration:
             assert all(d > 0 for d in delays.values())
             computed += len(delays)
         assert computed > 0
+
+
+class TestPlaneParasitics:
+    def test_plane_one_net_gets_metal5_metal6(self):
+        """A net routed on plane 1 is priced with that plane's layers."""
+        result = overcell_flow(SUITES["ami33"](), FlowParams(planes=2))
+        routed = next(
+            r for r in result.levelb.routed
+            if r.plane == 1 and r.corner_count and r.wire_length
+        )
+        tech = Technology.with_overcell_planes(2)
+        m5, m6 = tech.layer(5), tech.layer(6)
+        assert (m5.cap_per_lambda, m6.cap_per_lambda) != (
+            tech.layer(3).cap_per_lambda, tech.layer(4).cap_per_lambda
+        )
+        driver = DriverModel()
+        wire_cap = sum(
+            (m6 if seg.is_horizontal else m5).cap_per_lambda * seg.length
+            for conn in routed.connections
+            for seg in conn.path
+            if not seg.is_point
+        )
+        sinks = driver.sink_cap * (len(routed.net.pins) - 1)
+        tree = build_levelb_rctree(routed, tech, driver)
+        assert tree.total_cap() == pytest.approx(wire_cap + sinks)
+        # The same geometry on plane 0 is priced with metal3/metal4.
+        low = build_levelb_rctree(dataclasses.replace(routed, plane=0), tech, driver)
+        assert low.total_cap() != pytest.approx(tree.total_cap())
 
 
 class TestDriverModel:
