@@ -6,18 +6,18 @@ order of magnitude larger than the paper suites — see
 over-cell flow on both backends, asserting:
 
 * backend parity — identical wire length, via count and completion on
-  dense and sparse, flat and hierarchical;
+  dense and sparse;
 * the sparse memory win — the grid's dense-array footprint is at
   least ``MIN_MEMORY_RATIO``x the sparse backend's allocated bytes;
-* verification — the hierarchical sparse run is CLEAN under the
-  independent checker (``repro.check``), strict mode.
+* verification — the sparse run is CLEAN under the independent
+  checker (``repro.check``), strict mode.
 
 Exports ``benchmarks/artifacts/BENCH_scale.json``.  With ``--quick``
 (the CI scale job) only the quick tier runs; without it the ``full``
-tier adds a sparse hierarchical leg at ~4x the area.
+tier adds a sparse leg at ~4x the area.
 
-The sparse runs execute *before* the dense one: ``ru_maxrss`` is
-process-wide and monotonic, so only the first runs' peak RSS is
+The sparse run executes *before* the dense one: ``ru_maxrss`` is
+process-wide and monotonic, so only the first run's peak RSS is
 unpolluted by earlier allocations.  The backend-level gauges
 (``mem.grid_bytes`` vs ``mem.grid_dense_equiv_bytes``) are per-run
 exact either way and carry the ratio assertion.
@@ -55,7 +55,6 @@ def _routed_run(tier: str, params: FlowParams) -> tuple[dict, object]:
     dense_equiv = gauges["mem.grid_dense_equiv_bytes"]
     record = {
         "backend": params.backend,
-        "hierarchical": params.hierarchical,
         "wall_s": round(wall_s, 2),
         "completion": result.completion,
         "wire_length": result.wire_length,
@@ -72,31 +71,25 @@ def test_scale_backends(request: pytest.FixtureRequest) -> None:
     quick = request.config.getoption("--quick")
     profile = scale_profile("quick")
 
-    # Sparse legs first (see module docstring for the RSS caveat).
+    # Sparse leg first (see module docstring for the RSS caveat).
     sparse, sparse_result = _routed_run("quick", FlowParams(backend="sparse"))
-    hier, hier_result = _routed_run(
-        "quick", FlowParams(backend="sparse", hierarchical=True)
-    )
     dense, dense_result = _routed_run("quick", FlowParams())
 
-    # Backend parity: storage engines and wave-planning strategy must
-    # never change the answer.
-    for run, result in (("sparse", sparse_result), ("hier", hier_result)):
-        assert result.wire_length == dense_result.wire_length, run
-        assert result.via_count == dense_result.via_count, run
-        assert result.completion == dense_result.completion, run
+    # Backend parity: storage engines must never change the answer.
+    assert sparse_result.wire_length == dense_result.wire_length
+    assert sparse_result.via_count == dense_result.via_count
+    assert sparse_result.completion == dense_result.completion
     assert dense_result.completion == 1.0
 
     # The memory win the sparse backend exists for.
-    for run in (sparse, hier):
-        assert run["memory_ratio"] >= MIN_MEMORY_RATIO, (
-            f"dense footprint only {run['memory_ratio']}x the sparse "
-            f"allocation (need >= {MIN_MEMORY_RATIO}x)"
-        )
+    assert sparse["memory_ratio"] >= MIN_MEMORY_RATIO, (
+        f"dense footprint only {sparse['memory_ratio']}x the sparse "
+        f"allocation (need >= {MIN_MEMORY_RATIO}x)"
+    )
 
-    # Independent verification of the hierarchical sparse run (the
-    # same engine `repro check --strict` runs).
-    report = check_flow(hier_result)
+    # Independent verification of the sparse run (the same engine
+    # `repro check --strict` runs).
+    report = check_flow(sparse_result)
     assert not report.violations, report.render(limit=20)
 
     doc = {
@@ -109,7 +102,7 @@ def test_scale_backends(request: pytest.FixtureRequest) -> None:
         },
         "min_memory_ratio": MIN_MEMORY_RATIO,
         "check_clean": not report.violations,
-        "runs": {"sparse": sparse, "sparse_hier": hier, "dense": dense},
+        "runs": {"sparse": sparse, "dense": dense},
     }
 
     lines = [
@@ -122,9 +115,7 @@ def test_scale_backends(request: pytest.FixtureRequest) -> None:
 
     if not quick:
         full_profile = scale_profile("full")
-        full, full_result = _routed_run(
-            "full", FlowParams(backend="sparse", hierarchical=True)
-        )
+        full, full_result = _routed_run("full", FlowParams(backend="sparse"))
         assert full["memory_ratio"] >= MIN_MEMORY_RATIO
         doc["full"] = {
             "design": {
@@ -136,7 +127,7 @@ def test_scale_backends(request: pytest.FixtureRequest) -> None:
             "run": full,
         }
         lines.append(
-            f"{'full/hier':12s} wall={full['wall_s']:7.2f}s  "
+            f"{'full/sparse':12s} wall={full['wall_s']:7.2f}s  "
             f"mem={full['grid_bytes']:>12,}B  "
             f"dense-equiv={full['grid_dense_equiv_bytes']:>12,}B  "
             f"ratio={full['memory_ratio']:5.2f}x  "

@@ -73,8 +73,6 @@ def _flow_params(args: argparse.Namespace):
         kwargs["planes"] = args.planes
     if getattr(args, "backend", None):
         kwargs["backend"] = args.backend
-    if getattr(args, "hierarchical", False):
-        kwargs["hierarchical"] = True
     if getattr(args, "iterate", False):
         kwargs["iterate"] = True
         kwargs["max_iterations"] = getattr(args, "max_iterations", 8)
@@ -275,7 +273,6 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
         timeout_s=args.timeout,
         retries=args.retries,
         check=args.check,
-        parallel=args.parallel_levelb,
     )
     print(report.render())
     if args.json:
@@ -340,11 +337,6 @@ def _add_levelb_args(parser: argparse.ArgumentParser) -> None:
         choices=available_backends(),
         default="dense",
         help="occupancy storage backend (docs/SCALING.md; default dense)",
-    )
-    parser.add_argument(
-        "--hierarchical",
-        action="store_true",
-        help="coarse-then-detailed level B routing (docs/SCALING.md)",
     )
     from repro.iterate import available_policies
 
@@ -558,13 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="verify each flow's output with repro.check",
-    )
-    p_disp.add_argument(
-        "--parallel-levelb",
-        type=int,
-        default=0,
-        metavar="N",
-        help="also parallelise level B routing inside each job (workers)",
     )
     p_disp.add_argument("--json", help="write the batch report as JSON")
     p_disp.set_defaults(func=_cmd_dispatch)

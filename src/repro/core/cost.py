@@ -94,22 +94,6 @@ class TrackHistory:
         """Whether any track carries a non-zero charge."""
         return any(self.v) or any(self.h)
 
-    def window(
-        self, v_lo: int, v_hi: int, h_lo: int, h_hi: int
-    ) -> "TrackHistory":
-        """A copy restricted to a sub-grid window (local indices).
-
-        The dispatch workers route on window snapshots whose track
-        indices start at zero; slicing the history the same way keeps a
-        worker's cost model bit-identical to the serial evaluator's.
-        """
-        sliced = TrackHistory(
-            v_hi - v_lo + 1, h_hi - h_lo + 1, weight=self.weight
-        )
-        sliced.v = self.v[v_lo : v_hi + 1]
-        sliced.h = self.h[h_lo : h_hi + 1]
-        return sliced
-
     # ------------------------------------------------------------------
     def segment_cost(self, grid: RoutingGrid, points: Sequence) -> float:
         """The history surcharge of one candidate path.

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from repro import instrument
@@ -288,32 +288,13 @@ class LevelBResult:
             raise KeyError(f"net {name!r} was not routed at level B") from None
 
 
-class NetSpeculator(Protocol):
-    """What :meth:`LevelBRouter.route` needs from a parallel speculator.
-
-    Implemented by :class:`repro.dispatch.WaveSpeculator`.  The router
-    stays in charge of net order, rip-up and refinement; the speculator
-    merely gets the first shot at each net as it reaches the head of
-    the queue.  Returning ``None`` from :meth:`take` means "no valid
-    speculation — route this net serially", which is always safe.
-    """
-
-    def begin(self, ordered: Sequence[Net]) -> None:
-        """Called once with the canonical routing order."""
-
-    def take(self, net: Net) -> RoutedNet | None:
-        """A committed result for ``net``, or ``None`` to route serially."""
-
-
 def coupling_terms(
     net_id: int, sensitive_ids: frozenset[int], config: LevelBConfig
 ) -> tuple:
     """Cost-function extension terms for one net's connections.
 
     A sensitive net keeps clear of *all* foreign wiring; every other
-    net keeps clear of the sensitive nets.  A free function so the
-    speculative workers of :mod:`repro.dispatch` build the exact terms
-    the serial router would.
+    net keeps clear of the sensitive nets.
     """
     if not sensitive_ids or config.parallel_run_weight <= 0:
         return ()
@@ -341,13 +322,10 @@ def route_net_terminals(
 ) -> tuple[list[RoutedConnection], int]:
     """Decompose one net into two-terminal connections and route them.
 
-    The net-level logic shared by the serial router and the speculative
-    workers of :mod:`repro.dispatch` — terminal de-duplication, the
-    two-terminal fast path and the Steiner-Prim loop live here once, so
-    a worker's decomposition is the serial decomposition by
-    construction.  ``connect`` routes a single connection (engine choice
-    and rescue policy stay with the caller).  Returns the committed
-    connections and the count of terminals left unreached.
+    Runs terminal de-duplication, the two-terminal fast path and the
+    Steiner-Prim loop.  ``connect`` routes a single connection (engine
+    choice and rescue policy stay with the caller).  Returns the
+    committed connections and the count of terminals left unreached.
     """
     for t in terminals:
         grid.mark_terminal_routed(t.v_idx, t.h_idx)
@@ -424,8 +402,7 @@ class LevelBRouter:
             # The Lee rescue trades corners against length through
             # ``maze_via_penalty``; under via minimization every corner
             # is a via, so its price scales accordingly.  The replaced
-            # config is what engines and dispatch workers see, keeping
-            # serial and speculative pricing identical.
+            # config is what every engine sees.
             self.config = replace(
                 self.config,
                 maze_via_penalty=(
@@ -529,9 +506,7 @@ class LevelBRouter:
         self._engine: ConnectionEngine = self._primary_engine()
         self._rescue: ConnectionEngine | None = None
         # One engine context per plane, each bound to that plane's
-        # occupancy grid; ``_ctx`` stays the plane-0 context because
-        # the single-plane stack (and repro.dispatch's workers) use it
-        # directly.
+        # occupancy grid.
         self._ctxs = tuple(
             EngineContext(
                 grid=self.tig.planes[plane],
@@ -542,7 +517,6 @@ class LevelBRouter:
             )
             for plane in range(num_planes)
         )
-        self._ctx = self._ctxs[0]
 
     # ------------------------------------------------------------------
     # Engine wiring
@@ -615,17 +589,7 @@ class LevelBRouter:
     def net_id(self, net: Net) -> int:
         return self._net_ids[net]
 
-    @property
-    def sensitive_ids(self) -> frozenset[int]:
-        """Ids of nets marked ``is_sensitive`` (cross-talk extension)."""
-        return self._sensitive_ids
-
-    def route(
-        self,
-        *,
-        speculator: NetSpeculator | None = None,
-        order: Sequence[Net] | None = None,
-    ) -> LevelBResult:
+    def route(self, *, order: Sequence[Net] | None = None) -> LevelBResult:
         """Route every net in the configured order.
 
         ``order`` overrides the configured :class:`NetOrdering` with an
@@ -639,13 +603,6 @@ class LevelBRouter:
         net retries first, and the victims re-route after it.  The work
         queue is a deque with per-net generation counters, so pops,
         victim removals and requeues are all O(1).
-
-        ``speculator`` (:class:`NetSpeculator`, see ``repro.dispatch``)
-        gets the first shot at each net as it reaches the head of the
-        queue; when it declines (returns ``None`` — stale speculation,
-        window conflict, requeued net) the net routes serially right
-        here, so every order-dependent decision is made exactly as in a
-        serial run.
 
         The whole run executes inside a ``levelb.route`` instrumentation
         span; ``elapsed_s`` is the span's wall time (measured whether or
@@ -680,8 +637,6 @@ class LevelBRouter:
                         "explicit route order must be a permutation of the "
                         "router's nets"
                     )
-            if speculator is not None:
-                speculator.begin(ordered)
             # Work queue: (net, generation) entries plus a live-generation
             # map.  Requeueing bumps a net's generation, so stale deque
             # entries are skipped on pop instead of removed in O(n).
@@ -696,10 +651,8 @@ class LevelBRouter:
                 if live.get(net) != generation:
                     continue  # superseded by a rip-up requeue
                 del live[net]
-                outcome = speculator.take(net) if speculator is not None else None
-                if outcome is None:
-                    with instrument.span(SPAN_LEVELB_NET):
-                        outcome = self._route_net(net)
+                with instrument.span(SPAN_LEVELB_NET):
+                    outcome = self._route_net(net)
                 results[net] = outcome
                 if self.config.checked:
                     self._sanitize(outcome, ambient_txn)

@@ -134,12 +134,17 @@ class TrackIntersectionGraph:
         the width model cannot move.  Such pinched terminals are
         recorded separately — the router skips them and counts them as
         failed — instead of raising, which would kill the whole run
-        over one unroutable pin.  A collision with a single-track net
-        still raises: distinct pins always get distinct tracks, so
-        that can only be a genuine design conflict.
+        over one unroutable pin.  The pin's stack still stands, so the
+        intersection becomes a keep-out on every level it spans
+        (:meth:`~repro.grid.RoutingGrid.add_keepout`): no other net may
+        wire through it.  A collision with a single-track net still
+        raises: distinct pins always get distinct tracks, so that can
+        only be a genuine design conflict.
         """
         if self._pinched_by_wide(net_id, terminal, plane):
             self._pinched.setdefault(net_id, []).append(terminal)
+            for p in range(plane + 1):
+                self.planes[p].add_keepout(terminal.v_idx, terminal.h_idx, net_id)
             return
         self.planes[plane].reserve_terminal(
             terminal.v_idx, terminal.h_idx, net_id
@@ -224,6 +229,22 @@ class TrackIntersectionGraph:
 
     def all_terminals(self) -> dict[int, list[GridTerminal]]:
         return {k: list(v) for k, v in self._terminals.items()}
+
+    def terminal_windows(self) -> dict[int, tuple[int, int, int, int]]:
+        """Every net's terminal bounding box in track index space.
+
+        Maps ``net_id`` to inclusive ``(v_lo, v_hi, h_lo, h_hi)`` for
+        each net with at least one terminal: the window the coarse
+        :class:`~repro.globalroute.RegionModel` charges demand to.
+        """
+        windows: dict[int, tuple[int, int, int, int]] = {}
+        for net_id, terminals in self._terminals.items():
+            if not terminals:
+                continue
+            vs = [t.v_idx for t in terminals]
+            hs = [t.h_idx for t in terminals]
+            windows[net_id] = (min(vs), max(vs), min(hs), max(hs))
+        return windows
 
     def vertex_names(self) -> tuple[list[str], list[str]]:
         """The paper-style vertex names ``([v1..], [h1..])``."""

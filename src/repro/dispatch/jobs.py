@@ -1,19 +1,15 @@
-"""Tier 2: the multi-design batch job runner.
+"""The multi-design batch job runner.
 
 Fans a corpus of (design, flow) jobs across a process pool — the whole
 bench suite, a directory of exported designs, a parameter sweep — with
 per-job timeout, retry-on-crash and structured ``dispatch.*`` counters.
 Job payloads and results are small picklable dataclasses/dicts; the
 heavy objects (designs, grids, flow results) live and die inside the
-worker process.
-
-The runner is deliberately independent of tier 1: a batch job may
-itself enable speculative net-level parallelism via
-``Job(parallel=...)`` → ``FlowParams(parallel=...)``, nesting the two
-tiers, or run fully serial flows side by side.
+worker process.  Each job routes its design serially; the parallelism
+is across jobs.
 
 Used by the ``repro dispatch`` CLI (``--jobs N``, ``--serial``,
-``--json``) and the parallel-scaling benchmark.
+``--json``) and by the serve job queue for per-job timeout and retry.
 """
 
 from __future__ import annotations
@@ -44,14 +40,11 @@ class Job:
 
     ``design`` is a built-in suite name (``repro.bench_suite.SUITES``)
     or a path to a design JSON written by ``repro.io.save_design``.
-    ``parallel`` enables tier-1 speculative routing inside the job
-    (level B worker count; 0 = serial).
     """
 
     design: str
     flow: str = "overcell"
     check: bool = False
-    parallel: int = 0
 
     @property
     def name(self) -> str:
@@ -82,7 +75,6 @@ class JobOutcome:
             "design": self.job.design,
             "flow": self.job.flow,
             "check": self.job.check,
-            "parallel": self.job.parallel,
             "ok": self.ok,
             "attempts": self.attempts,
             "elapsed_s": round(self.elapsed_s, 6),
@@ -99,7 +91,6 @@ class JobOutcome:
                 design=data["design"],
                 flow=data.get("flow", "overcell"),
                 check=bool(data.get("check", False)),
-                parallel=int(data.get("parallel", 0)),
             ),
             ok=bool(data["ok"]),
             attempts=int(data["attempts"]),
@@ -191,12 +182,7 @@ def _execute_job(job: Job) -> dict:
     """
     start = time.perf_counter()
     from repro.bench_suite import SUITES
-    from repro.flow import (
-        FlowParams,
-        multilayer_channel_flow,
-        overcell_flow,
-        two_layer_flow,
-    )
+    from repro.flow import multilayer_channel_flow, overcell_flow, two_layer_flow
 
     flows = {
         "two-layer": two_layer_flow,
@@ -209,8 +195,7 @@ def _execute_job(job: Job) -> dict:
         from repro.io import load_design
 
         design = load_design(job.design)
-    params = FlowParams(parallel=job.parallel)
-    result = flows[job.flow](design, params)
+    result = flows[job.flow](design)
     summary: dict = {
         "design": result.design,
         "flow": result.flow,
@@ -457,11 +442,10 @@ def run_suite_batch(
     timeout_s: float | None = None,
     retries: int = 1,
     check: bool = False,
-    parallel: int = 0,
 ) -> BatchReport:
     """Route every ``suite x flow`` combination as one batch."""
     jobs = [
-        Job(design=suite, flow=flow, check=check, parallel=parallel)
+        Job(design=suite, flow=flow, check=check)
         for suite in suites
         for flow in flows
     ]

@@ -44,27 +44,12 @@ class FlowParams:
         check_flow`) after the flow and attach the report to
         ``FlowResult.check_report``; also turns on the level B
         router's per-commit checked mode.  Off by default.
-    parallel:
-        Speculative level B worker count (``repro.dispatch``).  ``0``
-        (default) routes serially; ``N >= 1`` routes level B nets in
-        waves of ``N`` workers with results guaranteed bit-identical
-        to the serial run (docs/PARALLELISM.md).
-    parallel_mode:
-        Dispatch executor kind: ``"process"`` (default), ``"thread"``
-        or ``"serial"`` (in-line, for debugging).
     backend:
         Occupancy storage backend for the level B grid: ``"dense"``
         (default; contiguous numpy arrays) or ``"sparse"`` (paged
         first-touch chunks, memory proportional to committed geometry
         — docs/SCALING.md).  Routing results are bit-identical across
         backends; the knob only trades memory for per-access overhead.
-    hierarchical:
-        Route level B coarse-then-detailed: a region-graph pass
-        assigns nets to floorplan regions, then the dispatch wave
-        planner groups each wave by region instead of scanning the
-        canonical order linearly (docs/SCALING.md).  Results stay
-        bit-identical to the flat run; the knob only changes how
-        non-overlapping work is discovered.
     planes:
         Over-cell routing planes for level B.  ``1`` (default) is the
         paper's single metal3/metal4 pair and preserves historical
@@ -107,11 +92,8 @@ class FlowParams:
     obstacles: tuple[Obstacle, ...] = ()
     channel_area_factor: float = 0.5
     checked: bool = False
-    parallel: int = 0
-    parallel_mode: str = "process"
     planes: int = 1
     backend: str = "dense"
-    hierarchical: bool = False
     iterate: bool = False
     max_iterations: int = 8
     ordering_policy: str = "longest-first"

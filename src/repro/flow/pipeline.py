@@ -151,48 +151,21 @@ def _maybe_check(result: FlowResult, params: FlowParams) -> FlowResult:
 def _route_levelb(router: LevelBRouter, params: FlowParams):
     """Route level B; returns ``(result, iterate_report_or_None)``.
 
-    Serial, through the dispatch layer, or — with ``params.iterate`` —
-    under the negotiated-congestion loop, which re-drives whichever of
-    the first two modes the params select for every pass.
-    ``repro.dispatch`` and ``repro.iterate`` are imported lazily (same
-    idiom as :func:`_maybe_check`): both sit *above* the flow layer in
-    the dependency order, so module-level imports here would be
-    cycles.  The dispatched result is bit-identical to
-    ``router.route()`` (docs/PARALLELISM.md).
+    One serial pass, or — with ``params.iterate`` — the
+    negotiated-congestion loop.  ``repro.iterate`` is imported lazily
+    (same idiom as :func:`_maybe_check`): it sits *above* the flow
+    layer in the dependency order, so a module-level import here would
+    be a cycle.
     """
-    if params.parallel <= 0 and not params.hierarchical:
-        route_fn = None  # iterate_levelb's serial default
-        run = router.route
-    else:
-        from repro.dispatch import DispatchConfig, route_levelb
-
-        if params.parallel <= 0:
-            # Hierarchical without parallelism: the coarse pass still
-            # drives wave planning, but waves execute in-line.
-            config = DispatchConfig(workers=1, mode="serial", hierarchical=True)
-        else:
-            config = DispatchConfig(
-                workers=params.parallel,
-                mode=params.parallel_mode,
-                hierarchical=params.hierarchical,
-            )
-
-        def route_fn(r: LevelBRouter, order: Sequence[Net] | None):
-            return route_levelb(r, config, order=order)
-
-        def run():
-            return route_levelb(router, config)
-
     if not params.iterate:
-        return run(), None
+        return router.route(), None
     from repro.iterate import IterateConfig, iterate_levelb
 
     iter_config = IterateConfig(
         max_iterations=params.max_iterations,
         policy=params.ordering_policy,
     )
-    result, report = iterate_levelb(router, iter_config, route_fn=route_fn)
-    return result, report
+    return iterate_levelb(router, iter_config)
 
 
 def _attach_profile(result: FlowResult) -> FlowResult:
@@ -380,7 +353,7 @@ class RoutabilityProbe:
     ripups: int = 0
     grid_restored: bool = True
     #: Coarse region-model occupancy profile (arXiv 1810.12789; see
-    #: docs/SCALING.md).  ``regions`` counts tiles of the level B
+    #: docs/ITERATION.md).  ``regions`` counts tiles of the level B
     #: grid; ``regions_overflowed`` those whose projected demand
     #: exceeds geometric capacity — an early congestion signal that
     #: needs no routing at all.
@@ -480,19 +453,9 @@ def _probe_regions(router: LevelBRouter):
     """
     from repro.globalroute import RegionModel
 
-    tig = router.tig
-    windows = {}
-    for net_id, terminals in tig.all_terminals().items():
-        if not terminals:
-            continue
-        windows[net_id] = (
-            min(t.v_idx for t in terminals),
-            max(t.v_idx for t in terminals),
-            min(t.h_idx for t in terminals),
-            max(t.h_idx for t in terminals),
-        )
+    grid = router.tig.grid
     return RegionModel.build(
-        tig.grid.num_vtracks, tig.grid.num_htracks, windows
+        grid.num_vtracks, grid.num_htracks, router.tig.terminal_windows()
     )
 
 

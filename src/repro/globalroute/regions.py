@@ -1,4 +1,4 @@
-"""The coarse region model for hierarchical level B routing.
+"""The coarse region model over the level B grid.
 
 "Early Routability Assessment in VLSI Floorplans" (PAPERS.md, arXiv
 1810.12789) estimates routability before detailed routing by tiling
@@ -7,7 +7,7 @@ the floorplan into regions, annotating each with its geometric routing
 bounding boxes project onto it.  This module is that model scaled down
 to the over-cell grid: the track index space is tiled into coarse
 square regions (``region_tracks`` tracks a side), every net is assigned
-to the region holding the centre of its padded read window, and each
+to the region holding the centre of its terminal window, and each
 region carries a capacity/demand pair.
 
 Two consumers:
@@ -17,19 +17,13 @@ Two consumers:
     utilization, overflowed regions — as an early congestion signal
     alongside the probe's completion figures.
 
-:class:`repro.dispatch.WaveSpeculator`
-    In hierarchical mode the wave planner walks candidate nets
-    region-by-region instead of linearly down the canonical order:
-    nets from *different* regions rarely have overlapping read
-    windows, so region-aware scanning finds large disjoint waves in
-    designs far too big for a linear ``scan_ahead`` prefix to cover.
+:func:`repro.iterate.iterate_levelb`
+    Reads region demand and overflow after each failed pass: the
+    ``congestion`` ordering policy ranks nets by it, and the per-track
+    history charges the tracks crossing overflowed regions.
 
-The model is purely advisory.  It never touches occupancy state and
-nothing about the routed geometry depends on it — the dispatch merge
-contract (byte-equality validation + canonical-order replay) is what
-keeps hierarchical results bit-identical to flat ones; the region
-model only changes *which* disjoint work is discovered first
-(docs/SCALING.md).
+The model never touches occupancy state; it only informs the
+probe's report and the negotiated-congestion loop (docs/ITERATION.md).
 """
 
 from __future__ import annotations
@@ -111,11 +105,11 @@ class RegionModel:
     ) -> "RegionModel":
         """Assign every net window to a region and accumulate demand.
 
-        ``windows`` maps ``net_id`` to the net's padded read window as
-        ``(v_lo, v_hi, h_lo, h_hi)`` inclusive track indices (the same
-        rectangle :func:`repro.dispatch.net_window` computes).  Demand
-        lands on *every* region the window overlaps; assignment uses
-        the window centre only.
+        ``windows`` maps ``net_id`` to the net's window as
+        ``(v_lo, v_hi, h_lo, h_hi)`` inclusive track indices (see
+        :meth:`repro.core.tig.TrackIntersectionGraph.terminal_windows`).
+        Demand lands on *every* region the window overlaps; assignment
+        uses the window centre only.
         """
         model = cls(num_vtracks, num_htracks, region_tracks)
         for net_id in sorted(windows):
@@ -168,16 +162,6 @@ class RegionModel:
     # ------------------------------------------------------------------
     # Assignment and occupancy profile
     # ------------------------------------------------------------------
-    def region_of(self, net_id: int, default: int = -1) -> int:
-        """The region a net was assigned to (``default`` if unknown)."""
-        return self._assignment.get(net_id, default)
-
-    def assigned_nets(self, rid: int) -> list[int]:
-        """Net ids assigned to a region, ascending."""
-        return sorted(
-            n for n, r in self._assignment.items() if r == rid
-        )
-
     def capacity(self, rid: int) -> int:
         """Tracks threading a tile: its horizontal plus vertical tracks."""
         v_lo, v_hi, h_lo, h_hi = self.bounds_of(rid)

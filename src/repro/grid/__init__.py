@@ -16,9 +16,6 @@ package provides:
     The transactional state layer: a journal of undo records covering
     every grid mutation, giving rollback and per-net rip-up in
     O(cells touched), plus immutable snapshots for exactness checks.
-:class:`WindowSnapshot`
-    A rectangular sub-window copy of the grid state, the unit of work
-    shipped to speculative routing workers (``repro.dispatch``).
 :class:`PlaneSet`
     N routing grids (one per over-cell reserved-layer plane) sharing
     the same track coordinate sets, with aggregate transactions and
@@ -46,7 +43,6 @@ from repro.grid.occupancy import (
     GridSnapshot,
     GridTransaction,
     RoutingGrid,
-    WindowSnapshot,
 )
 from repro.grid.planes import PlaneSet, PlaneSetTransaction
 
@@ -59,7 +55,6 @@ __all__ = [
     "GridTransaction",
     "PlaneSet",
     "PlaneSetTransaction",
-    "WindowSnapshot",
     "OccupancyBackend",
     "DenseBackend",
     "SparseBackend",

@@ -18,7 +18,7 @@ exactly like the connection engines (:mod:`repro.core.engine`):
 :class:`RoutingGrid` routes every read and write through the backend's
 three stores (``h_owner``, ``v_owner``, ``unrouted_terms``), and both
 backends expose the same numpy-flavoured indexing over them, so
-transactions, ledgers, snapshots and window exports behave identically
+transactions, ledgers, snapshots and windowed reads behave identically
 — the parity is pinned by sha256 route digests on every suite and a
 hypothesis interleaving property (tests/test_backend.py).
 

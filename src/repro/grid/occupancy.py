@@ -82,77 +82,15 @@ _LEDGER_C = "c"
 class GridSnapshot:
     """An immutable copy of the grid's full mutable state.
 
-    Used for exactness checks around speculative routing: capture one
-    before a rip/reroute cycle and compare with :meth:`RoutingGrid.matches`
-    after rollback.  Arrays are read-only copies.
+    Used for exactness checks around transactional routing: capture one
+    before a rip/reroute cycle or a routability probe and compare with
+    :meth:`RoutingGrid.matches` after rollback.  Arrays are read-only
+    copies.
     """
 
     h_owner: np.ndarray
     v_owner: np.ndarray
     unrouted_terms: np.ndarray
-
-
-@dataclass(frozen=True)
-class WindowSnapshot:
-    """A copy of the grid's state over one rectangular index window.
-
-    The export format behind speculative parallel routing
-    (:mod:`repro.dispatch`): a worker receives only the window a net's
-    bounded search can read, rebuilds an isolated sub-grid from it with
-    :meth:`to_grid`, and routes on that.  At merge time
-    :meth:`RoutingGrid.window_matches` proves the live grid still equals
-    the snapshot over the window, which is what makes replaying the
-    speculative path equivalent to having routed serially.
-
-    Track coordinates are carried verbatim (true geometric values), so
-    geometry produced on the sub-grid is already in global coordinates;
-    only track *indices* shift by ``v_lo`` / ``h_lo``.  Arrays keep the
-    global net ids and are read-only copies.
-    """
-
-    v_lo: int
-    h_lo: int
-    vcoords: tuple[int, ...]
-    hcoords: tuple[int, ...]
-    h_owner: np.ndarray
-    v_owner: np.ndarray
-    unrouted_terms: np.ndarray
-    #: Track counts of the grid the window was cut from.  A worker uses
-    #: them to tell a window edge that *is* the grid edge (where
-    #: clipping a search region is exactly what serial routing does)
-    #: from a mid-grid window edge (where clipping would diverge from
-    #: serial and the speculation must be abandoned).
-    global_vtracks: int = 0
-    global_htracks: int = 0
-
-    @property
-    def num_vtracks(self) -> int:
-        return len(self.vcoords)
-
-    @property
-    def num_htracks(self) -> int:
-        return len(self.hcoords)
-
-    def to_grid(self) -> "RoutingGrid":
-        """An isolated :class:`RoutingGrid` loaded with this window.
-
-        The sub-grid's arrays are fresh writable copies; mutating it
-        never touches the grid the snapshot came from.  Per-net ledgers
-        start empty: the sub-grid exists to *search*, and speculative
-        paths are re-committed on the authoritative grid by the merger.
-
-        Sub-grids are always **dense** regardless of the backend the
-        snapshot was cut from: a window is small by construction, so
-        the dense representation is both the fastest to search and the
-        one whose footprint the wave planner already bounded.
-        """
-        grid = RoutingGrid(
-            TrackSet(self.vcoords), TrackSet(self.hcoords), backend="dense"
-        )
-        grid._h_owner[:] = self.h_owner
-        grid._v_owner[:] = self.v_owner
-        grid._unrouted_terms[:] = self.unrouted_terms
-        return grid
 
 
 class GridTransaction:
@@ -236,6 +174,11 @@ class RoutingGrid:
         # Only nets wider than the default single-track claim appear
         # here, so `.get(net_id)` returning None IS the fast path.
         self._footprints: dict[int, tuple[int, int]] = {}
+        # Pin keep-outs (add_keepout), indexed per track as
+        # {track: {position: pin's net id}}; empty on grids without
+        # pinched terminals, which keeps the availability fast path.
+        self._keepouts_v: dict[int, dict[int, int]] = {}
+        self._keepouts_h: dict[int, dict[int, int]] = {}
         # Undo journal + open-transaction stack (savepoint semantics).
         self._journal: list[tuple] = []
         self._txns: list[GridTransaction] = []
@@ -338,6 +281,20 @@ class RoutingGrid:
         """Track rows a footprinted claim at ``base`` touches, clamped."""
         span, guard = fp
         return range(max(0, base - guard), min(n - 1, base + span - 1 + guard) + 1)
+
+    def add_keepout(self, v_idx: int, h_idx: int, net_id: int) -> None:
+        """Bar every net but ``net_id`` from wiring through an intersection.
+
+        Marks a *pinched* terminal of ``net_id`` (docs/TECHNOLOGY.md):
+        the router never connects it, but the pin's via stack still
+        stands there, so no other net may run wire through the point or
+        place a corner on it.  Occupancy state is untouched — the cost
+        model reads the grid exactly as before — and only
+        :meth:`track_bits` and :meth:`corner_free` exclude the point.
+        """
+        self._check_indices(v_idx, h_idx)
+        self._keepouts_v.setdefault(v_idx, {})[h_idx] = net_id
+        self._keepouts_h.setdefault(h_idx, {})[v_idx] = net_id
 
     # ------------------------------------------------------------------
     # Transactions
@@ -493,82 +450,6 @@ class RoutingGrid:
             )
         )
 
-    def window_snapshot(self, v_iv: Interval, h_iv: Interval) -> WindowSnapshot:
-        """Copy the state of the index window ``v_iv`` x ``h_iv``.
-
-        Intervals are clamped to the grid, so callers may pass padded
-        boxes that run past an edge — clipping at the window boundary
-        then coincides with clipping at the grid boundary, which is what
-        keeps windowed cost-model reads exact near edges.  A window
-        lying *entirely* off-grid is an upstream indexing bug and
-        raises ``IndexError`` instead of clamping to a sliver.
-        """
-        if v_iv.hi < 0 or v_iv.lo >= self.num_vtracks:
-            bad = v_iv.hi if v_iv.hi < 0 else v_iv.lo
-            raise IndexError(
-                f"v-track window index {bad} out of range "
-                f"[0, {self.num_vtracks - 1}]"
-            )
-        if h_iv.hi < 0 or h_iv.lo >= self.num_htracks:
-            bad = h_iv.hi if h_iv.hi < 0 else h_iv.lo
-            raise IndexError(
-                f"h-track window index {bad} out of range "
-                f"[0, {self.num_htracks - 1}]"
-            )
-        v_iv = self.vtracks.clip_indices(v_iv)
-        h_iv = self.htracks.clip_indices(h_iv)
-        hs = slice(h_iv.lo, h_iv.hi + 1)
-        vs = slice(v_iv.lo, v_iv.hi + 1)
-        # np.array (not .copy()) so the copy works whether the backend's
-        # slice read returned a dense view or an already-fresh gather.
-        arrays = (
-            np.array(self._h_owner[hs, vs]),
-            np.array(self._v_owner[vs, hs]),
-            np.array(self._unrouted_terms[hs, vs]),
-        )
-        for arr in arrays:
-            arr.setflags(write=False)
-        return WindowSnapshot(
-            v_lo=v_iv.lo,
-            h_lo=h_iv.lo,
-            vcoords=tuple(self.vtracks.coords[vs]),
-            hcoords=tuple(self.htracks.coords[hs]),
-            h_owner=arrays[0],
-            v_owner=arrays[1],
-            unrouted_terms=arrays[2],
-            global_vtracks=self.num_vtracks,
-            global_htracks=self.num_htracks,
-        )
-
-    def window_matches(self, snap: WindowSnapshot) -> bool:
-        """Is the grid byte-identical to ``snap`` over its window?
-
-        The speculation-validity test: equality proves every cell a
-        speculative search could have read still holds the value it saw,
-        so the speculative result equals what a serial search would
-        produce right now.
-
-        A snapshot whose window does not lie inside this grid (it was
-        cut from a different or larger grid) can never match and
-        returns ``False`` outright — previously this case leaned on
-        numpy's silent slice clamping to produce a shape mismatch,
-        which not every backend store reproduces.
-        """
-        if (
-            snap.v_lo < 0
-            or snap.h_lo < 0
-            or snap.v_lo + snap.num_vtracks > self.num_vtracks
-            or snap.h_lo + snap.num_htracks > self.num_htracks
-        ):
-            return False
-        hs = slice(snap.h_lo, snap.h_lo + snap.num_htracks)
-        vs = slice(snap.v_lo, snap.v_lo + snap.num_vtracks)
-        return bool(
-            np.array_equal(self._h_owner[hs, vs], snap.h_owner)
-            and np.array_equal(self._v_owner[vs, hs], snap.v_owner)
-            and np.array_equal(self._unrouted_terms[hs, vs], snap.unrouted_terms)
-        )
-
     # ------------------------------------------------------------------
     # Obstacles and terminals
     # ------------------------------------------------------------------
@@ -675,6 +556,9 @@ class RoutingGrid:
     def corner_free(self, v_idx: int, h_idx: int, net_id: int) -> bool:
         """Can ``net_id`` place a corner/via at this intersection?"""
         self._check_indices(v_idx, h_idx)
+        keepouts = self._keepouts_v
+        if keepouts and keepouts.get(v_idx, {}).get(h_idx, net_id) != net_id:
+            return False
         fp = self._footprints.get(net_id)
         if fp is not None:
             return self._block_free(v_idx, h_idx, net_id, fp)
@@ -711,7 +595,8 @@ class RoutingGrid:
         or h-track ``track`` (positions are v indices).  Bit ``i`` of
         ``usable`` is set when ``net_id`` may run wire through position
         ``lo + i`` — the track's own slot is free or the net's, on every
-        row of a wide net's footprint.  Bit ``i`` of ``corner`` is set
+        row of a wide net's footprint, and no other net's pin keep-out
+        (:meth:`add_keepout`) sits there.  Bit ``i`` of ``corner`` is set
         when the net may also place a corner via there, i.e. exactly
         where :meth:`corner_free` holds.
 
@@ -724,10 +609,10 @@ class RoutingGrid:
         Indices are validated here, once per row.
         """
         if vertical:
-            along, across = self._v_owner, self._h_owner
+            along, across, keepouts = self._v_owner, self._h_owner, self._keepouts_v
             n_tracks, n_pos, axis = self.num_vtracks, self.num_htracks, "v"
         else:
-            along, across = self._h_owner, self._v_owner
+            along, across, keepouts = self._h_owner, self._v_owner, self._keepouts_h
             n_tracks, n_pos, axis = self.num_htracks, self.num_vtracks, "h"
         if not 0 <= track < n_tracks:
             raise IndexError(
@@ -741,19 +626,28 @@ class RoutingGrid:
         if fp is None:
             usable = _usable(along[track, lo : hi + 1], net_id)
             corner = usable & _usable(across[lo : hi + 1, track], net_id)
-            return _pack(usable), _pack(corner)
-        # A wide net runs wire where every row of its footprint is free
-        # (or its own); a corner needs the whole expanded block around
-        # the position, checked cell by cell as corner_free does.
-        rows = self._expand_rows(track, fp, n_tracks)
-        block = _usable(along[rows.start : rows.stop, lo : hi + 1], net_id)
-        usable = np.logical_and.reduce(block, axis=0)
-        if vertical:
-            cells = [self._block_free(track, p, net_id, fp) for p in range(lo, hi + 1)]
         else:
-            cells = [self._block_free(p, track, net_id, fp) for p in range(lo, hi + 1)]
-        corner = np.array(cells, dtype=bool)
-        return _pack(usable), _pack(corner)
+            # A wide net runs wire where every row of its footprint is
+            # free (or its own); a corner needs the whole expanded block
+            # around the position, checked cell by cell as corner_free
+            # does.
+            rows = self._expand_rows(track, fp, n_tracks)
+            block = _usable(along[rows.start : rows.stop, lo : hi + 1], net_id)
+            usable = np.logical_and.reduce(block, axis=0)
+            if vertical:
+                cells = [self._block_free(track, p, net_id, fp) for p in range(lo, hi + 1)]
+            else:
+                cells = [self._block_free(p, track, net_id, fp) for p in range(lo, hi + 1)]
+            corner = np.array(cells, dtype=bool)
+        usable_bits, corner_bits = _pack(usable), _pack(corner)
+        if keepouts and track in keepouts:
+            mask = 0
+            for pos, owner in keepouts[track].items():
+                if owner != net_id and lo <= pos <= hi:
+                    mask |= 1 << (pos - lo)
+            usable_bits &= ~mask
+            corner_bits &= ~mask
+        return usable_bits, corner_bits
 
     def free_span_h(
         self, h_idx: int, v_idx: int, net_id: int, within: Interval | None = None

@@ -31,8 +31,6 @@ SPAN_LINT = "lint"
 SPAN_ITERATE = "iterate"
 SPAN_ITERATE_PASS = "iterate.pass"
 
-SPAN_DISPATCH_PLAN = "dispatch.plan"
-SPAN_DISPATCH_APPLY = "dispatch.apply"
 SPAN_DISPATCH_BATCH = "dispatch.batch"
 SPAN_DISPATCH_JOB = "dispatch.job"
 
@@ -66,12 +64,6 @@ ITERATE_PASSES = "iterate.iterations"
 ITERATE_NETS_RIPPED = "iterate.nets_ripped"
 ITERATE_STALLS = "iterate.stalls"
 ITERATE_ROLLBACKS = "iterate.rollbacks"
-DISPATCH_WAVES = "dispatch.waves"
-DISPATCH_HIER_WAVES = "dispatch.hier_waves"
-DISPATCH_SPECULATED = "dispatch.nets_speculated"
-DISPATCH_APPLIED = "dispatch.nets_applied"
-DISPATCH_CONFLICTS = "dispatch.conflicts"
-DISPATCH_FALLBACKS = "dispatch.serial_fallbacks"
 DISPATCH_JOBS_SUBMITTED = "dispatch.jobs_submitted"
 DISPATCH_JOBS_COMPLETED = "dispatch.jobs_completed"
 DISPATCH_JOBS_FAILED = "dispatch.jobs_failed"
@@ -118,8 +110,5 @@ EVT_CHECK_VIOLATION = "check.violation"
 EVT_LINT_VIOLATION = "lint.violation"
 EVT_PLANE_ASSIGNED = "levelb.plane_assigned"
 EVT_ITERATE_PASS = "iterate.pass_finished"
-EVT_WAVE_PLANNED = "dispatch.wave_planned"
-EVT_REGIONS_BUILT = "dispatch.regions_built"
-EVT_SPEC_CONFLICT = "dispatch.conflict"
 EVT_JOB_FINISHED = "dispatch.job_finished"
 EVT_SERVE_JOB_STATE = "serve.job_state"

@@ -15,7 +15,6 @@ from repro.iterate.loop import (
     IterateConfig,
     IterateReport,
     IterationRecord,
-    RouteFn,
     iterate_levelb,
 )
 from repro.iterate.policies import (
@@ -48,7 +47,6 @@ __all__ = [
     "LongestFirstPolicy",
     "NetFeedback",
     "OrderingPolicy",
-    "RouteFn",
     "TuningReport",
     "available_policies",
     "default_candidates",

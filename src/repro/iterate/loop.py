@@ -11,13 +11,11 @@ Two structural choices keep the loop compatible with the rest of the
 stack:
 
 *Whole-design rip-up.*  Classic PathFinder interleaves "rip one net,
-re-route it" — which leaves mixed old/new wiring mid-pass, a state the
-dispatch speculator's window contract cannot reason about.  Here every
+re-route it", which leaves mixed old/new wiring mid-pass.  Here every
 pass rips *all* nets first (terminals stay reserved), leaving the grid
 exactly where a fresh :meth:`~repro.core.router.LevelBRouter.route`
-starts — so serial and speculative routing work unchanged inside an
-iteration, and the serial/parallel parity contract extends to
-iterative mode.
+starts, so each pass is an ordinary one-pass route under a new order
+and history.
 
 *Commit-if-better.*  Each pass runs inside one plane-set transaction.
 A pass that does not strictly improve on the best result so far — or
@@ -34,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
-from collections.abc import Callable, Sequence
 
 from repro import instrument
 from repro.instrument.names import (
@@ -51,7 +48,6 @@ from repro.core.cost import TrackHistory
 from repro.core.ordering import order_nets
 from repro.core.router import LevelBResult, LevelBRouter
 from repro.globalroute.regions import RegionModel
-from repro.netlist import Net
 from repro.iterate.policies import NetFeedback, OrderingPolicy, get_policy
 
 __all__ = [
@@ -59,14 +55,8 @@ __all__ = [
     "IterateConfig",
     "IterateReport",
     "IterationRecord",
-    "RouteFn",
     "iterate_levelb",
 ]
-
-#: How the driver routes one pass: the router plus an explicit order
-#: (``None`` for the router's own configured ordering).  The flow layer
-#: substitutes a dispatch-backed implementation when ``parallel > 0``.
-RouteFn = Callable[[LevelBRouter, "Sequence[Net] | None"], LevelBResult]
 
 
 @dataclass(frozen=True)
@@ -184,12 +174,6 @@ class IterateReport:
 # ----------------------------------------------------------------------
 # Internals
 # ----------------------------------------------------------------------
-def _serial_route(
-    router: LevelBRouter, order: Sequence[Net] | None
-) -> LevelBResult:
-    return router.route(order=order)
-
-
 def _quality(result: LevelBResult) -> tuple[int, int, int, int]:
     """Lexicographic pass quality: fewer failures, then less wiring."""
     return (
@@ -211,23 +195,6 @@ def _short_sweep_clean(result: LevelBResult) -> bool:
     return not check_shorts(extract_levelb(result))
 
 
-def _net_windows(
-    router: LevelBRouter,
-) -> dict[int, tuple[int, int, int, int]]:
-    """Every net's terminal bounding box in track index space."""
-    windows: dict[int, tuple[int, int, int, int]] = {}
-    for net_id, terminals in router.tig.all_terminals().items():
-        if not terminals:
-            continue
-        windows[net_id] = (
-            min(t.v_idx for t in terminals),
-            max(t.v_idx for t in terminals),
-            min(t.h_idx for t in terminals),
-            max(t.h_idx for t in terminals),
-        )
-    return windows
-
-
 def _build_feedback(
     router: LevelBRouter, result: LevelBResult, region_tracks: int
 ) -> tuple[dict[str, NetFeedback], RegionModel, dict[int, tuple[int, int, int, int]]]:
@@ -237,7 +204,7 @@ def _build_feedback(
     terminal windows (the routability-probe measure); failure comes
     from the routing result itself.
     """
-    windows = _net_windows(router)
+    windows = router.tig.terminal_windows()
     grid = router.tig.grid  # planes share one track lattice
     model = RegionModel.build(
         grid.num_vtracks, grid.num_htracks, windows, region_tracks=region_tracks
@@ -310,8 +277,6 @@ def _charge_history(
 def iterate_levelb(
     router: LevelBRouter,
     config: IterateConfig | None = None,
-    *,
-    route_fn: RouteFn | None = None,
 ) -> tuple[LevelBResult, IterateReport]:
     """Route iteratively until complete or out of budget.
 
@@ -328,7 +293,6 @@ def iterate_levelb(
         if isinstance(cfg.policy, OrderingPolicy)
         else get_policy(cfg.policy)
     )
-    run = route_fn if route_fn is not None else _serial_route
     records: list[IterationRecord] = []
     stalls = 0
     iterations = 0
@@ -341,7 +305,7 @@ def iterate_levelb(
         )
         initial = policy.initial_order(router.nets)
         default = order_nets(router.nets, router.config.ordering)
-        best = run(router, None if initial == default else initial)
+        best = router.route(order=None if initial == default else initial)
         records.append(
             IterationRecord(
                 iteration=0,
@@ -385,7 +349,7 @@ def iterate_levelb(
                     for routed in best.routed:
                         router.unroute(routed.net)
                         ripped += 1
-                    candidate = run(router, order)
+                    candidate = router.route(order=order)
                     improved = _quality(candidate) < _quality(best)
                     committed = improved and (
                         not cfg.verify or _short_sweep_clean(candidate)

@@ -1,11 +1,11 @@
 """Process-pool safety rules for the dispatch and serve subsystems.
 
-Speculative routing (PR 4) and the serve job queue (PR 6) push work
-onto ``concurrent.futures`` executors.  Process pools pickle the
-callable and its arguments; anything that is not a module-level
+The batch job runner (``repro.dispatch.jobs``) and the serve job queue
+push work onto ``concurrent.futures`` executors.  Process pools pickle
+the callable and its arguments; anything that is not a module-level
 function — a lambda, a nested ``def`` closing over local state, a
 bound method — either fails to pickle or, worse, pickles a *copy* of
-shared-mutable state and silently diverges from the serial run.
+shared-mutable state and silently diverges from an in-line run.
 
 * ``pool.payload`` — the callable handed to an *executor's*
   ``.submit(...)`` must be a module-level function (or a module
@@ -13,10 +13,10 @@ shared-mutable state and silently diverges from the serial run.
   accept closures carry a pragma naming the runtime guard that keeps
   them off process pools.  The rule keys on the receiver name — a
   ``.submit`` through anything named ``*executor*`` — so domain-level
-  ``submit`` methods that take *data* (``WorkerPool.submit(task)``,
-  ``JobQueue.submit(spec)``) are out of scope; the convention is that
-  raw ``concurrent.futures`` handles are named ``executor``/
-  ``_executor``, which the codebase already follows.
+  ``submit`` methods that take *data* (``JobQueue.submit(spec)``) are
+  out of scope; the convention is that raw ``concurrent.futures``
+  handles are named ``executor``/``_executor``, which the codebase
+  already follows.
 * ``pool.default`` — mutable default arguments (``[]``, ``{}``,
   ``set()``) on functions in the worker-payload modules: defaults are
   evaluated once per process, so a mutable default is state shared

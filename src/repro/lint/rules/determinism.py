@@ -1,9 +1,9 @@
 """Determinism rules: the bit-identity contract, enforced at the source.
 
-Everything the routing stack guarantees since PR 4 — serial/parallel
-bit-identity, sha256 route-digest parity across occupancy backends,
-content-addressed serve caching — assumes that routing *decisions* are
-pure functions of the input.  These rules police the packages that
+Everything the routing stack guarantees — reproducible sha256 route
+digests, digest parity across occupancy backends, content-addressed
+serve caching — assumes that routing *decisions* are pure functions of
+the input.  These rules police the packages that
 contract covers (``core``, ``grid``, ``maze``, ``dispatch``,
 ``globalroute``, ``io``) for the classic leak vectors:
 

@@ -424,7 +424,6 @@ class JobQueue:
             design=spec.design_name,
             flow=spec.flow,
             check=spec.check,
-            parallel=spec.parallel,
         )
         # Timeouts need a pool (the runner cannot interrupt in-line
         # work); without one the serial path keeps retry semantics and

@@ -3,21 +3,19 @@
 A :class:`JobSpec` is everything a client sends to request a routing
 run: the design (a built-in suite name or an inline ``repro-design``
 document), the flow, an optional technology document, and the routing
-knobs that change the answer (``planes``) or how it is produced
-(``parallel``, ``check``).  Specs validate strictly on ingest so a
-malformed request fails at the HTTP boundary, not inside a worker.
+knobs that change the answer (``planes``, ``objective``, the iterate
+knobs) or how it is produced (``backend``, ``check``).  Specs validate
+strictly on ingest so a malformed request — including one carrying a
+key the protocol does not define — fails at the HTTP boundary, not
+inside a worker.
 
 Every spec has a *canonical digest* — :func:`repro.io.canonical_digest`
 over its canonical document — which keys the server's result cache.
-``parallel``, ``backend`` and ``hierarchical`` are deliberately
-**excluded** from the digest: the dispatch determinism contract
-guarantees speculative routing is bit-identical to serial routing
-(docs/PARALLELISM.md), the occupancy backends are storage engines with
-identical observable state, and hierarchical wave planning only changes
-how non-overlapping work is discovered (docs/SCALING.md) — so requests
-differing only in those knobs share one cache entry.  ``check`` *is*
-included because it changes the payload (the attached verification
-report).
+``backend`` is deliberately **excluded** from the digest: the occupancy
+backends are storage engines with identical observable state
+(docs/SCALING.md), so requests differing only in it share one cache
+entry.  ``check`` *is* included because it changes the payload (the
+attached verification report).
 
 :func:`execute_spec` is the worker-side body: build the design and
 ``FlowParams``, run the flow, and flatten the outcome into a JSON-safe
@@ -42,10 +40,8 @@ _SPEC_KEYS = frozenset(
         "flow",
         "technology",
         "planes",
-        "parallel",
         "check",
         "backend",
-        "hierarchical",
         "iterate",
         "max_iterations",
         "ordering_policy",
@@ -79,11 +75,9 @@ DIGESTED_FIELDS = {
 }
 
 #: Bit-identical-result knobs: changing one changes *how* the answer
-#: is produced, never the answer (docs/PARALLELISM.md, docs/SCALING.md),
-#: so they must not fragment the cache.
-DIGEST_EXCLUDED = frozenset(
-    {"parallel", "parallel_mode", "backend", "hierarchical"}
-)
+#: is produced, never the answer (docs/SCALING.md), so they must not
+#: fragment the cache.
+DIGEST_EXCLUDED = frozenset({"backend"})
 
 #: FlowParams fields the wire protocol does not expose: every request
 #: gets the server-default value, so within one server's cache they
@@ -121,10 +115,8 @@ class JobSpec:
     flow: str = "overcell"
     technology: dict[str, Any] | None = None
     planes: int = 1
-    parallel: int = 0
     check: bool = False
     backend: str = "dense"
-    hierarchical: bool = False
     iterate: bool = False
     max_iterations: int = 8
     ordering_policy: str = "longest-first"
@@ -183,9 +175,6 @@ class JobSpec:
         planes = data.get("planes", 1)
         if not isinstance(planes, int) or planes < 1:
             raise SpecError("'planes' must be an integer >= 1")
-        parallel = data.get("parallel", 0)
-        if not isinstance(parallel, int) or parallel < 0:
-            raise SpecError("'parallel' must be an integer >= 0")
         check = data.get("check", False)
         if not isinstance(check, bool):
             raise SpecError("'check' must be a boolean")
@@ -199,9 +188,6 @@ class JobSpec:
                 f"unknown backend {backend!r} "
                 f"(available: {available_backends()})"
             )
-        hierarchical = data.get("hierarchical", False)
-        if not isinstance(hierarchical, bool):
-            raise SpecError("'hierarchical' must be a boolean")
         iterate = data.get("iterate", False)
         if not isinstance(iterate, bool):
             raise SpecError("'iterate' must be a boolean")
@@ -226,10 +212,8 @@ class JobSpec:
             flow=flow,
             technology=technology,
             planes=planes,
-            parallel=parallel,
             check=check,
             backend=backend,
-            hierarchical=hierarchical,
             iterate=iterate,
             max_iterations=max_iterations,
             ordering_policy=ordering_policy,
@@ -242,10 +226,8 @@ class JobSpec:
             "flow": self.flow,
             "technology": self.technology,
             "planes": self.planes,
-            "parallel": self.parallel,
             "check": self.check,
             "backend": self.backend,
-            "hierarchical": self.hierarchical,
             "iterate": self.iterate,
             "max_iterations": self.max_iterations,
             "ordering_policy": self.ordering_policy,
@@ -256,9 +238,8 @@ class JobSpec:
     def canonical(self) -> dict[str, Any]:
         """The digest-relevant content.
 
-        ``parallel``, ``backend`` and ``hierarchical`` are excluded:
-        all three are bit-identical-result knobs (see module
-        docstring), so they must not fragment the cache.
+        ``backend`` is excluded: it is a bit-identical-result knob (see
+        module docstring), so it must not fragment the cache.
         """
         return {
             "kind": "job",
@@ -319,22 +300,14 @@ def build_design(spec: JobSpec) -> Any:
 
 
 def build_params(spec: JobSpec) -> Any:
-    """The :class:`~repro.flow.FlowParams` a spec translates to.
-
-    In-server parallel routing uses thread dispatch: the serving
-    process is already multi-threaded and fork-from-threads is the
-    kind of surprise a long-lived server cannot afford.
-    """
+    """The :class:`~repro.flow.FlowParams` a spec translates to."""
     from repro.flow import FlowParams
     from repro.io import technology_from_dict
 
     kwargs: dict[str, Any] = {
         "planes": spec.planes,
-        "parallel": spec.parallel,
-        "parallel_mode": "thread",
         "checked": spec.check,
         "backend": spec.backend,
-        "hierarchical": spec.hierarchical,
         "iterate": spec.iterate,
         "max_iterations": spec.max_iterations,
         "ordering_policy": spec.ordering_policy,

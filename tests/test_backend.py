@@ -9,8 +9,7 @@ Three layers of guarantees (docs/SCALING.md):
   hypothesis-driven random interleaving of commit/rip-up/rollback
   leaves both with byte-identical snapshots;
 * the whole stack stays bit-identical: sparse-routed suites reproduce
-  the pre-refactor :data:`test_planes.PARITY_DIGESTS`, serial and
-  parallel.
+  the pre-refactor :data:`test_planes.PARITY_DIGESTS`.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.bench_suite import SUITES
 from repro.flow import FlowParams, overcell_flow
-from repro.geometry import Interval
 from repro.grid import (
     DenseBackend,
     PagedArray,
@@ -241,68 +239,6 @@ class TestInterleavingParity:
 
 
 # ----------------------------------------------------------------------
-# Window snapshots at the grid edges (regression: clamping semantics)
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["dense", "sparse"])
-class TestWindowEdges:
-    def test_padded_window_clamps_at_border(self, backend):
-        grid = make_grid(backend)
-        grid.occupy_h(0, 0, 3, 1)
-        # A padded box running past the low edge clamps to the grid.
-        snap = grid.window_snapshot(Interval(-4, 5), Interval(-4, 5))
-        assert snap.v_lo == 0 and snap.h_lo == 0
-        assert snap.num_vtracks == 6 and snap.num_htracks == 6
-        assert grid.window_matches(snap)
-
-    def test_padded_window_clamps_at_far_border(self, backend):
-        grid = make_grid(backend)
-        nv, nh = grid.num_vtracks, grid.num_htracks
-        grid.occupy_v(nv - 1, nh - 4, nh - 1, 2)
-        snap = grid.window_snapshot(
-            Interval(nv - 3, nv + 9), Interval(nh - 3, nh + 9)
-        )
-        assert snap.num_vtracks == 3 and snap.num_htracks == 3
-        assert grid.window_matches(snap)
-
-    def test_degenerate_single_track_window(self, backend):
-        grid = make_grid(backend)
-        grid.occupy_corner(5, 7, 3)
-        snap = grid.window_snapshot(Interval(5, 5), Interval(7, 7))
-        assert snap.num_vtracks == 1 and snap.num_htracks == 1
-        assert snap.h_owner[0, 0] == 3 and snap.v_owner[0, 0] == 3
-        assert grid.window_matches(snap)
-        grid.rip_net(3)
-        assert not grid.window_matches(snap)
-
-    def test_fully_offgrid_window_raises(self, backend):
-        grid = make_grid(backend)
-        with pytest.raises(IndexError):
-            grid.window_snapshot(Interval(-9, -1), Interval(0, 3))
-        with pytest.raises(IndexError):
-            grid.window_snapshot(
-                Interval(0, 3), Interval(grid.num_htracks, grid.num_htracks + 4)
-            )
-
-    def test_foreign_snapshot_never_matches(self, backend):
-        big = make_grid(backend, nv=24, nh=20)
-        small = make_grid(backend, nv=8, nh=8)
-        snap = big.window_snapshot(Interval(10, 20), Interval(4, 12))
-        # Window lies outside the small grid entirely: False, not a
-        # shape-mismatch crash (the pre-refactor behaviour leaned on
-        # numpy's silent slice clamping).
-        assert small.window_matches(snap) is False
-
-    def test_match_tracks_mutation_and_ripup(self, backend):
-        grid = make_grid(backend)
-        snap = grid.window_snapshot(Interval(0, 9), Interval(0, 9))
-        assert grid.window_matches(snap)
-        grid.occupy_h(4, 2, 6, 9)
-        assert not grid.window_matches(snap)
-        grid.rip_net(9)
-        assert grid.window_matches(snap)
-
-
-# ----------------------------------------------------------------------
 # Whole-stack route-digest parity (acceptance criterion)
 # ----------------------------------------------------------------------
 class TestSparseRouteParity:
@@ -312,20 +248,3 @@ class TestSparseRouteParity:
         assert _geometry_digest(res) == PARITY_DIGESTS[suite], (
             f"sparse backend drifted from the dense baseline on {suite}"
         )
-
-    @pytest.mark.parametrize("suite", sorted(PARITY_DIGESTS))
-    def test_sparse_parallel_reproduces_seed_digest(self, suite):
-        res = overcell_flow(
-            SUITES[suite](),
-            FlowParams(backend="sparse", parallel=2, parallel_mode="thread"),
-        )
-        assert _geometry_digest(res) == PARITY_DIGESTS[suite], (
-            f"parallel sparse routing drifted from the baseline on {suite}"
-        )
-
-    def test_hierarchical_reproduces_seed_digest(self):
-        res = overcell_flow(
-            SUITES["ami33"](),
-            FlowParams(backend="sparse", hierarchical=True),
-        )
-        assert _geometry_digest(res) == PARITY_DIGESTS["ami33"]

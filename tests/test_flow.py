@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.bench_suite import random_design
+from repro.bench_suite import SUITES, random_design
 from repro.flow import (
     FlowParams,
     multilayer_channel_flow,
     overcell_flow,
     percent_reduction,
+    routability_probe,
     two_layer_flow,
 )
 from repro.partition import PartitionStrategy
@@ -158,3 +159,29 @@ class TestChannelRouterChoice:
         # Same decomposition, possibly different track counts.
         assert len(lea.channel_tracks) == len(baseline.channel_tracks)
         assert lea.completion == baseline.completion == 1.0
+
+
+class TestRoutabilityProbeRegions:
+    """The probe's coarse region profile (arXiv 1810.12789), pinned.
+
+    The profile is a pure function of the nets' terminal windows, so
+    how those windows are gathered may change but these values may not.
+    """
+
+    @pytest.mark.parametrize(
+        "suite, expected",
+        [
+            ("ami33", (20, 14, 9, 1.9375)),
+            ("ex3", (49, 28, 22, 3.3125)),
+        ],
+        ids=["ami33", "ex3"],
+    )
+    def test_region_profile_pinned(self, suite, expected):
+        probe = routability_probe(SUITES[suite]())
+        assert probe.grid_restored
+        assert (
+            probe.regions,
+            probe.regions_occupied,
+            probe.regions_overflowed,
+            probe.peak_region_utilization,
+        ) == expected

@@ -315,17 +315,3 @@ class TestIndexValidation:
         with pytest.raises(IndexError):
             g.reserve_terminal(-1, 3, net_id=5)
         assert g.matches(before)
-
-    def test_window_snapshot_entirely_off_grid(self):
-        g = make_grid(10, 8)
-        with pytest.raises(IndexError):
-            g.window_snapshot(Interval(-5, -1), Interval(0, 3))
-        with pytest.raises(IndexError):
-            g.window_snapshot(Interval(0, 3), Interval(8, 11))
-
-    def test_window_snapshot_partial_overhang_still_clamps(self):
-        # Padded search windows legitimately poke past the edge; only a
-        # fully off-grid window is an error.
-        g = make_grid(10, 8)
-        snap = g.window_snapshot(Interval(-2, 4), Interval(5, 9))
-        assert g.window_matches(snap)

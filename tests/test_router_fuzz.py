@@ -1,13 +1,23 @@
 """Property/fuzz tests and failure injection for the level B router."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import json
+from pathlib import Path
 
-from repro.bench_suite import random_design
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.bench_suite import SuiteProfile, make_design, random_design
+from repro.check import check_flow
 from repro.core import LevelBConfig, LevelBRouter
+from repro.flow import FlowParams, overcell_flow
 from repro.geometry import Rect
 from repro.netlist import Design, Edge
 from repro.placement import RowPlacement
+from repro.technology import technology_from_any
+
+from test_planes import _geometry_digest
+
+WIDE_STACKUP = Path(__file__).parent / "golden" / "stackup_wide.json"
 
 
 def routed_random_design(seed, num_nets=16):
@@ -61,6 +71,58 @@ class TestFuzzInvariants:
         assert a.total_wire_length == b.total_wire_length
         assert a.total_corners == b.total_corners
         assert a.nets_completed == b.nets_completed
+
+
+class TestBackendDifferential:
+    """Dense vs sparse on random width-class designs (docs/SCALING.md).
+
+    Clock and power nets claim multi-track footprints under the golden
+    wide stackup, so these designs exercise the footprint paths of
+    every availability query, the pinched-terminal keep-outs and, with
+    two planes, plane assignment and through-stacks — none of which
+    the signal-only suites reach.
+
+    Wide-net searches are slow (their corner bits are checked cell by
+    cell) and an unlucky design can take tens of seconds, so the
+    designs are small and the examples are derandomized: the same
+    designs run every time, which keeps the test's runtime fixed.
+    """
+
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        clock_nets=st.integers(1, 3),
+        power_nets=st.integers(0, 2),
+        planes=st.sampled_from([1, 2]),
+    )
+    # A clock terminal pinches a neighbouring pin; without the pin's
+    # keep-out the clock wire runs through its stack (drc.short).
+    @example(seed=1931, clock_nets=2, power_nets=1, planes=2)
+    def test_dense_and_sparse_route_identically(
+        self, seed, clock_nets, power_nets, planes
+    ):
+        profile = SuiteProfile(
+            name=f"widefuzz{seed}",
+            seed=seed,
+            num_cells=6,
+            cell_width_range=(160, 288),
+            cell_height_range=(96, 160),
+            num_regular_nets=8,
+            locality=0.55,
+            clock_nets=clock_nets,
+            power_nets=power_nets,
+        )
+        technology = technology_from_any(json.loads(WIDE_STACKUP.read_text()))
+        digests = []
+        for backend in ("dense", "sparse"):
+            params = FlowParams(
+                technology=technology, planes=planes, backend=backend
+            )
+            result = overcell_flow(make_design(profile), params)
+            report = check_flow(result)
+            assert not report.violations, report.render(limit=10)
+            digests.append(_geometry_digest(result))
+        assert digests[0] == digests[1]
 
 
 class TestFailureInjection:

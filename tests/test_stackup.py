@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import LevelBConfig, LevelBRouter
-from repro.geometry import Rect
+from repro.core.tig import TrackIntersectionGraph
+from repro.geometry import Interval, Point, Rect
 from repro.grid import FREE, RoutingGrid, TrackSet
 from repro.io import technology_from_dict, technology_to_dict
 from repro.technology import (
@@ -280,6 +281,37 @@ class TestFootprints:
         for col in (4, 5, 6):
             for h in (2, 9):
                 assert grid.v_slot(col, h) == FREE
+
+    def test_keepout_bars_other_nets_only(self):
+        grid = _grid()
+        grid.add_keepout(4, 6, 7)
+        for vertical, track, pos in ((True, 4, 6), (False, 6, 4)):
+            usable, corner = grid.track_bits(vertical, track, 0, 10, 3)
+            assert not (usable >> pos) & 1 and not (corner >> pos) & 1
+        assert not grid.corner_free(4, 6, 3)
+        assert grid.free_span_v(4, 2, 3) == Interval(0, 5)
+        # The pin's own net may still use the point, and the occupancy
+        # arrays (which the cost model reads) are untouched.
+        assert grid.corner_free(4, 6, 7)
+        assert grid.free_span_v(4, 2, 7) == Interval(0, grid.num_htracks - 1)
+        assert grid.h_slot(4, 6) == FREE and grid.v_slot(4, 6) == FREE
+
+    def test_pinched_terminal_becomes_a_keepout(self):
+        # A clock terminal's guarded claim covers the neighbouring pin
+        # of net 6, which is pinched: never reserved, but the wide net
+        # may no longer run wire through the pin's via stack.
+        tracks = TrackSet.uniform(0, 8 * 25, 8)
+        tig = TrackIntersectionGraph(tracks, tracks)
+        tig.register_net(5, [Point(80, 80), Point(160, 160)], footprint=(2, 1))
+        tig.register_net(6, [Point(80, 88), Point(40, 40)])
+        pinched = tig.pinched_terminals(6)
+        assert [(t.v_idx, t.h_idx) for t in pinched] == [(10, 11)]
+        grid = tig.grid
+        assert grid.v_slot(10, 11) == 5  # inside the wide claim
+        assert not grid.corner_free(10, 11, 5)
+        usable, _ = grid.track_bits(True, 10, 0, 25, 5)
+        assert not (usable >> 11) & 1
+        assert (usable >> 10) & 1  # its own terminal stays usable
 
     def test_net_class_track_spans(self):
         assert NetClass.SIGNAL.track_span == 1
