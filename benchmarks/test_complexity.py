@@ -18,7 +18,6 @@ import time
 
 from repro.core.search import MBFSearch
 from repro.core.tig import TrackIntersectionGraph
-from repro.core.router import commit_points
 from repro.geometry import Point, Rect
 from repro.reporting import format_table
 
@@ -66,7 +65,7 @@ def test_update_is_linear_in_t(benchmark):
             for r in range(reps):
                 h_idx = 1 + (r % (n - 2))
                 points = [Point(0, h_idx * 10), Point((n - 1) * 10, h_idx * 10)]
-                commit_points(grid, 1, points, [])
+                grid.commit_path(1, points, [])
             elapsed = (time.perf_counter() - started) / reps
             out.append((n, elapsed))
         return out

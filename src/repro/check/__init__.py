@@ -20,7 +20,7 @@ Violations are structured :class:`Violation` records under the rule ids
 of :mod:`repro.check.rules` (documented in ``docs/VERIFICATION.md``).
 Entry points: :func:`check_levelb`, :func:`check_flow`,
 :func:`check_grid` and the router's per-commit :func:`sanitize_commit`
-(checked mode, ``LevelBConfig(checked=True)``); the ``repro check`` CLI
+(checked mode, ``LevelBRouter(checked=True)``); the ``repro check`` CLI
 wraps them.
 """
 

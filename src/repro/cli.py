@@ -69,7 +69,7 @@ def _flow_params(args: argparse.Namespace):
     kwargs = {}
     if getattr(args, "tech", None):
         kwargs["technology"] = load_technology(args.tech)
-    if getattr(args, "planes", None):
+    if getattr(args, "planes", None) is not None:
         kwargs["planes"] = args.planes
     if getattr(args, "backend", None):
         kwargs["backend"] = args.backend

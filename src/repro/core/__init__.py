@@ -3,7 +3,7 @@
 The router solves the two-dimensional routing problem over the whole
 layout (between-cell *and* over-cell areas) on the reserved over-cell
 planes — the paper's metal3/metal4 pair by default, or any number of
-stacked pairs via ``LevelBConfig.planes`` (docs/LAYERS.md):
+stacked pairs via ``LevelBRouter(planes=)`` (docs/LAYERS.md):
 
 * :mod:`repro.core.tig` - the Track Intersection Graph solution-space
   representation (bipartite: vertical tracks vs. horizontal tracks,
@@ -22,8 +22,8 @@ stacked pairs via ``LevelBConfig.planes`` (docs/LAYERS.md):
 * :mod:`repro.core.assign` - the static plane-assignment pass that
   distributes nets across over-cell planes by estimated congestion.
 * :mod:`repro.core.engine` - the :class:`ConnectionEngine` protocol
-  (search -> candidates -> select -> commit) with a name registry; the
-  MBFS/PST engine lives here, the Lee engine in :mod:`repro.maze.lee`.
+  (search -> candidates -> select -> commit); the MBFS/PST engine
+  lives here, the Lee rescue engine in :mod:`repro.maze.lee`.
 * :mod:`repro.core.router` - the :class:`LevelBRouter` orchestrator:
   net ordering, Steiner decomposition, rip-up, refinement - thin
   sequencing over engines and grid transactions.
@@ -40,9 +40,6 @@ from repro.core.engine import (
     EngineContext,
     MBFSEngine,
     RoutedConnection,
-    available_engines,
-    get_engine,
-    register_engine,
 )
 from repro.core.router import LevelBConfig, LevelBResult, LevelBRouter, RoutedNet
 
@@ -62,9 +59,6 @@ __all__ = [
     "EngineContext",
     "MBFSEngine",
     "RoutedConnection",
-    "available_engines",
-    "get_engine",
-    "register_engine",
     "LevelBConfig",
     "LevelBResult",
     "LevelBRouter",

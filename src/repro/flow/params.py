@@ -29,7 +29,9 @@ class FlowParams:
     length_threshold:
         Half-perimeter threshold for ``LONG_TO_B`` partitioning.
     levelb:
-        Level B router configuration.
+        Level B router tuning (search caps, cost weights, rescue,
+        rip-up); the router's ``planes``, ``backend``, ``objective``
+        and ``checked`` arguments come from the fields below.
     obstacles:
         Over-cell exclusions forwarded to the level B router.
     channel_area_factor:
@@ -56,8 +58,8 @@ class FlowParams:
         behavior exactly; ``N > 1`` distributes level B nets across N
         reserved-layer pairs (extending ``technology`` with
         extrapolated pairs when it is too short — see
-        :func:`repro.technology.ensure_overcell_planes`).  A value
-        above 1 overrides ``levelb.planes``.
+        :func:`repro.technology.ensure_overcell_planes`).  Values
+        below 1 are rejected by the level B router.
     iterate:
         Negotiated-congestion rip-up-and-re-route for level B
         (``repro.iterate`` — docs/ITERATION.md).  Off by default: a
@@ -79,7 +81,6 @@ class FlowParams:
         wire-length-led cost, bit-identical to the seed) or ``"vias"``
         (via minimization — plane assignment and corner pricing driven
         by the technology's per-level via costs, docs/TECHNOLOGY.md).
-        Overrides ``levelb.objective``.
     """
 
     technology: Technology = field(default_factory=Technology.four_layer)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 from collections.abc import Sequence
 
 from repro import instrument
@@ -37,6 +38,7 @@ from repro.channels import (
 from repro.core import LevelBRouter
 from repro.flow.metrics import FlowResult
 from repro.flow.params import FlowParams
+from repro.geometry import Rect
 from repro.globalroute import GlobalRoute, GlobalRouter
 from repro.netlist import Design, Net
 from repro.partition import PartitionStrategy, partition_nets
@@ -134,6 +136,81 @@ def _run_channel_pipeline(
     heights = _channel_heights(global_route, routes, pitch)
     side_widths = global_route.side_widths(placement.num_rows)
     return placement, global_route, routes, heights, side_widths
+
+
+class LevelA(NamedTuple):
+    """The over-cell flow's level A, realised: the net partition, the
+    channel-routed set A and the layout bounds level B routes over."""
+
+    set_a: list[Net]
+    set_b: list[Net]
+    placement: RowPlacement
+    global_route: GlobalRoute
+    routes: list[ChannelRoute]
+    heights: list[int]
+    side_widths: tuple[int, int]
+    bounds: Rect
+
+
+def realize_level_a(design: Design, params: FlowParams) -> LevelA:
+    """Partition the nets, channel-route set A and realise the layout.
+
+    The one level A set-up behind :func:`overcell_flow`,
+    :func:`routability_probe` and the ordering-policy tuner
+    (:mod:`repro.iterate.tuning`).
+    """
+    nets = design.routable_nets()
+    if params.partition is PartitionStrategy.LONG_TO_B:
+        # Geometric partitioning needs provisional pin positions.
+        pitch = params.channel_pitch
+        provisional = RowPlacement.build(design, pitch=pitch, aspect=params.aspect)
+        provisional.realize([pitch] * provisional.channel_count, margin=params.margin)
+    set_a, set_b = partition_nets(
+        nets, params.partition, length_threshold=params.length_threshold
+    )
+    placement, global_route, routes, heights, side_widths = _run_channel_pipeline(
+        design, set_a, params
+    )
+    bounds = placement.realize(
+        heights,
+        left_width=side_widths[0],
+        right_width=side_widths[1],
+        margin=params.margin,
+    )
+    return LevelA(
+        set_a, set_b, placement, global_route, routes, heights, side_widths, bounds
+    )
+
+
+def levelb_router(
+    bounds: Rect,
+    nets: Sequence[Net],
+    params: FlowParams,
+    *,
+    checked: bool | None = None,
+) -> LevelBRouter:
+    """The level B router ``params`` describe, over realised ``bounds``.
+
+    :class:`FlowParams` is the one flow-level home of the router's
+    ``planes``, ``backend``, ``objective`` and ``checked`` knobs; its
+    ``levelb`` config carries the rest.  A technology too short for the
+    requested plane count is extended with extrapolated reserved pairs
+    (docs/LAYERS.md).  ``checked`` overrides ``params.checked``.
+    """
+    technology = params.technology
+    if params.planes > 1:
+        technology = ensure_overcell_planes(technology, params.planes)
+    return LevelBRouter(
+        bounds,
+        nets,
+        technology=technology,
+        obstacles=params.obstacles,
+        config=params.levelb,
+        planes=params.planes,
+        backend=params.backend,
+        objective=params.objective,
+        checked=params.checked if checked is None else checked,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -247,53 +324,17 @@ def overcell_flow(design: Design, params: FlowParams | None = None) -> FlowResul
 
 def _overcell_flow(design: Design, params: FlowParams | None) -> FlowResult:
     params = params or FlowParams()
-    nets = design.routable_nets()
-    if params.partition is PartitionStrategy.LONG_TO_B:
-        # Geometric partitioning needs provisional pin positions.
-        pitch = params.channel_pitch
-        provisional = RowPlacement.build(design, pitch=pitch, aspect=params.aspect)
-        provisional.realize([pitch] * provisional.channel_count, margin=params.margin)
-    set_a, set_b = partition_nets(
-        nets, params.partition, length_threshold=params.length_threshold
-    )
-    placement, global_route, routes, heights, side_widths = _run_channel_pipeline(
-        design, set_a, params
-    )
-    bounds = placement.realize(
-        heights,
-        left_width=side_widths[0],
-        right_width=side_widths[1],
-        margin=params.margin,
+    set_a, set_b, placement, global_route, routes, heights, side_widths, bounds = (
+        realize_level_a(design, params)
     )
     wire_a, vias_a = _level_a_wire_and_vias(
         global_route, routes, placement, heights, side_widths, params.channel_pitch
     )
-    levelb_config = params.levelb
-    if params.checked and not levelb_config.checked:
-        levelb_config = replace(levelb_config, checked=True)
-    if params.backend != levelb_config.backend:
-        levelb_config = replace(levelb_config, backend=params.backend)
-    if params.objective != levelb_config.objective:
-        levelb_config = replace(levelb_config, objective=params.objective)
-    # FlowParams.planes > 1 overrides the router config; a technology
-    # too short for the requested plane count is extended with
-    # extrapolated reserved pairs (docs/LAYERS.md).
-    planes = params.planes if params.planes > 1 else levelb_config.planes
-    if planes != levelb_config.planes:
-        levelb_config = replace(levelb_config, planes=planes)
-    technology = params.technology
-    if planes > 1:
-        technology = ensure_overcell_planes(technology, planes)
-    levelb_router = LevelBRouter(
-        bounds,
-        set_b,
-        technology=technology,
-        obstacles=params.obstacles,
-        config=levelb_config,
+    levelb, iterate_report = _route_levelb(
+        levelb_router(bounds, set_b, params), params
     )
-    levelb, iterate_report = _route_levelb(levelb_router, params)
     result = FlowResult(
-        flow="overcell-4layer" if planes == 1 else f"overcell-{2 + 2 * planes}layer",
+        flow=f"overcell-{2 + 2 * params.planes}layer",
         design=design.name,
         bounds=bounds,
         wire_length=wire_a + levelb.total_wire_length,
@@ -321,7 +362,7 @@ def _overcell_flow(design: Design, params: FlowParams | None) -> FlowResult:
         level_b_pins=pins_b,
         level_a_wire=wire_a,
         level_b_wire=levelb.total_wire_length,
-        objective=levelb_config.objective,
+        objective=params.objective,
         # Per-net via breakdown (corner vias + terminal stacks), the
         # quantity objective="vias" minimizes; summed in
         # ``level_b_vias`` for quick comparison across objectives.
@@ -382,46 +423,11 @@ def routability_probe(
     """
     params = params or FlowParams()
     with instrument.span(SPAN_FLOW_PROBE):
-        nets = design.routable_nets()
-        if params.partition is PartitionStrategy.LONG_TO_B:
-            pitch = params.channel_pitch
-            provisional = RowPlacement.build(
-                design, pitch=pitch, aspect=params.aspect
-            )
-            provisional.realize(
-                [pitch] * provisional.channel_count, margin=params.margin
-            )
-        set_a, set_b = partition_nets(
-            nets, params.partition, length_threshold=params.length_threshold
-        )
-        placement, global_route, routes, heights, side_widths = (
-            _run_channel_pipeline(design, set_a, params)
-        )
-        bounds = placement.realize(
-            heights,
-            left_width=side_widths[0],
-            right_width=side_widths[1],
-            margin=params.margin,
-        )
-        probe_config = params.levelb
-        if params.backend != probe_config.backend:
-            probe_config = replace(probe_config, backend=params.backend)
-        if params.objective != probe_config.objective:
-            probe_config = replace(probe_config, objective=params.objective)
-        probe_planes = (
-            params.planes if params.planes > 1 else probe_config.planes
-        )
-        if probe_planes != probe_config.planes:
-            probe_config = replace(probe_config, planes=probe_planes)
-        probe_tech = params.technology
-        if probe_planes > 1:
-            probe_tech = ensure_overcell_planes(probe_tech, probe_planes)
-        router = LevelBRouter(
-            bounds,
-            set_b,
-            technology=probe_tech,
-            obstacles=params.obstacles,
-            config=probe_config,
+        level_a = realize_level_a(design, params)
+        # A probe is a quick pre-screen: it never pays checked mode's
+        # per-commit audit.
+        router = levelb_router(
+            level_a.bounds, level_a.set_b, params, checked=False
         )
         before = router.tig.planes.snapshot()
         levelb = router.probe()
@@ -429,8 +435,8 @@ def routability_probe(
         region_model = _probe_regions(router)
     return RoutabilityProbe(
         design=design.name,
-        level_a_nets=len(set_a),
-        level_b_nets=len(set_b),
+        level_a_nets=len(level_a.set_a),
+        level_b_nets=len(level_a.set_b),
         completion=levelb.completion_rate,
         failed_nets=[r.net.name for r in levelb.routed if not r.complete],
         level_b_wire=levelb.total_wire_length,
@@ -463,8 +469,7 @@ def multilayer_channel_flow(
     design: Design,
     params: FlowParams | None = None,
     *,
-    design_rule_aware: bool = False,
-    model: str | None = None,
+    model: str = "optimistic",
 ) -> FlowResult:
     """Table 3's comparison: a multi-layer *channel* router.
 
@@ -478,8 +483,7 @@ def multilayer_channel_flow(
     ``"design-rule"``
         Halve the track counts but re-space tracks at the coarser
         upper-layer pitch - the paper's argument for why 50 % fewer
-        tracks is not 50 % less area.  (``design_rule_aware=True`` is
-        the legacy spelling.)
+        tracks is not 50 % less area.
     ``"hvh"``
         Actually route each channel with the
         :class:`~repro.channels.HVHChannelRouter` (three layers by
@@ -487,9 +491,7 @@ def multilayer_channel_flow(
         at the upper-layer pitch.
     """
     with instrument.span(SPAN_FLOW_ML_CHANNEL):
-        result = _multilayer_channel_flow(
-            design, params, design_rule_aware=design_rule_aware, model=model
-        )
+        result = _multilayer_channel_flow(design, params, model=model)
     return _attach_profile(result)
 
 
@@ -497,12 +499,9 @@ def _multilayer_channel_flow(
     design: Design,
     params: FlowParams | None,
     *,
-    design_rule_aware: bool,
-    model: str | None,
+    model: str,
 ) -> FlowResult:
     params = params or FlowParams()
-    if model is None:
-        model = "design-rule" if design_rule_aware else "optimistic"
     if model not in ("optimistic", "design-rule", "hvh"):
         raise ValueError(f"unknown multilayer channel model {model!r}")
     nets = design.routable_nets()

@@ -45,7 +45,6 @@ from repro.instrument.names import (
     SPAN_ITERATE_PASS,
 )
 from repro.core.cost import TrackHistory
-from repro.core.ordering import order_nets
 from repro.core.router import LevelBResult, LevelBRouter
 from repro.globalroute.regions import RegionModel
 from repro.iterate.policies import NetFeedback, OrderingPolicy, get_policy
@@ -282,10 +281,10 @@ def iterate_levelb(
 
     Returns the best result (whose wiring is what the grid holds) and
     the convergence report.  With ``max_iterations == 0``, or when the
-    first pass already completes, exactly one routing pass runs — and
-    when the policy's initial order equals the router's configured
-    ordering the pass takes the identical one-pass code path, keeping
-    iterate-off/converged-at-zero digests bit-identical to the seed.
+    first pass already completes, exactly one routing pass runs, in the
+    policy's initial order.  That order is longest-first for every
+    shipped policy but ``feature``, so under the default net ordering
+    such a run routes exactly like one-pass routing.
     """
     cfg = config or IterateConfig()
     policy = (
@@ -303,9 +302,7 @@ def iterate_levelb(
             ITERATE_ROLLBACKS,
             ITERATE_STALLS,
         )
-        initial = policy.initial_order(router.nets)
-        default = order_nets(router.nets, router.config.ordering)
-        best = router.route(order=None if initial == default else initial)
+        best = router.route(order=policy.initial_order(router.nets))
         records.append(
             IterationRecord(
                 iteration=0,

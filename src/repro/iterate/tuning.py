@@ -106,41 +106,6 @@ class TuningReport:
         }
 
 
-def _levelb_instances(
-    designs: Sequence[Design],
-) -> list[tuple[Any, list[Any]]]:
-    """(bounds, set B nets) per design, via the real over-cell pipeline.
-
-    The channel pipeline runs once per design (placement and level A
-    geometry do not depend on the candidate weights); each candidate
-    then gets a fresh :class:`LevelBRouter` over the same bounds.  Flow
-    imports stay lazy — the flow layer itself imports ``repro.iterate``
-    lazily, and this mirror of that idiom avoids the cycle.
-    """
-    from repro.flow import FlowParams
-    from repro.flow.pipeline import _run_channel_pipeline
-    from repro.partition import partition_nets
-
-    params = FlowParams()
-    instances = []
-    for design in designs:
-        nets = design.routable_nets()
-        set_a, set_b = partition_nets(
-            nets, params.partition, length_threshold=params.length_threshold
-        )
-        placement, _gr, routes, heights, side_widths = _run_channel_pipeline(
-            design, set_a, params
-        )
-        bounds = placement.realize(
-            heights,
-            left_width=side_widths[0],
-            right_width=side_widths[1],
-            margin=params.margin,
-        )
-        instances.append((bounds, set_b))
-    return instances
-
-
 def tune_feature_policy(
     designs: Sequence[Design] | None = None,
     candidates: Sequence[FeatureWeights] | None = None,
@@ -154,8 +119,16 @@ def tune_feature_policy(
     :class:`FeatureOrderingPolicy` inside a private collector; the
     ``iterate.*``, ``nets.failed`` and ``maze.fallbacks`` counters plus
     the final wirelength aggregate into the candidate's score.
+
+    Level A runs once per design through the over-cell flow's own
+    set-up (placement and level A geometry do not depend on the
+    candidate weights); each candidate then gets a fresh level B router
+    over the same bounds.  Flow imports stay lazy — the flow layer
+    itself imports ``repro.iterate`` lazily, and this mirror of that
+    idiom avoids the cycle.
     """
-    from repro.core.router import LevelBRouter
+    from repro.flow import FlowParams
+    from repro.flow.pipeline import levelb_router, realize_level_a
 
     if designs is None:
         from repro.bench_suite import random_corpus
@@ -165,12 +138,13 @@ def tune_feature_policy(
         # every candidate and discriminates nothing.
         designs = random_corpus(3, num_cells=8, num_nets=48)
     cands = tuple(candidates) if candidates is not None else default_candidates()
-    instances = _levelb_instances(designs)
+    params = FlowParams()
+    layouts = [realize_level_a(design, params) for design in designs]
     report = TuningReport()
     for weights in cands:
         score = CandidateScore(weights=weights)
-        for bounds, set_b in instances:
-            router = LevelBRouter(bounds, set_b)
+        for layout in layouts:
+            router = levelb_router(layout.bounds, layout.set_b, params)
             config = IterateConfig(
                 max_iterations=max_iterations,
                 policy=FeatureOrderingPolicy(weights),

@@ -18,10 +18,11 @@ mask instead of a bounds-checked slot read.  States are coded as
 integers whose order equals the ``(v_idx, h_idx, direction)`` tuple
 order, so the heap pops them in the same ``(cost, state)`` order.
 
-:class:`LeeEngine` packages the search as a registered
-:class:`~repro.core.engine.ConnectionEngine` (name ``"lee"``), so the
-same code serves as the standalone :class:`MazeRouter` baseline and as
-the rescue engine behind ``LevelBConfig.maze_fallback``.
+:class:`LeeEngine` packages the search as a
+:class:`~repro.core.engine.ConnectionEngine`, so the same code serves
+as the primary engine of the standalone :class:`MazeRouter` baseline
+and as the rescue engine behind ``LevelBConfig.maze_fallback``; both
+price a corner at ``LevelBConfig.maze_via_penalty``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from repro.core.engine import (
     Region,
     RoutedConnection,
     path_length,
-    register_engine,
 )
 from repro.core.router import LevelBRouter
 from repro.core.tig import GridTerminal
@@ -204,7 +204,6 @@ def lee_search(
     return waypoints, corners, stats
 
 
-@register_engine
 class LeeEngine(ConnectionEngine):
     """Lee/Dijkstra wave expansion as a pluggable connection engine.
 
@@ -215,14 +214,8 @@ class LeeEngine(ConnectionEngine):
     aggregate on one scale.
     """
 
-    name = "lee"
-
-    def __init__(self, via_penalty: float = 10.0) -> None:
+    def __init__(self, via_penalty: float) -> None:
         self.via_penalty = via_penalty
-
-    @classmethod
-    def from_config(cls, config: object) -> "LeeEngine":
-        return cls(via_penalty=getattr(config, "maze_via_penalty", 10.0))
 
     def route(
         self,
@@ -276,10 +269,14 @@ class MazeRouter(LevelBRouter):
     Inherits the whole net loop (ordering, Steiner decomposition,
     region escalation, rip-up, refinement) from :class:`LevelBRouter`
     and swaps only the per-connection engine, so benchmark comparisons
-    isolate the search algorithm.
+    isolate the search algorithm.  Corners cost
+    ``config.maze_via_penalty``, scaled under ``objective="vias"``
+    exactly as for the rescue engine.
     """
 
-    via_penalty: float = 10.0
-
     def _primary_engine(self) -> ConnectionEngine:
-        return LeeEngine(via_penalty=self.via_penalty)
+        return LeeEngine(self.config.maze_via_penalty)
+
+    def _rescue_engine(self) -> None:
+        """No rescue: Lee's last region is already the whole grid."""
+        return None

@@ -152,6 +152,13 @@ class TestCheckCommand:
         assert "overcell-6layer" in out
         assert "CLEAN" in out
 
+    def test_zero_planes_rejected(self, design_file):
+        with pytest.raises(ValueError, match="planes must be >= 1"):
+            main([
+                "check", "--design", str(design_file), "--flow", "overcell",
+                "--planes", "0",
+            ])
+
 
 class TestTablesCommand:
     def test_tables_from_design_file(self, tmp_path, capsys):

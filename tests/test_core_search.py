@@ -254,13 +254,11 @@ class TestMinCornerOptimality:
         for net_id in range(1, 6):
             pair = [pts.pop(), pts.pop()]
             terms[net_id] = tig.register_net(net_id, pair)
-        from repro.core.router import commit_points
-
         for net_id, (a, b) in terms.items():
             res = MBFSearch(tig.grid, net_id, a, b).run()
             if not res.found:
                 continue
             cand = candidate_paths(res, tig.grid)[0]
-            commit_points(tig.grid, net_id, cand.points, cand.corners)
+            tig.grid.commit_path(net_id, cand.points, cand.corners)
         # Invariant: every slot owner is a registered net or FREE.
         assert set(tig.grid.owners()) <= set(terms)

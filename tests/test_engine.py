@@ -1,4 +1,4 @@
-"""Tests for the ConnectionEngine protocol, registry, and parity.
+"""Tests for the connection engines, the core/maze boundary, and parity.
 
 The engine extraction must be behaviour-preserving: the MBFS engine
 (and the Lee engine behind MazeRouter) must reproduce the seed
@@ -13,53 +13,17 @@ import sys
 import pytest
 
 from repro.geometry import Rect
-from repro.core import (
-    ConnectionEngine,
-    LevelBConfig,
-    LevelBResult,
-    LevelBRouter,
-    MBFSEngine,
-    available_engines,
-    get_engine,
-    register_engine,
-)
+from repro.core import LevelBConfig, LevelBResult, LevelBRouter
 
 from conftest import make_toy_design
 
 
-def toy_router(**cfg_kwargs):
+def toy_router():
     design = make_toy_design()
-    config = LevelBConfig(**cfg_kwargs) if cfg_kwargs else None
-    return LevelBRouter(
-        Rect(0, 0, 256, 256), list(design.nets.values()), config=config
-    )
+    return LevelBRouter(Rect(0, 0, 256, 256), list(design.nets.values()))
 
 
-class TestRegistry:
-    def test_builtin_engines_available(self):
-        assert "mbfs" in available_engines()
-        assert "lee" in available_engines()
-
-    def test_get_engine_mbfs(self):
-        assert get_engine("mbfs") is MBFSEngine
-
-    def test_get_engine_lee_lazy_loads(self):
-        from repro.maze.lee import LeeEngine
-
-        assert get_engine("lee") is LeeEngine
-
-    def test_unknown_engine_raises_with_catalogue(self):
-        with pytest.raises(KeyError, match="mbfs"):
-            get_engine("astar")
-
-    def test_register_requires_name(self):
-        with pytest.raises(ValueError):
-
-            @register_engine
-            class Nameless(ConnectionEngine):
-                def route(self, ctx, net_id, source, target, regions=None):
-                    raise NotImplementedError
-
+class TestImportBoundary:
     def test_core_router_does_not_import_maze(self):
         """The old router -> maze cycle-guard import must stay gone."""
         code = (
@@ -90,11 +54,6 @@ class TestSeedParity:
         result = MazeRouter(
             Rect(0, 0, 256, 256), list(design.nets.values())
         ).route()
-        assert result.total_wire_length == 1340
-        assert result.total_corners == 14
-
-    def test_lee_engine_by_config_matches_maze_router(self):
-        result = toy_router(engine="lee").route()
         assert result.total_wire_length == 1340
         assert result.total_corners == 14
 

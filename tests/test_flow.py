@@ -107,7 +107,7 @@ class TestMultilayerChannelFlow:
 
     def test_design_rule_aware_larger_than_optimistic(self, small_design):
         opt = multilayer_channel_flow(small_design)
-        dra = multilayer_channel_flow(small_design, design_rule_aware=True)
+        dra = multilayer_channel_flow(small_design, model="design-rule")
         # The paper's argument: with real design rules the saving shrinks.
         assert dra.layout_area >= opt.layout_area
 
@@ -185,3 +185,30 @@ class TestRoutabilityProbeRegions:
             probe.regions_overflowed,
             probe.peak_region_utilization,
         ) == expected
+
+
+class TestLevelBConstruction:
+    """The flow and the probe build level B from FlowParams alike."""
+
+    @pytest.mark.parametrize(
+        "planes, backend, objective",
+        [(1, "dense", "wire"), (2, "sparse", "vias")],
+        ids=["1-dense-wire", "2-sparse-vias"],
+    )
+    def test_probe_matches_flow(self, planes, backend, objective):
+        params = FlowParams(planes=planes, backend=backend, objective=objective)
+        levelb = overcell_flow(SUITES["ami33"](), params).levelb
+        probe = routability_probe(SUITES["ami33"](), params)
+        assert probe.grid_restored
+        assert levelb.num_planes == planes
+        assert probe.completion == levelb.completion_rate
+        assert probe.level_b_wire == levelb.total_wire_length
+        assert probe.level_b_corners == levelb.total_corners
+
+    @pytest.mark.parametrize("planes", [0, -1])
+    def test_planes_below_one_rejected(self, planes):
+        params = FlowParams(planes=planes)
+        with pytest.raises(ValueError, match="planes must be >= 1"):
+            overcell_flow(SUITES["ami33"](), params)
+        with pytest.raises(ValueError, match="planes must be >= 1"):
+            routability_probe(SUITES["ami33"](), params)

@@ -228,7 +228,6 @@ class TestClearNetRoundTrip:
     @settings(max_examples=20, deadline=None)
     def test_commit_clear_restores_grid(self, seed):
         import random as _random
-        from repro.core.router import commit_points
         from repro.geometry import Point
 
         rng = _random.Random(seed)
@@ -258,7 +257,7 @@ class TestClearNetRoundTrip:
                     (g.vtracks.index_of(b.x), g.htracks.index_of(b.y))
                 )
         try:
-            commit_points(g, 3, dedup, corners)
+            g.commit_path(3, dedup, corners)
         except ValueError:
             return  # collided with the foreign wiring; nothing to test
         g.clear_net(3)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LevelBConfig, LevelBRouter
+from repro.core import LevelBRouter
 from repro.core.tig import TrackIntersectionGraph
 from repro.geometry import Interval, Point, Rect
 from repro.grid import FREE, RoutingGrid, TrackSet
@@ -360,7 +360,7 @@ class TestViasObjective:
             LevelBRouter(
                 self.BOUNDS,
                 list(design.nets.values()),
-                config=LevelBConfig(objective="fastest"),
+                objective="fastest",
             )
 
     def test_wire_objective_has_no_surcharge(self):
@@ -377,7 +377,8 @@ class TestViasObjective:
             self.BOUNDS,
             list(design.nets.values()),
             technology=golden_technology(),
-            config=LevelBConfig(planes=2, objective="vias"),
+            planes=2,
+            objective="vias",
         )
         tech = router.technology
         for net in design.nets.values():
@@ -392,7 +393,7 @@ class TestViasObjective:
             self.BOUNDS,
             list(design.nets.values()),
             technology=golden_technology(),
-            config=LevelBConfig(planes=2),
+            planes=2,
         )
         tech = router.technology
         for net in design.nets.values():
@@ -410,7 +411,8 @@ class TestViasObjective:
             self.BOUNDS,
             list(design.nets.values()),
             technology=golden_technology(),
-            config=LevelBConfig(planes=2, checked=True),
+            planes=2,
+            checked=True,
         ).route()
         report = check_levelb(result)
         assert report.ok, report.summary()
