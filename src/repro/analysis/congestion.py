@@ -67,8 +67,8 @@ def congestion_map(
     if bins_x < 1 or bins_y < 1:
         raise ValueError("bins must be positive")
     nv, nh = grid.num_vtracks, grid.num_htracks
-    # snapshot() hands back dense arrays whatever the backend — sparse
-    # occupancy stores expose no numpy array attributes to poke at.
+    # snapshot() hands back read-only copies; the grid's own arrays are
+    # private to repro.grid.
     snap = grid.snapshot()
     used_h = (snap.h_owner != 0).astype(np.int64)  # [h][v]
     used_v = (snap.v_owner != 0).astype(np.int64).T  # -> [h][v]

@@ -29,8 +29,8 @@ def routing_report(
     """A multi-section text report for a :class:`~repro.flow.FlowResult`.
 
     Sections: headline metrics, channel usage, and - when the flow
-    carried a level B stage - over-cell statistics, the congestion
-    heatmap, and the slowest nets by Elmore delay.
+    carried a level B stage - over-cell statistics, one congestion
+    heatmap per plane, and the slowest nets by Elmore delay.
     """
     tech = technology or Technology.four_layer()
     lines: list[str] = []
@@ -78,11 +78,13 @@ def routing_report(
                 for p, label in enumerate(labels)
             )
             lines.append(f"planes  : {per_plane}")
-        cmap = congestion_map(grid)
-        lines.append(
-            f"congestion: mean {cmap.mean:.1%}, peak {cmap.peak:.1%}"
-        )
-        lines.append(cmap.to_ascii())
+        for p, label in enumerate(labels):
+            cmap = congestion_map(levelb.tig.planes[p])
+            tag = f" {label}" if num_planes > 1 else ""
+            lines.append(
+                f"congestion{tag}: mean {cmap.mean:.1%}, peak {cmap.peak:.1%}"
+            )
+            lines.append(cmap.to_ascii())
         from repro.analysis.wirelength import wirelength_stats
 
         stats = wirelength_stats(levelb)

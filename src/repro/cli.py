@@ -71,8 +71,6 @@ def _flow_params(args: argparse.Namespace):
         kwargs["technology"] = load_technology(args.tech)
     if getattr(args, "planes", None) is not None:
         kwargs["planes"] = args.planes
-    if getattr(args, "backend", None):
-        kwargs["backend"] = args.backend
     if getattr(args, "iterate", False):
         kwargs["iterate"] = True
         kwargs["max_iterations"] = getattr(args, "max_iterations", 8)
@@ -329,15 +327,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _add_levelb_args(parser: argparse.ArgumentParser) -> None:
-    """Level B storage/strategy knobs shared by the flow-running commands."""
-    from repro.grid import available_backends
-
-    parser.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default="dense",
-        help="occupancy storage backend (docs/SCALING.md; default dense)",
-    )
+    """Level B strategy knobs shared by the flow-running commands."""
     from repro.iterate import available_policies
 
     parser.add_argument(

@@ -100,7 +100,7 @@ class ParallelRunPenalty(PathCostTerm):
                 for nb in (h_idx - dh, h_idx + dh):
                     if not 0 <= nb < grid.num_htracks:
                         continue
-                    # repro: allow[txn.mutate] cost-fn hot path: per-candidate snapshot() copies would be O(grid) per probe; dense read-only slice is safe under the dense default backend this cost model requires
+                    # repro: allow[txn.mutate] cost-fn hot path: per-candidate snapshot() copies would be O(grid) per probe; a read-only row slice of the occupancy array is safe
                     row = grid._h_owner[nb, v_rng.start : v_rng.stop].tolist()
                     count += sum(1 for owner in row if self._hit(owner))
         else:  # vertical segment: neighbouring v-tracks
@@ -110,7 +110,7 @@ class ParallelRunPenalty(PathCostTerm):
                 for nb in (v_idx - dv, v_idx + dv):
                     if not 0 <= nb < grid.num_vtracks:
                         continue
-                    # repro: allow[txn.mutate] cost-fn hot path: per-candidate snapshot() copies would be O(grid) per probe; dense read-only slice is safe under the dense default backend this cost model requires
+                    # repro: allow[txn.mutate] cost-fn hot path: per-candidate snapshot() copies would be O(grid) per probe; a read-only row slice of the occupancy array is safe
                     row = grid._v_owner[nb, h_rng.start : h_rng.stop].tolist()
                     count += sum(1 for owner in row if self._hit(owner))
         return count

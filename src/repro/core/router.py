@@ -42,7 +42,6 @@ from repro.instrument.names import (
     LEVELB_UTILIZATION,
     MAZE_FALLBACKS,
     MEM_GRID_BYTES,
-    MEM_GRID_DENSE_EQUIV_BYTES,
     NETS_FAILED,
     NETS_ROUTED,
     OCC_CELLS_TOUCHED,
@@ -97,7 +96,7 @@ class LevelBConfig:
     """Tuning knobs for the level B router.
 
     What the router routes on and how it reports — ``planes``,
-    ``backend``, ``objective`` and ``checked`` — are
+    ``objective`` and ``checked`` — are
     :class:`LevelBRouter` arguments instead (and
     :class:`~repro.flow.FlowParams` fields at the flow level).
     """
@@ -365,11 +364,6 @@ class LevelBRouter:
         1 is the paper's single metal3/metal4 plane; with more, the
         assignment pass (:mod:`repro.core.assign`) distributes nets
         across them by estimated congestion.
-    backend:
-        Occupancy storage backend (:mod:`repro.grid.backend`).  The
-        default ``"dense"`` arrays are fastest per access; ``"sparse"``
-        keeps memory proportional to committed geometry
-        (docs/SCALING.md).  Backends are bit-identical by contract.
     objective:
         ``"wire"`` (the paper's wire-length-led cost, the default) or
         ``"vias"`` (via minimization: the plane assignment, the corner
@@ -391,7 +385,6 @@ class LevelBRouter:
         obstacles: Iterable[Obstacle | Rect] = (),
         config: LevelBConfig | None = None,
         planes: int = 1,
-        backend: str = "dense",
         objective: str = "wire",
         checked: bool = False,
     ) -> None:
@@ -455,7 +448,6 @@ class LevelBRouter:
             h_pitch=self.stack.plane(0).h_pitch,
             terminal_points=terminal_points,
             num_planes=planes,
-            backend=backend,
         )
         self.obstacles: list[Obstacle] = []
         for obs in obstacles:
@@ -715,10 +707,6 @@ class LevelBRouter:
                 inst.gauge(LEVELB_UTILIZATION, self.tig.planes.utilization())
                 inst.gauge(
                     MEM_GRID_BYTES, float(self.tig.planes.memory_bytes())
-                )
-                inst.gauge(
-                    MEM_GRID_DENSE_EQUIV_BYTES,
-                    float(self.tig.planes.dense_equiv_bytes()),
                 )
         return LevelBResult(
             tig=self.tig,

@@ -58,10 +58,9 @@ class TrackIntersectionGraph:
         vtracks: TrackSet,
         htracks: TrackSet,
         num_planes: int = 1,
-        backend: str = "dense",
     ) -> None:
         #: One occupancy grid per over-cell plane, shared track sets.
-        self.planes = PlaneSet(vtracks, htracks, num_planes, backend=backend)
+        self.planes = PlaneSet(vtracks, htracks, num_planes)
         #: Plane 0's grid — the paper's metal3/metal4 array.  Kept as a
         #: direct attribute because the single-plane stack (the default)
         #: reads and mutates it everywhere.
@@ -83,7 +82,6 @@ class TrackIntersectionGraph:
         h_pitch: int,
         terminal_points: Iterable[Point] = (),
         num_planes: int = 1,
-        backend: str = "dense",
     ) -> "TrackIntersectionGraph":
         """Build the grid over ``bounds``.
 
@@ -101,9 +99,7 @@ class TrackIntersectionGraph:
         htracks = TrackSet.uniform(
             bounds.y1, bounds.y2, h_pitch, extra=(p.y for p in pts)
         )
-        return TrackIntersectionGraph(
-            vtracks, htracks, num_planes, backend=backend
-        )
+        return TrackIntersectionGraph(vtracks, htracks, num_planes)
 
     def terminal_at(self, point: Point) -> GridTerminal:
         """The TIG edge for a terminal at geometric ``point``.

@@ -30,8 +30,8 @@ class FlowParams:
         Half-perimeter threshold for ``LONG_TO_B`` partitioning.
     levelb:
         Level B router tuning (search caps, cost weights, rescue,
-        rip-up); the router's ``planes``, ``backend``, ``objective``
-        and ``checked`` arguments come from the fields below.
+        rip-up); the router's ``planes``, ``objective`` and
+        ``checked`` arguments come from the fields below.
     obstacles:
         Over-cell exclusions forwarded to the level B router.
     channel_area_factor:
@@ -46,12 +46,6 @@ class FlowParams:
         check_flow`) after the flow and attach the report to
         ``FlowResult.check_report``; also turns on the level B
         router's per-commit checked mode.  Off by default.
-    backend:
-        Occupancy storage backend for the level B grid: ``"dense"``
-        (default; contiguous numpy arrays) or ``"sparse"`` (paged
-        first-touch chunks, memory proportional to committed geometry
-        — docs/SCALING.md).  Routing results are bit-identical across
-        backends; the knob only trades memory for per-access overhead.
     planes:
         Over-cell routing planes for level B.  ``1`` (default) is the
         paper's single metal3/metal4 pair and preserves historical
@@ -94,7 +88,6 @@ class FlowParams:
     channel_area_factor: float = 0.5
     checked: bool = False
     planes: int = 1
-    backend: str = "dense"
     iterate: bool = False
     max_iterations: int = 8
     ordering_policy: str = "longest-first"

@@ -14,8 +14,11 @@ Two consumers:
 
 :func:`repro.flow.routability_probe`
     Reports the region occupancy profile — region count, peak
-    utilization, overflowed regions — as an early congestion signal
-    alongside the probe's completion figures.
+    utilization, overflowed regions (tiles whose projected
+    terminal-window demand exceeds their capacity) — alongside the
+    probe's completion figures.  The overflowed fraction did not
+    separate failing designs from complete ones (AUC 0.50 over 62
+    designs).
 
 :func:`repro.iterate.iterate_levelb`
     Reads region demand and overflow after each failed pass: the

@@ -20,23 +20,9 @@ package provides:
     N routing grids (one per over-cell reserved-layer plane) sharing
     the same track coordinate sets, with aggregate transactions and
     snapshots.  Plane 0 is the paper's metal3/metal4 grid.
-:class:`OccupancyBackend`
-    Registry-selected storage engines behind :class:`RoutingGrid`:
-    ``"dense"`` (contiguous numpy arrays) and ``"sparse"``
-    (:class:`PagedArray` first-touch chunks, memory proportional to
-    committed geometry — docs/SCALING.md).
 """
 
 from repro.grid.tracks import TrackSet
-from repro.grid.backend import (
-    DenseBackend,
-    OccupancyBackend,
-    PagedArray,
-    SparseBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
 from repro.grid.occupancy import (
     FREE,
     OBSTACLE,
@@ -55,11 +41,4 @@ __all__ = [
     "GridTransaction",
     "PlaneSet",
     "PlaneSetTransaction",
-    "OccupancyBackend",
-    "DenseBackend",
-    "SparseBackend",
-    "PagedArray",
-    "available_backends",
-    "get_backend",
-    "register_backend",
 ]

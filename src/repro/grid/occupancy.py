@@ -64,7 +64,6 @@ from repro.instrument.names import (
     TXN_UNDO_CELLS,
 )
 from repro.geometry import Interval, Rect
-from repro.grid.backend import OccupancyBackend, get_backend
 from repro.grid.tracks import TrackSet
 
 FREE: int = 0
@@ -136,37 +135,17 @@ class RoutingGrid:
     :meth:`mark_terminal_routed` (or :meth:`commit_path`, which batches
     them), which is what lets the per-net ledger and the transaction
     journal stay exact.
-
-    Storage lives in a pluggable :class:`~repro.grid.backend.
-    OccupancyBackend` selected by name (``"dense"`` by default,
-    ``"sparse"`` for paged first-touch chunks — docs/SCALING.md); the
-    grid's logic is backend-agnostic and the backends are pinned
-    behaviourally identical by route-digest parity tests.
     """
 
-    def __init__(
-        self,
-        vtracks: TrackSet,
-        htracks: TrackSet,
-        backend: str | OccupancyBackend = "dense",
-    ) -> None:
+    def __init__(self, vtracks: TrackSet, htracks: TrackSet) -> None:
         self.vtracks = vtracks
         self.htracks = htracks
         nv, nh = len(vtracks), len(htracks)
-        if isinstance(backend, str):
-            backend = get_backend(backend)(nh, nv)
-        elif (backend.num_htracks, backend.num_vtracks) != (nh, nv):
-            raise ValueError(
-                f"backend shape ({backend.num_htracks}, {backend.num_vtracks})"
-                f" does not match grid ({nh}, {nv})"
-            )
-        #: The storage engine; all array state lives here.
-        self.backend = backend
-        self._h_owner = backend.h_owner
-        self._v_owner = backend.v_owner
+        self._h_owner = np.zeros((nh, nv), dtype=np.int32)
+        self._v_owner = np.zeros((nv, nh), dtype=np.int32)
         # Unrouted-terminal density map, read by the cost function's
         # ``dup`` term. Indexed [h][v] like _h_owner.
-        self._unrouted_terms = backend.unrouted_terms
+        self._unrouted_terms = np.zeros((nh, nv), dtype=np.int16)
         # Per-net mutation ledger: every span/cell a net claimed, in
         # commit order.  Rip-up replays it instead of scanning arrays.
         self._net_ledger: dict[int, list[tuple]] = {}
@@ -198,18 +177,13 @@ class RoutingGrid:
     def num_intersections(self) -> int:
         return self.num_vtracks * self.num_htracks
 
-    @property
-    def backend_name(self) -> str:
-        """Registry name of the storage backend."""
-        return self.backend.name
-
     def memory_bytes(self) -> int:
-        """Bytes the occupancy stores actually hold right now."""
-        return self.backend.memory_bytes()
-
-    def dense_equiv_bytes(self) -> int:
-        """What dense arrays of this grid's shape would always cost."""
-        return self.backend.dense_equiv_bytes()
+        """Bytes held by the three occupancy arrays."""
+        return (
+            self._h_owner.nbytes
+            + self._v_owner.nbytes
+            + self._unrouted_terms.nbytes
+        )
 
     def _check_indices(self, v_idx: int, h_idx: int) -> None:
         """Reject out-of-range (notably negative) track indices.
@@ -429,13 +403,12 @@ class RoutingGrid:
     # Snapshots (cheap immutable copies for exactness checks)
     # ------------------------------------------------------------------
     def snapshot(self) -> GridSnapshot:
-        """An immutable copy of the full mutable state.
-
-        Always dense numpy arrays, whatever the backend — which is what
-        makes snapshots from different backends directly comparable
-        (the backend-parity property tests digest these).
-        """
-        arrays = self.backend.dense_arrays()
+        """An immutable copy of the full mutable state."""
+        arrays = (
+            self._h_owner.copy(),
+            self._v_owner.copy(),
+            self._unrouted_terms.copy(),
+        )
         for arr in arrays:
             arr.setflags(write=False)
         return GridSnapshot(*arrays)
@@ -443,11 +416,9 @@ class RoutingGrid:
     def matches(self, snap: GridSnapshot) -> bool:
         """Is the grid byte-identical to ``snap``?"""
         return bool(
-            np.array_equal(np.asarray(self._h_owner), snap.h_owner)
-            and np.array_equal(np.asarray(self._v_owner), snap.v_owner)
-            and np.array_equal(
-                np.asarray(self._unrouted_terms), snap.unrouted_terms
-            )
+            np.array_equal(self._h_owner, snap.h_owner)
+            and np.array_equal(self._v_owner, snap.v_owner)
+            and np.array_equal(self._unrouted_terms, snap.unrouted_terms)
         )
 
     # ------------------------------------------------------------------
@@ -470,8 +441,8 @@ class RoutingGrid:
         blocked = 0
         hs = slice(hr.start, hr.stop)
         vs = slice(vr.start, vr.stop)
-        h_block = np.asarray(self._h_owner[hs, vs])
-        v_block = np.asarray(self._v_owner[vs, hs])
+        h_block = self._h_owner[hs, vs]
+        v_block = self._v_owner[vs, hs]
         if block_h:
             if (h_block > 0).any():
                 raise ValueError("obstacle overlaps routed wiring (h)")
@@ -601,11 +572,11 @@ class RoutingGrid:
         where :meth:`corner_free` holds.
 
         The availability primitive behind the span and corner queries
-        and both connection engines: each store is read once by slicing
-        (so a sparse backend materialises only ``[lo, hi]``), compared
-        once and packed into a Python int whose bit operations replace
-        per-cell scans.  A wide net's corner bits are the exception:
-        they come from :meth:`corner_free`'s per-cell block check.
+        and both connection engines: each array is read once by slicing
+        ``[lo, hi]``, compared once and packed into a Python int whose
+        bit operations replace per-cell scans.  A wide net's corner bits
+        are the exception: they come from :meth:`corner_free`'s
+        per-cell block check.
         Indices are validated here, once per row.
         """
         if vertical:
@@ -658,9 +629,7 @@ class RoutingGrid:
         owned by ``net_id`` (on every footprint row of a wide net).
         Returns ``None`` when the entry cell itself is unusable.
         ``within`` clips the search window (the paper bounds each search
-        to a rectangle around the terminals) — and is applied *before*
-        the store is read, so a bounded search on a sparse backend never
-        materialises a full track row.
+        to a rectangle around the terminals) before the track is read.
         """
         return self._span_around(False, h_idx, v_idx, net_id, within)
 
@@ -744,7 +713,7 @@ class RoutingGrid:
             rows = self._expand_rows(h_idx, fp, self.num_htracks)
         priors = []
         for r in rows:
-            row = np.asarray(self._h_owner[r, v_lo : v_hi + 1])
+            row = self._h_owner[r, v_lo : v_hi + 1]
             foreign = (row != FREE) & (row != net_id)
             if foreign.any():
                 raise ValueError(
@@ -768,7 +737,7 @@ class RoutingGrid:
             rows = self._expand_rows(v_idx, fp, self.num_vtracks)
         priors = []
         for r in rows:
-            row = np.asarray(self._v_owner[r, h_lo : h_hi + 1])
+            row = self._v_owner[r, h_lo : h_hi + 1]
             foreign = (row != FREE) & (row != net_id)
             if foreign.any():
                 raise ValueError(
@@ -869,22 +838,16 @@ class RoutingGrid:
             tag = entry[0]
             if tag == _LEDGER_H:
                 _, h_idx, v_lo, v_hi = entry
-                row = np.array(H[h_idx, v_lo : v_hi + 1])
+                row = H[h_idx, v_lo : v_hi + 1]
                 mask = row == net_id  # overlap-safe: count each slot once
-                hits = int(mask.sum())
-                if hits:
-                    freed += hits
-                    row[mask] = FREE
-                    H[h_idx, v_lo : v_hi + 1] = row
+                freed += int(mask.sum())
+                row[mask] = FREE
             elif tag == _LEDGER_V:
                 _, v_idx, h_lo, h_hi = entry
-                row = np.array(V[v_idx, h_lo : h_hi + 1])
+                row = V[v_idx, h_lo : h_hi + 1]
                 mask = row == net_id
-                hits = int(mask.sum())
-                if hits:
-                    freed += hits
-                    row[mask] = FREE
-                    V[v_idx, h_lo : h_hi + 1] = row
+                freed += int(mask.sum())
+                row[mask] = FREE
             else:
                 _, v_idx, h_idx = entry
                 if H[h_idx, v_idx] == net_id:
@@ -896,10 +859,6 @@ class RoutingGrid:
         if self._txns:
             self._journal.append(("rip", net_id, ledger))
         return freed
-
-    def clear_net(self, net_id: int) -> int:
-        """Backwards-compatible alias for :meth:`rip_net`."""
-        return self.rip_net(net_id)
 
     def ledgered_net_ids(self) -> list[int]:
         """Net ids with a non-empty mutation ledger, sorted."""
@@ -982,11 +941,13 @@ class RoutingGrid:
     # ------------------------------------------------------------------
     def utilization(self) -> float:
         """Fraction of all slots carrying routed wiring."""
-        return self.backend.used_slots() / float(2 * self.num_intersections)
+        used = int((self._h_owner > 0).sum()) + int((self._v_owner > 0).sum())
+        return used / float(2 * self.num_intersections)
 
     def owners(self) -> list[int]:
         """Sorted list of net ids present anywhere on the grid."""
-        return sorted(self.backend.owner_ids())
+        ids = np.union1d(self._h_owner, self._v_owner)
+        return [int(i) for i in ids[ids > 0]]
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -995,10 +956,9 @@ class RoutingGrid:
         )
 
 
-def _usable(slots: object, net_id: int) -> np.ndarray:
-    """Cells of an owner-store read that are free or ``net_id``'s own."""
-    arr = np.asarray(slots)
-    ok: np.ndarray = (arr == FREE) | (arr == net_id)
+def _usable(slots: np.ndarray, net_id: int) -> np.ndarray:
+    """Cells of an owner-array read that are free or ``net_id``'s own."""
+    ok: np.ndarray = (slots == FREE) | (slots == net_id)
     return ok
 
 

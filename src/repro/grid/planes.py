@@ -79,29 +79,18 @@ class PlaneSet:
         vtracks: TrackSet,
         htracks: TrackSet,
         num_planes: int = 1,
-        backend: str = "dense",
     ) -> None:
         if num_planes < 1:
             raise ValueError(f"need at least one plane, got {num_planes}")
         self.vtracks = vtracks
         self.htracks = htracks
         self.grids: tuple[RoutingGrid, ...] = tuple(
-            RoutingGrid(vtracks, htracks, backend=backend)
-            for _ in range(num_planes)
+            RoutingGrid(vtracks, htracks) for _ in range(num_planes)
         )
 
-    @property
-    def backend_name(self) -> str:
-        """Registry name of the planes' shared storage backend."""
-        return self.grids[0].backend_name
-
     def memory_bytes(self) -> int:
-        """Bytes held by every plane's occupancy stores, summed."""
+        """Bytes held by every plane's occupancy arrays, summed."""
         return sum(g.memory_bytes() for g in self.grids)
-
-    def dense_equiv_bytes(self) -> int:
-        """Dense-array footprint of the whole stack (all planes)."""
-        return sum(g.dense_equiv_bytes() for g in self.grids)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

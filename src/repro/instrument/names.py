@@ -91,11 +91,8 @@ LEVELB_UTILIZATION = "levelb.grid_utilization"
 #: Largest accumulated negotiated-congestion charge on any one track
 #: when an iterative run finishes (docs/ITERATION.md).
 ITERATE_HISTORY_PEAK = "iterate.history_peak"
-#: Bytes the occupancy backend actually holds (all planes summed).
+#: Bytes the occupancy arrays hold (all planes summed).
 MEM_GRID_BYTES = "mem.grid_bytes"
-#: What dense arrays of the same grid shape would always cost — the
-#: denominator of the sparse backend's memory win (docs/SCALING.md).
-MEM_GRID_DENSE_EQUIV_BYTES = "mem.grid_dense_equiv_bytes"
 #: Process peak RSS (resource.getrusage, bytes) sampled when a flow
 #: finishes; recorded into FlowResult.profile by the flow layer.
 MEM_PEAK_RSS_BYTES = "mem.peak_rss_bytes"

@@ -1,11 +1,10 @@
 """Determinism rules: the bit-identity contract, enforced at the source.
 
 Everything the routing stack guarantees — reproducible sha256 route
-digests, digest parity across occupancy backends, content-addressed
-serve caching — assumes that routing *decisions* are pure functions of
-the input.  These rules police the packages that
-contract covers (``core``, ``grid``, ``maze``, ``dispatch``,
-``globalroute``, ``io``) for the classic leak vectors:
+digests, content-addressed serve caching — assumes that routing
+*decisions* are pure functions of the input.  These rules police the
+packages that contract covers (``core``, ``grid``, ``maze``,
+``dispatch``, ``globalroute``, ``io``) for the classic leak vectors:
 
 * ``det.clock`` — wall-clock reads (``time.time``, ``datetime.now``,
   ...).  Elapsed-time *measurement* is fine (``perf_counter`` /

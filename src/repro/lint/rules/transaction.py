@@ -10,15 +10,13 @@ mutation flows through the journaling primitives:
   caller are legitimate but invisible to a lexical check — they carry
   a pragma naming the caller that owns the scope, which is exactly the
   documentation the contract wants at each call site.
-* ``txn.mutate`` — nothing outside ``grid/occupancy.py`` and
-  ``grid/backend.py`` may *write* the private occupancy state
-  (``_h_owner``, ``_v_owner``, ``_unrouted_terms``, ``_net_ledger``,
-  ``_journal``, ``_txns``): a direct array store bypasses the ledger
-  and the journal, silently breaking rip-up and rollback.  Reads of
-  the private arrays outside the grid package are warnings — they
-  bypass the backend encapsulation (a sparse store may not expose
-  numpy semantics) and should go through ``snapshot()`` or the query
-  API.
+* ``txn.mutate`` — nothing outside ``grid/occupancy.py`` may *write*
+  the private occupancy state (``_h_owner``, ``_v_owner``,
+  ``_unrouted_terms``, ``_net_ledger``, ``_journal``, ``_txns``): a
+  direct array store bypasses the ledger and the journal, silently
+  breaking rip-up and rollback.  Reads of the private arrays outside
+  the grid package are warnings — they tie the reader to the grid's
+  array layout and should go through ``snapshot()`` or the query API.
 """
 
 from __future__ import annotations
@@ -35,10 +33,10 @@ __all__ = ["CommitScopeRule", "OccupancyMutationRule"]
 #: layer itself owns the journal.
 _GRID_PACKAGE = "repro.grid"
 
-_JOURNALED_CALLS = frozenset({"commit_path", "rip_net", "clear_net"})
+_JOURNALED_CALLS = frozenset({"commit_path", "rip_net"})
 
 #: Private occupancy state. Everything here is owned by the
-#: ledger/journal machinery in grid/occupancy.py + grid/backend.py.
+#: ledger/journal machinery in grid/occupancy.py.
 _OCC_PRIVATE = frozenset(
     {
         "_h_owner",
@@ -69,7 +67,7 @@ _MUTATOR_METHODS = frozenset(
 )
 
 #: Modules allowed to touch the private occupancy state directly.
-_OCC_OWNERS = ("repro.grid.occupancy", "repro.grid.backend")
+_OCC_OWNERS = ("repro.grid.occupancy",)
 
 
 class CommitScopeRule(FileRule):
@@ -129,10 +127,9 @@ class CommitScopeRule(FileRule):
 class OccupancyMutationRule(FileRule):
     rule_id = "txn.mutate"
     contract = (
-        "Private occupancy state is written only by grid/occupancy.py "
-        "and grid/backend.py; direct stores elsewhere bypass the "
-        "ledger and journal.  Reads elsewhere bypass the backend "
-        "encapsulation (warning)."
+        "Private occupancy state is written only by grid/occupancy.py; "
+        "direct stores elsewhere bypass the ledger and journal.  Reads "
+        "elsewhere tie the reader to the grid's array layout (warning)."
     )
 
     def check(self, ctx: ModuleContext) -> list[LintViolation]:
@@ -210,8 +207,7 @@ class OccupancyMutationRule(FileRule):
                     node,
                     f"read of private occupancy state .{node.attr} "
                     "outside the grid package; use snapshot()/the "
-                    "query API (backends need not expose numpy "
-                    "array semantics)",
+                    "query API rather than the grid's array layout",
                     Severity.WARNING,
                 )
         out.sort(key=lambda v: (v.line, v.col))

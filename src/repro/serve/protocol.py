@@ -2,20 +2,16 @@
 
 A :class:`JobSpec` is everything a client sends to request a routing
 run: the design (a built-in suite name or an inline ``repro-design``
-document), the flow, an optional technology document, and the routing
+document), the flow, an optional technology document, the routing
 knobs that change the answer (``planes``, ``objective``, the iterate
-knobs) or how it is produced (``backend``, ``check``).  Specs validate
-strictly on ingest so a malformed request — including one carrying a
-key the protocol does not define — fails at the HTTP boundary, not
-inside a worker.
+knobs) and ``check``.  Specs validate strictly on ingest so a malformed
+request — including one carrying a key the protocol does not define —
+fails at the HTTP boundary, not inside a worker.
 
 Every spec has a *canonical digest* — :func:`repro.io.canonical_digest`
 over its canonical document — which keys the server's result cache.
-``backend`` is deliberately **excluded** from the digest: the occupancy
-backends are storage engines with identical observable state
-(docs/SCALING.md), so requests differing only in it share one cache
-entry.  ``check`` *is* included because it changes the payload (the
-attached verification report).
+Every spec field reaches it; ``check`` does because it changes the
+payload (the attached verification report).
 
 :func:`execute_spec` is the worker-side body: build the design and
 ``FlowParams``, run the flow, and flatten the outcome into a JSON-safe
@@ -41,7 +37,6 @@ _SPEC_KEYS = frozenset(
         "technology",
         "planes",
         "check",
-        "backend",
         "iterate",
         "max_iterations",
         "ordering_policy",
@@ -74,10 +69,10 @@ DIGESTED_FIELDS = {
     "objective": "objective",
 }
 
-#: Bit-identical-result knobs: changing one changes *how* the answer
-#: is produced, never the answer (docs/SCALING.md), so they must not
-#: fragment the cache.
-DIGEST_EXCLUDED = frozenset({"backend"})
+#: Bit-identical-result knobs: changing one would change *how* the
+#: answer is produced, never the answer, so it must not fragment the
+#: cache.  There are none today.
+DIGEST_EXCLUDED: frozenset[str] = frozenset()
 
 #: FlowParams fields the wire protocol does not expose: every request
 #: gets the server-default value, so within one server's cache they
@@ -116,7 +111,6 @@ class JobSpec:
     technology: dict[str, Any] | None = None
     planes: int = 1
     check: bool = False
-    backend: str = "dense"
     iterate: bool = False
     max_iterations: int = 8
     ordering_policy: str = "longest-first"
@@ -178,16 +172,6 @@ class JobSpec:
         check = data.get("check", False)
         if not isinstance(check, bool):
             raise SpecError("'check' must be a boolean")
-        backend = data.get("backend", "dense")
-        if not isinstance(backend, str):
-            raise SpecError("'backend' must be a string")
-        from repro.grid import available_backends
-
-        if backend not in available_backends():
-            raise SpecError(
-                f"unknown backend {backend!r} "
-                f"(available: {available_backends()})"
-            )
         iterate = data.get("iterate", False)
         if not isinstance(iterate, bool):
             raise SpecError("'iterate' must be a boolean")
@@ -213,7 +197,6 @@ class JobSpec:
             technology=technology,
             planes=planes,
             check=check,
-            backend=backend,
             iterate=iterate,
             max_iterations=max_iterations,
             ordering_policy=ordering_policy,
@@ -227,7 +210,6 @@ class JobSpec:
             "technology": self.technology,
             "planes": self.planes,
             "check": self.check,
-            "backend": self.backend,
             "iterate": self.iterate,
             "max_iterations": self.max_iterations,
             "ordering_policy": self.ordering_policy,
@@ -236,11 +218,7 @@ class JobSpec:
 
     # ------------------------------------------------------------------
     def canonical(self) -> dict[str, Any]:
-        """The digest-relevant content.
-
-        ``backend`` is excluded: it is a bit-identical-result knob (see
-        module docstring), so it must not fragment the cache.
-        """
+        """The digest-relevant content."""
         return {
             "kind": "job",
             "version": PROTOCOL_VERSION,
@@ -307,7 +285,6 @@ def build_params(spec: JobSpec) -> Any:
     kwargs: dict[str, Any] = {
         "planes": spec.planes,
         "checked": spec.check,
-        "backend": spec.backend,
         "iterate": spec.iterate,
         "max_iterations": spec.max_iterations,
         "ordering_policy": spec.ordering_policy,

@@ -91,7 +91,8 @@ class TestRoutingReport:
         assert len(pin_lines) <= 2
 
     def test_report_times_upper_plane_nets(self):
-        """A two-plane report times plane-1 nets on the run's own stack."""
+        """A two-plane report times plane-1 nets on the run's own stack
+        and maps every plane's congestion, not only plane 0's."""
         design = random_design("rep1", seed=15, num_cells=8, num_nets=20,
                                num_critical=2)
         result = overcell_flow(design, FlowParams(planes=2))
@@ -99,6 +100,14 @@ class TestRoutingReport:
         report = routing_report(result)
         assert "metal5/metal6" in report
         assert "slowest level B pins" in report
+        congestion = [l for l in report.splitlines() if l.startswith("congestion")]
+        expected = []
+        for p, label in enumerate(["metal3/metal4", "metal5/metal6"]):
+            cmap = congestion_map(result.levelb.tig.planes[p])
+            expected.append(
+                f"congestion {label}: mean {cmap.mean:.1%}, peak {cmap.peak:.1%}"
+            )
+        assert congestion == expected
 
 
 class TestWirelengthStats:

@@ -191,12 +191,10 @@ class TestLevelBConstruction:
     """The flow and the probe build level B from FlowParams alike."""
 
     @pytest.mark.parametrize(
-        "planes, backend, objective",
-        [(1, "dense", "wire"), (2, "sparse", "vias")],
-        ids=["1-dense-wire", "2-sparse-vias"],
+        "planes, objective", [(1, "wire"), (2, "vias")], ids=["1-wire", "2-vias"]
     )
-    def test_probe_matches_flow(self, planes, backend, objective):
-        params = FlowParams(planes=planes, backend=backend, objective=objective)
+    def test_probe_matches_flow(self, planes, objective):
+        params = FlowParams(planes=planes, objective=objective)
         levelb = overcell_flow(SUITES["ami33"](), params).levelb
         probe = routability_probe(SUITES["ami33"](), params)
         assert probe.grid_restored

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Interval, Rect
-from repro.grid import FREE, OBSTACLE, RoutingGrid, TrackSet
+from repro.grid import FREE, OBSTACLE, PlaneSet, RoutingGrid, TrackSet
 
 
 def make_grid(nv=10, nh=8) -> RoutingGrid:
@@ -207,11 +207,22 @@ class TestStatistics:
         g = make_grid()
         g.occupy_h(1, 0, 2, net_id=5)
         g.occupy_corner(6, 6, net_id=5)
-        freed = g.clear_net(5)
+        freed = g.rip_net(5)
         assert freed == 5  # 3 h-slots + corner's h and v slots
         assert g.owners() == []
         with pytest.raises(ValueError):
-            g.clear_net(0)
+            g.rip_net(0)
+
+    def test_memory_accounting(self):
+        # 4 + 4 + 2 bytes per intersection (int32 h/v owners, int16
+        # unrouted terminals), allocated up front: the mem.grid_bytes
+        # gauge.
+        g = make_grid(10, 8)
+        assert g.memory_bytes() == 10 * 80
+        g.occupy_h(3, 2, 9, net_id=1)
+        assert g.memory_bytes() == 10 * 80
+        planes = PlaneSet(g.vtracks, g.htracks, num_planes=3)
+        assert planes.memory_bytes() == 3 * g.memory_bytes()
 
     def test_owners_near(self):
         g = make_grid()
@@ -222,7 +233,7 @@ class TestStatistics:
 
 
 class TestClearNetRoundTrip:
-    """clear_net must exactly undo a net's commits (rip-up safety)."""
+    """rip_net must exactly undo a net's commits (rip-up safety)."""
 
     @given(st.integers(0, 5000))
     @settings(max_examples=20, deadline=None)
@@ -260,7 +271,7 @@ class TestClearNetRoundTrip:
             g.commit_path(3, dedup, corners)
         except ValueError:
             return  # collided with the foreign wiring; nothing to test
-        g.clear_net(3)
+        g.rip_net(3)
         assert g.matches(before)
 
 

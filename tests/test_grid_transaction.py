@@ -1,12 +1,15 @@
 """Tests for the transactional routing-state layer.
 
 Covers the GridTransaction journal (savepoint nesting, rollback
-exactness), ledger-based rip_net, snapshots, and the O(cells-touched)
-contract: speculative route/undo cycles must never scan the full
-occupancy arrays.
+exactness), ledger-based rip_net, snapshots, random commit/rip/rollback
+interleavings, and the O(cells-touched) contract: speculative route/undo
+cycles must never scan the full occupancy arrays.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import instrument
 from repro.instrument.names import TXN_COMMITS, TXN_ROLLBACKS, TXN_UNDO_CELLS
@@ -181,12 +184,83 @@ class TestRipNet:
         with pytest.raises(ValueError):
             grid.rip_net(0)
         with pytest.raises(ValueError):
-            grid.clear_net(-1)
+            grid.rip_net(-1)
 
-    def test_clear_net_alias(self):
-        grid = make_grid()
-        self._wire_net(grid)
-        assert grid.clear_net(3) > 0
+
+def _snapshot_bytes(snap: GridSnapshot) -> bytes:
+    return (
+        snap.h_owner.tobytes()
+        + snap.v_owner.tobytes()
+        + snap.unrouted_terms.tobytes()
+    )
+
+
+_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["occupy_h", "occupy_v", "corner", "rip", "txn"]),
+        st.integers(min_value=0, max_value=19),  # track index
+        st.integers(min_value=0, max_value=19),  # span lo
+        st.integers(min_value=0, max_value=19),  # span hi
+        st.integers(min_value=1, max_value=5),  # net id
+        st.booleans(),  # txn: commit or rollback
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _apply_ops(grid: RoutingGrid, ops) -> None:
+    """Replay an op script, each op in its own nested transaction.
+
+    Conflicting occupations raise ``ValueError``; the op's transaction
+    is rolled back and the script goes on.
+    """
+    for op, idx, lo, hi, net, commit in ops:
+        txn = grid.begin()
+        try:
+            if op == "occupy_h":
+                grid.occupy_h(idx, lo, hi, net)
+            elif op == "occupy_v":
+                grid.occupy_v(idx, lo, hi, net)
+            elif op == "corner":
+                grid.occupy_corner(idx, lo, net)
+            elif op == "rip":
+                grid.rip_net(net)
+            elif op == "txn":
+                grid.occupy_h(idx, 0, hi, net)
+        except ValueError:
+            txn.rollback()
+            continue
+        if op == "txn" and not commit:
+            txn.rollback()
+        else:
+            txn.commit()
+
+
+def _assert_statistics_match_snapshot(grid: RoutingGrid) -> None:
+    snap = grid.snapshot()
+    used = int((snap.h_owner > 0).sum()) + int((snap.v_owner > 0).sum())
+    assert grid.utilization() == used / (2 * grid.num_intersections)
+    ids = set(np.unique(snap.h_owner)) | set(np.unique(snap.v_owner))
+    assert grid.owners() == sorted(int(i) for i in ids if i > 0)
+
+
+class TestRandomInterleaving:
+    @settings(max_examples=60, deadline=None)
+    @given(_ops)
+    def test_random_interleaving_rolls_back_exactly(self, ops):
+        grid = make_grid(nv=20, nh=20)
+        # Wiring and a terminal from before the script, which its rip
+        # ops may tear up inside the outer transaction.
+        grid.reserve_terminal(10, 10, 2)
+        grid.occupy_v(19, 0, 9, 1)
+        start = grid.snapshot()
+        outer = grid.begin()
+        _apply_ops(grid, ops)
+        _assert_statistics_match_snapshot(grid)
+        outer.rollback()
+        assert _snapshot_bytes(grid.snapshot()) == _snapshot_bytes(start)
+        _assert_statistics_match_snapshot(grid)
 
 
 class TestOCellsContract:

@@ -469,8 +469,6 @@ class TestServeProtocol:
         assert (
             self._spec(ordering_policy="congestion").digest() != base.digest()
         )
-        # Bit-identical-result knobs still share the entry.
-        assert self._spec(backend="sparse").digest() == base.digest()
 
     def test_probe_digest_ignores_iterate(self):
         from repro.io import canonical_digest

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.bench_suite import ami33_like, ex3_like, xerox_like
+from repro.bench_suite import ami33_like
 from repro.core import LevelBRouter, NetDemand, assign_planes
 from repro.flow import FlowParams, overcell_flow
 from repro.geometry import Interval, Point, Rect
@@ -29,6 +29,7 @@ from repro.technology import (
 )
 
 from conftest import make_toy_design
+from counter_golden import routed
 
 
 # ----------------------------------------------------------------------
@@ -123,7 +124,7 @@ class TestPlaneSet:
         before = planes.snapshot()
         planes[1].occupy_h(1, 0, 3, net_id=2)
         assert not planes.matches(before)
-        planes[1].clear_net(2)
+        planes[1].rip_net(2)
         assert planes.matches(before)
 
     def test_add_obstacle_blocks_every_plane(self):
@@ -251,13 +252,12 @@ PARITY_DIGESTS = {
     "ex3": "89b756c1d7e708a6cc86f41654dab50034fa47c5855bda483394d1847b929b19",
 }
 
-_SUITES = {"ami33": ami33_like, "xerox": xerox_like, "ex3": ex3_like}
-
 
 class TestSinglePlaneParity:
     @pytest.mark.parametrize("suite", sorted(PARITY_DIGESTS))
     def test_default_flow_bit_identical_to_seed(self, suite):
-        res = overcell_flow(_SUITES[suite]())
+        # The same profiled route the counter golden reads.
+        res = routed(suite)
         assert res.flow == "overcell-4layer"
         assert _geometry_digest(res) == PARITY_DIGESTS[suite], (
             f"planes=1 geometry drifted from the pre-refactor baseline "

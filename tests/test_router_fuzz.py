@@ -15,8 +15,6 @@ from repro.netlist import Design, Edge
 from repro.placement import RowPlacement
 from repro.technology import technology_from_any
 
-from test_planes import _geometry_digest
-
 WIDE_STACKUP = Path(__file__).parent / "golden" / "stackup_wide.json"
 
 
@@ -73,8 +71,8 @@ class TestFuzzInvariants:
         assert a.nets_completed == b.nets_completed
 
 
-class TestBackendDifferential:
-    """Dense vs sparse on random width-class designs (docs/SCALING.md).
+class TestWidthClassFuzz:
+    """Random width-class designs route CLEAN under ``check_flow``.
 
     Clock and power nets claim multi-track footprints under the golden
     wide stackup, so these designs exercise the footprint paths of
@@ -98,9 +96,14 @@ class TestBackendDifferential:
     # A clock terminal pinches a neighbouring pin; without the pin's
     # keep-out the clock wire runs through its stack (drc.short).
     @example(seed=1931, clock_nets=2, power_nets=1, planes=2)
-    def test_dense_and_sparse_route_identically(
-        self, seed, clock_nets, power_nets, planes
-    ):
+    # Designs an earlier revision of this test drew; pinned so they
+    # keep running.
+    @example(seed=0, clock_nets=1, power_nets=0, planes=1)
+    @example(seed=467, clock_nets=1, power_nets=0, planes=2)
+    @example(seed=1247599, clock_nets=2, power_nets=0, planes=1)
+    @example(seed=1055003, clock_nets=3, power_nets=0, planes=1)
+    @example(seed=2627, clock_nets=1, power_nets=2, planes=2)
+    def test_routes_clean(self, seed, clock_nets, power_nets, planes):
         profile = SuiteProfile(
             name=f"widefuzz{seed}",
             seed=seed,
@@ -113,16 +116,10 @@ class TestBackendDifferential:
             power_nets=power_nets,
         )
         technology = technology_from_any(json.loads(WIDE_STACKUP.read_text()))
-        digests = []
-        for backend in ("dense", "sparse"):
-            params = FlowParams(
-                technology=technology, planes=planes, backend=backend
-            )
-            result = overcell_flow(make_design(profile), params)
-            report = check_flow(result)
-            assert not report.violations, report.render(limit=10)
-            digests.append(_geometry_digest(result))
-        assert digests[0] == digests[1]
+        params = FlowParams(technology=technology, planes=planes)
+        result = overcell_flow(make_design(profile), params)
+        report = check_flow(result)
+        assert not report.violations, report.render(limit=10)
 
 
 class TestFailureInjection:

@@ -7,8 +7,7 @@ MBFS expansion and the per-probe Lee wave as the oracle, both reading
 the grid one cell at a time through ``h_slot``/``v_slot``, and checks
 on random grids - obstacles, foreign wiring, wide-net footprints,
 random regions, entry caps and node budgets small enough to abort -
-that both backends of the fast engines produce exactly the oracle's
-searches: the same minimum corner count, abort flag, node count,
+that the fast engines produce exactly the oracle's searches: the same minimum corner count, abort flag, node count,
 ordered leaves and Path Selection Tree, and the same Lee paths and
 expansion counts.
 """
@@ -290,13 +289,13 @@ def reference_lee(grid, source, target, via_penalty, region):
 # ----------------------------------------------------------------------
 @st.composite
 def instances(draw):
-    """A grid (both backends, same content) plus terminals and a region."""
+    """A grid plus terminals and a region."""
     nv = draw(st.integers(4, 20))
     nh = draw(st.integers(4, 20))
     vt = TrackSet(range(0, nv * 10, 10))
     # Non-uniform h pitch, so Lee's straight-move costs differ by axis.
     ht = TrackSet([i * 10 + (3 if i % 3 == 1 else 0) for i in range(nh)])
-    grids = [RoutingGrid(vt, ht, backend=b) for b in ("dense", "sparse")]
+    grid = RoutingGrid(vt, ht)
     footprint = draw(st.sampled_from([(1, 0), (1, 0), (1, 0), (2, 0), (1, 1), (2, 1)]))
     foreign_fp = draw(st.sampled_from([(1, 0), (2, 0), (1, 1)]))
     source = GridTerminal(draw(st.integers(0, nv - 1)), draw(st.integers(0, nh - 1)))
@@ -341,29 +340,27 @@ def instances(draw):
             Interval(v_lo, v_lo + draw(st.integers(0, nv))),
             Interval(h_lo, h_lo + draw(st.integers(0, nh))),
         )
-    for grid in grids:
-        grid.set_net_footprint(NET, *footprint)
-        grid.set_net_footprint(3, *foreign_fp)
-        for term in (source, target):  # first, so later claims avoid them
-            with contextlib.suppress(ValueError):
-                grid.reserve_terminal(term.v_idx, term.h_idx, NET)
-        # A conflicting op raises and is skipped, identically on both.
-        for op in ops:
-            with contextlib.suppress(ValueError):
-                if op[0] == "obstacle":
-                    _, rect, (bh, bv) = op
-                    grid.add_obstacle(rect, block_h=bh, block_v=bv)
-                elif op[0] == "wire":
-                    _, net, vertical, track, a, b = op
-                    if vertical:
-                        grid.occupy_v(track, a, b, net)
-                    else:
-                        grid.occupy_h(track, a, b, net)
+    grid.set_net_footprint(NET, *footprint)
+    grid.set_net_footprint(3, *foreign_fp)
+    for term in (source, target):  # first, so later claims avoid them
+        with contextlib.suppress(ValueError):
+            grid.reserve_terminal(term.v_idx, term.h_idx, NET)
+    # A conflicting op raises and is skipped.
+    for op in ops:
+        with contextlib.suppress(ValueError):
+            if op[0] == "obstacle":
+                _, rect, (bh, bv) = op
+                grid.add_obstacle(rect, block_h=bh, block_v=bv)
+            elif op[0] == "wire":
+                _, net, vertical, track, a, b = op
+                if vertical:
+                    grid.occupy_v(track, a, b, net)
                 else:
-                    _, net, v, h = op
-                    grid.occupy_corner(v, h, net)
-    assert grids[0].matches(grids[1].snapshot())
-    return grids, source, target, region
+                    grid.occupy_h(track, a, b, net)
+            else:
+                _, net, v, h = op
+                grid.occupy_corner(v, h, net)
+    return grid, source, target, region
 
 
 def _tree(node: PSTNode):
@@ -388,82 +385,78 @@ class TestMBFSEquivalence:
         st.sampled_from([2, 12]),
     )
     def test_matches_per_crossing_search(self, inst, cap, max_nodes, max_depth):
-        grids, source, target, region = inst
+        grid, source, target, region = inst
         ref = ReferenceSearch(
-            grids[0], source, target, region, max_depth, max_nodes, cap
+            grid, source, target, region, max_depth, max_nodes, cap
         )
         roots, leaves, best = ref.run()
-        for grid in grids:
-            res = MBFSearch(
-                grid, NET, source, target, region=region, max_depth=max_depth,
-                max_nodes=max_nodes, max_entries_per_track=cap,
-            ).run()
-            assert res.min_corners == best
-            assert res.aborted == ref.aborted
-            assert res.nodes_created == ref.nodes_created
-            assert [leaf.track_sequence() for leaf in res.leaves] == [
-                leaf.track_sequence() for leaf in leaves
-            ]
-            assert [_tree(r) for r in res.roots] == [_tree(r) for r in roots]
+        res = MBFSearch(
+            grid, NET, source, target, region=region, max_depth=max_depth,
+            max_nodes=max_nodes, max_entries_per_track=cap,
+        ).run()
+        assert res.min_corners == best
+        assert res.aborted == ref.aborted
+        assert res.nodes_created == ref.nodes_created
+        assert [leaf.track_sequence() for leaf in res.leaves] == [
+            leaf.track_sequence() for leaf in leaves
+        ]
+        assert [_tree(r) for r in res.roots] == [_tree(r) for r in roots]
 
 
 class TestLeeEquivalence:
     @FAST
     @given(instances(), st.sampled_from([0.5, 10.0, 1e9]))
     def test_matches_per_probe_wave(self, inst, via_penalty):
-        grids, source, target, region = inst
-        want = reference_lee(grids[0], source, target, via_penalty, region)
-        for grid in grids:
-            waypoints, corners, stats = lee_search(
-                grid, NET, source, target, via_penalty=via_penalty, region=region
-            )
-            assert (waypoints, corners, stats.nodes_expanded) == want
+        grid, source, target, region = inst
+        want = reference_lee(grid, source, target, via_penalty, region)
+        waypoints, corners, stats = lee_search(
+            grid, NET, source, target, via_penalty=via_penalty, region=region
+        )
+        assert (waypoints, corners, stats.nodes_expanded) == want
 
 
 class TestTrackBits:
     @settings(max_examples=80, deadline=None)
     @given(instances(), st.data())
     def test_rows_match_per_cell_queries(self, inst, data):
-        grids, _, _, _ = inst
-        g0 = grids[0]
-        nv, nh = g0.num_vtracks, g0.num_htracks
-        for grid in grids:
-            for v in range(nv):
-                lo = data.draw(st.integers(0, nh - 1))
-                hi = data.draw(st.integers(lo, nh - 1))
-                usable, corner = grid.track_bits(True, v, lo, hi, NET)
-                assert set_bits(usable, lo) == [
-                    h for h in range(lo, hi + 1) if ref_v_ok(g0, v, h)
-                ]
-                assert set_bits(corner, lo) == [
-                    h for h in range(lo, hi + 1) if ref_corner(g0, v, h)
-                ]
-                assert grid.corner_candidates_on_v(v, lo, hi, NET) == set_bits(
-                    corner, lo
-                )
-                h = data.draw(st.integers(0, nh - 1))
-                assert grid.free_span_v(v, h, NET) == _scan_span(
-                    partial(ref_v_ok, g0, v), h, 0, nh - 1
-                )
-                assert grid.corner_free(v, h, NET) == ref_corner(g0, v, h)
-            for h in range(nh):
-                lo = data.draw(st.integers(0, nv - 1))
-                hi = data.draw(st.integers(lo, nv - 1))
-                usable, corner = grid.track_bits(False, h, lo, hi, NET)
-                assert set_bits(usable, lo) == [
-                    v for v in range(lo, hi + 1) if ref_h_ok(g0, v, h)
-                ]
-                assert set_bits(corner, lo) == [
-                    v for v in range(lo, hi + 1) if ref_corner(g0, v, h)
-                ]
-                assert grid.span_usable_h(h, lo, hi, NET) == all(
-                    ref_h_ok(g0, v, h) for v in range(lo, hi + 1)
-                )
-                within = Interval(lo, hi)
-                v = data.draw(st.integers(0, nv - 1))
-                assert grid.free_span_h(h, v, NET, within=within) == _scan_span(
-                    partial(ref_h_ok, g0, h=h), v, lo, hi
-                )
+        grid, _, _, _ = inst
+        nv, nh = grid.num_vtracks, grid.num_htracks
+        for v in range(nv):
+            lo = data.draw(st.integers(0, nh - 1))
+            hi = data.draw(st.integers(lo, nh - 1))
+            usable, corner = grid.track_bits(True, v, lo, hi, NET)
+            assert set_bits(usable, lo) == [
+                h for h in range(lo, hi + 1) if ref_v_ok(grid, v, h)
+            ]
+            assert set_bits(corner, lo) == [
+                h for h in range(lo, hi + 1) if ref_corner(grid, v, h)
+            ]
+            assert grid.corner_candidates_on_v(v, lo, hi, NET) == set_bits(
+                corner, lo
+            )
+            h = data.draw(st.integers(0, nh - 1))
+            assert grid.free_span_v(v, h, NET) == _scan_span(
+                partial(ref_v_ok, grid, v), h, 0, nh - 1
+            )
+            assert grid.corner_free(v, h, NET) == ref_corner(grid, v, h)
+        for h in range(nh):
+            lo = data.draw(st.integers(0, nv - 1))
+            hi = data.draw(st.integers(lo, nv - 1))
+            usable, corner = grid.track_bits(False, h, lo, hi, NET)
+            assert set_bits(usable, lo) == [
+                v for v in range(lo, hi + 1) if ref_h_ok(grid, v, h)
+            ]
+            assert set_bits(corner, lo) == [
+                v for v in range(lo, hi + 1) if ref_corner(grid, v, h)
+            ]
+            assert grid.span_usable_h(h, lo, hi, NET) == all(
+                ref_h_ok(grid, v, h) for v in range(lo, hi + 1)
+            )
+            within = Interval(lo, hi)
+            v = data.draw(st.integers(0, nv - 1))
+            assert grid.free_span_h(h, v, NET, within=within) == _scan_span(
+                partial(ref_h_ok, grid, h=h), v, lo, hi
+            )
 
     @given(st.integers(0, 2**70), st.integers(0, 72))
     def test_bit_run_is_the_run_around_pos(self, bits, pos):
@@ -472,11 +465,8 @@ class TestTrackBits:
         got = bit_run(bits, pos)
         assert got == (None if want is None else (want.lo, want.hi))
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_indices_validated_per_row(self, backend):
-        grid = RoutingGrid(
-            TrackSet(range(0, 50, 10)), TrackSet(range(0, 40, 10)), backend=backend
-        )
+    def test_indices_validated_per_row(self):
+        grid = RoutingGrid(TrackSet(range(0, 50, 10)), TrackSet(range(0, 40, 10)))
         for call in (
             lambda: grid.track_bits(True, -1, 0, 3, NET),
             lambda: grid.track_bits(False, 4, 0, 3, NET),

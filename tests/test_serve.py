@@ -68,14 +68,6 @@ class TestJobSpec:
         with pytest.raises(SpecError, match="planes"):
             JobSpec.from_dict({"design": "ex3", "planes": 0})
 
-    def test_digest_ignores_backend(self):
-        # The backend is a bit-identical-result knob: both storage
-        # engines share one cache entry (docs/SCALING.md).
-        base = JobSpec.from_dict({"design": "ex3"})
-        assert base.digest() == JobSpec.from_dict(
-            {"design": "ex3", "backend": "sparse"}
-        ).digest()
-
     def test_digest_pinned(self):
         # Cache keys outlive the code that computed them: a served
         # result cached under these digests must keep resolving.
@@ -83,9 +75,6 @@ class TestJobSpec:
         assert ami33.digest() == (
             "1bdf56aacc32b208f105d0a7e01b2b8dc6ee3ebb88665cc7e4cf6dabd4be3ddb"
         )
-        assert JobSpec.from_dict(
-            {"design": "ami33", "backend": "sparse"}
-        ).digest() == ami33.digest()
         ex3 = JobSpec.from_dict(
             {
                 "design": "ex3",
@@ -100,17 +89,19 @@ class TestJobSpec:
             "50ef0766de12b26c3a393cab499862a35298bc4026789ab55eb9581679da628c"
         )
 
-    def test_bad_backend_rejected(self):
-        with pytest.raises(SpecError, match="unknown backend"):
-            JobSpec.from_dict({"design": "ex3", "backend": "ramdisk"})
-
     @pytest.mark.parametrize(
         "extra",
-        [{"parallel": 2}, {"parallel": 0}, {"hierarchical": True}],
-        ids=["parallel", "parallel-zero", "hierarchical"],
+        [
+            {"parallel": 2},
+            {"parallel": 0},
+            {"hierarchical": True},
+            {"backend": "dense"},
+        ],
+        ids=["parallel", "parallel-zero", "hierarchical", "backend"],
     )
     def test_parallel_and_hierarchical_rejected(self, extra):
-        # Level B routes serially; neither knob is part of the protocol.
+        # Level B routes serially on one occupancy store; none of these
+        # knobs is part of the protocol.
         with pytest.raises(SpecError, match="unknown job spec keys"):
             JobSpec.from_dict({"design": "ex3", **extra})
 
@@ -385,15 +376,13 @@ class TestServerEndpoints:
         assert exc.value.status == 400
         assert "unknown job spec keys" in exc.value.message
 
-    def test_backend_variant_shares_cache_entry(self, client):
-        # A dense-routed answer serves sparse requests: the backends
-        # are bit-identical, so the cache key ignores them
-        # (docs/SCALING.md).
-        spec = toy_spec(seed=208)
-        first = client.submit(spec)
-        client.wait(first["id"], timeout_s=60.0)
-        sparse = client.submit(dict(spec, backend="sparse"))
-        assert sparse["cache_hit"] is True
+    def test_backend_variant_is_400(self, client):
+        # ``backend`` is not a protocol key: the request fails
+        # validation instead of being silently ignored.
+        with pytest.raises(ServeError) as exc:
+            client.submit(toy_spec(seed=208, backend="dense"))
+        assert exc.value.status == 400
+        assert "unknown job spec keys" in exc.value.message
 
     def test_events_pagination(self, client):
         record = client.submit(toy_spec(seed=202))
