@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from repro.bench_suite import SUITES
 from repro.flow import multilayer_channel_flow, overcell_flow, two_layer_flow
@@ -82,9 +83,20 @@ def _flow_params(args: argparse.Namespace):
     return FlowParams(**kwargs)
 
 
+def _output(path: str) -> Path:
+    """An output file's path, its directory created first.
+
+    Every file the CLI writes goes through here, so an output path in
+    a directory that does not exist yet never costs a finished run.
+    """
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _cmd_suite(args: argparse.Namespace) -> int:
     design = SUITES[args.name]()
-    save_design(design, args.out)
+    save_design(design, _output(args.out))
     print(f"wrote {design.stats()} to {args.out}")
     return 0
 
@@ -94,12 +106,12 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     result = _FLOWS[args.flow](design, _flow_params(args))
     print(result.summary())
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(svg_flow_result(result))
+        _output(args.svg).write_text(svg_flow_result(result))
         print(f"layout plot written to {args.svg}")
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(flow_result_to_dict(result), fh, indent=2)
+        _output(args.json).write_text(
+            json.dumps(flow_result_to_dict(result), indent=2)
+        )
         print(f"result summary written to {args.json}")
     return 0 if result.completion == 1.0 else 1
 
@@ -130,12 +142,12 @@ def _cmd_route(args: argparse.Namespace) -> int:
             f"(policy {iterate['policy']})"
         )
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(svg_flow_result(result, legend=True))
+        _output(args.svg).write_text(svg_flow_result(result, legend=True))
         print(f"layout plot written to {args.svg}")
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(flow_result_to_dict(result), fh, indent=2)
+        _output(args.json).write_text(
+            json.dumps(flow_result_to_dict(result), indent=2)
+        )
         print(f"result summary written to {args.json}")
     return 0 if result.completion == 1.0 else 1
 
@@ -150,12 +162,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.html:
         from repro.reporting import html_report
 
-        with open(args.html, "w") as fh:
-            fh.write(
-                html_report(
-                    result, technology=params.technology, top_n=args.top
-                )
-            )
+        _output(args.html).write_text(
+            html_report(result, technology=params.technology, top_n=args.top)
+        )
         print(f"HTML report written to {args.html}")
     return 0 if result.completion == 1.0 else 1
 
@@ -169,7 +178,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     with instrument.collecting() as col:
         result = _FLOWS[args.flow](design, params)
     print(result.summary())
-    instrument.write_json(args.out, col)
+    instrument.write_json(str(_output(args.out)), col)
     print(f"profile written to {args.out}")
     if args.csv:
         for kind, render in (
@@ -178,8 +187,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             ("events", instrument.events_to_csv),
         ):
             path = f"{args.csv}.{kind}.csv"
-            with open(path, "w") as fh:
-                fh.write(render(col))
+            _output(path).write_text(render(col))
             print(f"{kind} written to {path}")
     print(instrument.tree_report(col))
     return 0 if result.completion == 1.0 else 1
@@ -195,8 +203,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report = check_flow(result)
     print(report.render(limit=args.limit))
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+        _output(args.json).write_text(json.dumps(report.to_dict(), indent=2))
         print(f"check report written to {args.json}")
     if args.strict and report.violations:
         return 1
@@ -205,8 +212,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Run the project-contract static analyzer (repro.lint)."""
-    from pathlib import Path
-
     import repro
     from repro.lint import lint_paths, rules_for_ids, save_baseline
 
@@ -241,7 +246,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     if args.write_baseline:
         report = lint_paths(paths, root=root, select=select)
-        n = save_baseline(Path(args.write_baseline), report.violations)
+        n = save_baseline(_output(args.write_baseline), report.violations)
         print(f"baseline with {n} entr{'y' if n == 1 else 'ies'} "
               f"written to {args.write_baseline}")
         return 0
@@ -250,8 +255,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         paths, root=root, select=select, baseline_path=baseline
     )
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+        _output(args.json).write_text(json.dumps(report.to_dict(), indent=2))
         print(f"lint report written to {args.json}")
     print(report.render(limit=args.limit))
     if args.strict and report.violations:
@@ -274,8 +278,9 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
     )
     print(report.render())
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        _output(args.json).write_text(
+            json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        )
         print(f"batch report written to {args.json}")
     return 0 if report.ok else 1
 

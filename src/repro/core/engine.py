@@ -81,9 +81,6 @@ class EngineContext:
         :class:`~repro.core.cost.CornerCostEvaluator` carrying the
         net's cost-function extension terms.  Engines must create one
         per connection (the memo assumes a frozen grid).
-    regions:
-        ``regions(source, target)`` yields the escalating search
-        regions, smallest first, whole grid (``None``) last.
     add_nodes:
         Search-effort callback; engines report nodes created/expanded
         so the orchestrator can aggregate them into the result.
@@ -92,7 +89,6 @@ class EngineContext:
     grid: RoutingGrid
     config: object
     evaluator: Callable[[int], CornerCostEvaluator]
-    regions: Callable[[GridTerminal, GridTerminal], Iterable[Region]]
     add_nodes: Callable[[int], None]
 
 
@@ -111,12 +107,14 @@ class ConnectionEngine(abc.ABC):
         net_id: int,
         source: GridTerminal,
         target: GridTerminal,
-        regions: Iterable[Region] | None = None,
+        regions: Iterable[Region],
     ) -> RoutedConnection | None:
         """Route and commit one connection, or return ``None``.
 
-        ``regions`` overrides the context's escalation schedule (the
-        rescue path passes ``(None,)`` for a single whole-grid shot).
+        ``regions`` are the windows to search in turn, smallest first:
+        the router's escalation schedule, or ``(None,)`` for the
+        rescue's single whole-grid shot.  The engine takes the next
+        window only when the last one failed.
         """
 
 
@@ -132,15 +130,13 @@ class MBFSEngine(ConnectionEngine):
         net_id: int,
         source: GridTerminal,
         target: GridTerminal,
-        regions: Iterable[Region] | None = None,
+        regions: Iterable[Region],
     ) -> RoutedConnection | None:
         if source == target:
             return None
         grid = ctx.grid
         cfg = ctx.config
         evaluator = ctx.evaluator(net_id)
-        if regions is None:
-            regions = ctx.regions(source, target)
         for attempt, region in enumerate(regions):
             if attempt:
                 instrument.count(REGION_EXPANSIONS)

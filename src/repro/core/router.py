@@ -17,7 +17,10 @@ Ties the pieces together exactly as section 3 describes:
 4. decompose multi-terminal nets with the Steiner-Prim builder,
    connecting each new terminal to the closest point (terminal or
    Steiner point) of the partially routed tree;
-5. widen the search region and retry when a bounded search fails.
+5. widen the search region and retry when a bounded search fails
+   (:class:`Escalation`: a window already searched is not searched
+   again, and a connection a whole-grid reachability flood proves
+   unroutable is given up after its first window).
 
 Speculative state changes - rip-up-and-reroute, refinement, routability
 probes - run inside :class:`~repro.grid.GridTransaction` journals, so
@@ -41,16 +44,21 @@ from repro.instrument.names import (
     EVT_RIPUP,
     LEVELB_UTILIZATION,
     MAZE_FALLBACKS,
+    MAZE_NODES_EXPANDED,
+    MAZE_SEARCHES,
     MEM_GRID_BYTES,
     NETS_FAILED,
     NETS_ROUTED,
     OCC_CELLS_TOUCHED,
+    REACH_FLOODS,
+    REACH_PRUNED,
     REGION_EXPANSIONS,
     RIPUPS,
     SPAN_LEVELB_NET,
     SPAN_LEVELB_REFINE,
     SPAN_LEVELB_ROUTE,
     SPAN_MAZE_RESCUE,
+    SPAN_REACH_FLOOD,
     TXN_COMMITS,
     TXN_ROLLBACKS,
     TXN_UNDO_CELLS,
@@ -68,6 +76,7 @@ from repro.core.engine import (
     RoutedConnection,
 )
 from repro.core.ordering import NetOrdering, order_nets
+from repro.core.search import search_window
 from repro.core.steiner import SteinerTreeBuilder, dedupe_terminals
 from repro.core.tig import GridTerminal, TrackIntersectionGraph
 
@@ -296,6 +305,60 @@ def coupling_terms(
     )
 
 
+@dataclass
+class Escalation:
+    """The windows one connection searches, as its engine consumes them.
+
+    Iterating yields ``regions`` in order, smallest first, with two
+    exact cuts.  A region whose window (:func:`search_window`) equals
+    the last one searched is skipped: engines are deterministic and a
+    failed search leaves the grid unchanged, so it would fail again.
+    And once the first window has failed, one reachability flood
+    (:meth:`RoutingGrid.reachable`) asks whether the target can be
+    reached on the whole grid at all; when it cannot, iteration stops
+    and ``unreachable`` tells the router to skip the rescue as well.
+    Every path a search or the rescue could find is a path of the
+    flood, so neither cut changes what gets routed.
+    """
+
+    grid: "RoutingGrid"
+    net_id: int
+    source: GridTerminal
+    target: GridTerminal
+    regions: Iterable[Region]
+    #: Set when the flood proved the target unreachable.
+    unreachable: bool = False
+
+    def __iter__(self) -> Iterator[Region]:
+        grid, source, target = self.grid, self.source, self.target
+        searched: tuple[Interval, Interval] | None = None
+        for region in self.regions:
+            window = search_window(grid, source, target, region)
+            if searched is None:
+                searched = window
+                yield region
+                if not self._reachable():
+                    self.unreachable = True
+                    return
+            elif window != searched:
+                searched = window
+                yield region
+
+    def _reachable(self) -> bool:
+        """One whole-grid flood for the connection, counted."""
+        source, target = self.source, self.target
+        with instrument.span(SPAN_REACH_FLOOD):
+            found = self.grid.reachable(
+                self.net_id,
+                (source.v_idx, source.h_idx),
+                (target.v_idx, target.h_idx),
+            )
+        instrument.count(REACH_FLOODS)
+        if not found:
+            instrument.count(REACH_PRUNED)
+        return found
+
+
 def route_net_terminals(
     grid: "RoutingGrid",
     net_id: int,
@@ -512,7 +575,6 @@ class LevelBRouter:
                 grid=self.tig.planes[plane],
                 config=self.config,
                 evaluator=self._evaluator_for,
-                regions=self._regions,
                 add_nodes=self._add_nodes,
             )
             for plane in range(planes)
@@ -621,9 +683,13 @@ class LevelBRouter:
             instrument.active().declare(
                 CONNECTIONS_ROUTED,
                 MAZE_FALLBACKS,
+                MAZE_NODES_EXPANDED,
+                MAZE_SEARCHES,
                 NETS_FAILED,
                 NETS_ROUTED,
                 OCC_CELLS_TOUCHED,
+                REACH_FLOODS,
+                REACH_PRUNED,
                 REGION_EXPANSIONS,
                 RIPUPS,
                 TXN_COMMITS,
@@ -866,8 +932,12 @@ class LevelBRouter:
         self, net_id: int, source: GridTerminal, target: GridTerminal
     ) -> RoutedConnection | None:
         """One connection through the primary engine, rescue as needed."""
-        conn = self._engine.route(self._ctx_for(net_id), net_id, source, target)
-        if conn is None and self.config.maze_fallback:
+        ctx = self._ctx_for(net_id)
+        windows = Escalation(
+            ctx.grid, net_id, source, target, self._regions(source, target)
+        )
+        conn = self._engine.route(ctx, net_id, source, target, windows)
+        if conn is None and self.config.maze_fallback and not windows.unreachable:
             conn = self._maze_rescue(net_id, source, target)
         if conn is not None:
             instrument.count(CONNECTIONS_ROUTED)
@@ -890,7 +960,7 @@ class LevelBRouter:
         instrument.count(MAZE_FALLBACKS)
         with instrument.span(SPAN_MAZE_RESCUE):
             conn = engine.route(
-                self._ctx_for(net_id), net_id, source, target, regions=(None,)
+                self._ctx_for(net_id), net_id, source, target, (None,)
             )
         instrument.event(
             EVT_MAZE_FALLBACK, net_id=net_id, found=conn is not None
@@ -902,7 +972,11 @@ class LevelBRouter:
     def _regions(
         self, source: GridTerminal, target: GridTerminal
     ) -> Iterator[Region]:
-        """Index-space search regions, smallest first, whole grid last."""
+        """Index-space search regions, smallest first, whole grid last.
+
+        The paper's schedule; :class:`Escalation` decides which of them
+        are searched.
+        """
         cfg = self.config
         v_box = Interval.spanning(source.v_idx, target.v_idx)
         h_box = Interval.spanning(source.h_idx, target.h_idx)

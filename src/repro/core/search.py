@@ -152,6 +152,33 @@ class SearchResult:
             node.children.clear()
 
 
+def search_window(
+    grid: RoutingGrid,
+    source: GridTerminal,
+    target: GridTerminal,
+    region: tuple[Interval, Interval] | None,
+) -> tuple[Interval, Interval]:
+    """The ``(v, h)`` index intervals a search over ``region`` reads.
+
+    A bounded region is widened to hold both terminals and clipped to
+    the grid; ``None`` is the whole grid.  Two regions with the same
+    window are the same search.
+    """
+    if region is None:
+        return (
+            Interval(0, grid.num_vtracks - 1),
+            Interval(0, grid.num_htracks - 1),
+        )
+    return (
+        grid.vtracks.clip_indices(
+            region[0].hull(Interval.spanning(source.v_idx, target.v_idx))
+        ),
+        grid.htracks.clip_indices(
+            region[1].hull(Interval.spanning(source.h_idx, target.h_idx))
+        ),
+    )
+
+
 class MBFSearch:
     """One two-terminal search instance.
 
@@ -200,19 +227,7 @@ class MBFSearch:
         # track, where a bad index would shift silently instead of raise.
         source.position(grid)
         target.position(grid)
-        if region is None:
-            v_iv = Interval(0, grid.num_vtracks - 1)
-            h_iv = Interval(0, grid.num_htracks - 1)
-        else:
-            v_iv, h_iv = region
-            v_iv = grid.vtracks.clip_indices(
-                v_iv.hull(Interval.spanning(source.v_idx, target.v_idx))
-            )
-            h_iv = grid.htracks.clip_indices(
-                h_iv.hull(Interval.spanning(source.h_idx, target.h_idx))
-            )
-        self.v_region = v_iv
-        self.h_region = h_iv
+        self.v_region, self.h_region = search_window(grid, source, target, region)
         self._nodes_created = 0
         self._aborted = False
         # Per-search row cache, one dict per track kind: track index ->

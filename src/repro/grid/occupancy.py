@@ -620,6 +620,72 @@ class RoutingGrid:
             corner_bits &= ~mask
         return usable_bits, corner_bits
 
+    def net_masks(self, net_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Whole-grid ``(usable_h, usable_v, corner)`` boolean arrays of a net.
+
+        ``usable_h`` is indexed ``[h, v]``, ``usable_v`` ``[v, h]`` and
+        ``corner`` ``[h, v]``; each cell holds exactly the bit
+        :meth:`track_bits` reads for it.  A wide net's footprint rows
+        and corner blocks are clamped-window ANDs, taken with cumulative
+        sums instead of per-cell block checks, and every other net's pin
+        keep-out clears its exact point in all three arrays.
+        """
+        usable_h = _usable(self._h_owner, net_id)
+        usable_v = _usable(self._v_owner, net_id)
+        both = usable_h & usable_v.T
+        fp = self._footprints.get(net_id)
+        if fp is None:
+            corner = both
+        else:
+            usable_h = _window_all(usable_h, fp, axis=0)
+            usable_v = _window_all(usable_v, fp, axis=0)
+            corner = _window_all(_window_all(both, fp, axis=0), fp, axis=1)
+        for v_idx, row in self._keepouts_v.items():
+            for h_idx, owner in row.items():
+                if owner != net_id:
+                    usable_h[h_idx, v_idx] = False
+                    usable_v[v_idx, h_idx] = False
+                    corner[h_idx, v_idx] = False
+        return usable_h, usable_v, corner
+
+    def reachable(
+        self, net_id: int, source: tuple[int, int], target: tuple[int, int]
+    ) -> bool:
+        """Can ``net_id`` wire ``source`` to ``target`` anywhere on the grid?
+
+        Both points are ``(v_idx, h_idx)``.  A flood of the Lee wave's
+        move relation over :meth:`net_masks`: a state is a cell plus a
+        direction, wire slides along a usable run and turns at a corner
+        cell.  Every cell of a run is reachable once one is, so the flood
+        works on runs: it marks the runs through the source, then joins
+        the horizontal and the vertical run through each corner cell
+        that touches a marked run, until the target's run is marked or
+        nothing changes.  The answer equals whether a whole-grid Lee
+        search finds a path, at numpy speed and without a heap.
+        """
+        (sv, sh), (tv, th) = source, target
+        self._check_indices(sv, sh)
+        self._check_indices(tv, th)
+        usable_h, usable_v, corner = self.net_masks(net_id)
+        runs_h, runs_v = _run_labels(usable_h), _run_labels(usable_v)
+        # Label 0 marks unusable cells; it never gets marked reached.
+        reached_h = np.zeros(int(runs_h.max()) + 1, dtype=bool)
+        reached_v = np.zeros(int(runs_v.max()) + 1, dtype=bool)
+        reached_h[runs_h[sh, sv]] = usable_h[sh, sv]
+        reached_v[runs_v[sv, sh]] = usable_v[sv, sh]
+        goal_h, goal_v = runs_h[th, tv], runs_v[tv, th]
+        # Each corner cell joins the h-run and the v-run through it.
+        hs, vs = np.nonzero(corner)
+        join_h, join_v = runs_h[hs, vs], runs_v[vs, hs]
+        while not (reached_h[goal_h] or reached_v[goal_v]):
+            hit = reached_h[join_h] | reached_v[join_v]
+            grow_h, grow_v = join_h[hit], join_v[hit]
+            if reached_h[grow_h].all() and reached_v[grow_v].all():
+                return False
+            reached_h[grow_h] = True
+            reached_v[grow_v] = True
+        return True
+
     def free_span_h(
         self, h_idx: int, v_idx: int, net_id: int, within: Interval | None = None
     ) -> Interval | None:
@@ -960,6 +1026,40 @@ def _usable(slots: np.ndarray, net_id: int) -> np.ndarray:
     """Cells of an owner-array read that are free or ``net_id``'s own."""
     ok: np.ndarray = (slots == FREE) | (slots == net_id)
     return ok
+
+
+def _window_all(mask: np.ndarray, fp: tuple[int, int], axis: int) -> np.ndarray:
+    """Does every footprint row around each index along ``axis`` hold?
+
+    Entry ``i`` ANDs ``mask`` over the rows :meth:`RoutingGrid._expand_rows`
+    gives for base ``i`` (clamped at the grid edge), counted as blocked
+    rows in a cumulative sum.
+    """
+    span, guard = fp
+    n = mask.shape[axis]
+    shape = list(mask.shape)
+    shape[axis] = 1
+    blocked = np.concatenate(
+        (np.zeros(shape, dtype=np.int32), np.cumsum(~mask, axis=axis, dtype=np.int32)),
+        axis=axis,
+    )
+    base = np.arange(n)
+    lo = np.maximum(base - guard, 0)
+    hi = np.minimum(base + span + guard, n)
+    window: np.ndarray = np.take(blocked, hi, axis=axis) == np.take(blocked, lo, axis=axis)
+    return window
+
+
+def _run_labels(mask: np.ndarray) -> np.ndarray:
+    """Number each maximal run of set cells along the rows of ``mask``.
+
+    Runs get ids ``1, 2, ...`` in row-major order; unset cells get 0.
+    """
+    starts = mask.copy()
+    starts[:, 1:] &= ~mask[:, :-1]
+    labels: np.ndarray = np.cumsum(starts, dtype=np.int32).reshape(mask.shape)
+    labels[~mask] = 0
+    return labels
 
 
 def _pack(mask: np.ndarray) -> int:

@@ -23,6 +23,7 @@ SPAN_LEVELB_NET = "levelb.net"
 SPAN_LEVELB_REFINE = "levelb.refine"
 SPAN_MBFS_SEARCH = "mbfs.search"
 SPAN_MAZE_RESCUE = "maze.rescue"
+SPAN_REACH_FLOOD = "reach.flood"
 SPAN_FLOW_PROBE = "flow.probe"
 SPAN_CHECK = "check"
 SPAN_CHECK_COMMIT = "check.commit"
@@ -47,6 +48,8 @@ REGION_EXPANSIONS = "region.expansions"
 MAZE_SEARCHES = "maze.searches"
 MAZE_NODES_EXPANDED = "maze.nodes_expanded"
 MAZE_FALLBACKS = "maze.fallbacks"
+REACH_FLOODS = "reach.floods"
+REACH_PRUNED = "reach.pruned"
 RIPUPS = "ripups.performed"
 OCC_CELLS_TOUCHED = "occupancy.cells_touched"
 TXN_COMMITS = "txn.commits"

@@ -47,6 +47,7 @@ from repro.core.engine import (
     path_length,
 )
 from repro.core.router import LevelBRouter
+from repro.core.search import search_window
 from repro.core.tig import GridTerminal
 
 HORIZONTAL = 0
@@ -84,16 +85,7 @@ def lee_search(
     # (clipped) region, so the row reads need no per-cell checks.
     source.position(grid)
     target.position(grid)
-    if region is None:
-        v_iv = Interval(0, grid.num_vtracks - 1)
-        h_iv = Interval(0, grid.num_htracks - 1)
-    else:
-        v_iv = grid.vtracks.clip_indices(
-            region[0].hull(Interval.spanning(source.v_idx, target.v_idx))
-        )
-        h_iv = grid.htracks.clip_indices(
-            region[1].hull(Interval.spanning(source.h_idx, target.h_idx))
-        )
+    v_iv, h_iv = search_window(grid, source, target, region)
     xs, ys = grid.vtracks.coords, grid.htracks.coords
     v_lo, v_hi, h_lo, h_hi = v_iv.lo, v_iv.hi, h_iv.lo, h_iv.hi
 
@@ -223,14 +215,12 @@ class LeeEngine(ConnectionEngine):
         net_id: int,
         source: GridTerminal,
         target: GridTerminal,
-        regions: Iterable[Region] | None = None,
+        regions: Iterable[Region],
     ) -> RoutedConnection | None:
         if source == target:
             return None
         grid = ctx.grid
         evaluator = ctx.evaluator(net_id)
-        if regions is None:
-            regions = ctx.regions(source, target)
         for attempt, region in enumerate(regions):
             if attempt:
                 instrument.count(REGION_EXPANSIONS)

@@ -63,6 +63,37 @@ class TestFlowCommand:
         with pytest.raises(SystemExit):
             main(["flow", "--flow", "overcell"])
 
+    def test_outputs_into_missing_directories(self, design_file, tmp_path):
+        """Output paths under directories that do not exist yet are
+        created, instead of failing after the route finished."""
+        svg = tmp_path / "plots" / "out.svg"
+        summary = tmp_path / "new" / "nested" / "out.json"
+        rc = main([
+            "flow", "--design", str(design_file), "--flow", "overcell",
+            "--svg", str(svg), "--json", str(summary),
+        ])
+        assert rc == 0
+        assert svg.read_text().startswith("<svg")
+        assert json.loads(summary.read_text())["completion"] == 1.0
+        profile = tmp_path / "prof" / "p.json"
+        csv = tmp_path / "csv" / "prof"
+        rc = main([
+            "profile", "--design", str(design_file), "--flow", "overcell",
+            "--out", str(profile), "--csv", str(csv),
+        ])
+        assert rc == 0
+        assert json.loads(profile.read_text())["format"] == "repro-profile"
+        assert (tmp_path / "csv" / "prof.counters.csv").exists()
+        html = tmp_path / "html" / "r.html"
+        rc = main([
+            "report", "--design", str(design_file), "--html", str(html),
+        ])
+        assert rc == 0
+        assert html.read_text()
+        out = tmp_path / "designs" / "d.json"
+        assert main(["suite", "--name", "ami33", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["format"] == "repro-design"
+
 
 class TestRouteCommand:
     @pytest.fixture()

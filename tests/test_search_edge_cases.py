@@ -1,11 +1,15 @@
 """Edge-case tests for MBFS internals and router fallbacks."""
 
+import pytest
 
+from repro import instrument
 from repro.geometry import Interval, Point, Rect
 from repro.grid import RoutingGrid, TrackSet
 from repro.core import LevelBConfig, LevelBRouter
+from repro.core.router import Escalation
 from repro.core.search import MBFSearch
-from repro.core.tig import TrackIntersectionGraph
+from repro.core.tig import GridTerminal, TrackIntersectionGraph
+from repro.maze import MazeRouter
 from repro.netlist import Design, Edge
 
 
@@ -112,3 +116,81 @@ class TestMazeRescue:
         )
         result = router.route()
         assert result.completion_rate == 0.0
+
+    # A closed ring of obstacles around the second pin (208, 136): wire
+    # can leave the pin's cell but never the ring.
+    RING = (
+        Rect(196, 126, 228, 130),
+        Rect(196, 138, 228, 142),
+        Rect(196, 126, 204, 142),
+        Rect(220, 126, 228, 142),
+    )
+
+    @pytest.mark.parametrize(
+        "router_cls, fallback",
+        [(LevelBRouter, True), (LevelBRouter, False), (MazeRouter, True)],
+    )
+    def test_walled_terminal_is_given_up_after_one_search(
+        self, router_cls, fallback
+    ):
+        """The flood proves the target unreachable after the first window:
+        no wider window, no rescue."""
+        d = self.make_design()
+        config = LevelBConfig(maze_fallback=fallback, max_ripups=0)
+        router = router_cls(
+            Rect(-16, -16, 260, 200),
+            list(d.nets.values()),
+            obstacles=self.RING,
+            config=config,
+        )
+        with instrument.collecting() as col:
+            result = router.route()
+        counters = col.counters
+        assert result.completion_rate == 0.0
+        # One window searched, by whichever engine is primary.
+        assert counters.get("mbfs.searches", 0) + counters["maze.searches"] == 1
+        assert counters["maze.fallbacks"] == 0
+        assert counters["region.expansions"] == 0
+        assert counters["reach.floods"] == 1
+        assert counters["reach.pruned"] == 1
+
+
+class TestEscalation:
+    """The per-connection window schedule: repeated windows skipped,
+    one flood after the first failure."""
+
+    def make_grid(self, wall: bool) -> tuple[RoutingGrid, GridTerminal, GridTerminal]:
+        grid = RoutingGrid(TrackSet(range(0, 80, 10)), TrackSet(range(0, 80, 10)))
+        source, target = GridTerminal(1, 1), GridTerminal(6, 6)
+        for term in (source, target):
+            grid.reserve_terminal(term.v_idx, term.h_idx, 1)
+        if wall:
+            grid.add_obstacle(Rect(40, 0, 40, 70))  # v-track 4, every h
+        return grid, source, target
+
+    def test_repeated_window_is_skipped(self):
+        grid, source, target = self.make_grid(wall=False)
+        first = (Interval(1, 3), Interval(1, 3))
+        same = (Interval(2, 4), Interval(2, 4))  # the same hull with the terminals
+        whole = (Interval(-5, 20), Interval(-5, 20))  # clips to the whole grid
+        windows = Escalation(grid, 1, source, target, [first, same, None, whole])
+        assert list(windows) == [first, None]
+        assert not windows.unreachable
+
+    def test_unreachable_target_stops_after_the_first_window(self):
+        grid, source, target = self.make_grid(wall=True)
+        first = (Interval(1, 3), Interval(1, 3))
+        windows = Escalation(grid, 1, source, target, [first, None])
+        with instrument.collecting() as col:
+            assert list(windows) == [first]
+        assert windows.unreachable
+        assert col.counters["reach.floods"] == 1
+        assert col.counters["reach.pruned"] == 1
+
+    def test_no_flood_before_the_first_window_fails(self):
+        grid, source, target = self.make_grid(wall=True)
+        windows = Escalation(grid, 1, source, target, [None, None])
+        with instrument.collecting() as col:
+            assert next(iter(windows)) is None
+        assert "reach.floods" not in col.counters
+        assert not windows.unreachable

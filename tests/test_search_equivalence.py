@@ -1,4 +1,4 @@
-"""Differential equivalence: bit-parallel MBFS and row-cached Lee vs per-cell.
+"""Differential equivalence: bit-parallel MBFS, row-cached Lee and the flood vs per-cell.
 
 The level B engines read availability as packed track rows
 (:meth:`RoutingGrid.track_bits`) and expand whole rows with bit
@@ -6,10 +6,14 @@ operations.  This module keeps a test-local copy of the per-crossing
 MBFS expansion and the per-probe Lee wave as the oracle, both reading
 the grid one cell at a time through ``h_slot``/``v_slot``, and checks
 on random grids - obstacles, foreign wiring, wide-net footprints,
-random regions, entry caps and node budgets small enough to abort -
-that the fast engines produce exactly the oracle's searches: the same minimum corner count, abort flag, node count,
-ordered leaves and Path Selection Tree, and the same Lee paths and
-expansion counts.
+foreign pin keep-outs, random regions, entry caps and node budgets
+small enough to abort - that the fast engines produce exactly the
+oracle's searches: the same minimum corner count, abort flag, node
+count, ordered leaves and Path Selection Tree, and the same Lee paths
+and expansion counts.  The whole-grid masks
+(:meth:`RoutingGrid.net_masks`) must match the per-cell reads, and the
+reachability flood (:meth:`RoutingGrid.reachable`) must agree with
+whether the oracle's whole-grid Lee wave finds a path.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import random
 from functools import partial
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.search import HORIZONTAL, VERTICAL, MBFSearch, PSTNode
@@ -45,19 +49,28 @@ def _ok(owner: int) -> bool:
     return owner in (FREE, NET)
 
 
+def _kept_out(grid: RoutingGrid, v: int, h: int) -> bool:
+    """Is (v, h) another net's pin keep-out (as ``add_keepout`` recorded it)?"""
+    return grid._keepouts_v.get(v, {}).get(h, NET) != NET
+
+
 def ref_h_ok(grid: RoutingGrid, v: int, h: int) -> bool:
     """May the net run horizontal wire through (v, h)?"""
-    return all(_ok(grid.h_slot(v, r)) for r in _expand(grid, h, grid.num_htracks))
+    return not _kept_out(grid, v, h) and all(
+        _ok(grid.h_slot(v, r)) for r in _expand(grid, h, grid.num_htracks)
+    )
 
 
 def ref_v_ok(grid: RoutingGrid, v: int, h: int) -> bool:
     """May the net run vertical wire through (v, h)?"""
-    return all(_ok(grid.v_slot(r, h)) for r in _expand(grid, v, grid.num_vtracks))
+    return not _kept_out(grid, v, h) and all(
+        _ok(grid.v_slot(r, h)) for r in _expand(grid, v, grid.num_vtracks)
+    )
 
 
 def ref_corner(grid: RoutingGrid, v: int, h: int) -> bool:
     """May the net place a corner via at (v, h)?"""
-    return all(
+    return not _kept_out(grid, v, h) and all(
         _ok(grid.h_slot(vv, hh)) and _ok(grid.v_slot(vv, hh))
         for vv in _expand(grid, v, grid.num_vtracks)
         for hh in _expand(grid, h, grid.num_htracks)
@@ -332,6 +345,11 @@ def instances(draw):
                     ops.append(("wire", 2, True, v, h, h))
                 else:
                     ops.append(("wire", 2, False, h, v, v))
+    # Pinched pins of another net: no wire or corner of NET through them.
+    keepouts = [
+        (draw(st.integers(0, nv - 1)), draw(st.integers(0, nh - 1)))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
     region = None
     if draw(st.booleans()):
         v_lo = draw(st.integers(-2, nv))
@@ -360,7 +378,32 @@ def instances(draw):
             else:
                 _, net, v, h = op
                 grid.occupy_corner(v, h, net)
+    for v, h in keepouts:
+        grid.add_keepout(v, h, 2)
     return grid, source, target, region
+
+
+def split_instance(wall: bool):
+    """A fixed grid whose target is reachable, or walled off by a
+    both-layer obstacle on v-track 3 (pins one verdict each)."""
+    grid = RoutingGrid(TrackSet(range(0, 60, 10)), TrackSet(range(0, 60, 10)))
+    source, target = GridTerminal(1, 1), GridTerminal(4, 4)
+    for term in (source, target):
+        grid.reserve_terminal(term.v_idx, term.h_idx, NET)
+    if wall:
+        grid.add_obstacle(Rect(30, 0, 30, 50))
+    return grid, source, target, None
+
+
+def edge_instance():
+    """A wide footprint whose windows clamp at every grid edge, next to
+    foreign wiring on the edge tracks and a keep-out in a corner."""
+    grid = RoutingGrid(TrackSet(range(0, 50, 10)), TrackSet(range(0, 40, 10)))
+    grid.set_net_footprint(NET, 2, 1)
+    grid.occupy_h(3, 1, 2, 2)
+    grid.occupy_v(0, 2, 3, 2)
+    grid.add_keepout(4, 0, 2)
+    return grid, GridTerminal(2, 1), GridTerminal(4, 3), None
 
 
 def _tree(node: PSTNode):
@@ -413,6 +456,34 @@ class TestLeeEquivalence:
             grid, NET, source, target, via_penalty=via_penalty, region=region
         )
         assert (waypoints, corners, stats.nodes_expanded) == want
+
+
+class TestReachability:
+    @FAST
+    @given(instances())
+    @example(edge_instance())
+    def test_net_masks_match_per_cell_reads(self, inst):
+        grid = inst[0]
+        nv, nh = grid.num_vtracks, grid.num_htracks
+        usable_h, usable_v, corner = grid.net_masks(NET)
+        assert usable_h.shape == corner.shape == (nh, nv)
+        assert usable_v.shape == (nv, nh)
+        for v in range(nv):
+            for h in range(nh):
+                assert usable_h[h, v] == ref_h_ok(grid, v, h)
+                assert usable_v[v, h] == ref_v_ok(grid, v, h)
+                assert corner[h, v] == ref_corner(grid, v, h)
+
+    @FAST
+    @given(instances())
+    @example(split_instance(wall=False))
+    @example(split_instance(wall=True))
+    def test_flood_agrees_with_whole_grid_lee(self, inst):
+        grid, source, target, _ = inst
+        found = reference_lee(grid, source, target, 10.0, None)[0] is not None
+        assert grid.reachable(
+            NET, (source.v_idx, source.h_idx), (target.v_idx, target.h_idx)
+        ) == found
 
 
 class TestTrackBits:
@@ -474,6 +545,8 @@ class TestTrackBits:
             lambda: grid.track_bits(False, 0, 0, 5, NET),
             lambda: grid.free_span_h(-1, 2, NET),
             lambda: grid.corner_candidates_on_v(0, 0, 9, NET),
+            lambda: grid.reachable(NET, (-1, 0), (1, 1)),
+            lambda: grid.reachable(NET, (1, 1), (1, 4)),
         ):
             with pytest.raises(IndexError):
                 call()
