@@ -7,7 +7,9 @@ two-terminal connections.
 
 Measured here on grid-size sweeps:
 
-* storage: the occupancy arrays are exactly ``2*h*v`` int32 slots;
+* storage: the owner arrays are exactly ``2*h*v`` slots, one per
+  direction per intersection, of the narrowest integer type that
+  holds the run's net ids;
 * update: committing a straight connection touches O(t) cells -
   timed across t to show near-linear growth;
 * search: unbounded-region single connections across grid sizes -

@@ -24,8 +24,8 @@ docs/TECHNOLOGY.md:
   verification, including the width-dependent spacing DRC.
 
 Exports ``benchmarks/artifacts/BENCH_technology.json`` with via count
-and wirelength per (tier, objective).  With ``--quick`` (the CI
-bench-technology job) the ``full`` tier is skipped.
+and wirelength per (tier, objective).  The CI bench-technology job runs
+both tiers; with ``--quick`` the ``full`` tier is skipped.
 """
 
 from __future__ import annotations

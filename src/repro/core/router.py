@@ -505,12 +505,16 @@ class LevelBRouter:
         # All planes share the track lattice generated at plane 0's
         # (metal3/metal4) pitch; upper planes' coarser physical pitch
         # enters the area/delay models, not the grid (docs/LAYERS.md).
+        # Net ids run 1..len(self.nets) and no intersection holds more
+        # unrouted terminals than one net has: these size the arrays.
         self.tig = TrackIntersectionGraph.over_area(
             bounds,
             v_pitch=self.stack.plane(0).v_pitch,
             h_pitch=self.stack.plane(0).h_pitch,
             terminal_points=terminal_points,
             num_planes=planes,
+            num_nets=len(self.nets),
+            max_degree=max((n.degree for n in self.nets), default=0),
         )
         self.obstacles: list[Obstacle] = []
         for obs in obstacles:

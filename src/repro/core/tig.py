@@ -58,9 +58,13 @@ class TrackIntersectionGraph:
         vtracks: TrackSet,
         htracks: TrackSet,
         num_planes: int = 1,
+        num_nets: int | None = None,
+        max_degree: int | None = None,
     ) -> None:
-        #: One occupancy grid per over-cell plane, shared track sets.
-        self.planes = PlaneSet(vtracks, htracks, num_planes)
+        #: One occupancy grid per over-cell plane, shared track sets,
+        #: arrays sized to net ids ``1..num_nets`` and to ``max_degree``
+        #: terminals at one intersection.
+        self.planes = PlaneSet(vtracks, htracks, num_planes, num_nets, max_degree)
         #: Plane 0's grid — the paper's metal3/metal4 array.  Kept as a
         #: direct attribute because the single-plane stack (the default)
         #: reads and mutates it everywhere.
@@ -82,6 +86,8 @@ class TrackIntersectionGraph:
         h_pitch: int,
         terminal_points: Iterable[Point] = (),
         num_planes: int = 1,
+        num_nets: int | None = None,
+        max_degree: int | None = None,
     ) -> "TrackIntersectionGraph":
         """Build the grid over ``bounds``.
 
@@ -90,7 +96,9 @@ class TrackIntersectionGraph:
         terminal (the paper assigns "a pair of horizontal and vertical
         tracks to each net terminal").  With ``num_planes > 1`` every
         over-cell plane shares this lattice (see
-        :class:`repro.grid.PlaneSet` for why).
+        :class:`repro.grid.PlaneSet` for why).  ``num_nets`` (the
+        largest net id) and ``max_degree`` (the most terminals of one
+        net) size the grids' arrays; ``None`` keeps the widest default.
         """
         pts = list(terminal_points)
         vtracks = TrackSet.uniform(
@@ -99,7 +107,9 @@ class TrackIntersectionGraph:
         htracks = TrackSet.uniform(
             bounds.y1, bounds.y2, h_pitch, extra=(p.y for p in pts)
         )
-        return TrackIntersectionGraph(vtracks, htracks, num_planes)
+        return TrackIntersectionGraph(
+            vtracks, htracks, num_planes, num_nets, max_degree
+        )
 
     def terminal_at(self, point: Point) -> GridTerminal:
         """The TIG edge for a terminal at geometric ``point``.

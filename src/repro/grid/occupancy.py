@@ -25,7 +25,9 @@ occupies both slots, as does a terminal's via stack.  Obstacles may
 block one direction (e.g. pre-existing m4 power straps inside a macro)
 or both (sensitive circuitry excluded by the user).
 
-Slot encoding: ``0`` free, ``-1`` obstacle, ``>= 1`` net id.
+Slot encoding: ``0`` free, ``-1`` obstacle, ``>= 1`` net id, stored in
+the narrowest signed integer type that holds the grid's largest net id
+(:func:`narrowest_int`).
 
 Transactions
 ------------
@@ -135,17 +137,36 @@ class RoutingGrid:
     :meth:`mark_terminal_routed` (or :meth:`commit_path`, which batches
     them), which is what lets the per-net ledger and the transaction
     journal stay exact.
+
+    ``num_nets`` (the largest net id) and ``max_degree`` (the most
+    terminals of one net) size the arrays: the owners and the
+    unrouted-terminal map each take the narrowest signed type that holds
+    their values (:func:`narrowest_int`), int32 and int16 without them.
+    A net id or a terminal count the type cannot hold is rejected.
     """
 
-    def __init__(self, vtracks: TrackSet, htracks: TrackSet) -> None:
+    def __init__(
+        self,
+        vtracks: TrackSet,
+        htracks: TrackSet,
+        num_nets: int | None = None,
+        max_degree: int | None = None,
+    ) -> None:
         self.vtracks = vtracks
         self.htracks = htracks
         nv, nh = len(vtracks), len(htracks)
-        self._h_owner = np.zeros((nh, nv), dtype=np.int32)
-        self._v_owner = np.zeros((nv, nh), dtype=np.int32)
+        owner = np.dtype(np.int32) if num_nets is None else narrowest_int(num_nets)
+        #: Largest net id the owner arrays can hold.
+        self.max_net_id = int(np.iinfo(owner).max)
+        self._h_owner = np.zeros((nh, nv), dtype=owner)
+        self._v_owner = np.zeros((nv, nh), dtype=owner)
         # Unrouted-terminal density map, read by the cost function's
-        # ``dup`` term. Indexed [h][v] like _h_owner.
-        self._unrouted_terms = np.zeros((nh, nv), dtype=np.int16)
+        # ``dup`` term. Indexed [h][v] like _h_owner.  Only one net's
+        # terminals share an intersection, so no count exceeds the
+        # largest net degree.
+        terms = np.dtype(np.int16) if max_degree is None else narrowest_int(max_degree)
+        self._max_terms = int(np.iinfo(terms).max)
+        self._unrouted_terms = np.zeros((nh, nv), dtype=terms)
         # Per-net mutation ledger: every span/cell a net claimed, in
         # commit order.  Rip-up replays it instead of scanning arrays.
         self._net_ledger: dict[int, list[tuple]] = {}
@@ -202,6 +223,17 @@ class RoutingGrid:
                 f"h-track index {h_idx} out of range [0, {self.num_htracks - 1}]"
             )
 
+    def _check_net_id(self, net_id: int) -> None:
+        """Reject a net id the owner arrays cannot store.
+
+        Ids start at 1 (0 is ``FREE``, -1 ``OBSTACLE``) and end at
+        :attr:`max_net_id`, the owner dtype's largest value.
+        """
+        if not 1 <= net_id <= self.max_net_id:
+            raise ValueError(
+                f"net ids must be in [1, {self.max_net_id}], got {net_id}"
+            )
+
     def coord_of(self, v_idx: int, h_idx: int) -> tuple[int, int]:
         """Geometric ``(x, y)`` of intersection ``(v_idx, h_idx)``."""
         self._check_indices(v_idx, h_idx)
@@ -228,8 +260,7 @@ class RoutingGrid:
         """
         if span < 1 or guard < 0:
             raise ValueError("footprint needs span >= 1 and guard >= 0")
-        if net_id < 1:
-            raise ValueError("net ids must be >= 1")
+        self._check_net_id(net_id)
         if span == 1 and guard == 0:
             self._footprints.pop(net_id, None)
         else:
@@ -463,8 +494,7 @@ class RoutingGrid:
         only at terminal locations (paper section 2), so the stack
         blocks both directions for every other net from the outset.
         """
-        if net_id < 1:
-            raise ValueError("net ids must be >= 1")
+        self._check_net_id(net_id)
         self._check_indices(v_idx, h_idx)
         prior_h = int(self._h_owner[h_idx, v_idx])
         prior_v = int(self._v_owner[v_idx, h_idx])
@@ -473,6 +503,10 @@ class RoutingGrid:
                 raise ValueError(
                     f"terminal at ({v_idx},{h_idx}) collides with owner {current}"
                 )
+        if self._unrouted_terms[h_idx, v_idx] == self._max_terms:
+            raise ValueError(
+                f"more than {self._max_terms} terminals at ({v_idx},{h_idx})"
+            )
         fp = self._footprints.get(net_id)
         extra: list[tuple[int, int]] = []
         if fp is not None:
@@ -530,24 +564,12 @@ class RoutingGrid:
         keepouts = self._keepouts_v
         if keepouts and keepouts.get(v_idx, {}).get(h_idx, net_id) != net_id:
             return False
-        fp = self._footprints.get(net_id)
-        if fp is not None:
-            return self._block_free(v_idx, h_idx, net_id, fp)
+        if net_id in self._footprints:
+            # A wide net's corner block: one position of track_bits.
+            return bool(self.track_bits(True, v_idx, h_idx, h_idx, net_id)[1])
         h = self._h_owner[h_idx, v_idx]
         v = self._v_owner[v_idx, h_idx]
         return h in (FREE, net_id) and v in (FREE, net_id)
-
-    def _block_free(
-        self, v_idx: int, h_idx: int, net_id: int, fp: tuple[int, int]
-    ) -> bool:
-        """Is a wide net's whole corner block at (v_idx, h_idx) usable?"""
-        for v in self._expand_rows(v_idx, fp, self.num_vtracks):
-            for h in self._expand_rows(h_idx, fp, self.num_htracks):
-                if self._h_owner[h, v] not in (FREE, net_id) or (
-                    self._v_owner[v, h] not in (FREE, net_id)
-                ):
-                    return False
-        return True
 
     def h_slot(self, v_idx: int, h_idx: int) -> int:
         self._check_indices(v_idx, h_idx)
@@ -574,9 +596,10 @@ class RoutingGrid:
         The availability primitive behind the span and corner queries
         and both connection engines: each array is read once by slicing
         ``[lo, hi]``, compared once and packed into a Python int whose
-        bit operations replace per-cell scans.  A wide net's corner bits
-        are the exception: they come from :meth:`corner_free`'s
-        per-cell block check.
+        bit operations replace per-cell scans.  A wide net reads its
+        footprint rows of both arrays along the whole track instead, so
+        that its corner blocks, which reach past ``[lo, hi]``, come from
+        the clamped-window AND :meth:`net_masks` uses.
         Indices are validated here, once per row.
         """
         if vertical:
@@ -599,17 +622,15 @@ class RoutingGrid:
             corner = usable & _usable(across[lo : hi + 1, track], net_id)
         else:
             # A wide net runs wire where every row of its footprint is
-            # free (or its own); a corner needs the whole expanded block
-            # around the position, checked cell by cell as corner_free
-            # does.
+            # free (or its own).  A corner needs both slots free over the
+            # expanded block around the position: the footprint rows of
+            # both arrays ANDed, then windowed along the track.
             rows = self._expand_rows(track, fp, n_tracks)
-            block = _usable(along[rows.start : rows.stop, lo : hi + 1], net_id)
-            usable = np.logical_and.reduce(block, axis=0)
-            if vertical:
-                cells = [self._block_free(track, p, net_id, fp) for p in range(lo, hi + 1)]
-            else:
-                cells = [self._block_free(p, track, net_id, fp) for p in range(lo, hi + 1)]
-            corner = np.array(cells, dtype=bool)
+            run = _usable(along[rows.start : rows.stop], net_id)
+            usable = np.logical_and.reduce(run[:, lo : hi + 1], axis=0)
+            run &= _usable(across[:, rows.start : rows.stop], net_id).T
+            both = np.logical_and.reduce(run, axis=0)
+            corner = _window_all(both, fp, axis=0)[lo : hi + 1]
         usable_bits, corner_bits = _pack(usable), _pack(corner)
         if keepouts and track in keepouts:
             mask = 0
@@ -1020,6 +1041,18 @@ class RoutingGrid:
             f"RoutingGrid({self.num_vtracks}x{self.num_htracks} tracks, "
             f"{self.utilization():.1%} used)"
         )
+
+
+def narrowest_int(largest: int) -> np.dtype:
+    """The narrowest signed integer dtype whose range reaches ``largest``.
+
+    int8 up to 127, int16 up to 32,767, int32 up to 2**31 - 1.  Signed,
+    because owner slots also hold ``OBSTACLE``.
+    """
+    for dtype in (np.int8, np.int16, np.int32):
+        if largest <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    raise ValueError(f"{largest} does not fit an int32 grid array")
 
 
 def _usable(slots: np.ndarray, net_id: int) -> np.ndarray:

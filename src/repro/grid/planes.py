@@ -71,7 +71,8 @@ class PlaneSet:
     Plane 0 is the paper's metal3/metal4 grid; :attr:`grids` is ordered
     lowest plane first.  ``PlaneSet`` with ``num_planes=1`` behaves
     exactly like the single grid it wraps — the single-plane flow never
-    pays for the generalization.
+    pays for the generalization.  ``num_nets`` and ``max_degree`` size
+    every plane's arrays (:class:`~repro.grid.occupancy.RoutingGrid`).
     """
 
     def __init__(
@@ -79,13 +80,16 @@ class PlaneSet:
         vtracks: TrackSet,
         htracks: TrackSet,
         num_planes: int = 1,
+        num_nets: int | None = None,
+        max_degree: int | None = None,
     ) -> None:
         if num_planes < 1:
             raise ValueError(f"need at least one plane, got {num_planes}")
         self.vtracks = vtracks
         self.htracks = htracks
         self.grids: tuple[RoutingGrid, ...] = tuple(
-            RoutingGrid(vtracks, htracks) for _ in range(num_planes)
+            RoutingGrid(vtracks, htracks, num_nets, max_degree)
+            for _ in range(num_planes)
         )
 
     def memory_bytes(self) -> int:

@@ -1,5 +1,6 @@
 """Tests for the LevelBRouter orchestrator."""
 
+import numpy as np
 import pytest
 
 from repro.geometry import Rect
@@ -18,6 +19,18 @@ def route_toy(**cfg_kwargs):
     config = LevelBConfig(**cfg_kwargs) if cfg_kwargs else None
     router = LevelBRouter(bounds, list(design.nets.values()), config=config)
     return router.route()
+
+
+class TestOwnerWidth:
+    @pytest.mark.parametrize("planes", [1, 2])
+    def test_owners_sized_to_the_net_count(self, planes):
+        design = make_toy_design()
+        nets = list(design.nets.values())
+        router = LevelBRouter(Rect(0, 0, 256, 256), nets, planes=planes)
+        assert len(router.nets) <= 127
+        assert [g.max_net_id for g in router.tig.planes] == [127] * planes
+        for grid in router.tig.planes:
+            assert grid.snapshot().unrouted_terms.dtype == np.int8
 
 
 class TestBasicRouting:

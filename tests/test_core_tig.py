@@ -24,6 +24,18 @@ class TestConstruction:
         assert tig.grid.vtracks.span.hi == 100
         assert tig.grid.htracks.span.hi == 50
 
+    def test_over_area_sizes_arrays_to_the_nets(self):
+        tig = TrackIntersectionGraph.over_area(
+            Rect(0, 0, 100, 50), v_pitch=12, h_pitch=10, num_planes=2,
+            num_nets=128, max_degree=200,
+        )
+        assert [g.max_net_id for g in tig.planes] == [32_767, 32_767]
+        # int16 owners and terminal counts: 2 + 2 + 2 bytes a point, a plane.
+        assert tig.planes.memory_bytes() == 2 * 6 * tig.grid.num_intersections
+        default = TrackIntersectionGraph.over_area(Rect(0, 0, 100, 50), 12, 10)
+        assert default.grid.max_net_id == 2**31 - 1
+        assert default.grid.memory_bytes() == 10 * default.grid.num_intersections
+
     def test_terminal_at_requires_exact_tracks(self):
         tig = TrackIntersectionGraph(TrackSet([0, 10]), TrackSet([0, 10]))
         assert tig.terminal_at(Point(10, 0)) == GridTerminal(1, 0)

@@ -1,10 +1,12 @@
 """Tests for repro.grid.occupancy (the O(h*v) occupancy array)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Interval, Rect
 from repro.grid import FREE, OBSTACLE, PlaneSet, RoutingGrid, TrackSet
+from repro.grid.occupancy import narrowest_int
 
 
 def make_grid(nv=10, nh=8) -> RoutingGrid:
@@ -223,6 +225,13 @@ class TestStatistics:
         assert g.memory_bytes() == 10 * 80
         planes = PlaneSet(g.vtracks, g.htracks, num_planes=3)
         assert planes.memory_bytes() == 3 * g.memory_bytes()
+        # Sized to 100 nets, the owners narrow to int8: 1 + 1 + 2 bytes;
+        # with at most 6 pins a net, the terminal map too: 1 + 1 + 1.
+        assert RoutingGrid(g.vtracks, g.htracks, 100).memory_bytes() == 4 * 80
+        narrow = RoutingGrid(g.vtracks, g.htracks, num_nets=100, max_degree=6)
+        assert narrow.memory_bytes() == 3 * 80
+        planes = PlaneSet(g.vtracks, g.htracks, 3, num_nets=100, max_degree=6)
+        assert planes.memory_bytes() == 3 * narrow.memory_bytes()
 
     def test_owners_near(self):
         g = make_grid()
@@ -230,6 +239,78 @@ class TestStatistics:
         g.occupy_v(8, 0, 1, net_id=6)
         assert g.owners_near(2, 2, radius=1) == [4]
         assert 6 in g.owners_near(8, 1, radius=1)
+
+
+class TestOwnerWidth:
+    """Owner arrays take the narrowest signed type that holds every net id."""
+
+    @pytest.mark.parametrize(
+        ("num_nets", "dtype"),
+        [
+            (None, np.int32),
+            (1, np.int8),
+            (127, np.int8),
+            (128, np.int16),
+            (32_767, np.int16),
+            (32_768, np.int32),
+        ],
+    )
+    def test_capacity_boundaries(self, num_nets, dtype):
+        if num_nets is not None:
+            assert narrowest_int(num_nets) == dtype
+        g = RoutingGrid(TrackSet([0, 10]), TrackSet([0, 10]), num_nets)
+        snap = g.snapshot()
+        assert snap.h_owner.dtype == snap.v_owner.dtype == dtype
+        assert g.max_net_id == np.iinfo(dtype).max
+        if num_nets is not None:
+            # The run's largest id is stored exactly, never wrapped.
+            g.set_net_footprint(num_nets, 2, 0)
+            g.reserve_terminal(0, 0, num_nets)
+            assert g.h_slot(0, 0) == g.v_slot(1, 1) == num_nets
+
+    def test_more_nets_than_int32_rejected(self):
+        with pytest.raises(ValueError):
+            narrowest_int(2**31)
+        with pytest.raises(ValueError):
+            RoutingGrid(TrackSet([0, 10]), TrackSet([0, 10]), num_nets=2**31)
+
+    @pytest.mark.parametrize(
+        ("max_degree", "dtype"),
+        [(None, np.int16), (6, np.int8), (127, np.int8), (128, np.int16)],
+    )
+    def test_terminal_counts_sized_to_the_degree(self, max_degree, dtype):
+        g = RoutingGrid(TrackSet([0, 10]), TrackSet([0, 10]), 1, max_degree)
+        assert g.snapshot().unrouted_terms.dtype == dtype
+        # One net's coincident pins stack up to its degree at one point.
+        for _ in range(max_degree or 3):
+            g.reserve_terminal(1, 0, 1)
+        assert g.unrouted_terminals_near(1, 0, radius=0) == (max_degree or 3)
+
+    def test_terminal_count_above_capacity_rejected(self):
+        g = RoutingGrid(TrackSet([0, 10]), TrackSet([0, 10]), 1, max_degree=6)
+        for _ in range(127):  # int8: the count may reach 127, not wrap
+            g.reserve_terminal(1, 0, 1)
+        before = g.snapshot()
+        with pytest.raises(ValueError):
+            g.reserve_terminal(1, 0, 1)
+        assert g.matches(before)
+        assert g.unrouted_terminals_near(1, 0, radius=0) == 127
+
+    @pytest.mark.parametrize("num_nets", [127, 32_767, None])
+    def test_id_above_capacity_rejected(self, num_nets):
+        g = RoutingGrid(TrackSet([0, 10]), TrackSet([0, 10]), num_nets)
+        before = g.snapshot()
+        too_big = g.max_net_id + 1
+        with pytest.raises(ValueError):
+            g.reserve_terminal(0, 0, too_big)
+        with pytest.raises(ValueError):
+            g.set_net_footprint(too_big, 2, 0)
+        assert g.matches(before)
+        assert g.footprint_of(too_big) == (1, 0)
+
+    def test_planes_share_the_width(self):
+        planes = PlaneSet(TrackSet([0, 10]), TrackSet([0, 10]), 2, num_nets=200)
+        assert [g.max_net_id for g in planes] == [32_767, 32_767]
 
 
 class TestClearNetRoundTrip:

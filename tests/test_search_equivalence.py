@@ -13,7 +13,8 @@ count, ordered leaves and Path Selection Tree, and the same Lee paths
 and expansion counts.  The whole-grid masks
 (:meth:`RoutingGrid.net_masks`) must match the per-cell reads, and the
 reachability flood (:meth:`RoutingGrid.reachable`) must agree with
-whether the oracle's whole-grid Lee wave finds a path.
+whether the oracle's whole-grid Lee wave finds a path.  A grid replayed
+with int8 owners must read, flood and search exactly as with int32.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import heapq
 import random
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -301,14 +303,10 @@ def reference_lee(grid, source, target, via_penalty, region):
 # Random instances
 # ----------------------------------------------------------------------
 @st.composite
-def instances(draw):
-    """A grid plus terminals and a region."""
+def recipes(draw):
+    """How to build a grid: shape, footprints, terminals, claims, region."""
     nv = draw(st.integers(4, 20))
     nh = draw(st.integers(4, 20))
-    vt = TrackSet(range(0, nv * 10, 10))
-    # Non-uniform h pitch, so Lee's straight-move costs differ by axis.
-    ht = TrackSet([i * 10 + (3 if i % 3 == 1 else 0) for i in range(nh)])
-    grid = RoutingGrid(vt, ht)
     footprint = draw(st.sampled_from([(1, 0), (1, 0), (1, 0), (2, 0), (1, 1), (2, 1)]))
     foreign_fp = draw(st.sampled_from([(1, 0), (2, 0), (1, 1)]))
     source = GridTerminal(draw(st.integers(0, nv - 1)), draw(st.integers(0, nh - 1)))
@@ -358,6 +356,16 @@ def instances(draw):
             Interval(v_lo, v_lo + draw(st.integers(0, nv))),
             Interval(h_lo, h_lo + draw(st.integers(0, nh))),
         )
+    return nv, nh, footprint, foreign_fp, source, target, ops, keepouts, region
+
+
+def build(recipe, num_nets=None):
+    """Replay a recipe onto a new grid whose owners hold ids up to ``num_nets``."""
+    nv, nh, footprint, foreign_fp, source, target, ops, keepouts, region = recipe
+    vt = TrackSet(range(0, nv * 10, 10))
+    # Non-uniform h pitch, so Lee's straight-move costs differ by axis.
+    ht = TrackSet([i * 10 + (3 if i % 3 == 1 else 0) for i in range(nh)])
+    grid = RoutingGrid(vt, ht, num_nets)
     grid.set_net_footprint(NET, *footprint)
     grid.set_net_footprint(3, *foreign_fp)
     for term in (source, target):  # first, so later claims avoid them
@@ -381,6 +389,11 @@ def instances(draw):
     for v, h in keepouts:
         grid.add_keepout(v, h, 2)
     return grid, source, target, region
+
+
+def instances():
+    """A grid plus terminals and a region (int32 owners)."""
+    return recipes().map(build)
 
 
 def split_instance(wall: bool):
@@ -486,6 +499,51 @@ class TestReachability:
         ) == found
 
 
+class TestOwnerWidth:
+    """A grid read the same at int8 owners as at int32 owners."""
+
+    @FAST
+    @given(recipes(), st.data())
+    def test_narrow_owners_read_the_same(self, recipe, data):
+        wide, source, target, region = build(recipe)
+        narrow = build(recipe, num_nets=3)[0]
+        assert narrow.snapshot().h_owner.dtype == np.int8
+        assert wide.snapshot().h_owner.dtype == np.int32
+        for vertical, n_track, n_pos in (
+            (True, wide.num_vtracks, wide.num_htracks),
+            (False, wide.num_htracks, wide.num_vtracks),
+        ):
+            for track in range(n_track):
+                lo = data.draw(st.integers(0, n_pos - 1))
+                hi = data.draw(st.integers(lo, n_pos - 1))
+                for a, b in ((0, n_pos - 1), (lo, hi)):
+                    assert narrow.track_bits(vertical, track, a, b, NET) == (
+                        wide.track_bits(vertical, track, a, b, NET)
+                    )
+        for got, want in zip(narrow.net_masks(NET), wide.net_masks(NET)):
+            assert np.array_equal(got, want)
+        ends = (source.v_idx, source.h_idx), (target.v_idx, target.h_idx)
+        assert narrow.reachable(NET, *ends) == wide.reachable(NET, *ends)
+        searches = [
+            MBFSearch(grid, NET, source, target, region=region).run()
+            for grid in (narrow, wide)
+        ]
+        got, want = searches
+        assert (got.min_corners, got.aborted, got.nodes_created) == (
+            want.min_corners, want.aborted, want.nodes_created
+        )
+        assert [_tree(r) for r in got.roots] == [_tree(r) for r in want.roots]
+        assert [leaf.track_sequence() for leaf in got.leaves] == [
+            leaf.track_sequence() for leaf in want.leaves
+        ]
+        lee = [
+            lee_search(grid, NET, source, target, via_penalty=10.0, region=region)
+            for grid in (narrow, wide)
+        ]
+        assert lee[0][:2] == lee[1][:2]
+        assert lee[0][2].nodes_expanded == lee[1][2].nodes_expanded
+
+
 class TestTrackBits:
     @settings(max_examples=80, deadline=None)
     @given(instances(), st.data())
@@ -528,6 +586,29 @@ class TestTrackBits:
             assert grid.free_span_h(h, v, NET, within=within) == _scan_span(
                 partial(ref_h_ok, grid, h=h), v, lo, hi
             )
+
+    def test_every_window_of_the_edge_instance(self):
+        # Corner blocks of interior windows reach past [lo, hi] and clamp
+        # at the grid edge: the slice of the windowed whole-track AND.
+        grid = edge_instance()[0]
+        nv, nh = grid.num_vtracks, grid.num_htracks
+        for vertical, n_track, n_pos in ((True, nv, nh), (False, nh, nv)):
+            for track in range(n_track):
+                cell = (lambda p: (track, p)) if vertical else (lambda p: (p, track))
+                wire_ok = ref_v_ok if vertical else ref_h_ok
+                for lo in range(n_pos):
+                    for hi in range(lo, n_pos):
+                        usable, corner = grid.track_bits(vertical, track, lo, hi, NET)
+                        window = range(lo, hi + 1)
+                        assert set_bits(usable, lo) == [
+                            p for p in window if wire_ok(grid, *cell(p))
+                        ]
+                        assert set_bits(corner, lo) == [
+                            p for p in window if ref_corner(grid, *cell(p))
+                        ]
+        for v in range(nv):
+            for h in range(nh):
+                assert grid.corner_free(v, h, NET) == ref_corner(grid, v, h)
 
     @given(st.integers(0, 2**70), st.integers(0, 72))
     def test_bit_run_is_the_run_around_pos(self, bits, pos):
