@@ -215,7 +215,8 @@ def sanitize_commit(
     paper invariants of the net's own connections plus the full ledger
     replay and journal-balance audit.  ``in_ambient_txn`` relaxes the
     journal check for callers running inside an outer transaction
-    (probes), where a populated journal is legitimate.
+    (the passes of :mod:`repro.iterate`), where a populated journal is
+    legitimate.
     """
     with instrument.span(SPAN_CHECK_COMMIT):
         violations = []

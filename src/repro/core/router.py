@@ -22,10 +22,11 @@ Ties the pieces together exactly as section 3 describes:
    again, and a connection a whole-grid reachability flood proves
    unroutable is given up after its first window).
 
-Speculative state changes - rip-up-and-reroute, refinement, routability
-probes - run inside :class:`~repro.grid.GridTransaction` journals, so
-undoing a decision costs time proportional to the cells it touched,
-never a full-grid scan.
+Speculative state changes - rip-up-and-reroute, refinement and the
+passes of :mod:`repro.iterate` - run inside
+:class:`~repro.grid.GridTransaction` journals, so undoing a decision
+costs time proportional to the cells it touched, never a full-grid
+scan.
 """
 
 from __future__ import annotations
@@ -679,7 +680,7 @@ class LevelBRouter:
         not a collector is active).
         """
         # Journal-balance audits must tolerate an outer transaction
-        # (probe() wraps this whole method in one).
+        # (repro.iterate wraps each later pass of this method in one).
         ambient_txn = self.tig.planes.in_transaction
         with instrument.span(SPAN_LEVELB_ROUTE) as route_span:
             # Declare the level B catalogue so exported profiles carry
@@ -789,25 +790,6 @@ class LevelBRouter:
             technology=self.technology,
         )
 
-    def probe(self) -> LevelBResult:
-        """What-if routability assessment: route everything, keep nothing.
-
-        Runs :meth:`route` inside one grid transaction and rolls it
-        back, so the returned :class:`LevelBResult` reports completion,
-        wire length and corners while the occupancy grid comes back
-        byte-identical to its pre-probe state (terminals still
-        reserved, no wiring).  Rollback cost is proportional to the
-        cells the probe touched.  The router can :meth:`route` for real
-        afterwards.
-        """
-        txn = self.tig.planes.begin()
-        try:
-            result = self.route()
-        finally:
-            if not txn.closed:
-                txn.rollback()
-        return result
-
     def _refine(
         self, results: dict[Net, RoutedNet], ambient_txn: bool = False
     ) -> None:
@@ -907,7 +889,7 @@ class LevelBRouter:
         """
         net_id = self._net_ids[net]
         grid = self.tig.grid_of(net_id)
-        # repro: allow[txn.commit] ambient transaction: callers hold explicit savepoints (grid.begin() in _refine, planes.begin() in probe) or run under the engine's `with grid.transaction():` scope
+        # repro: allow[txn.commit] ambient transaction: callers hold explicit savepoints (grid.begin() in _refine, planes.begin() in repro.iterate) or run under the engine's `with grid.transaction():` scope
         grid.rip_net(net_id)
         for term in self.tig.terminals_of(net_id):
             grid.reserve_terminal(term.v_idx, term.h_idx, net_id)

@@ -12,20 +12,13 @@ comparisons isolate the routing methodology:
   channel router modelled optimistically as a 50 % channel-area
   reduction (the paper's own assumption), plus a design-rule-aware
   variant as an ablation.
-
-:func:`routability_probe` complements the over-cell flow: it runs the
-same partition + channel pipeline, then routes set B inside one grid
-transaction and rolls it back - a what-if routability assessment that
-commits nothing.
 """
 
 from repro.flow.metrics import FlowResult, percent_reduction
 from repro.flow.params import FlowParams
 from repro.flow.pipeline import (
-    RoutabilityProbe,
     multilayer_channel_flow,
     overcell_flow,
-    routability_probe,
     two_layer_flow,
 )
 
@@ -36,6 +29,4 @@ __all__ = [
     "two_layer_flow",
     "overcell_flow",
     "multilayer_channel_flow",
-    "RoutabilityProbe",
-    "routability_probe",
 ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import NamedTuple
 from collections.abc import Sequence
 
@@ -24,7 +23,6 @@ from repro.instrument.names import (
     SPAN_CHANNEL_ROUTING,
     SPAN_FLOW_ML_CHANNEL,
     SPAN_FLOW_OVERCELL,
-    SPAN_FLOW_PROBE,
     SPAN_FLOW_TWO_LAYER,
     SPAN_GLOBAL_ROUTE,
     SPAN_PLACEMENT,
@@ -155,9 +153,8 @@ class LevelA(NamedTuple):
 def realize_level_a(design: Design, params: FlowParams) -> LevelA:
     """Partition the nets, channel-route set A and realise the layout.
 
-    The one level A set-up behind :func:`overcell_flow`,
-    :func:`routability_probe` and the ordering-policy tuner
-    (:mod:`repro.iterate.tuning`).
+    The one level A set-up behind :func:`overcell_flow` and the
+    ordering-policy tuner (:mod:`repro.iterate.tuning`).
     """
     nets = design.routable_nets()
     if params.partition is PartitionStrategy.LONG_TO_B:
@@ -183,11 +180,7 @@ def realize_level_a(design: Design, params: FlowParams) -> LevelA:
 
 
 def levelb_router(
-    bounds: Rect,
-    nets: Sequence[Net],
-    params: FlowParams,
-    *,
-    checked: bool | None = None,
+    bounds: Rect, nets: Sequence[Net], params: FlowParams
 ) -> LevelBRouter:
     """The level B router ``params`` describe, over realised ``bounds``.
 
@@ -195,7 +188,7 @@ def levelb_router(
     ``planes``, ``objective`` and ``checked`` knobs; its
     ``levelb`` config carries the rest.  A technology too short for the
     requested plane count is extended with extrapolated reserved pairs
-    (docs/LAYERS.md).  ``checked`` overrides ``params.checked``.
+    (docs/LAYERS.md).
     """
     technology = params.technology
     if params.planes > 1:
@@ -208,7 +201,7 @@ def levelb_router(
         config=params.levelb,
         planes=params.planes,
         objective=params.objective,
-        checked=params.checked if checked is None else checked,
+        checked=params.checked,
     )
 
 
@@ -371,98 +364,6 @@ def _overcell_flow(design: Design, params: FlowParams | None) -> FlowResult:
     if iterate_report is not None:
         result.notes["iterate"] = iterate_report.to_dict()
     return _maybe_check(result, params)
-
-
-@dataclass
-class RoutabilityProbe:
-    """Outcome of a what-if level B routability assessment.
-
-    Produced by :func:`routability_probe`.  The probe routes set B over
-    the realised level A layout inside one grid transaction and rolls
-    everything back, so it reports expected completion and wiring
-    figures without committing anything.
-    """
-
-    design: str
-    level_a_nets: int
-    level_b_nets: int
-    completion: float
-    failed_nets: list[str] = field(default_factory=list)
-    level_b_wire: int = 0
-    level_b_corners: int = 0
-    ripups: int = 0
-    grid_restored: bool = True
-    #: Coarse region-model occupancy profile (arXiv 1810.12789; see
-    #: docs/ITERATION.md).  ``regions`` counts tiles of the level B
-    #: grid; ``regions_overflowed`` those whose projected
-    #: terminal-window demand exceeds their capacity.  Over 62 designs
-    #: the overflowed fraction did not separate designs with failed
-    #: nets from complete ones (AUC 0.50).
-    regions: int = 0
-    regions_occupied: int = 0
-    regions_overflowed: int = 0
-    peak_region_utilization: float = 0.0
-
-    @property
-    def routable(self) -> bool:
-        return self.completion >= 1.0
-
-
-def routability_probe(
-    design: Design, params: FlowParams | None = None
-) -> RoutabilityProbe:
-    """Early routability assessment for the over-cell flow.
-
-    Runs the same partition + channel pipeline as :func:`overcell_flow`
-    to realise the layout, then *probes* level B instead of routing it:
-    the whole net loop executes inside a grid transaction that is
-    rolled back (O(cells touched)), leaving the occupancy grid
-    byte-identical to its pre-probe state.  Use it to vet a floorplan,
-    partition threshold or obstacle set before committing to a full
-    flow run.
-    """
-    params = params or FlowParams()
-    with instrument.span(SPAN_FLOW_PROBE):
-        level_a = realize_level_a(design, params)
-        # A probe is a quick pre-screen: it never pays checked mode's
-        # per-commit audit.
-        router = levelb_router(
-            level_a.bounds, level_a.set_b, params, checked=False
-        )
-        before = router.tig.planes.snapshot()
-        levelb = router.probe()
-        restored = router.tig.planes.matches(before)
-        region_model = _probe_regions(router)
-    return RoutabilityProbe(
-        design=design.name,
-        level_a_nets=len(level_a.set_a),
-        level_b_nets=len(level_a.set_b),
-        completion=levelb.completion_rate,
-        failed_nets=[r.net.name for r in levelb.routed if not r.complete],
-        level_b_wire=levelb.total_wire_length,
-        level_b_corners=levelb.total_corners,
-        ripups=levelb.ripups,
-        grid_restored=restored,
-        regions=region_model.num_regions,
-        regions_occupied=len(region_model.occupied_regions()),
-        regions_overflowed=len(region_model.overflowed_regions()),
-        peak_region_utilization=region_model.peak_utilization(),
-    )
-
-
-def _probe_regions(router: LevelBRouter):
-    """The coarse region model over a probe's level B instance.
-
-    Windows are the registered terminal bounding boxes — no search
-    halo, no routing: this is the floorplan-level demand projection of
-    arXiv 1810.12789, cheap enough to annotate every probe.
-    """
-    from repro.globalroute import RegionModel
-
-    grid = router.tig.grid
-    return RegionModel.build(
-        grid.num_vtracks, grid.num_htracks, router.tig.terminal_windows()
-    )
 
 
 def multilayer_channel_flow(

@@ -10,8 +10,8 @@ the peak number of verticals passing any row.
 
 :mod:`repro.globalroute.regions` extends the package upward: a coarse
 capacity-annotated region model over the level B grid (after arXiv
-1810.12789) that the routability probe and the negotiated-congestion
-loop consume (docs/ITERATION.md).
+1810.12789) that the negotiated-congestion loop consumes
+(docs/ITERATION.md).
 """
 
 from repro.globalroute.router import (

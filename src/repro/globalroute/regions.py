@@ -6,27 +6,19 @@ the floorplan into regions, annotating each with its geometric routing
 *capacity*, and comparing that against the *demand* the netlist's
 bounding boxes project onto it.  This module is that model scaled down
 to the over-cell grid: the track index space is tiled into coarse
-square regions (``region_tracks`` tracks a side), every net is assigned
-to the region holding the centre of its terminal window, and each
-region carries a capacity/demand pair.
+square regions (``region_tracks`` tracks a side), and each region
+carries a capacity/demand pair — the tracks threading it against the
+terminal windows that overlap it.
 
-Two consumers:
+Its one consumer is :func:`repro.iterate.iterate_levelb`, which reads
+region demand and overflow after each failed pass: the ``congestion``
+ordering policy ranks nets by it, and the per-track history charges
+the tracks crossing overflowed regions.  As a routability predictor on
+its own the overflowed-tile fraction is a coin flip: it did not
+separate designs with failed nets from complete ones (AUC 0.50 over 62
+designs).
 
-:func:`repro.flow.routability_probe`
-    Reports the region occupancy profile — region count, peak
-    utilization, overflowed regions (tiles whose projected
-    terminal-window demand exceeds their capacity) — alongside the
-    probe's completion figures.  The overflowed fraction did not
-    separate failing designs from complete ones (AUC 0.50 over 62
-    designs).
-
-:func:`repro.iterate.iterate_levelb`
-    Reads region demand and overflow after each failed pass: the
-    ``congestion`` ordering policy ranks nets by it, and the per-track
-    history charges the tracks crossing overflowed regions.
-
-The model never touches occupancy state; it only informs the
-probe's report and the negotiated-congestion loop (docs/ITERATION.md).
+The model never touches occupancy state (docs/ITERATION.md).
 """
 
 from __future__ import annotations
@@ -73,12 +65,10 @@ class Region:
 
 
 class RegionModel:
-    """Region tiling + net assignment for one routing grid.
+    """Region tiling + terminal-window demand for one routing grid.
 
-    Build once per routing run with :meth:`build`; the model is
-    immutable afterwards.  Assignment is deterministic: a net belongs
-    to the region containing its window centre, ties broken by the
-    flooring integer division itself.
+    Build once per routing pass with :meth:`build`; the model is
+    immutable afterwards.
     """
 
     def __init__(
@@ -95,7 +85,6 @@ class RegionModel:
         self.cols = max(1, -(-num_vtracks // region_tracks))
         self.rows = max(1, -(-num_htracks // region_tracks))
         self._demand: dict[int, int] = {}
-        self._assignment: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -106,21 +95,16 @@ class RegionModel:
         windows: Mapping[int, tuple[int, int, int, int]],
         region_tracks: int = DEFAULT_REGION_TRACKS,
     ) -> "RegionModel":
-        """Assign every net window to a region and accumulate demand.
+        """Accumulate every net window's demand onto the tiles.
 
         ``windows`` maps ``net_id`` to the net's window as
         ``(v_lo, v_hi, h_lo, h_hi)`` inclusive track indices (see
         :meth:`repro.core.tig.TrackIntersectionGraph.terminal_windows`).
-        Demand lands on *every* region the window overlaps; assignment
-        uses the window centre only.
+        Demand lands on *every* region the window overlaps.
         """
         model = cls(num_vtracks, num_htracks, region_tracks)
-        for net_id in sorted(windows):
-            v_lo, v_hi, h_lo, h_hi = windows[net_id]
-            model._assignment[net_id] = model.region_at(
-                (v_lo + v_hi) // 2, (h_lo + h_hi) // 2
-            )
-            for rid in model.regions_touching(v_lo, v_hi, h_lo, h_hi):
+        for window in windows.values():
+            for rid in model.regions_touching(*window):
                 # One horizontal + one vertical track per crossing net:
                 # the minimum a route through the tile consumes.
                 model._demand[rid] = model._demand.get(rid, 0) + 2
@@ -129,16 +113,6 @@ class RegionModel:
     # ------------------------------------------------------------------
     # Geometry
     # ------------------------------------------------------------------
-    @property
-    def num_regions(self) -> int:
-        return self.rows * self.cols
-
-    def region_at(self, v_idx: int, h_idx: int) -> int:
-        """Region id of the tile containing track ``(v_idx, h_idx)``."""
-        col = min(v_idx // self.region_tracks, self.cols - 1)
-        row = min(h_idx // self.region_tracks, self.rows - 1)
-        return row * self.cols + col
-
     def bounds_of(self, rid: int) -> tuple[int, int, int, int]:
         """Inclusive track bounds ``(v_lo, v_hi, h_lo, h_hi)`` of a tile."""
         row, col = divmod(rid, self.cols)
@@ -163,7 +137,7 @@ class RegionModel:
         ]
 
     # ------------------------------------------------------------------
-    # Assignment and occupancy profile
+    # Capacity and demand
     # ------------------------------------------------------------------
     def capacity(self, rid: int) -> int:
         """Tracks threading a tile: its horizontal plus vertical tracks."""
@@ -188,25 +162,15 @@ class RegionModel:
             demand=self.demand(rid),
         )
 
-    def occupied_regions(self) -> list[int]:
-        """Region ids with at least one assigned net, ascending."""
-        return sorted(set(self._assignment.values()))
-
     def overflowed_regions(self) -> list[int]:
         """Regions whose projected demand exceeds geometric capacity."""
         return sorted(
             rid for rid in self._demand if self.region(rid).overflowed
         )
 
-    def peak_utilization(self) -> float:
-        """The busiest region's demand/capacity ratio."""
-        if not self._demand:
-            return 0.0
-        return max(self.region(rid).utilization for rid in self._demand)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"RegionModel({self.rows}x{self.cols} regions of "
             f"{self.region_tracks} tracks, "
-            f"{len(self._assignment)} nets assigned)"
+            f"{len(self._demand)} with demand)"
         )

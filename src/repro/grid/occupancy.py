@@ -7,8 +7,9 @@ array, plus the **transactional state layer** the routing stack builds
 on: every mutation is recorded in a per-net ledger (so rip-up is
 ``O(cells the net touches)``, never a full-array scan) and, while a
 :class:`GridTransaction` is open, in an undo journal (so speculative
-route/undo cycles - refinement, rip-up-and-reroute, what-if routability
-probes - roll back in time proportional to the cells they touched).
+route/undo cycles - refinement, rip-up-and-reroute, the passes of the
+negotiated-congestion loop - roll back in time proportional to the
+cells they touched).
 
 Model
 -----
@@ -84,7 +85,7 @@ class GridSnapshot:
     """An immutable copy of the grid's full mutable state.
 
     Used for exactness checks around transactional routing: capture one
-    before a rip/reroute cycle or a routability probe and compare with
+    before a rip/reroute cycle or an iterate pass and compare with
     :meth:`RoutingGrid.matches` after rollback.  Arrays are read-only
     copies.
     """

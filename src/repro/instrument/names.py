@@ -24,7 +24,6 @@ SPAN_LEVELB_REFINE = "levelb.refine"
 SPAN_MBFS_SEARCH = "mbfs.search"
 SPAN_MAZE_RESCUE = "maze.rescue"
 SPAN_REACH_FLOOD = "reach.flood"
-SPAN_FLOW_PROBE = "flow.probe"
 SPAN_CHECK = "check"
 SPAN_CHECK_COMMIT = "check.commit"
 SPAN_LINT = "lint"
@@ -36,7 +35,6 @@ SPAN_DISPATCH_BATCH = "dispatch.batch"
 SPAN_DISPATCH_JOB = "dispatch.job"
 
 SPAN_SERVE_JOB = "serve.job"
-SPAN_SERVE_PROBE = "serve.probe"
 
 # -- counters ----------------------------------------------------------
 MBFS_SEARCHES = "mbfs.searches"
@@ -79,7 +77,6 @@ SERVE_JOBS_FAILED = "serve.jobs_failed"
 SERVE_CACHE_HITS = "serve.cache_hits"
 SERVE_CACHE_MISSES = "serve.cache_misses"
 SERVE_COALESCED = "serve.jobs_coalesced"
-SERVE_PROBES = "serve.probes"
 CHECKS_RUN = "check.runs"
 CHECK_RULES_EVALUATED = "check.rules_evaluated"
 CHECK_VIOLATIONS = "check.violations"

@@ -200,8 +200,7 @@ def _build_feedback(
     """The previous pass distilled for the policy and the history.
 
     Demand comes from the coarse :class:`RegionModel` over the nets'
-    terminal windows (the routability-probe measure); failure comes
-    from the routing result itself.
+    terminal windows; failure comes from the routing result itself.
     """
     windows = router.tig.terminal_windows()
     grid = router.tig.grid  # planes share one track lattice

@@ -3,9 +3,9 @@
 A persistent, stdlib-only serving layer over the routing stack: a
 threaded HTTP server with an async job queue (layered on the dispatch
 batch runner), a content-addressed LRU result cache keyed on canonical
-request digests, live progress streamed from instrument events, and a
-fast ``/probe`` routability endpoint.  See docs/SERVING.md for the
-protocol and ``repro serve`` for the CLI entry point.
+request digests, and live progress streamed from instrument events.
+See docs/SERVING.md for the protocol and ``repro serve`` for the CLI
+entry point.
 """
 
 from repro.serve.cache import ResultCache
@@ -21,9 +21,7 @@ from repro.serve.protocol import (
     PROTOCOL_VERSION,
     JobSpec,
     SpecError,
-    execute_probe,
     execute_spec,
-    probe_canonical,
 )
 from repro.serve.server import RoutingServer
 
@@ -40,7 +38,5 @@ __all__ = [
     "ServeClient",
     "ServeError",
     "SpecError",
-    "execute_probe",
     "execute_spec",
-    "probe_canonical",
 ]

@@ -148,9 +148,5 @@ class ServeClient:
             if record.get("state") in ("done", "failed"):
                 return record
 
-    def probe(self, spec: dict[str, Any]) -> dict[str, Any]:
-        """Fast routability pre-screen without running the full flow."""
-        return self._request("POST", "/probe", spec)
-
     def shutdown(self, *, drain: bool = True) -> dict[str, Any]:
         return self._request("POST", "/shutdown", {"drain": drain})

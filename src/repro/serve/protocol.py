@@ -244,25 +244,6 @@ class JobSpec:
         return str(self.design.get("name", "inline"))
 
 
-def probe_canonical(spec: JobSpec) -> dict[str, Any]:
-    """Digest document for the ``/probe`` endpoint.
-
-    Probes share the result cache with full jobs but live in their own
-    key namespace — a cached probe never answers a job or vice versa.
-    The flow is irrelevant: probes are always over-cell shaped.  The
-    iterate knobs are dropped too — a probe is a one-pass what-if by
-    definition, so specs differing only in them share a probe entry.
-    """
-    doc = spec.canonical()
-    doc["kind"] = "probe"
-    doc.pop("flow", None)
-    doc.pop("check", None)
-    doc.pop("iterate", None)
-    doc.pop("max_iterations", None)
-    doc.pop("ordering_policy", None)
-    return doc
-
-
 # ----------------------------------------------------------------------
 # Worker-side execution
 # ----------------------------------------------------------------------
@@ -336,27 +317,3 @@ def execute_spec(spec: JobSpec) -> dict[str, Any]:
     payload["result"] = flow_result_to_dict(result)
     return payload
 
-
-def execute_probe(spec: JobSpec) -> dict[str, Any]:
-    """Run the fast what-if routability assessment for a spec."""
-    from repro import instrument
-    from repro.flow import routability_probe
-    from repro.instrument.names import SPAN_SERVE_PROBE
-
-    design = build_design(spec)
-    params = build_params(spec)
-    with instrument.span(SPAN_SERVE_PROBE):
-        probe = routability_probe(design, params)
-    return {
-        "digest": canonical_digest(probe_canonical(spec)),
-        "design": probe.design,
-        "routable": probe.routable,
-        "completion": probe.completion,
-        "level_a_nets": probe.level_a_nets,
-        "level_b_nets": probe.level_b_nets,
-        "failed_nets": probe.failed_nets,
-        "level_b_wire": probe.level_b_wire,
-        "level_b_corners": probe.level_b_corners,
-        "ripups": probe.ripups,
-        "grid_restored": probe.grid_restored,
-    }

@@ -15,7 +15,6 @@ small JSON protocol over the job queue (docs/SERVING.md):
                              ``?wait=S`` long-polls for new ones
 ``GET  /jobs/<id>/stream``   live NDJSON event stream until the job
                              finishes (connection-close delimited)
-``POST /probe``              fast routability pre-screen (cached)
 ``POST /shutdown``           graceful drain-and-stop
 ===========================  ==========================================
 
@@ -35,17 +34,12 @@ from typing import Any
 from urllib.parse import parse_qs, urlparse
 
 from repro import instrument
-from repro.instrument.names import SERVE_PROBES, SERVE_REQUESTS
-from repro.io import canonical_digest
+from repro.instrument.names import SERVE_REQUESTS
+# routebench's tracer wraps this module's canonical_digest by name.
+from repro.io import canonical_digest  # noqa: F401
 from repro.serve.cache import ResultCache
 from repro.serve.jobqueue import JobQueue, JobRecord, QueueClosed, QueueFull
-from repro.serve.protocol import (
-    PROTOCOL_VERSION,
-    JobSpec,
-    SpecError,
-    execute_probe,
-    probe_canonical,
-)
+from repro.serve.protocol import PROTOCOL_VERSION, JobSpec, SpecError
 
 __all__ = ["RoutingServer"]
 
@@ -107,10 +101,6 @@ class RoutingServer:
         self._stopped = threading.Event()
         self._stop_lock = threading.Lock()
         self.started_at = time.time()
-        # Bumped from concurrent HTTP handler threads: += on an int is
-        # read-modify-write, so it takes its own lock.
-        self.probe_counter = 0
-        self._probe_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @property
@@ -169,23 +159,9 @@ class RoutingServer:
             "version": PROTOCOL_VERSION,
             "uptime_s": round(time.time() - self.started_at, 3),
             "draining": self.draining,
-            "probes": self.probe_counter,
             "queue": self.jobs.stats(),
             "cache": self.cache.stats(),
         }
-
-    def run_probe(self, spec: JobSpec) -> dict[str, Any]:
-        """Cached what-if routability assessment (``/probe`` body)."""
-        with self._probe_lock:
-            self.probe_counter += 1
-        instrument.count(SERVE_PROBES)
-        digest = canonical_digest(probe_canonical(spec))
-        cached = self.cache.get(digest)
-        if cached is not None:
-            return {**cached, "cache_hit": True}
-        result = execute_probe(spec)
-        self.cache.put(digest, result)
-        return {**result, "cache_hit": False}
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -215,7 +191,15 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(code, {"error": message})
 
     def _read_json(self) -> dict[str, Any] | None:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        try:
+            length = int(self.headers.get("Content-Length", 0) or 0)
+        except ValueError:
+            # The body cannot be framed, so the connection cannot be
+            # reused either.
+            self._send_json(
+                400, {"error": "Content-Length must be an integer"}, close=True
+            )
+            return None
         if length <= 0:
             self._error(400, "request body required")
             return None
@@ -384,8 +368,6 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if url.path == "/jobs":
                 self._post_job()
-            elif url.path == "/probe":
-                self._post_probe()
             elif url.path == "/shutdown":
                 self._post_shutdown()
             else:
@@ -413,31 +395,16 @@ class _Handler(BaseHTTPRequestHandler):
         code = 200 if record.cache_hit else 202
         self._send_json(code, record.to_dict())
 
-    def _post_probe(self) -> None:
-        doc = self._read_json()
-        if doc is None:
-            return
-        if self.app.draining:
-            self._error(503, "server is shutting down")
-            return
-        doc.setdefault("flow", "overcell")
-        try:
-            spec = JobSpec.from_dict(doc)
-        except SpecError as exc:
-            self._error(400, str(exc))
-            return
-        try:
-            self._send_json(200, self.app.run_probe(spec))
-        except Exception as exc:  # surface worker errors as JSON
-            self._error(500, f"{type(exc).__name__}: {exc}")
-
     def _post_shutdown(self) -> None:
         drain = True
         if self.headers.get("Content-Length"):
             doc = self._read_json()
             if doc is None:
                 return
-            drain = bool(doc.get("drain", True))
+            drain = doc.get("drain", True)
+            if not isinstance(drain, bool):
+                self._error(400, "'drain' must be a boolean")
+                return
         self._send_json(
             200, {"ok": True, "draining": True, "drain": drain}, close=True
         )

@@ -391,16 +391,20 @@ class TestCheckedMode:
         result = router.route()
         assert check_levelb(result).ok
 
-    def test_checked_probe_tolerates_ambient_transaction(self):
+    def test_checked_route_tolerates_ambient_transaction(self):
+        # The shape of repro.iterate's later passes: a whole route()
+        # inside one plane-set transaction, rolled back afterwards.
         design = make_toy_design()
         router = LevelBRouter(
             Rect(0, 0, 256, 256),
             list(design.nets.values()),
             checked=True,
         )
-        before = router.tig.grid.snapshot()
-        router.probe()  # journal is populated throughout - no violation
-        assert router.tig.grid.matches(before)
+        before = router.tig.planes.snapshot()
+        txn = router.tig.planes.begin()
+        router.route()  # journal is populated throughout - no violation
+        txn.rollback()
+        assert router.tig.planes.matches(before)
 
     def test_checked_mode_overhead_is_bounded(self):
         """Checked mode must stay under 2x: check spans < half the flow."""

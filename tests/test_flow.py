@@ -8,7 +8,6 @@ from repro.flow import (
     multilayer_channel_flow,
     overcell_flow,
     percent_reduction,
-    routability_probe,
     two_layer_flow,
 )
 from repro.partition import PartitionStrategy
@@ -161,8 +160,9 @@ class TestChannelRouterChoice:
         assert lea.completion == baseline.completion == 1.0
 
 
-class TestRoutabilityProbeRegions:
-    """The probe's coarse region profile (arXiv 1810.12789), pinned.
+class TestRegionProfile:
+    """The coarse region profile (arXiv 1810.12789) of a suite's level B
+    instance, pinned.
 
     The profile is a pure function of the nets' terminal windows, so
     how those windows are gathered may change but these values may not.
@@ -171,42 +171,35 @@ class TestRoutabilityProbeRegions:
     @pytest.mark.parametrize(
         "suite, expected",
         [
-            ("ami33", (20, 14, 9, 1.9375)),
-            ("ex3", (49, 28, 22, 3.3125)),
+            ("ami33", (20, 9, 1.9375)),
+            ("ex3", (49, 22, 3.3125)),
         ],
         ids=["ami33", "ex3"],
     )
     def test_region_profile_pinned(self, suite, expected):
-        probe = routability_probe(SUITES[suite]())
-        assert probe.grid_restored
+        from repro.flow.pipeline import levelb_router, realize_level_a
+        from repro.globalroute import RegionModel
+
+        params = FlowParams()
+        level_a = realize_level_a(SUITES[suite](), params)
+        router = levelb_router(level_a.bounds, level_a.set_b, params)
+        grid = router.tig.grid
+        model = RegionModel.build(
+            grid.num_vtracks, grid.num_htracks, router.tig.terminal_windows()
+        )
+        tiles = model.rows * model.cols
         assert (
-            probe.regions,
-            probe.regions_occupied,
-            probe.regions_overflowed,
-            probe.peak_region_utilization,
+            tiles,
+            len(model.overflowed_regions()),
+            max(model.region(rid).utilization for rid in range(tiles)),
         ) == expected
 
 
 class TestLevelBConstruction:
-    """The flow and the probe build level B from FlowParams alike."""
-
-    @pytest.mark.parametrize(
-        "planes, objective", [(1, "wire"), (2, "vias")], ids=["1-wire", "2-vias"]
-    )
-    def test_probe_matches_flow(self, planes, objective):
-        params = FlowParams(planes=planes, objective=objective)
-        levelb = overcell_flow(SUITES["ami33"](), params).levelb
-        probe = routability_probe(SUITES["ami33"](), params)
-        assert probe.grid_restored
-        assert levelb.num_planes == planes
-        assert probe.completion == levelb.completion_rate
-        assert probe.level_b_wire == levelb.total_wire_length
-        assert probe.level_b_corners == levelb.total_corners
+    """The flow builds level B from FlowParams."""
 
     @pytest.mark.parametrize("planes", [0, -1])
     def test_planes_below_one_rejected(self, planes):
         params = FlowParams(planes=planes)
         with pytest.raises(ValueError, match="planes must be >= 1"):
             overcell_flow(SUITES["ami33"](), params)
-        with pytest.raises(ValueError, match="planes must be >= 1"):
-            routability_probe(SUITES["ami33"](), params)

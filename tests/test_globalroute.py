@@ -222,9 +222,9 @@ class TestMultiPinNets:
 
 
 class TestRegionModel:
-    """The coarse capacity model behind the routability probe and the
-    negotiated-congestion loop (docs/ITERATION.md).  Advisory only: it
-    never touches occupancy state."""
+    """The coarse capacity model behind the negotiated-congestion loop
+    (docs/ITERATION.md).  Advisory only: it never touches occupancy
+    state."""
 
     def test_tiling_covers_grid(self):
         from repro.globalroute import RegionModel
@@ -232,7 +232,8 @@ class TestRegionModel:
         model = RegionModel(num_vtracks=70, num_htracks=40, region_tracks=32)
         assert (model.rows, model.cols) == (2, 3)  # ceil(40/32), ceil(70/32)
         # Edge tiles are clipped to the grid, not padded past it.
-        v_lo, v_hi, h_lo, h_hi = model.bounds_of(model.region_at(69, 39))
+        corner = model.regions_touching(69, 69, 39, 39)[0]
+        v_lo, v_hi, h_lo, h_hi = model.bounds_of(corner)
         assert v_hi == 69 and h_hi == 39
 
     def test_capacity_is_tracks_threading_tile(self):
@@ -245,20 +246,17 @@ class TestRegionModel:
     def test_demand_assignment_and_overflow(self):
         from repro.globalroute import RegionModel
 
-        # One net per tile centre: every occupied region gets demand 2.
+        # One net inside each of two tiles: each gets demand 2.
         windows = {1: (2, 6, 2, 6), 2: (34, 38, 2, 6)}
         model = RegionModel.build(64, 64, windows, region_tracks=32)
-        assert model.occupied_regions() == [0, 1]
         assert [model.region(rid).demand for rid in (0, 1)] == [2, 2]
         assert not model.overflowed_regions()
-        assert 0.0 < model.peak_utilization() < 1.0
+        assert 0.0 < model.region(0).utilization < 1.0
 
     def test_wide_window_charges_every_region_it_touches(self):
         from repro.globalroute import RegionModel
 
-        # A net spanning all of a 2x1 region row charges both tiles but
-        # is *assigned* to the one holding its window centre.
+        # A net spanning all of a 2x1 region row charges both tiles.
         model = RegionModel.build(64, 32, {7: (0, 63, 4, 8)}, region_tracks=32)
-        assert len(model.occupied_regions()) == 1  # assignment: centre region
         charged = [r for r in (model.region(i) for i in range(model.rows * model.cols)) if r.demand]
         assert len(charged) == 2

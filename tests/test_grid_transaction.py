@@ -349,20 +349,22 @@ class TestRouterRoundTrip:
         # public equivalent of comparing the owner grids directly.
         assert grid.matches(snap)
 
-    def test_probe_leaves_grid_untouched_then_routes(self):
+    def test_rolled_back_route_leaves_grid_untouched_then_routes(self):
         from repro.core import LevelBRouter
 
         design = make_toy_design()
         router = LevelBRouter(
             Rect(0, 0, 256, 256), list(design.nets.values())
         )
-        snap = router.tig.grid.snapshot()
-        probed = router.probe()
-        assert probed.completion_rate == 1.0
-        assert router.tig.grid.matches(snap)
+        snap = router.tig.planes.snapshot()
+        txn = router.tig.planes.begin()
+        trial = router.route()
+        txn.rollback()
+        assert trial.completion_rate == 1.0
+        assert router.tig.planes.matches(snap)
         real = router.route()
-        assert real.total_wire_length == probed.total_wire_length
-        assert real.total_corners == probed.total_corners
+        assert real.total_wire_length == trial.total_wire_length
+        assert real.total_corners == trial.total_corners
 
     def test_refinement_uses_journal_rollback(self):
         """A refinement pass must leave a complete toy solution intact

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import subprocess
 import sys
 import threading
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_toy_design
-from repro.io import canonical_digest, design_to_dict
+from repro.io import design_to_dict
 from repro.serve import (
     EventBuffer,
     JobQueue,
@@ -23,7 +24,6 @@ from repro.serve import (
     ServeClient,
     ServeError,
     SpecError,
-    probe_canonical,
 )
 
 
@@ -113,10 +113,6 @@ class TestJobSpec:
         assert base.digest() != JobSpec.from_dict(
             {"design": "ex3", "check": True}
         ).digest()
-
-    def test_probe_digest_is_separate_namespace(self):
-        spec = JobSpec.from_dict({"design": "ex3"})
-        assert canonical_digest(probe_canonical(spec)) != spec.digest()
 
     def test_inline_digest_stable_under_key_order(self):
         doc = toy_spec()["design"]
@@ -416,13 +412,30 @@ class TestServerEndpoints:
         assert payload["check_clean"] is True
         assert payload["check_violations"] == 0
 
-    def test_probe_endpoint_and_cache(self, client):
-        spec = {"design": toy_spec(seed=206)["design"]}
-        first = client.probe(spec)
-        assert first["routable"] is True
-        assert first["cache_hit"] is False
-        second = client.probe(spec)
-        assert second["cache_hit"] is True
+    def test_probe_endpoint_is_gone(self, client):
+        # A job reports completion and failed nets itself; there is no
+        # second level B path behind a pre-screen endpoint.
+        with pytest.raises(ServeError) as exc:
+            client._request("POST", "/probe", {"design": "ami33"})
+        assert exc.value.status == 404
+        assert "probes" not in client.stats()
+
+    def test_malformed_content_length_is_400(self, server):
+        # Read the raw reply: the server must answer before it closes.
+        with socket.create_connection(
+            (server.host, server.port), timeout=30.0
+        ) as sock:
+            sock.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: abc\r\n\r\n{}"
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
 
     def test_stats_shape(self, client):
         stats = client.stats()
@@ -448,6 +461,19 @@ class TestServerShutdown:
             record = srv.jobs.get(job_id)
             assert record is not None
             assert record.state == "done"
+
+    def test_non_boolean_drain_is_400_and_keeps_serving(self):
+        srv = RoutingServer(port=0, workers=1).start()
+        try:
+            client = ServeClient(srv.host, srv.port, timeout_s=30.0)
+            with pytest.raises(ServeError) as exc:
+                client._request("POST", "/shutdown", {"drain": "false"})
+            assert exc.value.status == 400
+            assert "drain" in exc.value.message
+            assert client.health()["state"] == "serving"
+            assert not srv.wait_stopped(timeout_s=0.2)
+        finally:
+            srv.stop(drain=False)
 
     def test_submissions_refused_while_draining(self):
         srv = RoutingServer(port=0, workers=1).start()
