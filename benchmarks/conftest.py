@@ -12,12 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench_suite import SUITES
-from repro.flow import (
-    FlowResult,
-    multilayer_channel_flow,
-    overcell_flow,
-    two_layer_flow,
-)
+from repro.flow import FLOWS, FlowResult
 
 SUITE_NAMES = ("ami33", "xerox", "ex3")
 
@@ -33,12 +28,6 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         ),
     )
 
-_FLOWS = {
-    "two-layer": two_layer_flow,
-    "overcell": overcell_flow,
-    "ml-channel": multilayer_channel_flow,
-}
-
 
 @pytest.fixture(scope="session")
 def flow_results() -> dict[tuple[str, str], FlowResult]:
@@ -50,7 +39,7 @@ def flow_results() -> dict[tuple[str, str], FlowResult]:
     """
     results: dict[tuple[str, str], FlowResult] = {}
     for suite in SUITE_NAMES:
-        for flow_name, flow in _FLOWS.items():
+        for flow_name, flow in FLOWS.items():
             design = SUITES[suite]()
             results[(suite, flow_name)] = flow(design)
     return results

@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from repro.bench_suite import SUITES
-from repro.flow import multilayer_channel_flow, overcell_flow, two_layer_flow
+from repro.flow import FLOWS, multilayer_channel_flow, overcell_flow, two_layer_flow
 from repro.io import flow_result_to_dict, load_design, save_design
 from repro.reporting import (
     format_table,
@@ -46,12 +47,6 @@ from repro.reporting import (
 )
 from repro.reporting.tables import TABLE1_HEADERS, TABLE2_HEADERS, TABLE3_HEADERS
 from repro.viz.svg import svg_flow_result
-
-_FLOWS = {
-    "two-layer": two_layer_flow,
-    "overcell": overcell_flow,
-    "ml-channel": multilayer_channel_flow,
-}
 
 
 def _load_design_arg(args: argparse.Namespace):
@@ -83,6 +78,16 @@ def _flow_params(args: argparse.Namespace):
     return FlowParams(**kwargs)
 
 
+def _seconds(text: str) -> float:
+    """A ``--timeout`` value: a positive, finite number of seconds."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds, got {text!r}"
+        )
+    return value
+
+
 def _output(path: str) -> Path:
     """An output file's path, its directory created first.
 
@@ -103,7 +108,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 def _cmd_flow(args: argparse.Namespace) -> int:
     design = _load_design_arg(args)
-    result = _FLOWS[args.flow](design, _flow_params(args))
+    result = FLOWS[args.flow](design, _flow_params(args))
     print(result.summary())
     if args.svg:
         _output(args.svg).write_text(svg_flow_result(result))
@@ -157,7 +162,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     design = _load_design_arg(args)
     params = _flow_params(args)
-    result = _FLOWS[args.flow](design, params)
+    result = FLOWS[args.flow](design, params)
     print(routing_report(result, technology=params.technology, top_n=args.top))
     if args.html:
         from repro.reporting import html_report
@@ -176,7 +181,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     design = _load_design_arg(args)
     params = _flow_params(args)
     with instrument.collecting() as col:
-        result = _FLOWS[args.flow](design, params)
+        result = FLOWS[args.flow](design, params)
     print(result.summary())
     instrument.write_json(str(_output(args.out)), col)
     print(f"profile written to {args.out}")
@@ -198,7 +203,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.check import check_flow
 
     design = _load_design_arg(args)
-    result = _FLOWS[args.flow](design, _flow_params(args))
+    result = FLOWS[args.flow](design, _flow_params(args))
     print(result.summary())
     report = check_flow(result)
     print(report.render(limit=args.limit))
@@ -295,7 +300,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache_size=args.cache_size,
         timeout_s=args.timeout,
-        retries=args.retries,
         queue_size=args.queue_size,
     )
     server.start()
@@ -379,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--suite", choices=sorted(SUITES))
     p_flow.add_argument("--design", help="design JSON (repro.io format)")
     p_flow.add_argument(
-        "--flow", choices=sorted(_FLOWS), default="overcell"
+        "--flow", choices=sorted(FLOWS), default="overcell"
     )
     p_flow.add_argument("--tech", help="technology JSON (repro.io format)")
     p_flow.add_argument(
@@ -415,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument("--suite", choices=sorted(SUITES))
     p_prof.add_argument("--design", help="design JSON (repro.io format)")
-    p_prof.add_argument("--flow", choices=sorted(_FLOWS), default="overcell")
+    p_prof.add_argument("--flow", choices=sorted(FLOWS), default="overcell")
     p_prof.add_argument("--tech", help="technology JSON (repro.io format)")
     p_prof.add_argument(
         "--planes", type=int, default=1,
@@ -438,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--suite", choices=sorted(SUITES))
     p_check.add_argument("--design", help="design JSON (repro.io format)")
-    p_check.add_argument("--flow", choices=sorted(_FLOWS), default="overcell")
+    p_check.add_argument("--flow", choices=sorted(FLOWS), default="overcell")
     p_check.add_argument("--tech", help="technology JSON (repro.io format)")
     p_check.add_argument(
         "--planes", type=int, default=1,
@@ -518,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_disp.add_argument(
         "--flows",
         nargs="+",
-        choices=sorted(_FLOWS),
+        choices=sorted(FLOWS),
         help="flows to run per suite (default: overcell)",
     )
     p_disp.add_argument(
@@ -536,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run jobs in-line instead of on a pool",
     )
     p_disp.add_argument(
-        "--timeout", type=float, default=None, help="per-job wall limit (s)"
+        "--timeout", type=_seconds, default=None, help="per-job deadline (s)"
     )
     p_disp.add_argument(
         "--retries", type=int, default=1, help="retries per crashed job"
@@ -565,10 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="max entries in the content-addressed result cache",
     )
     p_serve.add_argument(
-        "--timeout", type=float, default=None, help="per-job timeout (s)"
-    )
-    p_serve.add_argument(
-        "--retries", type=int, default=1, help="retries per failed job"
+        "--timeout", type=_seconds, default=None, help="per-job deadline (s)"
     )
     p_serve.add_argument(
         "--queue-size", type=int, default=64,
@@ -586,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_report.add_argument("--suite", choices=sorted(SUITES))
     p_report.add_argument("--design", help="design JSON (repro.io format)")
-    p_report.add_argument("--flow", choices=sorted(_FLOWS), default="overcell")
+    p_report.add_argument("--flow", choices=sorted(FLOWS), default="overcell")
     p_report.add_argument("--tech", help="technology JSON (repro.io format)")
     p_report.add_argument(
         "--planes", type=int, default=1,

@@ -27,6 +27,9 @@ passes of :mod:`repro.iterate` - run inside
 :class:`~repro.grid.GridTransaction` journals, so undoing a decision
 costs time proportional to the cells it touched, never a full-grid
 scan.
+
+Under a passed :func:`repro.core.cancel.deadline` a checkpoint before
+each net and each search window raises ``RouteCancelled``.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from repro.geometry import Interval, Rect
 from repro.netlist import Net
 from repro.technology import Technology
 from repro.core.assign import NetDemand, assign_planes
+from repro.core.cancel import checkpoint
 from repro.core.cost import CornerCostEvaluator, CostWeights, TrackHistory
 from repro.core.engine import (
     ConnectionEngine,
@@ -319,7 +323,8 @@ class Escalation:
     reached on the whole grid at all; when it cannot, iteration stops
     and ``unreachable`` tells the router to skip the rescue as well.
     Every path a search or the rescue could find is a path of the
-    flood, so neither cut changes what gets routed.
+    flood, so neither cut changes what gets routed.  Each window is
+    preceded by a :func:`~repro.core.cancel.checkpoint`.
     """
 
     grid: "RoutingGrid"
@@ -337,12 +342,14 @@ class Escalation:
             window = search_window(grid, source, target, region)
             if searched is None:
                 searched = window
+                checkpoint()
                 yield region
                 if not self._reachable():
                     self.unreachable = True
                     return
             elif window != searched:
                 searched = window
+                checkpoint()
                 yield region
 
     def _reachable(self) -> bool:
@@ -726,6 +733,7 @@ class LevelBRouter:
                 if live.get(net) != generation:
                     continue  # superseded by a rip-up requeue
                 del live[net]
+                checkpoint()
                 with instrument.span(SPAN_LEVELB_NET):
                     outcome = self._route_net(net)
                 results[net] = outcome
@@ -806,6 +814,7 @@ class LevelBRouter:
             old = results[net]
             if not old.connections and old.complete:
                 continue  # nothing wired (coincident pins)
+            checkpoint()
             txn = self.tig.grid_of(self._net_ids[net]).begin()
             self._unroute_net(net)
             new = self._route_net(net)

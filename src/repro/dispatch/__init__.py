@@ -1,11 +1,10 @@
 """repro.dispatch - batch execution over the routing stack.
 
 The batch job runner (:mod:`jobs`) fans a corpus of (design, flow) jobs
-across a process pool with per-job timeout and retry-on-crash.  It is
-the ``repro dispatch`` CLI and the executor behind the serve job
-queue's per-job timeout and retry (docs/PARALLELISM.md).  Level B
-routing inside each job is serial: the paper routes nets one at a time,
-longest first.
+across a process pool with a per-job level B deadline and
+retry-on-crash; it is the ``repro dispatch`` CLI (docs/PARALLELISM.md).
+Level B routing inside each job is serial: the paper routes nets one at
+a time, longest first.
 
 The runner emits ``dispatch.*`` counters, spans and events through
 :mod:`repro.instrument`.

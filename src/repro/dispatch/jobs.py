@@ -2,14 +2,15 @@
 
 Fans a corpus of (design, flow) jobs across a process pool — the whole
 bench suite, a directory of exported designs, a parameter sweep — with
-per-job timeout, retry-on-crash and structured ``dispatch.*`` counters.
-Job payloads and results are small picklable dataclasses/dicts; the
-heavy objects (designs, grids, flow results) live and die inside the
-worker process.  Each job routes its design serially; the parallelism
-is across jobs.
+a per-job level B deadline, retry-on-crash and structured
+``dispatch.*`` counters.  Job payloads and results are small picklable
+dataclasses/dicts; the heavy objects (designs, grids, flow results)
+live and die inside the worker process.  Each job routes its design
+serially; the parallelism is across jobs.
 
 Used by the ``repro dispatch`` CLI (``--jobs N``, ``--serial``,
-``--json``) and by the serve job queue for per-job timeout and retry.
+``--timeout``, ``--json``).  The serve job queue shares only the
+success predicate, :func:`summary_ok`.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from __future__ import annotations
 import time
 from concurrent import futures
 from dataclasses import dataclass, field
-from collections.abc import Callable
 
 from repro import instrument
+from repro.core.cancel import RouteCancelled, deadline
 from repro.instrument.names import (
     DISPATCH_JOBS_COMPLETED,
     DISPATCH_JOBS_FAILED,
@@ -31,7 +32,14 @@ from repro.instrument.names import (
     SPAN_DISPATCH_JOB,
 )
 
-__all__ = ["BatchReport", "Job", "JobOutcome", "JobRunner", "run_suite_batch"]
+__all__ = [
+    "BatchReport",
+    "Job",
+    "JobOutcome",
+    "JobRunner",
+    "run_suite_batch",
+    "summary_ok",
+]
 
 
 @dataclass(frozen=True)
@@ -68,8 +76,7 @@ class JobOutcome:
 
         Every value is a JSON scalar/dict/list and ``elapsed_s`` is
         pre-rounded, so ``json.loads(json.dumps(d, sort_keys=True))``
-        equals ``d`` exactly — the serve protocol relies on this when
-        it relays outcomes to HTTP clients.
+        equals ``d`` exactly.
         """
         return {
             "design": self.job.design,
@@ -173,29 +180,28 @@ class BatchReport:
         return "\n".join(lines)
 
 
-def _execute_job(job: Job) -> dict:
+def _execute_job(job: Job, timeout_s: float | None) -> dict:
     """Worker-side job body: load, route, summarise (picklably).
 
-    Imports run inside the function so the parent's submit path stays
-    cheap and the worker process pays its own import cost exactly once
-    (fork start methods inherit the parent's modules anyway).
+    The flow runs under a :func:`~repro.core.cancel.deadline` armed
+    here, in the worker, so ``timeout_s`` counts from this job's own
+    start in every mode.  Imports run inside the function so the
+    parent's submit path stays cheap and the worker process pays its
+    own import cost exactly once (fork start methods inherit the
+    parent's modules anyway).
     """
     start = time.perf_counter()
     from repro.bench_suite import SUITES
-    from repro.flow import multilayer_channel_flow, overcell_flow, two_layer_flow
+    from repro.flow import FLOWS
 
-    flows = {
-        "two-layer": two_layer_flow,
-        "overcell": overcell_flow,
-        "ml-channel": multilayer_channel_flow,
-    }
     if job.design in SUITES:
         design = SUITES[job.design]()
     else:
         from repro.io import load_design
 
         design = load_design(job.design)
-    result = flows[job.flow](design)
+    with deadline(timeout_s):
+        result = FLOWS[job.flow](design)
     summary: dict = {
         "design": result.design,
         "flow": result.flow,
@@ -214,28 +220,14 @@ def _execute_job(job: Job) -> dict:
     return summary
 
 
-def _job_ok(job: Job, summary: dict) -> bool:
+def summary_ok(summary: dict, check: bool) -> bool:
+    """Did a finished job succeed?  Shared with the serve job queue.
+
+    Routing must be complete and, for a checked job, CLEAN.
+    """
     if summary.get("completion", 0.0) < 1.0:
         return False
-    if job.check and not summary.get("check_clean", False):
-        return False
-    return True
-
-
-def _module_level(fn: Callable) -> bool:
-    """Is ``fn`` picklable by reference (a plain module-level function)?
-
-    Process pools serialise callables by ``module.qualname`` lookup;
-    closures, lambdas and bound methods all fail that round trip.
-    """
-    import sys
-
-    qualname = getattr(fn, "__qualname__", "")
-    module = getattr(fn, "__module__", None)
-    if not qualname or "." in qualname or module is None:
-        return False
-    owner = sys.modules.get(module)
-    return owner is not None and getattr(owner, qualname, None) is fn
+    return not check or bool(summary.get("check_clean", False))
 
 
 class JobRunner:
@@ -243,22 +235,13 @@ class JobRunner:
 
     ``workers``/``mode`` select the pool (``"process"`` with automatic
     thread fallback, ``"thread"``, or ``"serial"`` for in-line
-    execution).  ``timeout_s`` bounds each job's wall time (pool modes
-    only).  A job that raises or dies with its worker process is
-    retried up to ``retries`` times; a timed-out job is recorded and,
-    with ``retry_timeouts=True``, also retried — its old worker may
-    still be running, but the pool is rebuilt between rounds so the
-    retry always lands on a fresh executor.  ``repro.serve`` turns
-    timeout retries on so a transiently stuck routing job gets a
-    second chance before the client sees a failure.
-
-    ``job_body`` is the submission hook: the callable each job is
-    handed to (default :func:`_execute_job`, which loads and routes
-    the design named by the job).  Callers that need richer payloads —
-    serve injects a closure that routes an *inline* design under a
-    per-job collector — swap the body while keeping the runner's
-    queueing, timeout, retry and accounting behaviour.  Bodies must be
-    picklable for ``mode="process"``; closures require thread/serial.
+    execution).  ``timeout_s`` is each job's level B deadline: the
+    worker arms it when the job starts (:func:`_execute_job`), so every
+    mode honours it, and a job past it stops at its next checkpoint and
+    is recorded as timed out, never retried.  A job that raises or dies
+    with its worker process is retried up to ``retries`` times; the
+    pool is rebuilt between rounds, so a retry always lands on a fresh
+    executor.
     """
 
     def __init__(
@@ -268,28 +251,13 @@ class JobRunner:
         mode: str = "process",
         timeout_s: float | None = None,
         retries: int = 1,
-        retry_timeouts: bool = False,
-        job_body: Callable[[Job], dict] | None = None,
     ) -> None:
         if mode not in ("process", "thread", "serial"):
             raise ValueError(f"unknown job runner mode {mode!r}")
-        if (
-            mode == "process"
-            and job_body is not None
-            and not _module_level(job_body)
-        ):
-            raise ValueError(
-                "mode='process' requires a module-level job_body: "
-                f"{job_body!r} is a closure or bound method, which "
-                "process pools cannot pickle by reference; use "
-                "mode='thread' or 'serial'"
-            )
         self.workers = max(1, workers)
         self.mode = mode
         self.timeout_s = timeout_s
         self.retries = max(0, retries)
-        self.retry_timeouts = retry_timeouts
-        self.job_body = job_body if job_body is not None else _execute_job
 
     # ------------------------------------------------------------------
     def run(self, jobs: list[Job]) -> BatchReport:
@@ -317,6 +285,37 @@ class JobRunner:
         instrument.count(DISPATCH_JOBS_FAILED, report.failed)
         return report
 
+    def _settle(
+        self, job: Job, attempts: int, start: float, result: dict | Exception
+    ) -> JobOutcome | None:
+        """One attempt's outcome, or ``None`` when the job is retried.
+
+        ``result`` is the job's summary or the exception it raised: a
+        timeout (:class:`RouteCancelled`) is final, a job exception or a
+        worker crash retries while ``retries`` allow.
+        """
+        fields: dict
+        if isinstance(result, RouteCancelled):
+            instrument.count(DISPATCH_JOBS_TIMED_OUT)
+            error = f"timed out after {self.timeout_s}s"
+            fields = {"ok": False, "timed_out": True, "error": error}
+        elif isinstance(result, Exception):
+            if attempts <= self.retries:
+                instrument.count(DISPATCH_JOBS_RETRIED)
+                return None
+            error = f"{type(result).__name__}: {result}"
+            fields = {"ok": False, "error": error}
+        else:
+            fields = {"ok": summary_ok(result, job.check), "summary": result}
+        outcome = JobOutcome(
+            job=job,
+            attempts=attempts,
+            elapsed_s=time.perf_counter() - start,
+            **fields,
+        )
+        instrument.event(EVT_JOB_FINISHED, job=job.name, ok=outcome.ok)
+        return outcome
+
     # ------------------------------------------------------------------
     def _run_serial(self, jobs: list[Job]) -> list[JobOutcome]:
         outcomes = []
@@ -330,31 +329,15 @@ class JobRunner:
         start = time.perf_counter()
         while True:
             attempts += 1
+            result: dict | Exception
             try:
                 with instrument.span(SPAN_DISPATCH_JOB):
-                    summary = self.job_body(job)
+                    result = _execute_job(job, self.timeout_s)
             except Exception as exc:
-                if attempts <= self.retries:
-                    instrument.count(DISPATCH_JOBS_RETRIED)
-                    continue
-                outcome = JobOutcome(
-                    job=job,
-                    ok=False,
-                    attempts=attempts,
-                    elapsed_s=time.perf_counter() - start,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                break
-            outcome = JobOutcome(
-                job=job,
-                ok=_job_ok(job, summary),
-                attempts=attempts,
-                elapsed_s=time.perf_counter() - start,
-                summary=summary,
-            )
-            break
-        instrument.event(EVT_JOB_FINISHED, job=job.name, ok=outcome.ok)
-        return outcome
+                result = exc
+            outcome = self._settle(job, attempts, start, result)
+            if outcome is not None:
+                return outcome
 
     # ------------------------------------------------------------------
     def _new_executor(self) -> tuple[futures.Executor, str]:
@@ -371,65 +354,33 @@ class JobRunner:
     def _run_pool(self, jobs: list[Job]) -> tuple[list[JobOutcome], str]:
         outcomes: dict[int, JobOutcome] = {}
         attempts = dict.fromkeys(range(len(jobs)), 0)
-        started = {i: time.perf_counter() for i in range(len(jobs))}
+        start = time.perf_counter()
         pending = list(range(len(jobs)))
         mode = self.mode
         while pending:
             executor, mode = self._new_executor()
-            submitted = {
-                # repro: allow[pool.payload] __init__ rejects non-module-level bodies for mode='process' (_module_level guard); closures only ever reach thread/serial executors
-                i: executor.submit(self.job_body, jobs[i]) for i in pending
-            }
-            instrument.count(DISPATCH_JOBS_SUBMITTED, len(pending))
-            requeue: list[int] = []
-            for i, fut in submitted.items():
-                job = jobs[i]
-                attempts[i] += 1
-                try:
-                    summary = fut.result(timeout=self.timeout_s)
-                except futures.TimeoutError:
-                    fut.cancel()
-                    instrument.count(DISPATCH_JOBS_TIMED_OUT)
-                    if self.retry_timeouts and attempts[i] <= self.retries:
-                        instrument.count(DISPATCH_JOBS_RETRIED)
-                        requeue.append(i)
+            with executor:
+                submitted = {
+                    i: executor.submit(_execute_job, jobs[i], self.timeout_s)
+                    for i in pending
+                }
+                instrument.count(DISPATCH_JOBS_SUBMITTED, len(pending))
+                pending = []
+                for i, fut in submitted.items():
+                    attempts[i] += 1
+                    result: dict | Exception
+                    try:
+                        result = fut.result()
+                    except Exception as exc:
+                        # A timeout, a job exception or a worker crash
+                        # (BrokenExecutor); the last two retry on a
+                        # fresh pool.
+                        result = exc
+                    outcome = self._settle(jobs[i], attempts[i], start, result)
+                    if outcome is None:
+                        pending.append(i)
                     else:
-                        outcomes[i] = JobOutcome(
-                            job=job,
-                            ok=False,
-                            attempts=attempts[i],
-                            elapsed_s=time.perf_counter() - started[i],
-                            timed_out=True,
-                            error=f"timed out after {self.timeout_s}s",
-                        )
-                except Exception as exc:
-                    # Worker crash (BrokenExecutor) or job exception:
-                    # retry on a fresh pool until attempts run out.
-                    if attempts[i] <= self.retries:
-                        instrument.count(DISPATCH_JOBS_RETRIED)
-                        requeue.append(i)
-                    else:
-                        outcomes[i] = JobOutcome(
-                            job=job,
-                            ok=False,
-                            attempts=attempts[i],
-                            elapsed_s=time.perf_counter() - started[i],
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                else:
-                    outcomes[i] = JobOutcome(
-                        job=job,
-                        ok=_job_ok(job, summary),
-                        attempts=attempts[i],
-                        elapsed_s=time.perf_counter() - started[i],
-                        summary=summary,
-                    )
-                if i in outcomes:
-                    instrument.event(
-                        EVT_JOB_FINISHED, job=job.name, ok=outcomes[i].ok
-                    )
-            executor.shutdown(wait=False, cancel_futures=True)
-            pending = requeue
+                        outcomes[i] = outcome
         return [outcomes[i] for i in range(len(jobs))], mode
 
 

@@ -12,17 +12,21 @@ comparisons isolate the routing methodology:
   channel router modelled optimistically as a 50 % channel-area
   reduction (the paper's own assumption), plus a design-rule-aware
   variant as an ablation.
+
+:data:`FLOWS` maps each flow's command-line name to its function.
 """
 
 from repro.flow.metrics import FlowResult, percent_reduction
 from repro.flow.params import FlowParams
 from repro.flow.pipeline import (
+    FLOWS,
     multilayer_channel_flow,
     overcell_flow,
     two_layer_flow,
 )
 
 __all__ = [
+    "FLOWS",
     "FlowParams",
     "FlowResult",
     "percent_reduction",

@@ -190,13 +190,10 @@ def levelb_router(
     requested plane count is extended with extrapolated reserved pairs
     (docs/LAYERS.md).
     """
-    technology = params.technology
-    if params.planes > 1:
-        technology = ensure_overcell_planes(technology, params.planes)
     return LevelBRouter(
         bounds,
         nets,
-        technology=technology,
+        technology=ensure_overcell_planes(params.technology, params.planes),
         obstacles=params.obstacles,
         config=params.levelb,
         planes=params.planes,
@@ -486,3 +483,12 @@ def _multilayer_channel_flow(
         "hvh": "real HVH three-layer channel routing",
     }[model]
     return _maybe_check(result, params)
+
+
+#: Every flow by name: the one table the CLI, the serve protocol and
+#: the batch runner read.
+FLOWS = {
+    "two-layer": two_layer_flow,
+    "overcell": overcell_flow,
+    "ml-channel": multilayer_channel_flow,
+}

@@ -271,17 +271,6 @@ class RoutingGrid:
         """The ``(span, guard)`` footprint of ``net_id`` (default ``(1, 0)``)."""
         return self._footprints.get(net_id, (1, 0))
 
-    def footprint_reach(self, net_id: int) -> int:
-        """Tracks past the base track the net's claims can extend."""
-        span, guard = self.footprint_of(net_id)
-        return span - 1 + guard
-
-    def max_footprint_reach(self) -> int:
-        """Largest :meth:`footprint_reach` over all declared footprints."""
-        if not self._footprints:
-            return 0
-        return max(s - 1 + g for s, g in self._footprints.values())
-
     @staticmethod
     def _expand_rows(base: int, fp: tuple[int, int], n: int) -> range:
         """Track rows a footprinted claim at ``base`` touches, clamped."""

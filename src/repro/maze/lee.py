@@ -46,6 +46,7 @@ from repro.core.engine import (
     RoutedConnection,
     path_length,
 )
+from repro.core.cancel import checkpoint
 from repro.core.router import LevelBRouter
 from repro.core.search import search_window
 from repro.core.tig import GridTerminal
@@ -78,7 +79,8 @@ def lee_search(
     Returns ``(waypoints, corners, stats)``.  Waypoints are the
     compressed corner sequence (source, corners..., target); corners
     are ``(v_idx, h_idx)`` index pairs ready for
-    :meth:`repro.grid.RoutingGrid.commit_path`.
+    :meth:`repro.grid.RoutingGrid.commit_path`.  Every 1024 expansions
+    the wave calls :func:`~repro.core.cancel.checkpoint`.
     """
     stats = LeeSearchStats()
     # Validate both terminals once; every probe below stays inside the
@@ -119,11 +121,14 @@ def lee_search(
 
     goal_cell = target.v_idx * nh + target.h_idx
     goal: int | None = None
+    expanded = 0
     while heap:
         d, state = heapq.heappop(heap)
         if d > dist[state]:
             continue
-        stats.nodes_expanded += 1
+        expanded += 1
+        if not expanded & 1023:
+            checkpoint()
         cell = state >> 1
         if cell == goal_cell:
             goal = state
@@ -161,6 +166,7 @@ def lee_search(
                 parent[nstate] = state
                 heapq.heappush(heap, (nd, nstate))
                 stats.nodes_pushed += 1
+    stats.nodes_expanded = expanded
 
     # One batched instrumentation report per wave expansion: the inner
     # loop above tallies into ``stats`` only.

@@ -1,9 +1,10 @@
 """repro.serve — routing-as-a-service.
 
 A persistent, stdlib-only serving layer over the routing stack: a
-threaded HTTP server with an async job queue (layered on the dispatch
-batch runner), a content-addressed LRU result cache keyed on canonical
-request digests, and live progress streamed from instrument events.
+threaded HTTP server with an async job queue whose workers route each
+job in-line under an optional deadline, a content-addressed LRU result
+cache keyed on canonical request digests, and live progress streamed
+from instrument events.
 See docs/SERVING.md for the protocol and ``repro serve`` for the CLI
 entry point.
 """

@@ -4,10 +4,11 @@ Submission is non-blocking: :meth:`JobQueue.submit` either answers
 immediately from the result cache, *coalesces* onto an identical
 in-flight job (single-flight: concurrent duplicates route once), or
 enqueues a new :class:`JobRecord` on a bounded queue.  Worker threads
-drain the queue, executing each job through a
-:class:`repro.dispatch.jobs.JobRunner` so per-job timeout, retry and
-crash accounting are inherited from the batch subsystem rather than
-reimplemented.
+drain the queue and run each job in-line, once, through
+:func:`~repro.serve.protocol.execute_spec`.  With ``timeout_s`` set the
+run is wrapped in a :func:`repro.core.cancel.deadline`: level B stops
+at its next checkpoint once the deadline passes, and the job fails
+with ``timed_out`` set while the worker moves on to the next one.
 
 Each record owns an :class:`EventBuffer`.  The worker runs the flow
 under a per-thread :func:`repro.instrument.thread_collecting` collector
@@ -31,7 +32,8 @@ import time
 from typing import Any
 
 from repro import instrument
-from repro.dispatch.jobs import Job, JobOutcome, JobRunner
+from repro.core.cancel import RouteCancelled, deadline
+from repro.dispatch.jobs import summary_ok
 from repro.instrument.names import (
     EVT_SERVE_JOB_STATE,
     SERVE_CACHE_HITS,
@@ -142,7 +144,6 @@ class JobRecord:
         self.submitted_at = time.time()
         self.started_at: float | None = None
         self.finished_at: float | None = None
-        self.attempts = 0
         self.ok: bool | None = None
         self.error: str | None = None
         self.cache_hit = False
@@ -205,7 +206,6 @@ class JobRecord:
             "check": self.spec.check,
             "state": self.state,
             "ok": self.ok,
-            "attempts": self.attempts,
             "cache_hit": self.cache_hit,
             "coalesced": self.coalesced,
             "error": self.error,
@@ -224,7 +224,11 @@ class JobRecord:
 
 
 class JobQueue:
-    """Bounded async queue of routing jobs over a worker thread pool."""
+    """Bounded async queue of routing jobs over a worker thread pool.
+
+    ``timeout_s`` is each job's level B deadline, counted from the
+    moment a worker starts it.
+    """
 
     def __init__(
         self,
@@ -232,13 +236,11 @@ class JobQueue:
         workers: int = 2,
         cache: ResultCache | None = None,
         timeout_s: float | None = None,
-        retries: int = 1,
         queue_size: int = 64,
     ) -> None:
         self.cache = cache if cache is not None else ResultCache()
         self.workers = max(1, workers)
         self.timeout_s = timeout_s
-        self.retries = max(0, retries)
         self._queue: queue.Queue[JobRecord | None] = queue.Queue(
             maxsize=max(1, queue_size)
         )
@@ -383,7 +385,6 @@ class JobQueue:
                 del self._inflight[digest]
         primary_events = primary.events.snapshot()
         for follower in followers:
-            follower.attempts = primary.attempts
             follower.ok = primary.ok
             follower.error = primary.error
             follower.payload = primary.payload
@@ -412,58 +413,41 @@ class JobQueue:
     def _execute(self, record: JobRecord) -> None:
         record.started_at = time.time()
         record.set_state("running")
-        spec = record.spec
         collector = instrument.Collector()
         collector.subscribe(record.events.append)
-
-        def body(job: Job) -> dict[str, Any]:
-            with instrument.thread_collecting(collector):
-                return execute_spec(spec)
-
-        dispatch_job = Job(
-            design=spec.design_name,
-            flow=spec.flow,
-            check=spec.check,
-        )
-        # Timeouts need a pool (the runner cannot interrupt in-line
-        # work); without one the serial path keeps retry semantics and
-        # skips the per-job executor entirely.
-        if self.timeout_s is not None:
-            runner = JobRunner(
-                2,
-                mode="thread",
-                timeout_s=self.timeout_s,
-                retries=self.retries,
-                retry_timeouts=True,
-                job_body=body,
-            )
-        else:
-            runner = JobRunner(
-                1, mode="serial", retries=self.retries, job_body=body
-            )
-        outcome: JobOutcome = runner.run([dispatch_job]).outcomes[0]
-
-        record.attempts = outcome.attempts
-        record.ok = outcome.ok
-        record.error = outcome.error
-        record.payload = outcome.summary
+        start = time.perf_counter()
+        try:
+            with (
+                instrument.thread_collecting(collector),
+                deadline(self.timeout_s),
+            ):
+                payload = execute_spec(record.spec)
+        except RouteCancelled:
+            self._fail(record, f"timed out after {self.timeout_s}s", True)
+            return
+        except Exception as exc:
+            self._fail(record, f"{type(exc).__name__}: {exc}", False)
+            return
+        record.ok = summary_ok(payload, record.spec.check)
+        record.payload = payload
         record.finished_at = time.time()
-        if outcome.summary is not None:
-            if outcome.ok:
-                self.cache.put(record.digest, outcome.summary)
-            self._count("completed", SERVE_JOBS_COMPLETED)
-            record.set_state(
-                "done",
-                ok=outcome.ok,
-                elapsed_s=round(outcome.elapsed_s, 6),
-            )
-        else:
-            self._count("failed", SERVE_JOBS_FAILED)
-            record.set_state(
-                "failed",
-                error=outcome.error,
-                timed_out=outcome.timed_out,
-            )
+        if record.ok:
+            self.cache.put(record.digest, payload)
+        self._count("completed", SERVE_JOBS_COMPLETED)
+        record.set_state(
+            "done",
+            ok=record.ok,
+            elapsed_s=round(time.perf_counter() - start, 6),
+        )
+        record.events.close()
+        self._resolve_followers(record.digest, record)
+
+    def _fail(self, record: JobRecord, error: str, timed_out: bool) -> None:
+        record.ok = False
+        record.error = error
+        record.finished_at = time.time()
+        self._count("failed", SERVE_JOBS_FAILED)
+        record.set_state("failed", error=error, timed_out=timed_out)
         record.events.close()
         self._resolve_followers(record.digest, record)
 
@@ -490,13 +474,7 @@ class JobQueue:
                     break
                 if record is None:
                     continue
-                record.ok = False
-                record.error = "server shutdown before start"
-                record.finished_at = time.time()
-                self._count("failed", SERVE_JOBS_FAILED)
-                record.set_state("failed", error=record.error)
-                record.events.close()
-                self._resolve_followers(record.digest, record)
+                self._fail(record, "server shutdown before start", False)
                 self._queue.task_done()
         for _ in self._threads:
             self._queue.put(None)

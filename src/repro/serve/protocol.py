@@ -14,9 +14,10 @@ Every spec field reaches it; ``check`` does because it changes the
 payload (the attached verification report).
 
 :func:`execute_spec` is the worker-side body: build the design and
-``FlowParams``, run the flow, and flatten the outcome into a JSON-safe
-payload whose top-level keys (``completion``, ``check_clean``) satisfy
-the dispatch runner's success predicate.
+``FlowParams``, run the flow on the calling thread, and flatten the
+outcome into a JSON-safe payload whose top-level keys (``completion``,
+``check_clean``) feed the success predicate the batch runner shares
+(:func:`repro.dispatch.jobs.summary_ok`).
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from typing import Any
 from repro.io import canonical_digest
 
 PROTOCOL_VERSION = 1
-
-FLOW_NAMES = ("two-layer", "overcell", "ml-channel")
 
 _SPEC_KEYS = frozenset(
     {
@@ -143,9 +142,11 @@ class JobSpec:
         else:
             raise SpecError("'design' must be a suite name or design document")
         flow = data.get("flow", "overcell")
-        if flow not in FLOW_NAMES:
+        from repro.flow import FLOWS
+
+        if flow not in FLOWS:
             raise SpecError(
-                f"unknown flow {flow!r} (available: {sorted(FLOW_NAMES)})"
+                f"unknown flow {flow!r} (available: {sorted(FLOWS)})"
             )
         technology = data.get("technology")
         if technology is not None:
@@ -279,29 +280,22 @@ def build_params(spec: JobSpec) -> Any:
 def execute_spec(spec: JobSpec) -> dict[str, Any]:
     """Route one spec and flatten the outcome into a JSON payload.
 
-    The top level carries the summary metrics the dispatch runner's
-    success predicate reads (``completion``, ``check_clean``); the
-    full :func:`~repro.io.flow_result_to_dict` export rides under
-    ``"result"`` for the ``/jobs/<id>/result`` endpoint.
+    A :func:`repro.core.cancel.deadline` the caller armed stops level B
+    with ``RouteCancelled``.  The top level carries the summary metrics
+    :func:`repro.dispatch.jobs.summary_ok` reads (``completion``,
+    ``check_clean``); the full :func:`~repro.io.flow_result_to_dict`
+    export rides under ``"result"`` for the ``/jobs/<id>/result``
+    endpoint.
     """
     from repro import instrument
-    from repro.flow import (
-        multilayer_channel_flow,
-        overcell_flow,
-        two_layer_flow,
-    )
+    from repro.flow import FLOWS
     from repro.instrument.names import SPAN_SERVE_JOB
     from repro.io import flow_result_to_dict
 
-    flows = {
-        "two-layer": two_layer_flow,
-        "overcell": overcell_flow,
-        "ml-channel": multilayer_channel_flow,
-    }
     design = build_design(spec)
     params = build_params(spec)
     with instrument.span(SPAN_SERVE_JOB):
-        result = flows[spec.flow](design, params)
+        result = FLOWS[spec.flow](design, params)
     payload: dict[str, Any] = {
         "digest": spec.digest(),
         "design": result.design,

@@ -84,7 +84,6 @@ class RoutingServer:
         workers: int = 2,
         cache_size: int = 256,
         timeout_s: float | None = None,
-        retries: int = 1,
         queue_size: int = 64,
     ) -> None:
         self.cache = ResultCache(cache_size)
@@ -92,7 +91,6 @@ class RoutingServer:
             workers=workers,
             cache=self.cache,
             timeout_s=timeout_s,
-            retries=retries,
             queue_size=queue_size,
         )
         handler = type("Handler", (_Handler,), {"app": self})

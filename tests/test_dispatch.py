@@ -5,10 +5,10 @@
 from __future__ import annotations
 
 import json
-import time
 
 import pytest
 
+from repro.core.cancel import RouteCancelled
 from repro.dispatch import Job, JobOutcome, JobRunner
 from repro.dispatch import jobs as jobs_mod
 
@@ -26,7 +26,7 @@ class TestJobRunner:
     def test_retry_then_success(self, monkeypatch):
         calls = {"n": 0}
 
-        def flaky(job):
+        def flaky(job, timeout_s):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("boom")
@@ -38,7 +38,7 @@ class TestJobRunner:
         assert report.outcomes[0].attempts == 2
 
     def test_retries_exhausted(self, monkeypatch):
-        def always_fails(job):
+        def always_fails(job, timeout_s):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(jobs_mod, "_execute_job", always_fails)
@@ -48,21 +48,32 @@ class TestJobRunner:
         assert "boom" in report.outcomes[0].error
 
     def test_timeout_records_without_retry(self, monkeypatch):
-        def slow(job):
-            time.sleep(5)
-            return {"completion": 1.0}
+        self._assert_timeout_not_retried(monkeypatch, 2, "thread")
 
-        monkeypatch.setattr(jobs_mod, "_execute_job", slow)
-        report = JobRunner(2, mode="thread", timeout_s=0.05, retries=3).run(
+    def test_serial_timeout_records_without_retry(self, monkeypatch):
+        self._assert_timeout_not_retried(monkeypatch, 1, "serial")
+
+    @staticmethod
+    def _assert_timeout_not_retried(monkeypatch, workers, mode):
+        calls = {"n": 0}
+
+        def cancelled(job, timeout_s):
+            calls["n"] += 1
+            raise RouteCancelled("deadline passed")
+
+        monkeypatch.setattr(jobs_mod, "_execute_job", cancelled)
+        report = JobRunner(workers, mode=mode, timeout_s=0.05, retries=3).run(
             [Job(design="x")]
         )
         assert not report.ok
         assert report.outcomes[0].timed_out
         assert report.outcomes[0].attempts == 1
+        assert report.outcomes[0].error == "timed out after 0.05s"
+        assert calls["n"] == 1
 
     def test_report_shapes(self, monkeypatch):
         monkeypatch.setattr(
-            jobs_mod, "_execute_job", lambda job: {"completion": 1.0}
+            jobs_mod, "_execute_job", lambda job, timeout_s: {"completion": 1.0}
         )
         report = JobRunner(1, mode="serial").run(
             [Job(design="a"), Job(design="b", flow="two-layer")]
@@ -85,72 +96,42 @@ class TestJobRunner:
             assert doc["jobs"] == []
             assert jobs_mod.BatchReport.from_dict(doc).to_dict() == doc
 
-    def test_timeout_then_retry_then_success(self):
-        calls = {"n": 0}
-
-        def slow_once(job):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                time.sleep(1.0)
-            return {"completion": 1.0}
-
-        runner = JobRunner(
-            2,
-            mode="thread",
-            timeout_s=0.1,
-            retries=2,
-            retry_timeouts=True,
-            job_body=slow_once,
-        )
-        report = runner.run([Job(design="x")])
-        assert report.ok
-        assert report.outcomes[0].attempts >= 2
-        assert not report.outcomes[0].timed_out
-
-    def test_timeout_retries_exhausted(self):
-        def always_slow(job):
-            time.sleep(1.0)
-            return {"completion": 1.0}
-
-        runner = JobRunner(
-            2,
-            mode="thread",
-            timeout_s=0.05,
-            retries=1,
-            retry_timeouts=True,
-            job_body=always_slow,
-        )
-        report = runner.run([Job(design="x")])
-        assert not report.ok
-        assert report.outcomes[0].timed_out
-        assert report.outcomes[0].attempts == 2
-
-    def test_worker_crash_recovers_on_fresh_executor(self, tmp_path):
+    def test_worker_crash_recovers_on_fresh_executor(
+        self, tmp_path, monkeypatch
+    ):
         import os
 
+        monkeypatch.setattr(jobs_mod, "_execute_job", _crash_once_body)
         flag = tmp_path / "crashed-once"
         job = Job(design=f"{flag}:{os.getpid()}")
-        runner = JobRunner(
-            2, mode="process", retries=1, job_body=_crash_once_body
-        )
-        report = runner.run([job])
+        report = JobRunner(2, mode="process", retries=1).run([job])
         if report.mode != "process":  # pragma: no cover - thread fallback
             pytest.skip("no process pool available on this platform")
         assert report.ok
         assert report.outcomes[0].attempts == 2
 
-    def test_job_body_hook_in_serial_mode(self):
-        seen = []
 
-        def body(job):
-            seen.append(job.name)
-            return {"completion": 1.0, "extra": "payload"}
+class TestDeadline:
+    """``timeout_s`` stops real routing, in-line and on a pool."""
 
-        report = JobRunner(1, mode="serial", job_body=body).run(
-            [Job(design="d1"), Job(design="d2")]
+    @pytest.mark.parametrize(
+        "workers,mode", [(1, "serial"), (2, "thread"), (2, "process")]
+    )
+    def test_timeout_stops_ex3(self, workers, mode):
+        report = JobRunner(workers, mode=mode, timeout_s=0.2).run(
+            [Job(design="ex3")]
         )
-        assert report.ok and seen == ["d1/overcell", "d2/overcell"]
-        assert report.outcomes[1].summary["extra"] == "payload"
+        outcome = report.outcomes[0]
+        assert outcome.timed_out and not outcome.ok
+        assert outcome.attempts == 1
+        assert outcome.error == "timed out after 0.2s"
+
+    def test_job_inside_its_deadline_completes(self):
+        report = JobRunner(1, mode="serial", timeout_s=60.0).run(
+            [Job(design="ami33"), Job(design="ami33", flow="two-layer")]
+        )
+        assert report.ok
+        assert not any(o.timed_out for o in report.outcomes)
 
 
 class TestReportRoundTrip:
@@ -215,7 +196,7 @@ class TestReportRoundTrip:
             jobs_mod.BatchReport.from_dict({"format": "nope", "jobs": []})
 
 
-def _crash_once_body(job):
+def _crash_once_body(job, timeout_s):
     """Process-pool body that hard-kills its worker exactly once.
 
     The flag file and submitter pid are smuggled through ``job.design``
@@ -263,3 +244,12 @@ class TestIntegration:
         assert doc["jobs"][0]["design"] == "ami33"
         captured = capsys.readouterr().out
         assert "dispatch batch" in captured
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_cli_rejects_non_positive_timeout(self, value, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dispatch", "--suites", "ami33", "--timeout", value])
+        assert excinfo.value.code == 2
+        assert "positive number of seconds" in capsys.readouterr().err

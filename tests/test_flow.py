@@ -203,3 +203,22 @@ class TestLevelBConstruction:
         params = FlowParams(planes=planes)
         with pytest.raises(ValueError, match="planes must be >= 1"):
             overcell_flow(SUITES["ami33"](), params)
+
+    def test_short_stack_extended_at_one_plane(self):
+        from repro.technology import Technology
+
+        params = FlowParams(technology=Technology.two_layer())
+        result = overcell_flow(SUITES["ami33"](), params)
+        assert result.completion == 1.0
+        assert result.levelb.technology.num_overcell_planes == 1
+
+
+class TestFlowTable:
+    def test_every_flow_by_name(self):
+        from repro.flow import FLOWS
+
+        assert FLOWS == {
+            "two-layer": two_layer_flow,
+            "overcell": overcell_flow,
+            "ml-channel": multilayer_channel_flow,
+        }

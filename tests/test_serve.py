@@ -207,6 +207,33 @@ class TestEventBuffer:
 # ----------------------------------------------------------------------
 # Job queue (no HTTP)
 # ----------------------------------------------------------------------
+def _count_runs(monkeypatch) -> dict:
+    """Count the queue's calls of ``execute_spec`` (one per job run)."""
+    from repro.serve import jobqueue
+
+    runs = {"n": 0}
+    execute = jobqueue.execute_spec
+
+    def counted(spec):
+        runs["n"] += 1
+        return execute(spec)
+
+    monkeypatch.setattr(jobqueue, "execute_spec", counted)
+    return runs
+
+
+def _final_state(record) -> dict:
+    """The record's last ``serve.job_state`` event, once it is logged."""
+    deadline = time.monotonic() + 10.0
+    while not record.events.closed and time.monotonic() < deadline:
+        time.sleep(0.01)
+    states = [
+        e for e in record.events.snapshot()
+        if e.get("event") == "serve.job_state"
+    ]
+    return states[-1]
+
+
 class TestJobQueue:
     def test_submit_execute_and_cache(self):
         q = JobQueue(workers=1, queue_size=8)
@@ -261,18 +288,55 @@ class TestJobQueue:
         finally:
             q.close()
 
-    def test_failed_job_records_error(self):
+    def test_failed_job_records_error(self, monkeypatch):
+        runs = _count_runs(monkeypatch)
         bad = toy_spec()
         bad["design"] = dict(bad["design"], cells=[])  # no cells: flow dies
-        q = JobQueue(workers=1, retries=0)
+        q = JobQueue(workers=1)
         q.start()
         try:
             record = q.submit(JobSpec.from_dict(bad))
             assert record.wait(timeout_s=30.0)
             assert record.state == "failed"
             assert record.ok is False
-            assert record.error
+            assert record.error.startswith("ValueError: ")
             assert q.counters["failed"] == 1
+            assert runs["n"] == 1  # a failure is not rerun
+            assert _final_state(record)["timed_out"] is False
+        finally:
+            q.close()
+
+    def test_timeout_stops_work_and_frees_the_worker(self, monkeypatch):
+        from repro.core import LevelBRouter
+
+        runs = _count_runs(monkeypatch)
+        nets = {"n": 0}
+        route_net = LevelBRouter._route_net
+
+        def counted_route_net(self, net):
+            nets["n"] += 1
+            return route_net(self, net)
+
+        monkeypatch.setattr(LevelBRouter, "_route_net", counted_route_net)
+        q = JobQueue(workers=1, timeout_s=0.3)
+        q.start()
+        try:
+            record = q.submit(JobSpec.from_dict({"design": "ex3"}))
+            assert record.wait(timeout_s=30.0)
+            routed_at_answer = nets["n"]
+            assert record.state == "failed"
+            assert record.error == "timed out after 0.3s"
+            assert _final_state(record)["timed_out"] is True
+            assert runs["n"] == 1
+            assert q.counters["failed"] == 1
+            # Nothing keeps routing the cancelled job.
+            time.sleep(1.0)
+            assert nets["n"] == routed_at_answer
+            # The same worker runs the next job without the old deadline.
+            nxt = q.submit(JobSpec.from_dict(toy_spec()))
+            assert nxt.wait(timeout_s=30.0)
+            assert nxt.state == "done" and nxt.ok is True
+            assert runs["n"] == 2
         finally:
             q.close()
 
@@ -617,3 +681,16 @@ class TestServeCli:
         assert args.workers == 3
         assert args.cache_size == 16
         assert args.func.__name__ == "_cmd_serve"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--timeout", "0"], ["--timeout", "-1"], ["--retries", "1"]],
+        ids=["timeout-zero", "timeout-negative", "retries"],
+    )
+    def test_parser_rejects(self, argv, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", *argv])
+        assert excinfo.value.code == 2
+        assert argv[0] in capsys.readouterr().err

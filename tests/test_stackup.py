@@ -242,7 +242,6 @@ class TestFootprints:
         grid = _grid()
         grid.set_net_footprint(7, 1, guard=0)  # (1, 0) is not stored
         assert grid.footprint_of(7) == (1, 0)
-        assert grid.max_footprint_reach() == 0
 
     def test_wide_claim_covers_span_and_guard(self):
         grid = _grid()
