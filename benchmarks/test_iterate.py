@@ -3,7 +3,7 @@
 Runs the over-cell flow on the dense tier (``repro.bench_suite.
 DENSE_TIERS`` — small over-cell areas under heavy, low-locality demand,
 tuned to sit just past the one-pass routability boundary) and the
-``scale-quick`` tier, once per registered ordering policy with the
+``scale-quick`` tier, once per ordering policy with the
 iterative driver on, asserting the acceptance property of
 docs/ITERATION.md:
 
@@ -30,7 +30,7 @@ import pytest
 
 from repro.bench_suite import dense_design, dense_profile, scale_design
 from repro.flow import FlowParams, overcell_flow
-from repro.iterate import available_policies
+from repro.iterate import POLICIES
 
 from conftest import print_experiment
 
@@ -65,7 +65,7 @@ def _tier_runs(make_design) -> tuple[dict, list[dict]]:
         "wire_length": one_pass.wire_length,
         "via_count": one_pass.via_count,
     }
-    runs = [_iterated_run(make_design(), p) for p in available_policies()]
+    runs = [_iterated_run(make_design(), p) for p in sorted(POLICIES)]
     return baseline, runs
 
 
@@ -113,7 +113,7 @@ def test_iterate_tiers(request: pytest.FixtureRequest) -> None:
     profile = dense_profile("quick")
     doc = {
         "format": "repro-bench-iterate",
-        "policies": list(available_policies()),
+        "policies": sorted(POLICIES),
         "tiers": {
             "dense-quick": {
                 "design": {

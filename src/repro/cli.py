@@ -337,7 +337,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 def _add_levelb_args(parser: argparse.ArgumentParser) -> None:
     """Level B strategy knobs shared by the flow-running commands."""
-    from repro.iterate import available_policies
+    from repro.iterate import POLICIES
 
     parser.add_argument(
         "--iterate",
@@ -353,7 +353,7 @@ def _add_levelb_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--ordering-policy",
-        choices=available_policies(),
+        choices=sorted(POLICIES),
         default="longest-first",
         help="net-ordering policy for --iterate passes "
         "(default longest-first)",

@@ -14,10 +14,9 @@ the spirit of the paper's net ordering:
    accumulated estimated wire density).  A net's candidate cost on a
    plane is the mean demand already accumulated over its bounding box,
    plus a via-stack penalty that grows with the plane's altitude and
-   the net's pin count — the same ``plane_via_weight *
-   stack_via_depth`` pricing the routing cost function applies later
-   (see :class:`~repro.core.cost.CornerCostEvaluator.base_cost`), so
-   assignment and routing judge altitude consistently.
+   the net's pin count (``via_weight`` per extra via level).  This is
+   the only place altitude is priced: once a net has its plane, the
+   routing cost function never sees the plane again.
 3. The net takes the cheapest plane (ties go to the lowest), then adds
    its own estimated demand (half-perimeter spread uniformly over its
    box) to that plane's map.
@@ -108,8 +107,7 @@ def assign_planes(
                 for by in range(by1, by2 + 1)
                 for bx in range(bx1, bx2 + 1)
             ) / nbins
-            # 2 * plane extra via levels per pin stack — the same
-            # altitude pricing CornerCostEvaluator.base_cost applies.
+            # 2 * plane extra via levels per pin stack.
             cost = overlap + via_weight * 2 * plane * net.degree
             if cost < best_cost:
                 best_cost = cost

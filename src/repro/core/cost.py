@@ -160,14 +160,6 @@ class CornerCostEvaluator:
     constraints"), each a
     :class:`~repro.core.coupling.PathCostTerm` evaluated once per
     candidate path by the selector.
-
-    ``base_cost`` is a constant surcharge per connection: on an
-    over-cell plane above metal3/metal4 every connection pays for the
-    deeper inter-plane via stacks at its endpoints, which keeps path
-    costs comparable across planes (and keeps the plane-assignment
-    pass honest — the penalty it charged is the penalty the routed
-    connection reports).  It is ``0.0`` on plane 0, so single-plane
-    costs are unchanged.
     """
 
     def __init__(
@@ -175,28 +167,15 @@ class CornerCostEvaluator:
         grid: RoutingGrid,
         weights: CostWeights,
         extra_terms: tuple = (),
-        base_cost: float = 0.0,
         history: TrackHistory | None = None,
-        width_tracks: int = 1,
-        corner_surcharge: float = 0.0,
     ) -> None:
         self.grid = grid
         self.weights = weights
         self.extra_terms = tuple(extra_terms)
-        self.base_cost = base_cost
         #: Negotiated-congestion history (repro.iterate).  ``None`` in
         #: one-pass mode, keeping the evaluator bit-identical to the
         #: seed cost model.
         self.history = history
-        #: Track span of the net being routed (width classes).  A wide
-        #: net's wire length is charged per track it covers, so the
-        #: wl-vs-corner balance reflects the metal actually drawn.
-        self.width_tracks = width_tracks
-        #: Flat per-corner surcharge (e.g. the technology's via cost
-        #: under ``objective="vias"``).  Constant across the equal-corner
-        #: MBFS candidates, so it biases only engines that trade corner
-        #: count against length (the Lee rescue path).
-        self.corner_surcharge = corner_surcharge
         self._memo: dict[tuple[int, int], float] = {}
 
     def extra_cost(self, points, corners) -> float:
@@ -231,16 +210,3 @@ class CornerCostEvaluator:
         cost = w.w21 * drg + w.w22 * dup + w.w23 * acf
         self._memo[key] = cost
         return cost
-
-    def path_cost(self, wire_length: int, corners: list[tuple[int, int]]) -> float:
-        """Full cost ``C`` of a candidate path."""
-        total = self.base_cost + self.weights.w1 * float(wire_length)
-        # Conditional extras so the default configuration's float math —
-        # and therefore the seed route digests — is untouched.
-        if self.width_tracks > 1:
-            total += self.weights.w1 * float(wire_length) * (self.width_tracks - 1)
-        if self.corner_surcharge:
-            total += self.corner_surcharge * len(corners)
-        for v_idx, h_idx in corners:
-            total += self.corner_cost(v_idx, h_idx)
-        return total

@@ -34,7 +34,7 @@ from collections.abc import Callable, Iterable
 
 from repro import instrument
 from repro.instrument.names import REGION_EXPANSIONS
-from repro.geometry import Interval, Path, Point
+from repro.geometry import Interval, Path
 from repro.grid import RoutingGrid
 from repro.core.cost import CornerCostEvaluator
 from repro.core.search import MBFSearch, candidate_paths
@@ -53,7 +53,6 @@ class RoutedConnection:
     target: GridTerminal
     path: Path
     corners: list[tuple[int, int]]
-    cost: float
     expansions_used: int
 
     @property
@@ -79,8 +78,9 @@ class EngineContext:
     evaluator:
         ``evaluator(net_id)`` builds a fresh
         :class:`~repro.core.cost.CornerCostEvaluator` carrying the
-        net's cost-function extension terms.  Engines must create one
-        per connection (the memo assumes a frozen grid).
+        net's cost-function extension terms.  An engine that selects
+        by the section 3.2 cost (the MBFS) creates one per connection
+        (the memo assumes a frozen grid); a Lee search never reads it.
     add_nodes:
         Search-effort callback; engines report nodes created/expanded
         so the orchestrator can aggregate them into the result.
@@ -156,7 +156,7 @@ class MBFSEngine(ConnectionEngine):
                 outcome.release()
                 continue
             cands = candidate_paths(outcome, grid)
-            best, cost = select_best_path(cands, evaluator)
+            best, _ = select_best_path(cands, evaluator)
             outcome.release()
             if best is None:
                 continue
@@ -169,13 +169,7 @@ class MBFSEngine(ConnectionEngine):
                 if len(best.points) >= 2
                 else Path.from_points([best.points[0], best.points[0]]),
                 corners=best.corners,
-                cost=cost,
                 expansions_used=attempt,
             )
         return None
 
-
-def path_length(points: Iterable[Point]) -> int:
-    """Manhattan length of a waypoint sequence (engine helper)."""
-    pts = list(points)
-    return sum(a.manhattan_to(b) for a, b in zip(pts, pts[1:]))

@@ -157,7 +157,10 @@ class LevelBConfig:
 
 
 #: How much harder the "vias" objective leans on via prices than the
-#: default plane/corner weighting.  The knee of a measured trade-off:
+#: default weighting.  It scales two prices and nothing else: the plane
+#: assignment's per-via-level weight (times the technology's mean via
+#: cost) and ``maze_via_penalty``, the corner price of every Lee
+#: search.  The knee of a measured trade-off:
 #: raising it keeps cutting vias but concentrates nets on plane 0
 #: until completions start to fall on saturated designs (the wide
 #: bench tier loses ~9% completion by 8.0); 4.0 takes most of the via
@@ -615,46 +618,19 @@ class LevelBRouter:
         self._nodes_created += n
 
     def _evaluator_for(self, net_id: int) -> CornerCostEvaluator:
-        """A fresh cost evaluator carrying the net's extension terms.
-
-        Bound to the net's own plane grid; on an upper plane the
-        evaluator also carries the constant inter-plane via-stack
-        surcharge (``base_cost``), zero on plane 0.
-        """
+        """A fresh cost evaluator carrying the net's extension terms,
+        bound to the net's own plane grid."""
         plane = self.tig.plane_of(net_id)
-        base = (
-            self.config.plane_via_weight * self.stack.via_depth(plane)
-            if plane
-            else 0.0
-        )
         return CornerCostEvaluator(
             self.tig.grid_of(net_id),
             self.config.weights,
             extra_terms=self._extra_terms_for(net_id),
-            base_cost=base,
             history=self.history[plane] if self.history is not None else None,
-            width_tracks=self._footprints[net_id][0],
-            corner_surcharge=self.corner_surcharge(net_id),
         )
 
     def footprint_of(self, net_id: int) -> tuple[int, int]:
         """The ``(span, guard)`` footprint of a registered net."""
         return self._footprints[net_id]
-
-    def corner_surcharge(self, net_id: int) -> float:
-        """Flat per-corner price of a net under the active objective.
-
-        Zero under ``objective="wire"``; under ``"vias"`` each corner
-        pays the technology's via cost on the net's plane, scaled by
-        :data:`VIA_OBJECTIVE_SCALE`.  Constant per candidate corner, so
-        the equal-corner MBFS ranking is untouched — the term steers
-        engines that trade corners against length (the Lee rescue) and
-        keeps reported costs comparable across objectives.
-        """
-        if self.objective != "vias":
-            return 0.0
-        plane = self.tig.plane_of(net_id)
-        return VIA_OBJECTIVE_SCALE * self.technology.corner_via_cost(plane)
 
     def _ctx_for(self, net_id: int) -> EngineContext:
         """The engine context of a net's plane."""

@@ -67,14 +67,15 @@ class FlowParams:
         Re-route pass budget when ``iterate`` is on (the initial pass
         is not counted).
     ordering_policy:
-        Registered :class:`repro.iterate.OrderingPolicy` name deciding
-        each pass's net order (``longest-first``, ``congestion`` or
-        ``feature``; see docs/ITERATION.md).
+        A :data:`repro.iterate.POLICIES` name deciding each pass's net
+        order (``longest-first``, ``congestion`` or ``feature``; see
+        docs/ITERATION.md).
     objective:
         Level B routing objective: ``"wire"`` (default; the paper's
         wire-length-led cost, bit-identical to the seed) or ``"vias"``
-        (via minimization — plane assignment and corner pricing driven
-        by the technology's per-level via costs, docs/TECHNOLOGY.md).
+        (via minimization — the plane assignment's via price scaled by
+        the technology's via costs, and a dearer corner in every Lee
+        search; docs/TECHNOLOGY.md).
     """
 
     technology: Technology = field(default_factory=Technology.four_layer)

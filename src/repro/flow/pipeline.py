@@ -153,8 +153,8 @@ class LevelA(NamedTuple):
 def realize_level_a(design: Design, params: FlowParams) -> LevelA:
     """Partition the nets, channel-route set A and realise the layout.
 
-    The one level A set-up behind :func:`overcell_flow` and the
-    ordering-policy tuner (:mod:`repro.iterate.tuning`).
+    The one level A set-up behind :func:`overcell_flow`; tests build
+    a level B router over its bounds with :func:`levelb_router`.
     """
     nets = design.routable_nets()
     if params.partition is PartitionStrategy.LONG_TO_B:

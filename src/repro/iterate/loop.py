@@ -47,7 +47,7 @@ from repro.instrument.names import (
 from repro.core.cost import TrackHistory
 from repro.core.router import LevelBResult, LevelBRouter
 from repro.globalroute.regions import RegionModel
-from repro.iterate.policies import NetFeedback, OrderingPolicy, get_policy
+from repro.iterate.policies import POLICIES, NetFeedback
 
 __all__ = [
     "CostSchedule",
@@ -99,10 +99,8 @@ class IterateConfig:
     max_iterations: int = 8
     #: Consecutive non-improving passes before giving up.
     stall_limit: int = 2
-    #: Ordering policy: a registry name (:mod:`repro.iterate.policies`)
-    #: or a ready policy instance (the tuning harness passes candidate
-    #: :class:`FeatureOrderingPolicy` objects directly).
-    policy: "str | OrderingPolicy" = "longest-first"
+    #: Ordering policy: a :data:`~repro.iterate.policies.POLICIES` name.
+    policy: str = "longest-first"
     schedule: CostSchedule = field(default_factory=CostSchedule)
     #: Run the ``repro.check`` short sweep on every improving pass and
     #: refuse to commit a pass that introduces a short (belt and
@@ -116,6 +114,11 @@ class IterateConfig:
             raise ValueError("max_iterations must be >= 0")
         if self.stall_limit < 1:
             raise ValueError("stall_limit must be >= 1")
+        if self.policy not in POLICIES:
+            raise ValueError(
+                f"unknown ordering policy {self.policy!r} "
+                f"(available: {sorted(POLICIES)})"
+            )
 
 
 @dataclass
@@ -217,8 +220,6 @@ def _build_feedback(
         touching = model.regions_touching(*window)
         feedback[routed.net.name] = NetFeedback(
             failed=not routed.complete,
-            wire_length=routed.wire_length,
-            corners=routed.corner_count,
             overflow=sum(1 for rid in touching if rid in overflowed),
             demand=max(model.region(rid).utilization for rid in touching),
         )
@@ -281,16 +282,12 @@ def iterate_levelb(
     Returns the best result (whose wiring is what the grid holds) and
     the convergence report.  With ``max_iterations == 0``, or when the
     first pass already completes, exactly one routing pass runs, in the
-    policy's initial order.  That order is longest-first for every
-    shipped policy but ``feature``, so under the default net ordering
-    such a run routes exactly like one-pass routing.
+    order ``policy(nets, {})``.  That order is longest-first for every
+    policy but ``feature``, so under the default net ordering such a
+    run routes exactly like one-pass routing.
     """
     cfg = config or IterateConfig()
-    policy = (
-        cfg.policy
-        if isinstance(cfg.policy, OrderingPolicy)
-        else get_policy(cfg.policy)
-    )
+    policy = POLICIES[cfg.policy]
     records: list[IterationRecord] = []
     stalls = 0
     iterations = 0
@@ -301,7 +298,7 @@ def iterate_levelb(
             ITERATE_ROLLBACKS,
             ITERATE_STALLS,
         )
-        best = router.route(order=policy.initial_order(router.nets))
+        best = router.route(order=policy(router.nets, {}))
         records.append(
             IterationRecord(
                 iteration=0,
@@ -339,7 +336,7 @@ def iterate_levelb(
                         router, history, best, model, windows,
                         cfg.schedule, iterations,
                     )
-                    order = policy.reorder(router.nets, feedback)
+                    order = policy(router.nets, feedback)
                     txn = router.tig.planes.begin()
                     ripped = 0
                     for routed in best.routed:
@@ -392,7 +389,7 @@ def iterate_levelb(
                 ITERATE_HISTORY_PEAK, max(h.peak() for h in history)
             )
     report = IterateReport(
-        policy=policy.name,
+        policy=cfg.policy,
         iterations=iterations,
         converged=_complete(best),
         stalled=not _complete(best) and stalls >= cfg.stall_limit,

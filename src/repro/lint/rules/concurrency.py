@@ -1,17 +1,20 @@
 """Process-pool safety rules for the dispatch and serve subsystems.
 
-The batch job runner (``repro.dispatch.jobs``) and the serve job queue
-push work onto ``concurrent.futures`` executors.  Process pools pickle
-the callable and its arguments; anything that is not a module-level
-function — a lambda, a nested ``def`` closing over local state, a
-bound method — either fails to pickle or, worse, pickles a *copy* of
-shared-mutable state and silently diverges from an in-line run.
+The batch job runner (``repro.dispatch.jobs``) pushes work onto
+``concurrent.futures`` executors.  The serve job queue does not: it
+runs each spec in-line on its own worker threads, and the rules scan
+``repro.serve`` so that stays safe if it ever hands work to a pool.
+Process pools pickle the callable and its arguments; anything that is
+not a module-level function — a lambda, a nested ``def`` closing over
+local state, a bound method — either fails to pickle or, worse,
+pickles a *copy* of shared-mutable state and silently diverges from an
+in-line run.
 
 * ``pool.payload`` — the callable handed to an *executor's*
   ``.submit(...)`` must be a module-level function (or a module
-  attribute).  Thread-mode-only submission paths that deliberately
-  accept closures carry a pragma naming the runtime guard that keeps
-  them off process pools.  The rule keys on the receiver name — a
+  attribute).  A thread-mode-only submission path that deliberately
+  accepts a closure must carry a pragma naming the runtime guard that
+  keeps it off process pools.  The rule keys on the receiver name — a
   ``.submit`` through anything named ``*executor*`` — so domain-level
   ``submit`` methods that take *data* (``JobQueue.submit(spec)``) are
   out of scope; the convention is that raw ``concurrent.futures``

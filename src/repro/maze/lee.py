@@ -44,7 +44,6 @@ from repro.core.engine import (
     EngineContext,
     Region,
     RoutedConnection,
-    path_length,
 )
 from repro.core.cancel import checkpoint
 from repro.core.router import LevelBRouter
@@ -207,9 +206,9 @@ class LeeEngine(ConnectionEngine):
 
     Complete within its region (unlike the MBFS, which drops paths with
     more than one corner per track), so with the unbounded region it
-    finds a connection whenever one exists.  Committed paths are priced
-    with the regular section 3.2 cost model so Lee and MBFS costs
-    aggregate on one scale.
+    finds a connection whenever one exists.  It prices moves with track
+    lengths and ``via_penalty`` alone: the section 3.2 cost model, and
+    with it the iterate history, steers only the MBFS selection.
     """
 
     def __init__(self, via_penalty: float) -> None:
@@ -226,7 +225,6 @@ class LeeEngine(ConnectionEngine):
         if source == target:
             return None
         grid = ctx.grid
-        evaluator = ctx.evaluator(net_id)
         for attempt, region in enumerate(regions):
             if attempt:
                 instrument.count(REGION_EXPANSIONS)
@@ -241,11 +239,6 @@ class LeeEngine(ConnectionEngine):
             ctx.add_nodes(stats.nodes_expanded)
             if waypoints is None or corners is None:
                 continue
-            # Price the path before committing: the evaluator's memo
-            # assumes a frozen grid.
-            cost = evaluator.path_cost(
-                path_length(waypoints), corners
-            ) + evaluator.extra_cost(waypoints, corners)
             with grid.transaction():
                 grid.commit_path(net_id, waypoints, corners)
             return RoutedConnection(
@@ -253,7 +246,6 @@ class LeeEngine(ConnectionEngine):
                 target=target,
                 path=Path.from_points(waypoints),
                 corners=corners,
-                cost=cost,
                 expansions_used=attempt,
             )
         return None

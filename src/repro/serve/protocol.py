@@ -94,6 +94,11 @@ class SpecError(ValueError):
     """A client request that fails validation (HTTP 400)."""
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``true`` and ``false`` are Python ints, not these."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One validated routing request.
@@ -142,6 +147,8 @@ class JobSpec:
         else:
             raise SpecError("'design' must be a suite name or design document")
         flow = data.get("flow", "overcell")
+        if not isinstance(flow, str):
+            raise SpecError("'flow' must be a string")
         from repro.flow import FLOWS
 
         if flow not in FLOWS:
@@ -168,7 +175,7 @@ class JobSpec:
             except (KeyError, TypeError, ValueError) as exc:
                 raise SpecError(f"invalid technology document: {exc}")
         planes = data.get("planes", 1)
-        if not isinstance(planes, int) or planes < 1:
+        if not _is_int(planes) or planes < 1:
             raise SpecError("'planes' must be an integer >= 1")
         check = data.get("check", False)
         if not isinstance(check, bool):
@@ -177,17 +184,17 @@ class JobSpec:
         if not isinstance(iterate, bool):
             raise SpecError("'iterate' must be a boolean")
         max_iterations = data.get("max_iterations", 8)
-        if not isinstance(max_iterations, int) or max_iterations < 0:
+        if not _is_int(max_iterations) or max_iterations < 0:
             raise SpecError("'max_iterations' must be an integer >= 0")
         ordering_policy = data.get("ordering_policy", "longest-first")
         if not isinstance(ordering_policy, str):
             raise SpecError("'ordering_policy' must be a string")
-        from repro.iterate import available_policies
+        from repro.iterate import POLICIES
 
-        if ordering_policy not in available_policies():
+        if ordering_policy not in POLICIES:
             raise SpecError(
                 f"unknown ordering policy {ordering_policy!r} "
-                f"(available: {list(available_policies())})"
+                f"(available: {sorted(POLICIES)})"
             )
         objective = data.get("objective", "wire")
         if objective not in ("wire", "vias"):

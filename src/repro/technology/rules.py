@@ -161,23 +161,6 @@ class Technology:
         )
         return span, guard
 
-    def corner_via_cost(self, plane: int) -> float:
-        """Cost of one plane-internal corner via (e.g. m3-m4 on plane 0)."""
-        v_idx, _ = plane_layer_indices(plane)
-        return self.via(v_idx).cost
-
-    def stack_via_cost(self, plane: int) -> float:
-        """Cost of one terminal via stack from the channel pair to ``plane``.
-
-        The accounting model charges ``1 + 2 * plane`` vias per pin
-        (:attr:`~repro.core.router.LevelBResult.total_vias`); this is
-        the same climb priced through the per-level via costs, so
-        technologies with expensive upper vias pull the plane
-        assignment down harder under ``objective="vias"``.
-        """
-        v_idx, _ = plane_layer_indices(plane)
-        return sum(self.via(i).cost for i in range(2, v_idx))
-
     # ------------------------------------------------------------------
     # Presets
     # ------------------------------------------------------------------

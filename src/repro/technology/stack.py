@@ -12,10 +12,10 @@ wraps.
 
 A net assigned to plane ``p > 0`` pays for its altitude: every pin
 connection must climb ``2p`` extra via levels, and that through-stack
-physically occupies the corner cell on every lower plane.  Both costs
-are exposed here (:meth:`RoutingPlane.stack_via_depth`,
-:meth:`LayerStack.via_depth`) so the section-3.2 cost function and the
-plane-assignment pass price them consistently.
+physically occupies the corner cell on every lower plane.  The depth
+is exposed here (:meth:`RoutingPlane.stack_via_depth`,
+:meth:`LayerStack.via_depth`); the plane-assignment pass is what
+prices it.
 """
 
 from __future__ import annotations

@@ -76,7 +76,6 @@ def connection(path, corners, grid, *, commit_to=None):
         target=GridTerminal(0, 0),
         path=path,
         corners=list(corners),
-        cost=0.0,
         expansions_used=0,
     )
     if commit_to is not None:

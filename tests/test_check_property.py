@@ -46,7 +46,6 @@ def _connection(points, corners):
         target=GridTerminal(0, 0),
         path=_path(points),
         corners=list(corners),
-        cost=0.0,
         expansions_used=0,
     )
 

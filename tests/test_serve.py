@@ -68,6 +68,29 @@ class TestJobSpec:
         with pytest.raises(SpecError, match="planes"):
             JobSpec.from_dict({"design": "ex3", "planes": 0})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("planes", True),
+            ("planes", False),
+            ("max_iterations", True),
+            ("max_iterations", False),
+        ],
+        ids=["planes-true", "planes-false", "iterations-true", "iterations-false"],
+    )
+    def test_boolean_integers_rejected(self, key, value):
+        # JSON true/false parse to Python bools, which are ints: taken
+        # as integers they would route like 1/0 under a separate digest.
+        with pytest.raises(SpecError, match=f"'{key}' must be an integer"):
+            JobSpec.from_dict({"design": "ami33", key: value})
+
+    @pytest.mark.parametrize(
+        "flow", [["overcell"], {}], ids=["list", "object"]
+    )
+    def test_non_string_flow_rejected(self, flow):
+        with pytest.raises(SpecError, match="'flow' must be a string"):
+            JobSpec.from_dict({"design": "ami33", "flow": flow})
+
     def test_digest_pinned(self):
         # Cache keys outlive the code that computed them: a served
         # result cached under these digests must keep resolving.
@@ -500,6 +523,25 @@ class TestServerEndpoints:
         assert head.startswith(b"HTTP/1.1 400 ")
         assert b"Connection: close" in head
         assert "Content-Length" in json.loads(body)["error"]
+
+    def test_non_string_flow_is_400_and_keeps_serving(self, server, client):
+        body = json.dumps({"design": "ami33", "flow": ["overcell"]}).encode()
+        with socket.create_connection(
+            (server.host, server.port), timeout=30.0
+        ) as sock:
+            sock.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Type: application/json\r\nConnection: close\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                + body
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert "'flow' must be a string" in json.loads(payload)["error"]
+        assert client.health()["ok"] is True
 
     def test_stats_shape(self, client):
         stats = client.stats()

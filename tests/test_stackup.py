@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LevelBRouter
+from repro.core import LevelBConfig, LevelBRouter
 from repro.core.tig import TrackIntersectionGraph
 from repro.geometry import Interval, Point, Rect
 from repro.grid import FREE, RoutingGrid, TrackSet
@@ -363,12 +363,17 @@ class TestViasObjective:
             )
 
     def test_wire_objective_has_no_surcharge(self):
+        # The rescue's Lee search prices a corner at the configured
+        # penalty, unscaled.
         design = _wide_toy()
         router = LevelBRouter(self.BOUNDS, list(design.nets.values()))
-        for net in design.nets.values():
-            assert router.corner_surcharge(router.net_id(net)) == 0.0
+        penalty = LevelBConfig().maze_via_penalty
+        assert router.config.maze_via_penalty == penalty
+        assert router._rescue_engine().via_penalty == penalty
 
     def test_vias_objective_prices_corners(self):
+        # Under "vias" the one corner price, the Lee via penalty of the
+        # rescue, scales by VIA_OBJECTIVE_SCALE on every plane.
         from repro.core.router import VIA_OBJECTIVE_SCALE
 
         design = _wide_toy()
@@ -379,12 +384,9 @@ class TestViasObjective:
             planes=2,
             objective="vias",
         )
-        tech = router.technology
-        for net in design.nets.values():
-            nid = router.net_id(net)
-            plane = router.tig.plane_of(nid)
-            expected = VIA_OBJECTIVE_SCALE * tech.corner_via_cost(plane)
-            assert router.corner_surcharge(nid) == expected
+        penalty = VIA_OBJECTIVE_SCALE * LevelBConfig().maze_via_penalty
+        assert router.config.maze_via_penalty == penalty
+        assert router._rescue_engine().via_penalty == penalty
 
     def test_wide_classes_get_footprints(self):
         design = _wide_toy()
