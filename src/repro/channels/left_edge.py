@@ -34,9 +34,6 @@ class _Subnet:
     c1: int
     c2: int
 
-    def has_endpoint(self, col: int) -> bool:
-        return col == self.c1 or col == self.c2
-
 
 class LeftEdgeRouter:
     """Left-edge channel router (dogleg by default)."""

@@ -34,6 +34,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from repro.bench_suite import SUITES
@@ -86,6 +87,21 @@ def _seconds(text: str) -> float:
             f"must be a positive number of seconds, got {text!r}"
         )
     return value
+
+
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type for integers no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, got {text!r}"
+            )
+        return value
+
+    parse.__name__ = f"integer >= {low}"
+    return parse
 
 
 def _output(path: str) -> Path:
@@ -276,7 +292,6 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
         args.suites or sorted(SUITES),
         args.flows or ["overcell"],
         workers=args.jobs,
-        mode="serial" if args.serial else args.mode,
         timeout_s=args.timeout,
         retries=args.retries,
         check=args.check,
@@ -347,7 +362,7 @@ def _add_levelb_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-iterations",
-        type=int,
+        type=_at_least(0),
         default=8,
         help="re-route pass budget with --iterate (default 8)",
     )
@@ -387,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_flow.add_argument("--tech", help="technology JSON (repro.io format)")
     p_flow.add_argument(
-        "--planes", type=int, default=1,
+        "--planes", type=_at_least(1), default=1,
         help="over-cell routing planes for level B (default 1)",
     )
     p_flow.add_argument("--svg", help="write an SVG layout plot")
@@ -403,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_route.add_argument("--design", help="design JSON (repro.io format)")
     p_route.add_argument("--tech", help="technology JSON (repro.io format)")
     p_route.add_argument(
-        "--planes", type=int, default=1,
+        "--planes", type=_at_least(1), default=1,
         help="over-cell routing planes for level B (default 1)",
     )
     p_route.add_argument(
@@ -422,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--flow", choices=sorted(FLOWS), default="overcell")
     p_prof.add_argument("--tech", help="technology JSON (repro.io format)")
     p_prof.add_argument(
-        "--planes", type=int, default=1,
+        "--planes", type=_at_least(1), default=1,
         help="over-cell routing planes for level B (default 1)",
     )
     p_prof.add_argument(
@@ -445,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--flow", choices=sorted(FLOWS), default="overcell")
     p_check.add_argument("--tech", help="technology JSON (repro.io format)")
     p_check.add_argument(
-        "--planes", type=int, default=1,
+        "--planes", type=_at_least(1), default=1,
         help="over-cell routing planes for level B (default 1)",
     )
     p_check.add_argument("--json", help="write the check report as JSON")
@@ -526,24 +541,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="flows to run per suite (default: overcell)",
     )
     p_disp.add_argument(
-        "--jobs", type=int, default=2, help="worker pool size (default 2)"
-    )
-    p_disp.add_argument(
-        "--mode",
-        choices=("process", "thread"),
-        default="process",
-        help="pool kind (process falls back to threads when unavailable)",
-    )
-    p_disp.add_argument(
-        "--serial",
-        action="store_true",
-        help="run jobs in-line instead of on a pool",
+        "--jobs", type=_at_least(1), default=2,
+        help="worker processes (default 2; 1 runs jobs in-line)",
     )
     p_disp.add_argument(
         "--timeout", type=_seconds, default=None, help="per-job deadline (s)"
     )
     p_disp.add_argument(
-        "--retries", type=int, default=1, help="retries per crashed job"
+        "--retries", type=_at_least(0), default=1, help="retries per crashed job"
     )
     p_disp.add_argument(
         "--check",
@@ -562,17 +567,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8787, help="0 binds an ephemeral port"
     )
     p_serve.add_argument(
-        "--workers", type=int, default=2, help="routing worker threads"
+        "--workers", type=_at_least(1), default=2, help="routing worker threads"
     )
     p_serve.add_argument(
-        "--cache-size", type=int, default=256,
+        "--cache-size", type=_at_least(1), default=256,
         help="max entries in the content-addressed result cache",
     )
     p_serve.add_argument(
         "--timeout", type=_seconds, default=None, help="per-job deadline (s)"
     )
     p_serve.add_argument(
-        "--queue-size", type=int, default=64,
+        "--queue-size", type=_at_least(1), default=64,
         help="max queued jobs before submissions get 503",
     )
     p_serve.set_defaults(func=_cmd_serve)
@@ -590,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--flow", choices=sorted(FLOWS), default="overcell")
     p_report.add_argument("--tech", help="technology JSON (repro.io format)")
     p_report.add_argument(
-        "--planes", type=int, default=1,
+        "--planes", type=_at_least(1), default=1,
         help="over-cell routing planes for level B (default 1)",
     )
     p_report.add_argument("--top", type=int, default=5,

@@ -14,12 +14,12 @@ where ``wl`` is the candidate's wire length and, for each corner ``j``,
     the area congestion factor around the corner.
 
 The paper leaves the three measures' exact definitions open; we define
-each as a normalised density over a square window of ``radius`` tracks
-around the corner (values in ``[0, 1]``), read straight off the
-occupancy array.  The weights default to the paper's sparse-design
-setting ``w1 = 1``, ``w21 = w22 = w23 = 10``; for dense designs the
-paper advises weighting the corner term higher, which the
-:meth:`CostWeights.dense` preset does.
+each as a normalised density over a square window reaching
+``COST_WINDOW_RADIUS`` tracks around the corner (values in ``[0, 1]``),
+read straight off the occupancy array.  The weights default to the
+paper's sparse-design setting ``w1 = 1``, ``w21 = w22 = w23 = 10``;
+for dense designs the paper advises weighting the corner term higher,
+which the :meth:`CostWeights.dense` preset does.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.grid import RoutingGrid
+
+#: Half-width, in tracks, of the corner measures' window.
+COST_WINDOW_RADIUS = 3
 
 
 class TrackHistory:
@@ -76,23 +79,9 @@ class TrackHistory:
         for h in range(max(0, h_lo), min(len(self.h) - 1, h_hi) + 1):
             self.h[h] += amount
 
-    def decay(self, factor: float) -> None:
-        """Scale all accumulated history by ``factor`` (in ``[0, 1]``)."""
-        if not 0.0 <= factor <= 1.0:
-            raise ValueError("history decay factor must be in [0, 1]")
-        if factor == 1.0:
-            return
-        self.v = [x * factor for x in self.v]
-        self.h = [x * factor for x in self.h]
-
     def peak(self) -> float:
         """Largest accumulated charge on any single track."""
         return max(max(self.v), max(self.h))
-
-    @property
-    def charged(self) -> bool:
-        """Whether any track carries a non-zero charge."""
-        return any(self.v) or any(self.h)
 
     # ------------------------------------------------------------------
     def segment_cost(self, grid: RoutingGrid, points: Sequence) -> float:
@@ -117,17 +106,14 @@ class TrackHistory:
 
 @dataclass(frozen=True)
 class CostWeights:
-    """Weights and window radius for the corner cost model."""
+    """Weights of the corner cost model."""
 
     w1: float = 1.0
     w21: float = 10.0
     w22: float = 10.0
     w23: float = 10.0
-    radius: int = 3
 
     def __post_init__(self) -> None:
-        if self.radius < 1:
-            raise ValueError("cost window radius must be >= 1")
         if min(self.w1, self.w21, self.w22, self.w23) < 0:
             raise ValueError("cost weights must be non-negative")
 
@@ -200,7 +186,7 @@ class CornerCostEvaluator:
         if cached is not None:
             return cached
         w = self.weights
-        r = w.radius
+        r = COST_WINDOW_RADIUS
         drg = self.grid.routed_density_near(v_idx, h_idx, r)
         # Normalise the raw terminal count by the window cell count so
         # all three measures share the [0, 1] scale.

@@ -147,7 +147,6 @@ class MBFSEngine(ConnectionEngine):
                 target,
                 region=region,
                 max_depth=cfg.max_depth,
-                max_nodes=cfg.max_nodes_per_search,
                 max_entries_per_track=cfg.max_entries_per_track,
             )
             outcome = search.run()

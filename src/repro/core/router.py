@@ -112,16 +112,15 @@ class LevelBConfig:
     What the router routes on and how it reports — ``planes``,
     ``objective`` and ``checked`` — are
     :class:`LevelBRouter` arguments instead (and
-    :class:`~repro.flow.FlowParams` fields at the flow level).
+    :class:`~repro.flow.FlowParams` fields at the flow level).  The
+    region schedule, the plane via weight, the MBFS node cap and the
+    parallel-run separation are fixed (constants below, callee defaults).
     """
 
     weights: CostWeights = field(default_factory=CostWeights.sparse)
     ordering: NetOrdering = NetOrdering.LONGEST_FIRST
     region_margin_tracks: int = 8
-    region_growth: int = 4
-    max_region_expansions: int = 2
     max_depth: int = 12
-    max_nodes_per_search: int = 250_000
     max_entries_per_track: int = 8
     # The MBFS excludes paths with more than one corner per track, so
     # on congested grids a routable connection can be invisible to it
@@ -143,17 +142,25 @@ class LevelBConfig:
     # ParallelRunPenalty so other nets avoid long parallel runs next to
     # it (and it next to them).  Set the weight to 0 to disable.
     parallel_run_weight: float = 20.0
-    parallel_run_separation: int = 1
     # Post-routing refinement: after all nets route, each net is
     # ripped up and rerouted once per pass with full knowledge of the
     # others (serial routers over-constrain early nets).  Each net's
     # rip/reroute runs in a grid transaction; a reroute that does not
     # improve on the old wiring is rolled back in O(cells touched).
     refinement_passes: int = 0
-    # With more than one over-cell plane the assignment pass
-    # (repro.core.assign) prices the deeper terminal via stacks at
-    # ``plane_via_weight`` per extra via level.
-    plane_via_weight: float = 4.0
+
+
+#: Each widening of a connection's search region multiplies its margin
+#: (``region_margin_tracks`` at first) by this factor.
+REGION_GROWTH = 4
+
+#: Bounded windows searched after the first, before the whole grid.
+MAX_REGION_EXPANSIONS = 2
+
+#: With more than one over-cell plane the assignment pass
+#: (:mod:`repro.core.assign`) prices the deeper terminal via stacks at
+#: this weight per extra via level.
+PLANE_VIA_WEIGHT = 4.0
 
 
 #: How much harder the "vias" objective leans on via prices than the
@@ -248,19 +255,9 @@ class LevelBResult:
 
     @property
     def total_vias(self) -> int:
-        """Corner vias plus the terminal via stacks of connected pins.
-
-        A pin of a plane-0 net costs one stack via (m2 up to the
-        plane); every plane of extra altitude adds two more via levels
-        to each of the net's stacks, so a plane-``p`` pin contributes
-        ``1 + 2p``.  On a single-plane run this reduces to the paper's
-        count: corners + one stack per connected pin.
-        """
-        stacks = sum(
-            (r.net.degree - r.failed_terminals) * (1 + 2 * r.plane)
-            for r in self.routed
-        )
-        return self.total_corners + stacks
+        """Corner vias plus the terminal via stacks of connected pins:
+        the sum of :attr:`RoutedNet.via_count`."""
+        return sum(r.via_count for r in self.routed)
 
     def nets_on_plane(self, plane: int) -> list[RoutedNet]:
         """Routed nets assigned to one over-cell plane."""
@@ -305,10 +302,7 @@ def coupling_terms(
         targets = sensitive_ids - {net_id}
     return (
         ParallelRunPenalty(
-            targets,
-            weight=config.parallel_run_weight,
-            separation=config.parallel_run_separation,
-            exclude=net_id,
+            targets, weight=config.parallel_run_weight, exclude=net_id
         ),
     )
 
@@ -440,9 +434,10 @@ class LevelBRouter:
         across them by estimated congestion.
     objective:
         ``"wire"`` (the paper's wire-length-led cost, the default) or
-        ``"vias"`` (via minimization: the plane assignment, the corner
-        pricing and the Lee via price follow the technology's
-        per-level via costs — docs/TECHNOLOGY.md).
+        ``"vias"`` (via minimization, docs/TECHNOLOGY.md: the plane
+        assignment's via weight times :data:`VIA_OBJECTIVE_SCALE` and
+        the technology's mean via cost, Lee corners at
+        ``maze_via_penalty`` times :data:`VIA_OBJECTIVE_SCALE`).
     checked:
         Checked mode (:mod:`repro.check`): sanitize every net commit
         and audit the grid bookkeeping, raising ``CheckFailure`` on the
@@ -544,7 +539,7 @@ class LevelBRouter:
         # Under objective="vias" the assignment's per-via-level price is
         # scaled up by the technology's actual via costs, pulling nets
         # toward shallow planes (fewer stack-via levels per pin).
-        via_weight = self.config.plane_via_weight
+        via_weight = PLANE_VIA_WEIGHT
         if objective == "vias":
             mean_via_cost = sum(v.cost for v in tech.vias) / len(tech.vias)
             via_weight *= VIA_OBJECTIVE_SCALE * mean_via_cost
@@ -919,10 +914,8 @@ class LevelBRouter:
     ) -> RoutedConnection | None:
         """Last-resort whole-grid shot with the rescue engine.
 
-        The rescued connection's cost is evaluated with the regular
-        section 3.2 cost model (the engine prices the committed path
-        with :class:`CornerCostEvaluator`), so rescue costs aggregate
-        cleanly with MBFS costs; ``expansions_used == -1`` marks the
+        The Lee search prices each corner at ``maze_via_penalty``, not
+        with the section 3.2 model; ``expansions_used == -1`` marks the
         rescue.
         """
         engine = self._rescue_engine()
@@ -948,12 +941,11 @@ class LevelBRouter:
         The paper's schedule; :class:`Escalation` decides which of them
         are searched.
         """
-        cfg = self.config
         v_box = Interval.spanning(source.v_idx, target.v_idx)
         h_box = Interval.spanning(source.h_idx, target.h_idx)
-        margin = cfg.region_margin_tracks
-        for _ in range(cfg.max_region_expansions + 1):
+        margin = self.config.region_margin_tracks
+        for _ in range(MAX_REGION_EXPANSIONS + 1):
             yield (v_box.expanded(margin), h_box.expanded(margin))
-            margin *= cfg.region_growth
+            margin *= REGION_GROWTH
         yield None  # unbounded: the entire layout
 

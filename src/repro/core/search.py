@@ -79,13 +79,6 @@ class PSTNode:
     depth: int
     children: list["PSTNode"] = field(default_factory=list, repr=False)
 
-    @property
-    def entry_intersection(self) -> tuple[int, int]:
-        """The ``(v_idx, h_idx)`` where the path entered this track."""
-        if self.kind == VERTICAL:
-            return (self.track, self.entry)
-        return (self.entry, self.track)
-
     def name(self) -> str:
         """Paper-style vertex name (``v3`` / ``h2``, 1-based)."""
         return f"{'v' if self.kind == VERTICAL else 'h'}{self.track + 1}"

@@ -8,9 +8,9 @@ dataclasses/dicts; the heavy objects (designs, grids, flow results)
 live and die inside the worker process.  Each job routes its design
 serially; the parallelism is across jobs.
 
-Used by the ``repro dispatch`` CLI (``--jobs N``, ``--serial``,
-``--timeout``, ``--json``).  The serve job queue shares only the
-success predicate, :func:`summary_ok`.
+Used by the ``repro dispatch`` CLI (``--jobs N``, ``--timeout``,
+``--json``).  The serve job queue shares only the success predicate,
+:func:`summary_ok`.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class JobOutcome:
     summary: dict | None = None
 
     def to_dict(self) -> dict:
-        """JSON-safe snapshot; round-trips through :meth:`from_dict`.
+        """JSON-safe snapshot.
 
         Every value is a JSON scalar/dict/list and ``elapsed_s`` is
         pre-rounded, so ``json.loads(json.dumps(d, sort_keys=True))``
@@ -89,23 +89,6 @@ class JobOutcome:
             "error": self.error,
             "summary": self.summary,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "JobOutcome":
-        """Rebuild an outcome written by :meth:`to_dict`."""
-        return cls(
-            job=Job(
-                design=data["design"],
-                flow=data.get("flow", "overcell"),
-                check=bool(data.get("check", False)),
-            ),
-            ok=bool(data["ok"]),
-            attempts=int(data["attempts"]),
-            elapsed_s=float(data["elapsed_s"]),
-            timed_out=bool(data.get("timed_out", False)),
-            error=data.get("error"),
-            summary=data.get("summary"),
-        )
 
 
 @dataclass
@@ -130,7 +113,7 @@ class BatchReport:
         return len(self.outcomes) - self.completed
 
     def to_dict(self) -> dict:
-        """JSON-safe snapshot; round-trips through :meth:`from_dict`."""
+        """JSON-safe snapshot (the ``repro dispatch --json`` document)."""
         return {
             "format": "repro-dispatch-batch",
             "ok": self.ok,
@@ -139,18 +122,6 @@ class BatchReport:
             "wall_s": round(self.wall_s, 6),
             "jobs": [o.to_dict() for o in self.outcomes],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BatchReport":
-        """Rebuild a report written by :meth:`to_dict`."""
-        if data.get("format") != "repro-dispatch-batch":
-            raise ValueError("not a repro dispatch batch document")
-        return cls(
-            outcomes=[JobOutcome.from_dict(j) for j in data["jobs"]],
-            wall_s=float(data["wall_s"]),
-            workers=int(data["workers"]),
-            mode=data["mode"],
-        )
 
     def render(self) -> str:
         lines = [
@@ -233,14 +204,14 @@ def summary_ok(summary: dict, check: bool) -> bool:
 class JobRunner:
     """Work-queue executor for :class:`Job` batches.
 
-    ``workers``/``mode`` select the pool (``"process"`` with automatic
-    thread fallback, ``"thread"``, or ``"serial"`` for in-line
-    execution).  ``timeout_s`` is each job's level B deadline: the
-    worker arms it when the job starts (:func:`_execute_job`), so every
-    mode honours it, and a job past it stops at its next checkpoint and
-    is recorded as timed out, never retried.  A job that raises or dies
-    with its worker process is retried up to ``retries`` times; the
-    pool is rebuilt between rounds, so a retry always lands on a fresh
+    One worker runs the jobs in-line (mode ``"serial"``); more run on a
+    process pool, or on threads where none can start (``"thread"``).
+    ``timeout_s`` is each job's level B deadline: the worker arms it
+    when the job starts (:func:`_execute_job`), so every mode honours
+    it, and a job past it stops at its next checkpoint and is recorded
+    as timed out, never retried.  A job that raises or dies with its
+    worker process is retried up to ``retries`` times; the pool is
+    rebuilt between rounds, so a retry always lands on a fresh
     executor.
     """
 
@@ -248,14 +219,10 @@ class JobRunner:
         self,
         workers: int = 2,
         *,
-        mode: str = "process",
         timeout_s: float | None = None,
         retries: int = 1,
     ) -> None:
-        if mode not in ("process", "thread", "serial"):
-            raise ValueError(f"unknown job runner mode {mode!r}")
         self.workers = max(1, workers)
-        self.mode = mode
         self.timeout_s = timeout_s
         self.retries = max(0, retries)
 
@@ -270,7 +237,7 @@ class JobRunner:
                 DISPATCH_JOBS_SUBMITTED,
                 DISPATCH_JOBS_TIMED_OUT,
             )
-            if self.mode == "serial" or self.workers == 1:
+            if self.workers == 1:
                 outcomes = self._run_serial(jobs)
                 mode = "serial"
             else:
@@ -278,7 +245,7 @@ class JobRunner:
         report = BatchReport(
             outcomes=outcomes,
             wall_s=time.perf_counter() - start,
-            workers=1 if mode == "serial" else self.workers,
+            workers=self.workers,
             mode=mode,
         )
         instrument.count(DISPATCH_JOBS_COMPLETED, report.completed)
@@ -341,14 +308,14 @@ class JobRunner:
 
     # ------------------------------------------------------------------
     def _new_executor(self) -> tuple[futures.Executor, str]:
-        if self.mode == "process":
-            try:
-                return (
-                    futures.ProcessPoolExecutor(max_workers=self.workers),
-                    "process",
-                )
-            except (OSError, ValueError, ImportError):
-                pass
+        try:
+            return (
+                futures.ProcessPoolExecutor(max_workers=self.workers),
+                "process",
+            )
+        except (OSError, NotImplementedError, ValueError, ImportError):
+            # NotImplementedError: no working named semaphores.
+            pass
         return futures.ThreadPoolExecutor(max_workers=self.workers), "thread"
 
     def _run_pool(self, jobs: list[Job]) -> tuple[list[JobOutcome], str]:
@@ -356,7 +323,7 @@ class JobRunner:
         attempts = dict.fromkeys(range(len(jobs)), 0)
         start = time.perf_counter()
         pending = list(range(len(jobs)))
-        mode = self.mode
+        mode = "process"
         while pending:
             executor, mode = self._new_executor()
             with executor:
@@ -389,7 +356,6 @@ def run_suite_batch(
     flows: list[str],
     *,
     workers: int = 2,
-    mode: str = "process",
     timeout_s: float | None = None,
     retries: int = 1,
     check: bool = False,
@@ -400,5 +366,5 @@ def run_suite_batch(
         for suite in suites
         for flow in flows
     ]
-    runner = JobRunner(workers, mode=mode, timeout_s=timeout_s, retries=retries)
+    runner = JobRunner(workers, timeout_s=timeout_s, retries=retries)
     return runner.run(jobs)

@@ -14,16 +14,15 @@ from repro.technology import Technology
 class FlowParams:
     """Knobs shared by every flow.
 
+    Level A always channel-routes with the greedy router; the core
+    margin and Table 3's channel-area factor are pipeline constants.
+
     Attributes
     ----------
     technology:
         The layer stack; the channel substrate uses metal1/metal2,
         level B the reserved over-cell pairs above them (metal3/metal4
         by default — see docs/LAYERS.md).
-    margin:
-        Clearance around the core in lambda.
-    aspect:
-        Target core aspect ratio for the shelf placer.
     partition:
         How nets split into sets A and B (over-cell flow only).
     length_threshold:
@@ -34,13 +33,6 @@ class FlowParams:
         ``checked`` arguments come from the fields below.
     obstacles:
         Over-cell exclusions forwarded to the level B router.
-    channel_area_factor:
-        The optimistic multi-layer channel model's channel-area scale
-        (the paper grants the comparison 0.5).
-    channel_router:
-        Detailed channel router for level A: ``"greedy"`` (default;
-        always completes) or ``"left-edge"`` (dogleg left-edge, falls
-        back to greedy on vertical-constraint cycles).
     checked:
         Run the full independent verification (:func:`repro.check.
         check_flow`) after the flow and attach the report to
@@ -79,14 +71,10 @@ class FlowParams:
     """
 
     technology: Technology = field(default_factory=Technology.four_layer)
-    channel_router: str = "greedy"
-    margin: int = 16
-    aspect: float = 1.0
     partition: PartitionStrategy = PartitionStrategy.CRITICAL_TO_A
     length_threshold: int | None = None
     levelb: LevelBConfig = field(default_factory=LevelBConfig)
     obstacles: tuple[Obstacle, ...] = ()
-    channel_area_factor: float = 0.5
     checked: bool = False
     planes: int = 1
     iterate: bool = False

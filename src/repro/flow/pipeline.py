@@ -18,7 +18,6 @@ from collections.abc import Sequence
 from repro import instrument
 from repro.instrument.names import (
     CHANNELS_ROUTED,
-    LEFT_EDGE_FALLBACKS,
     MEM_PEAK_RSS_BYTES,
     SPAN_CHANNEL_ROUTING,
     SPAN_FLOW_ML_CHANNEL,
@@ -27,12 +26,7 @@ from repro.instrument.names import (
     SPAN_GLOBAL_ROUTE,
     SPAN_PLACEMENT,
 )
-from repro.channels import (
-    ChannelRoute,
-    ChannelRoutingError,
-    GreedyChannelRouter,
-    LeftEdgeRouter,
-)
+from repro.channels import ChannelRoute, GreedyChannelRouter
 from repro.core import LevelBRouter
 from repro.flow.metrics import FlowResult
 from repro.flow.params import FlowParams
@@ -43,6 +37,13 @@ from repro.partition import PartitionStrategy, partition_nets
 from repro.placement import RowPlacement
 from repro.technology import ensure_overcell_planes
 
+#: Clearance around the core, in lambda.
+CORE_MARGIN = 16
+
+#: The channel-area scale the paper grants Table 3's optimistic
+#: four-layer channel model.
+CHANNEL_AREA_FACTOR = 0.5
+
 
 # ----------------------------------------------------------------------
 # Shared pipeline pieces
@@ -51,30 +52,13 @@ def _assign_net_ids(nets: Sequence[Net]) -> dict[Net, int]:
     return {net: i + 1 for i, net in enumerate(sorted(nets, key=lambda n: n.name))}
 
 
-def _route_channels(
-    global_route: GlobalRoute, channel_router: str = "greedy"
-) -> list[ChannelRoute]:
-    """Detailed-route every channel with the selected router.
-
-    The left-edge router cannot handle vertical-constraint cycles;
-    cyclic channels silently fall back to the greedy router so flows
-    always complete.
-    """
-    if channel_router not in ("greedy", "left-edge"):
-        raise ValueError(f"unknown channel router {channel_router!r}")
+def _route_channels(global_route: GlobalRoute) -> list[ChannelRoute]:
+    """Detailed-route every channel with the greedy router, which
+    always completes."""
     greedy = GreedyChannelRouter()
-    left_edge = LeftEdgeRouter() if channel_router == "left-edge" else None
     routes = []
     for spec in global_route.specs:
-        route = None
-        if left_edge is not None:
-            try:
-                route = left_edge.route(spec.problem)
-            except ChannelRoutingError:
-                instrument.count(LEFT_EDGE_FALLBACKS)
-                route = None
-        if route is None:
-            route = greedy.route(spec.problem)
+        route = greedy.route(spec.problem)
         route.check(spec.problem)
         routes.append(route)
     instrument.count(CHANNELS_ROUTED, len(routes))
@@ -121,16 +105,14 @@ def _run_channel_pipeline(
 ) -> tuple[RowPlacement, GlobalRoute, list[ChannelRoute], list[int], tuple[int, int]]:
     pitch = params.channel_pitch
     with instrument.span(SPAN_PLACEMENT):
-        placement = RowPlacement.build(
-            design, pitch=pitch, aspect=params.aspect
-        )
+        placement = RowPlacement.build(design, pitch=pitch)
     net_ids = _assign_net_ids(nets)
     with instrument.span(SPAN_GLOBAL_ROUTE):
         global_route = GlobalRouter(placement, pitch=pitch).route(
             nets, net_ids
         )
     with instrument.span(SPAN_CHANNEL_ROUTING):
-        routes = _route_channels(global_route, params.channel_router)
+        routes = _route_channels(global_route)
     heights = _channel_heights(global_route, routes, pitch)
     side_widths = global_route.side_widths(placement.num_rows)
     return placement, global_route, routes, heights, side_widths
@@ -160,8 +142,8 @@ def realize_level_a(design: Design, params: FlowParams) -> LevelA:
     if params.partition is PartitionStrategy.LONG_TO_B:
         # Geometric partitioning needs provisional pin positions.
         pitch = params.channel_pitch
-        provisional = RowPlacement.build(design, pitch=pitch, aspect=params.aspect)
-        provisional.realize([pitch] * provisional.channel_count, margin=params.margin)
+        provisional = RowPlacement.build(design, pitch=pitch)
+        provisional.realize([pitch] * provisional.channel_count, margin=CORE_MARGIN)
     set_a, set_b = partition_nets(
         nets, params.partition, length_threshold=params.length_threshold
     )
@@ -172,7 +154,7 @@ def realize_level_a(design: Design, params: FlowParams) -> LevelA:
         heights,
         left_width=side_widths[0],
         right_width=side_widths[1],
-        margin=params.margin,
+        margin=CORE_MARGIN,
     )
     return LevelA(
         set_a, set_b, placement, global_route, routes, heights, side_widths, bounds
@@ -283,7 +265,7 @@ def _two_layer_flow(design: Design, params: FlowParams | None) -> FlowResult:
         heights,
         left_width=side_widths[0],
         right_width=side_widths[1],
-        margin=params.margin,
+        margin=CORE_MARGIN,
     )
     wire, vias = _level_a_wire_and_vias(
         global_route, routes, placement, heights, side_widths, params.channel_pitch
@@ -375,9 +357,8 @@ def multilayer_channel_flow(
 
     ``"optimistic"`` (default)
         The paper's assumption - channel areas (between-row heights
-        and side-channel widths) shrink by
-        ``params.channel_area_factor`` (0.5) relative to the
-        two-layer result.
+        and side-channel widths) shrink by :data:`CHANNEL_AREA_FACTOR`
+        (0.5) relative to the two-layer result.
     ``"design-rule"``
         Halve the track counts but re-space tracks at the coarser
         upper-layer pitch - the paper's argument for why 50 % fewer
@@ -447,18 +428,17 @@ def _multilayer_channel_flow(
         side_widths = (new_side[0], new_side[1])
         flow_name = "4layer-channel-design-rule"
     else:
-        factor = params.channel_area_factor
-        heights = [max(1, math.ceil(h * factor)) for h in heights]
+        heights = [max(1, math.ceil(h * CHANNEL_AREA_FACTOR)) for h in heights]
         side_widths = (
-            math.ceil(side_widths[0] * factor),
-            math.ceil(side_widths[1] * factor),
+            math.ceil(side_widths[0] * CHANNEL_AREA_FACTOR),
+            math.ceil(side_widths[1] * CHANNEL_AREA_FACTOR),
         )
         flow_name = "4layer-channel-optimistic"
     bounds = placement.realize(
         heights,
         left_width=side_widths[0],
         right_width=side_widths[1],
-        margin=params.margin,
+        margin=CORE_MARGIN,
     )
     wire, vias = _level_a_wire_and_vias(
         global_route, routes, placement, heights, side_widths, pitch
@@ -477,7 +457,7 @@ def _multilayer_channel_flow(
         channel_routes=routes,
     )
     result.notes["model"] = {
-        "optimistic": f"optimistic {params.channel_area_factor:.0%} "
+        "optimistic": f"optimistic {CHANNEL_AREA_FACTOR:.0%} "
         "channel-area scale",
         "design-rule": "design-rule-aware track halving",
         "hvh": "real HVH three-layer channel routing",

@@ -131,10 +131,6 @@ class Rect:
             self.x1 - margin, self.y1 - margin, self.x2 + margin, self.y2 + margin
         )
 
-    def clipped_to(self, bounds: "Rect") -> "Rect" | None:
-        """Alias of :meth:`intersection`, reading better at call sites."""
-        return self.intersection(bounds)
-
     def translated(self, dx: int, dy: int) -> "Rect":
         return Rect(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
 

@@ -21,7 +21,7 @@ from repro.globalroute.router import (
     NetSideUse,
 )
 from repro.globalroute.regions import (
-    DEFAULT_REGION_TRACKS,
+    REGION_TRACKS,
     Region,
     RegionModel,
 )
@@ -33,5 +33,5 @@ __all__ = [
     "NetSideUse",
     "Region",
     "RegionModel",
-    "DEFAULT_REGION_TRACKS",
+    "REGION_TRACKS",
 ]

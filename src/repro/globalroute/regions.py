@@ -6,7 +6,7 @@ the floorplan into regions, annotating each with its geometric routing
 *capacity*, and comparing that against the *demand* the netlist's
 bounding boxes project onto it.  This module is that model scaled down
 to the over-cell grid: the track index space is tiled into coarse
-square regions (``region_tracks`` tracks a side), and each region
+square regions (:data:`REGION_TRACKS` tracks a side), and each region
 carries a capacity/demand pair — the tracks threading it against the
 terminal windows that overlap it.
 
@@ -26,13 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Mapping
 
-__all__ = ["Region", "RegionModel", "DEFAULT_REGION_TRACKS"]
+__all__ = ["REGION_TRACKS", "Region", "RegionModel"]
 
-#: Default region edge length in tracks.  Coarse enough that a
-#: scale-tier grid has hundreds (not tens of thousands) of regions,
-#: fine enough that one region rarely spans more than a few cells of
-#: the floorplan.
-DEFAULT_REGION_TRACKS = 32
+#: Region edge length in tracks.  Coarse enough that a scale-tier grid
+#: has hundreds (not tens of thousands) of regions, fine enough that
+#: one region rarely spans more than a few cells of the floorplan.
+REGION_TRACKS = 32
 
 
 @dataclass(frozen=True)
@@ -71,19 +70,11 @@ class RegionModel:
     immutable afterwards.
     """
 
-    def __init__(
-        self,
-        num_vtracks: int,
-        num_htracks: int,
-        region_tracks: int = DEFAULT_REGION_TRACKS,
-    ) -> None:
-        if region_tracks < 1:
-            raise ValueError(f"region_tracks must be >= 1, got {region_tracks}")
+    def __init__(self, num_vtracks: int, num_htracks: int) -> None:
         self.num_vtracks = num_vtracks
         self.num_htracks = num_htracks
-        self.region_tracks = region_tracks
-        self.cols = max(1, -(-num_vtracks // region_tracks))
-        self.rows = max(1, -(-num_htracks // region_tracks))
+        self.cols = max(1, -(-num_vtracks // REGION_TRACKS))
+        self.rows = max(1, -(-num_htracks // REGION_TRACKS))
         self._demand: dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -93,7 +84,6 @@ class RegionModel:
         num_vtracks: int,
         num_htracks: int,
         windows: Mapping[int, tuple[int, int, int, int]],
-        region_tracks: int = DEFAULT_REGION_TRACKS,
     ) -> "RegionModel":
         """Accumulate every net window's demand onto the tiles.
 
@@ -102,7 +92,7 @@ class RegionModel:
         :meth:`repro.core.tig.TrackIntersectionGraph.terminal_windows`).
         Demand lands on *every* region the window overlaps.
         """
-        model = cls(num_vtracks, num_htracks, region_tracks)
+        model = cls(num_vtracks, num_htracks)
         for window in windows.values():
             for rid in model.regions_touching(*window):
                 # One horizontal + one vertical track per crossing net:
@@ -116,20 +106,20 @@ class RegionModel:
     def bounds_of(self, rid: int) -> tuple[int, int, int, int]:
         """Inclusive track bounds ``(v_lo, v_hi, h_lo, h_hi)`` of a tile."""
         row, col = divmod(rid, self.cols)
-        v_lo = col * self.region_tracks
-        h_lo = row * self.region_tracks
-        v_hi = min(v_lo + self.region_tracks, self.num_vtracks) - 1
-        h_hi = min(h_lo + self.region_tracks, self.num_htracks) - 1
+        v_lo = col * REGION_TRACKS
+        h_lo = row * REGION_TRACKS
+        v_hi = min(v_lo + REGION_TRACKS, self.num_vtracks) - 1
+        h_hi = min(h_lo + REGION_TRACKS, self.num_htracks) - 1
         return v_lo, v_hi, h_lo, h_hi
 
     def regions_touching(
         self, v_lo: int, v_hi: int, h_lo: int, h_hi: int
     ) -> list[int]:
         """All region ids a track rectangle overlaps, row-major order."""
-        c_lo = min(max(v_lo, 0) // self.region_tracks, self.cols - 1)
-        c_hi = min(max(v_hi, 0) // self.region_tracks, self.cols - 1)
-        r_lo = min(max(h_lo, 0) // self.region_tracks, self.rows - 1)
-        r_hi = min(max(h_hi, 0) // self.region_tracks, self.rows - 1)
+        c_lo = min(max(v_lo, 0) // REGION_TRACKS, self.cols - 1)
+        c_hi = min(max(v_hi, 0) // REGION_TRACKS, self.cols - 1)
+        r_lo = min(max(h_lo, 0) // REGION_TRACKS, self.rows - 1)
+        r_hi = min(max(h_hi, 0) // REGION_TRACKS, self.rows - 1)
         return [
             r * self.cols + c
             for r in range(r_lo, r_hi + 1)
@@ -171,6 +161,6 @@ class RegionModel:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"RegionModel({self.rows}x{self.cols} regions of "
-            f"{self.region_tracks} tracks, "
+            f"{REGION_TRACKS} tracks, "
             f"{len(self._demand)} with demand)"
         )

@@ -154,10 +154,6 @@ class Collector:
     def span(self, name: str) -> Span:
         return Span(name, self)
 
-    def current_span(self) -> SpanNode:
-        """The innermost open span node (the root when none is open)."""
-        return self._stack[-1]
-
     def _push(self, name: str) -> SpanNode:
         node = self._stack[-1].child(name)
         self._stack.append(node)
@@ -205,13 +201,6 @@ class Collector:
         swallowed — observability never fails the observed work.
         """
         self._listeners.append(listener)
-
-    def unsubscribe(self, listener: Callable[[dict[str, Any]], None]) -> None:
-        """Remove a previously subscribed listener (no-op if absent)."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
 
 
 class NullCollector(Collector):

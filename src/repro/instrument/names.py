@@ -57,7 +57,6 @@ NETS_ROUTED = "nets.routed"
 NETS_FAILED = "nets.failed"
 CONNECTIONS_ROUTED = "connections.routed"
 VCG_CYCLES = "vcg.cycles_hit"
-LEFT_EDGE_FALLBACKS = "left_edge.fallbacks"
 CHANNELS_ROUTED = "channels.routed"
 GREEDY_COLUMNS = "greedy.columns_swept"
 GREEDY_TRACKS_ADDED = "greedy.tracks_added"

@@ -11,7 +11,6 @@ bit-identical to the seed digests.
 """
 
 from repro.iterate.loop import (
-    CostSchedule,
     IterateConfig,
     IterateReport,
     IterationRecord,
@@ -21,7 +20,6 @@ from repro.iterate.policies import POLICIES, NetFeedback
 
 __all__ = [
     "POLICIES",
-    "CostSchedule",
     "IterateConfig",
     "IterateReport",
     "IterationRecord",

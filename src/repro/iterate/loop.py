@@ -24,13 +24,13 @@ O(cells-touched), so the best wiring is always the one on the grid and
 the loop can never end worse than one-pass routing.
 
 The *history* lives in :class:`repro.core.cost.TrackHistory`, one per
-plane, attached to the router between passes; the present/history
-pricing schedule is plain data (:class:`CostSchedule`).
+plane, attached to the router between passes; its pricing schedule is
+fixed (:func:`history_weight`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro import instrument
@@ -50,7 +50,6 @@ from repro.globalroute.regions import RegionModel
 from repro.iterate.policies import POLICIES, NetFeedback
 
 __all__ = [
-    "CostSchedule",
     "IterateConfig",
     "IterateReport",
     "IterationRecord",
@@ -58,37 +57,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CostSchedule:
-    """The present- and history-cost pricing schedule, as data.
+#: PathFinder's growing present-cost factor, collapsed onto the history
+#: term: iteration ``i`` (1-based) prices history at
+#: ``HISTORY_WEIGHT * (PRESENT_BASE + PRESENT_GROWTH * (i - 1))``, so
+#: congested tracks get more expensive every round.
+HISTORY_WEIGHT = 6.0
+PRESENT_BASE = 1.0
+PRESENT_GROWTH = 0.5
 
-    The effective history weight of iteration ``i`` (1-based) is
-    ``history_weight * (present_base + present_growth * (i - 1))`` —
-    PathFinder's growing present-cost factor collapsed onto the history
-    term, so congested tracks get more expensive every round.  After
-    each pass the accumulated charges first decay by ``decay`` and the
-    tracks crossing overflowed regions are charged ``increment``.
-    """
+#: The charge each overflowed region (or failed window) adds to the
+#: tracks crossing it after a pass.  Charges never decay.
+HISTORY_INCREMENT = 1.0
 
-    history_weight: float = 6.0
-    present_base: float = 1.0
-    present_growth: float = 0.5
-    increment: float = 1.0
-    decay: float = 1.0
+#: Consecutive non-improving passes before the loop gives up.
+STALL_LIMIT = 2
 
-    def __post_init__(self) -> None:
-        if self.history_weight < 0 or self.increment < 0:
-            raise ValueError("history weight and increment must be >= 0")
-        if self.present_base < 0 or self.present_growth < 0:
-            raise ValueError("present-cost factors must be >= 0")
-        if not 0.0 <= self.decay <= 1.0:
-            raise ValueError("history decay must be in [0, 1]")
 
-    def weight_at(self, iteration: int) -> float:
-        """Effective history weight of one iteration (1-based)."""
-        return self.history_weight * (
-            self.present_base + self.present_growth * (iteration - 1)
-        )
+def history_weight(iteration: int) -> float:
+    """Effective history weight of one iteration (1-based)."""
+    return HISTORY_WEIGHT * (PRESENT_BASE + PRESENT_GROWTH * (iteration - 1))
 
 
 @dataclass(frozen=True)
@@ -97,23 +84,12 @@ class IterateConfig:
 
     #: Re-route passes after the initial one (0 = one-pass routing).
     max_iterations: int = 8
-    #: Consecutive non-improving passes before giving up.
-    stall_limit: int = 2
     #: Ordering policy: a :data:`~repro.iterate.policies.POLICIES` name.
     policy: str = "longest-first"
-    schedule: CostSchedule = field(default_factory=CostSchedule)
-    #: Run the ``repro.check`` short sweep on every improving pass and
-    #: refuse to commit a pass that introduces a short (belt and
-    #: braces: the occupancy grid already forbids overlap).
-    verify: bool = True
-    #: Coarse region edge (tracks) for the overflow signal.
-    region_tracks: int = 32
 
     def __post_init__(self) -> None:
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if self.stall_limit < 1:
-            raise ValueError("stall_limit must be >= 1")
         if self.policy not in POLICIES:
             raise ValueError(
                 f"unknown ordering policy {self.policy!r} "
@@ -198,7 +174,7 @@ def _short_sweep_clean(result: LevelBResult) -> bool:
 
 
 def _build_feedback(
-    router: LevelBRouter, result: LevelBResult, region_tracks: int
+    router: LevelBRouter, result: LevelBResult
 ) -> tuple[dict[str, NetFeedback], RegionModel, dict[int, tuple[int, int, int, int]]]:
     """The previous pass distilled for the policy and the history.
 
@@ -207,9 +183,7 @@ def _build_feedback(
     """
     windows = router.tig.terminal_windows()
     grid = router.tig.grid  # planes share one track lattice
-    model = RegionModel.build(
-        grid.num_vtracks, grid.num_htracks, windows, region_tracks=region_tracks
-    )
+    model = RegionModel.build(grid.num_vtracks, grid.num_htracks, windows)
     overflowed = set(model.overflowed_regions())
     feedback: dict[str, NetFeedback] = {}
     for routed in result.routed:
@@ -232,10 +206,9 @@ def _charge_history(
     result: LevelBResult,
     model: RegionModel,
     windows: dict[int, tuple[int, int, int, int]],
-    schedule: CostSchedule,
     iteration: int,
 ) -> None:
-    """Decay, charge and re-weight the history for the next pass.
+    """Charge and re-weight the history for the next pass.
 
     Each failed net charges the overflowed regions its window touches,
     on its own plane; a failed net touching no overflowed region (the
@@ -244,8 +217,6 @@ def _charge_history(
     region) pair is charged once per pass, PathFinder's
     once-per-congested-resource rule.
     """
-    for h in history:
-        h.decay(schedule.decay)
     overflowed = set(model.overflowed_regions())
     charged: set[tuple[int, int]] = set()
     fallback: list[tuple[int, tuple[int, int, int, int]]] = []
@@ -262,10 +233,10 @@ def _charge_history(
         for rid in hit:
             charged.add((routed.plane, rid))
     for plane, rid in sorted(charged):
-        history[plane].charge_window(*model.bounds_of(rid), schedule.increment)
+        history[plane].charge_window(*model.bounds_of(rid), HISTORY_INCREMENT)
     for plane, window in fallback:
-        history[plane].charge_window(*window, schedule.increment)
-    weight = schedule.weight_at(iteration)
+        history[plane].charge_window(*window, HISTORY_INCREMENT)
+    weight = history_weight(iteration)
     for h in history:
         h.weight = weight
 
@@ -316,7 +287,7 @@ def iterate_levelb(
             while (
                 not _complete(best)
                 and iterations < cfg.max_iterations
-                and stalls < cfg.stall_limit
+                and stalls < STALL_LIMIT
             ):
                 iterations += 1
                 with instrument.span(SPAN_ITERATE_PASS):
@@ -329,12 +300,9 @@ def iterate_levelb(
                             for _ in range(router.tig.planes.num_planes)
                         )
                         router.history = history
-                    feedback, model, windows = _build_feedback(
-                        router, best, cfg.region_tracks
-                    )
+                    feedback, model, windows = _build_feedback(router, best)
                     _charge_history(
-                        router, history, best, model, windows,
-                        cfg.schedule, iterations,
+                        router, history, best, model, windows, iterations
                     )
                     order = policy(router.nets, feedback)
                     txn = router.tig.planes.begin()
@@ -344,9 +312,7 @@ def iterate_levelb(
                         ripped += 1
                     candidate = router.route(order=order)
                     improved = _quality(candidate) < _quality(best)
-                    committed = improved and (
-                        not cfg.verify or _short_sweep_clean(candidate)
-                    )
+                    committed = improved and _short_sweep_clean(candidate)
                     if committed:
                         txn.commit()
                         best = candidate
@@ -392,7 +358,7 @@ def iterate_levelb(
         policy=cfg.policy,
         iterations=iterations,
         converged=_complete(best),
-        stalled=not _complete(best) and stalls >= cfg.stall_limit,
+        stalled=not _complete(best) and stalls >= STALL_LIMIT,
         records=records,
     )
     return best, report

@@ -90,9 +90,6 @@ class Design:
     def is_placed(self) -> bool:
         return all(cell.is_placed for cell in self.cells.values())
 
-    def all_pins(self) -> list[Pin]:
-        return [pin for cell in self.cells.values() for pin in cell.pins]
-
     def routable_nets(self) -> list[Net]:
         """Nets with at least two pins, in insertion order."""
         return [net for net in self.nets.values() if net.degree >= 2]

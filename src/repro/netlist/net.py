@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.geometry import Point, Rect
+from repro.geometry import Point
 from repro.geometry.point import bounding_box_half_perimeter
 from repro.netlist.pin import Pin
 from repro.technology import NetClass
@@ -62,10 +62,6 @@ class Net:
     def pin_positions(self) -> list[Point]:
         """Absolute positions of all terminals (requires placement)."""
         return [pin.position for pin in self.pins]
-
-    @property
-    def bounding_box(self) -> Rect:
-        return Rect.bounding(self.pin_positions())
 
     @property
     def half_perimeter(self) -> int:

@@ -36,13 +36,11 @@ class RowPlacement:
         rows: list[PlacedRow],
         cell_x: dict[str, int],
         pitch: int,
-        cell_gap: int,
     ) -> None:
         self.design = design
         self.rows = rows
         self.cell_x = cell_x
         self.pitch = pitch
-        self.cell_gap = cell_gap
         self.row_of_cell: dict[str, int] = {}
         for row in rows:
             for cell in row.cells:
@@ -54,21 +52,20 @@ class RowPlacement:
         design: Design,
         *,
         pitch: int = 8,
-        cell_gap: int | None = None,
         row_width_target: int | None = None,
-        aspect: float = 1.0,
     ) -> "RowPlacement":
         """Shelf-pack the design's cells into rows.
 
         Cells are sorted by decreasing height (classic shelf packing,
-        deterministic with name tie-breaks) and packed left to right
-        until the row reaches ``row_width_target`` (default: sized for
-        roughly the requested ``aspect`` ratio).  All x coordinates are
-        snapped up to ``pitch`` so pins land on routing columns.
+        deterministic with name tie-breaks) and packed left to right,
+        ``2 * pitch`` apart, until the row reaches ``row_width_target``
+        (default: the square root of the total cell area, for a roughly
+        square core).  All x coordinates are snapped up to ``pitch`` so
+        pins land on routing columns.
         """
         if not design.cells:
             raise ValueError("cannot place an empty design")
-        gap = cell_gap if cell_gap is not None else 2 * pitch
+        gap = 2 * pitch
         cells = sorted(
             design.cells.values(), key=lambda c: (-c.height, -c.width, c.name)
         )
@@ -76,7 +73,7 @@ class RowPlacement:
             total_area = sum(c.area for c in cells)
             row_width_target = max(
                 max(c.width for c in cells),
-                int(math.sqrt(total_area * aspect)),
+                int(math.sqrt(total_area)),
             )
         rows: list[PlacedRow] = []
         cell_x: dict[str, int] = {}
@@ -92,7 +89,7 @@ class RowPlacement:
             cursor += cell.width + gap
             cursor = _snap_up(cursor, pitch)
         rows.append(current)
-        return RowPlacement(design, rows, cell_x, pitch, gap)
+        return RowPlacement(design, rows, cell_x, pitch)
 
     # ------------------------------------------------------------------
     @property

@@ -3,12 +3,13 @@
 Submission is non-blocking: :meth:`JobQueue.submit` either answers
 immediately from the result cache, *coalesces* onto an identical
 in-flight job (single-flight: concurrent duplicates route once), or
-enqueues a new :class:`JobRecord` on a bounded queue.  Worker threads
-drain the queue and run each job in-line, once, through
-:func:`~repro.serve.protocol.execute_spec`.  With ``timeout_s`` set the
-run is wrapped in a :func:`repro.core.cancel.deadline`: level B stops
-at its next checkpoint once the deadline passes, and the job fails
-with ``timed_out`` set while the worker moves on to the next one.
+builds the design and enqueues a new :class:`JobRecord` on a bounded
+queue.  Worker threads drain the queue and run each job in-line, once,
+through :func:`~repro.serve.protocol.execute_spec`.  With
+``timeout_s`` set the run is wrapped in a
+:func:`repro.core.cancel.deadline`: level B stops at its next
+checkpoint once the deadline passes, and the job fails with
+``timed_out`` set while the worker moves on to the next one.
 
 Each record owns an :class:`EventBuffer`.  The worker runs the flow
 under a per-thread :func:`repro.instrument.thread_collecting` collector
@@ -44,11 +45,14 @@ from repro.instrument.names import (
     SERVE_JOBS_SUBMITTED,
 )
 from repro.serve.cache import ResultCache
-from repro.serve.protocol import JobSpec, execute_spec
+from repro.serve.protocol import JobSpec, build_design, execute_spec
 
 __all__ = ["EventBuffer", "JobQueue", "JobRecord", "QueueClosed", "QueueFull"]
 
 JOB_STATES = ("queued", "running", "done", "failed")
+
+#: Events one job's buffer keeps; later ones are dropped and counted.
+MAX_EVENTS = 10_000
 
 
 class QueueFull(RuntimeError):
@@ -66,16 +70,15 @@ class EventBuffer:
     transitions) append dicts; readers page through by index with an
     optional wait, so one buffer serves both polling
     (``/jobs/<id>/events``) and streaming (``/jobs/<id>/stream``)
-    clients.  A ``max_events`` cap bounds memory on pathological jobs:
-    overflow drops the *newest* events and counts them, keeping
+    clients.  A :data:`MAX_EVENTS` cap bounds memory on pathological
+    jobs: overflow drops the *newest* events and counts them, keeping
     indices stable for readers already mid-stream.
     """
 
-    def __init__(self, max_events: int = 10000) -> None:
+    def __init__(self) -> None:
         self._events: list[dict[str, Any]] = []
         self._cond = threading.Condition()
         self._closed = False
-        self.max_events = max_events
         self.dropped = 0
 
     @property
@@ -86,7 +89,7 @@ class EventBuffer:
         with self._cond:
             if self._closed:
                 return
-            if len(self._events) >= self.max_events:
+            if len(self._events) >= MAX_EVENTS:
                 self.dropped += 1
                 return
             self._events.append(record)
@@ -241,7 +244,7 @@ class JobQueue:
         self.cache = cache if cache is not None else ResultCache()
         self.workers = max(1, workers)
         self.timeout_s = timeout_s
-        self._queue: queue.Queue[JobRecord | None] = queue.Queue(
+        self._queue: queue.Queue[tuple[JobRecord, Any] | None] = queue.Queue(
             maxsize=max(1, queue_size)
         )
         self._lock = threading.RLock()
@@ -290,49 +293,81 @@ class JobQueue:
 
         Raises :class:`QueueClosed` while shutting down and
         :class:`QueueFull` when the bounded queue is at capacity —
-        callers map these to HTTP 503 so clients back off.
+        callers map these to HTTP 503 so clients back off.  A design
+        that does not build raises
+        :class:`~repro.serve.protocol.SpecError`.  A refused request
+        leaves no record and counts as no submission.
+
+        The design is built with the lock released, so cache hits and
+        readers never wait on a large inline design; the answer is
+        then checked again, since a duplicate may have been queued or
+        cached meanwhile.
         """
         digest = spec.digest()
+        record = self._answer(spec, digest)
+        if record is not None:
+            return record
+        design = build_design(spec)
+        with self._lock:  # re-entrant: _answer and _register take it too
+            record = self._answer(spec, digest, recheck=True)
+            if record is not None:
+                return record
+            # Only submit enqueues jobs, under this lock, so the
+            # put below cannot find the queue full.
+            if self._queue.full():
+                raise QueueFull(
+                    f"job queue full ({self._queue.maxsize} pending)"
+                )
+            record = self._register(spec, digest)
+            self.counters["cache_misses"] += 1
+            instrument.count(SERVE_CACHE_MISSES)
+            self._inflight[digest] = record
+            self._queue.put_nowait((record, design))
+            record._note_state("queued")
+            return record
+
+    def _answer(
+        self, spec: JobSpec, digest: str, recheck: bool = False
+    ) -> JobRecord | None:
+        """A record answered from the cache or coalesced onto an
+        in-flight duplicate, or None when the job must run.  A
+        ``recheck`` peeks before its cache lookup, so the miss the
+        first lookup counted is not counted twice."""
         with self._lock:
             if self._closed:
                 raise QueueClosed("server is shutting down")
+            cached = (
+                None
+                if recheck and not self.cache.peek(digest)
+                else self.cache.get(digest)
+            )
+            if cached is not None:
+                record = self._register(spec, digest)
+                self.counters["cache_hits"] += 1
+                instrument.count(SERVE_CACHE_HITS)
+                self._resolve_from_cache(record, cached)
+                return record
+            primary = self._inflight.get(digest)
+            if primary is None or primary.terminal:
+                return None
+            record = self._register(spec, digest)
+            record.coalesced = True
+            self.counters["coalesced"] += 1
+            instrument.count(SERVE_COALESCED)
+            self._followers.setdefault(digest, []).append(record)
+            record.set_state(primary.state, coalesced_onto=primary.id)
+            return record
+
+    def _register(self, spec: JobSpec, digest: str) -> JobRecord:
+        """A new record, listed and counted as submitted."""
+        with self._lock:
             self._seq += 1
             record = JobRecord(f"j{self._seq:06d}", spec, digest)
             self._records[record.id] = record
             self._order.append(record.id)
             self.counters["submitted"] += 1
-            instrument.count(SERVE_JOBS_SUBMITTED)
-
-            cached = self.cache.get(digest)
-            if cached is not None:
-                self.counters["cache_hits"] += 1
-                instrument.count(SERVE_CACHE_HITS)
-                self._resolve_from_cache(record, cached)
-                return record
-
-            primary = self._inflight.get(digest)
-            if primary is not None and not primary.terminal:
-                record.coalesced = True
-                self.counters["coalesced"] += 1
-                instrument.count(SERVE_COALESCED)
-                self._followers.setdefault(digest, []).append(record)
-                record.set_state(primary.state, coalesced_onto=primary.id)
-                return record
-
-            self.counters["cache_misses"] += 1
-            instrument.count(SERVE_CACHE_MISSES)
-            self._inflight[digest] = record
-            try:
-                self._queue.put_nowait(record)
-            except queue.Full:
-                del self._inflight[digest]
-                del self._records[record.id]
-                self._order.remove(record.id)
-                raise QueueFull(
-                    f"job queue full ({self._queue.maxsize} pending)"
-                ) from None
-            record._note_state("queued")
-            return record
+        instrument.count(SERVE_JOBS_SUBMITTED)
+        return record
 
     def get(self, job_id: str) -> JobRecord | None:
         with self._lock:
@@ -401,16 +436,16 @@ class JobQueue:
 
     def _worker(self) -> None:
         while True:
-            record = self._queue.get()
-            if record is None:
+            item = self._queue.get()
+            if item is None:
                 self._queue.task_done()
                 break
             try:
-                self._execute(record)
+                self._execute(*item)
             finally:
                 self._queue.task_done()
 
-    def _execute(self, record: JobRecord) -> None:
+    def _execute(self, record: JobRecord, design: Any) -> None:
         record.started_at = time.time()
         record.set_state("running")
         collector = instrument.Collector()
@@ -421,7 +456,7 @@ class JobQueue:
                 instrument.thread_collecting(collector),
                 deadline(self.timeout_s),
             ):
-                payload = execute_spec(record.spec)
+                payload = execute_spec(record.spec, design)
         except RouteCancelled:
             self._fail(record, f"timed out after {self.timeout_s}s", True)
             return
@@ -469,12 +504,12 @@ class JobQueue:
         if not drain:
             while True:
                 try:
-                    record = self._queue.get_nowait()
+                    item = self._queue.get_nowait()
                 except queue.Empty:
                     break
-                if record is None:
+                if item is None:
                     continue
-                self._fail(record, "server shutdown before start", False)
+                self._fail(item[0], "server shutdown before start", False)
                 self._queue.task_done()
         for _ in self._threads:
             self._queue.put(None)

@@ -13,9 +13,9 @@ over its canonical document — which keys the server's result cache.
 Every spec field reaches it; ``check`` does because it changes the
 payload (the attached verification report).
 
-:func:`execute_spec` is the worker-side body: build the design and
-``FlowParams``, run the flow on the calling thread, and flatten the
-outcome into a JSON-safe payload whose top-level keys (``completion``,
+:func:`execute_spec` is the worker-side body: build ``FlowParams``,
+run the flow on the calling thread, and flatten the outcome into a
+JSON-safe payload whose top-level keys (``completion``,
 ``check_clean``) feed the success predicate the batch runner shares
 (:func:`repro.dispatch.jobs.summary_ok`).
 """
@@ -78,14 +78,10 @@ DIGEST_EXCLUDED: frozenset[str] = frozenset()
 #: cannot vary between entries.
 SERVER_DEFAULTED = frozenset(
     {
-        "channel_router",
-        "margin",
-        "aspect",
         "partition",
         "length_threshold",
         "levelb",
         "obstacles",
-        "channel_area_factor",
     }
 )
 
@@ -106,8 +102,8 @@ class JobSpec:
     ``design`` is a built-in suite name (``repro.bench_suite.SUITES``)
     or an inline ``repro-design`` document; ``technology`` an optional
     ``repro-technology`` document.  Inline documents are kept as plain
-    dicts — they are rebuilt inside the worker, so a spec stays cheap
-    to hold in queues and caches.
+    dicts — the queue builds them only for a job it queues, so a spec
+    stays cheap to hold in queues and caches.
     """
 
     design: str | dict[str, Any]
@@ -253,17 +249,21 @@ class JobSpec:
 
 
 # ----------------------------------------------------------------------
-# Worker-side execution
+# Execution
 # ----------------------------------------------------------------------
 def build_design(spec: JobSpec) -> Any:
-    """Materialise the spec's design (suite factory or inline doc)."""
+    """Materialise the spec's design (suite factory or inline doc);
+    an inline document that does not build raises :class:`SpecError`."""
     if isinstance(spec.design, str):
         from repro.bench_suite import SUITES
 
         return SUITES[spec.design]()
     from repro.io import design_from_dict
 
-    return design_from_dict(spec.design)
+    try:
+        return design_from_dict(spec.design)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecError(f"invalid design document: {type(exc).__name__}: {exc}")
 
 
 def build_params(spec: JobSpec) -> Any:
@@ -284,8 +284,8 @@ def build_params(spec: JobSpec) -> Any:
     return FlowParams(**kwargs)
 
 
-def execute_spec(spec: JobSpec) -> dict[str, Any]:
-    """Route one spec and flatten the outcome into a JSON payload.
+def execute_spec(spec: JobSpec, design: Any) -> dict[str, Any]:
+    """Route one spec over ``design`` (its :func:`build_design`).
 
     A :func:`repro.core.cancel.deadline` the caller armed stops level B
     with ``RouteCancelled``.  The top level carries the summary metrics
@@ -299,7 +299,6 @@ def execute_spec(spec: JobSpec) -> dict[str, Any]:
     from repro.instrument.names import SPAN_SERVE_JOB
     from repro.io import flow_result_to_dict
 
-    design = build_design(spec)
     params = build_params(spec)
     with instrument.span(SPAN_SERVE_JOB):
         result = FLOWS[spec.flow](design, params)

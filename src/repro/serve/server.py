@@ -379,11 +379,10 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             spec = JobSpec.from_dict(doc)
+            record = self.app.jobs.submit(spec)
         except SpecError as exc:
             self._error(400, str(exc))
             return
-        try:
-            record = self.app.jobs.submit(spec)
         except QueueFull as exc:
             self._error(503, str(exc))
             return

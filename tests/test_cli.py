@@ -16,6 +16,34 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["suite", "--name", "nope", "--out", "x"])
 
+    @pytest.mark.parametrize(
+        "argv, low",
+        [
+            (["flow", "--suite", "ex3", "--planes", "0"], 1),
+            (["check", "--suite", "ami33", "--planes", "-1"], 1),
+            (["route", "--suite", "ami33", "--planes", "0"], 1),
+            (["profile", "--suite", "ami33", "--out", "p.json", "--planes", "0"], 1),
+            (["report", "--suite", "ami33", "--planes", "0"], 1),
+            (["route", "--suite", "ami33", "--iterate", "--max-iterations", "-1"], 0),
+            (["flow", "--suite", "ami33", "--planes", "two"], 1),
+        ],
+        ids=[
+            "flow-planes-zero",
+            "check-planes-negative",
+            "route-planes-zero",
+            "profile-planes-zero",
+            "report-planes-zero",
+            "route-max-iterations-negative",
+            "flow-planes-not-integer",
+        ],
+    )
+    def test_out_of_range_integers_are_usage_errors(self, argv, low, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert argv[-2] in err and f"integer >= {low}" in err
+
 
 class TestSuiteCommand:
     def test_writes_design_json(self, tmp_path, capsys):
@@ -183,12 +211,15 @@ class TestCheckCommand:
         assert "overcell-6layer" in out
         assert "CLEAN" in out
 
-    def test_zero_planes_rejected(self, design_file):
-        with pytest.raises(ValueError, match="planes must be >= 1"):
+    def test_zero_planes_rejected(self, design_file, capsys):
+        # A usage error before any routing, not a traceback after it.
+        with pytest.raises(SystemExit) as excinfo:
             main([
                 "check", "--design", str(design_file), "--flow", "overcell",
                 "--planes", "0",
             ])
+        assert excinfo.value.code == 2
+        assert "must be an integer >= 1" in capsys.readouterr().err
 
 
 class TestTablesCommand:

@@ -27,8 +27,6 @@ class TestCostWeights:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CostWeights(radius=0)
-        with pytest.raises(ValueError):
             CostWeights(w1=-1.0)
 
 

@@ -13,17 +13,34 @@ from repro.dispatch import Job, JobOutcome, JobRunner
 from repro.dispatch import jobs as jobs_mod
 
 
+def _refuse_process_pool(monkeypatch, error):
+    def refuse(*args, **kwargs):
+        raise error("no process pool on this platform")
+
+    monkeypatch.setattr(jobs_mod.futures, "ProcessPoolExecutor", refuse)
+
+
+@pytest.fixture()
+def no_process_pool(monkeypatch):
+    """A platform where a process pool cannot start: CPython raises
+    NotImplementedError where named semaphores are missing.  The
+    runner's pool falls back to threads, which share this process's
+    memory."""
+    _refuse_process_pool(monkeypatch, NotImplementedError)
+
+
 # ----------------------------------------------------------------------
 # Batch jobs
 # ----------------------------------------------------------------------
 class TestJobRunner:
     def test_serial_batch_runs_flow(self):
-        runner = JobRunner(1, mode="serial")
+        runner = JobRunner(1)
         report = runner.run([Job(design="__missing__", flow="overcell")])
+        assert report.mode == "serial"
         assert not report.ok  # unknown design fails, is reported
         assert report.outcomes[0].error
 
-    def test_retry_then_success(self, monkeypatch):
+    def test_retry_then_success(self, monkeypatch, no_process_pool):
         calls = {"n": 0}
 
         def flaky(job, timeout_s):
@@ -33,21 +50,23 @@ class TestJobRunner:
             return {"completion": 1.0}
 
         monkeypatch.setattr(jobs_mod, "_execute_job", flaky)
-        report = JobRunner(2, mode="thread", retries=1).run([Job(design="x")])
+        report = JobRunner(2, retries=1).run([Job(design="x")])
+        assert report.mode == "thread"
         assert report.ok
         assert report.outcomes[0].attempts == 2
 
-    def test_retries_exhausted(self, monkeypatch):
+    def test_retries_exhausted(self, monkeypatch, no_process_pool):
         def always_fails(job, timeout_s):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(jobs_mod, "_execute_job", always_fails)
-        report = JobRunner(2, mode="thread", retries=1).run([Job(design="x")])
+        report = JobRunner(2, retries=1).run([Job(design="x")])
+        assert report.mode == "thread"
         assert not report.ok
         assert report.outcomes[0].attempts == 2
         assert "boom" in report.outcomes[0].error
 
-    def test_timeout_records_without_retry(self, monkeypatch):
+    def test_timeout_records_without_retry(self, monkeypatch, no_process_pool):
         self._assert_timeout_not_retried(monkeypatch, 2, "thread")
 
     def test_serial_timeout_records_without_retry(self, monkeypatch):
@@ -62,9 +81,10 @@ class TestJobRunner:
             raise RouteCancelled("deadline passed")
 
         monkeypatch.setattr(jobs_mod, "_execute_job", cancelled)
-        report = JobRunner(workers, mode=mode, timeout_s=0.05, retries=3).run(
+        report = JobRunner(workers, timeout_s=0.05, retries=3).run(
             [Job(design="x")]
         )
+        assert report.mode == mode
         assert not report.ok
         assert report.outcomes[0].timed_out
         assert report.outcomes[0].attempts == 1
@@ -75,7 +95,7 @@ class TestJobRunner:
         monkeypatch.setattr(
             jobs_mod, "_execute_job", lambda job, timeout_s: {"completion": 1.0}
         )
-        report = JobRunner(1, mode="serial").run(
+        report = JobRunner(1).run(
             [Job(design="a"), Job(design="b", flow="two-layer")]
         )
         doc = report.to_dict()
@@ -84,17 +104,30 @@ class TestJobRunner:
         text = report.render()
         assert "a/overcell" in text and "b/two-layer" in text
 
+    @pytest.mark.parametrize(
+        "error",
+        [OSError, NotImplementedError, ValueError, ImportError],
+        ids=lambda error: error.__name__,
+    )
+    def test_pool_falls_back_to_threads(self, monkeypatch, error):
+        _refuse_process_pool(monkeypatch, error)
+        monkeypatch.setattr(
+            jobs_mod, "_execute_job", lambda job, timeout_s: {"completion": 1.0}
+        )
+        report = JobRunner(2).run([Job(design="a"), Job(design="b")])
+        assert report.mode == "thread" and report.workers == 2
+        assert report.ok and report.completed == 2
+
     def test_empty_job_list(self):
-        # The serve queue can drain to empty between submissions; an
-        # empty batch must be a clean no-op in every mode.
-        for mode in ("serial", "thread", "process"):
-            report = JobRunner(2, mode=mode).run([])
+        # An empty batch must be a clean no-op in-line and on a pool.
+        for workers in (1, 2):
+            report = JobRunner(workers).run([])
             assert report.ok
             assert report.completed == 0 and report.failed == 0
             assert report.outcomes == []
             doc = report.to_dict()
             assert doc["jobs"] == []
-            assert jobs_mod.BatchReport.from_dict(doc).to_dict() == doc
+            assert json.loads(json.dumps(doc, sort_keys=True)) == doc
 
     def test_worker_crash_recovers_on_fresh_executor(
         self, tmp_path, monkeypatch
@@ -104,7 +137,7 @@ class TestJobRunner:
         monkeypatch.setattr(jobs_mod, "_execute_job", _crash_once_body)
         flag = tmp_path / "crashed-once"
         job = Job(design=f"{flag}:{os.getpid()}")
-        report = JobRunner(2, mode="process", retries=1).run([job])
+        report = JobRunner(2, retries=1).run([job])
         if report.mode != "process":  # pragma: no cover - thread fallback
             pytest.skip("no process pool available on this platform")
         assert report.ok
@@ -117,17 +150,20 @@ class TestDeadline:
     @pytest.mark.parametrize(
         "workers,mode", [(1, "serial"), (2, "thread"), (2, "process")]
     )
-    def test_timeout_stops_ex3(self, workers, mode):
-        report = JobRunner(workers, mode=mode, timeout_s=0.2).run(
-            [Job(design="ex3")]
-        )
+    def test_timeout_stops_ex3(self, workers, mode, request):
+        if mode == "thread":
+            request.getfixturevalue("no_process_pool")
+        report = JobRunner(workers, timeout_s=0.2).run([Job(design="ex3")])
+        if mode == "process" and report.mode == "thread":
+            pytest.skip("no process pool available on this platform")
+        assert report.mode == mode
         outcome = report.outcomes[0]
         assert outcome.timed_out and not outcome.ok
         assert outcome.attempts == 1
         assert outcome.error == "timed out after 0.2s"
 
     def test_job_inside_its_deadline_completes(self):
-        report = JobRunner(1, mode="serial", timeout_s=60.0).run(
+        report = JobRunner(1, timeout_s=60.0).run(
             [Job(design="ami33"), Job(design="ami33", flow="two-layer")]
         )
         assert report.ok
@@ -135,7 +171,7 @@ class TestDeadline:
 
 
 class TestReportRoundTrip:
-    """to_dict output survives sorted-key JSON and from_dict losslessly."""
+    """to_dict output survives sorted-key JSON unchanged."""
 
     def _sample_report(self):
         ok = JobOutcome(
@@ -171,18 +207,20 @@ class TestReportRoundTrip:
         for outcome in self._sample_report().outcomes:
             doc = outcome.to_dict()
             assert json.loads(json.dumps(doc, sort_keys=True)) == doc
-            rebuilt = JobOutcome.from_dict(doc)
-            assert rebuilt.to_dict() == doc
-            assert rebuilt.job == outcome.job
+            assert (doc["design"], doc["flow"], doc["check"]) == (
+                outcome.job.design,
+                outcome.job.flow,
+                outcome.job.check,
+            )
 
     def test_batch_json_round_trip(self):
         report = self._sample_report()
         doc = report.to_dict()
         assert json.loads(json.dumps(doc, sort_keys=True)) == doc
-        rebuilt = jobs_mod.BatchReport.from_dict(doc)
-        assert rebuilt.to_dict() == doc
-        assert rebuilt.completed == report.completed
-        assert rebuilt.failed == report.failed
+        assert doc["format"] == "repro-dispatch-batch"
+        assert (doc["ok"], doc["workers"], doc["mode"]) == (False, 2, "thread")
+        assert doc["wall_s"] == 7.654322
+        assert [j["ok"] for j in doc["jobs"]] == [True, False, False]
 
     def test_dict_ordering_does_not_change_payload(self):
         from repro.io import canonical_digest
@@ -190,10 +228,6 @@ class TestReportRoundTrip:
         doc = self._sample_report().to_dict()
         reordered = {k: doc[k] for k in reversed(list(doc))}
         assert canonical_digest(doc) == canonical_digest(reordered)
-
-    def test_from_dict_rejects_foreign_document(self):
-        with pytest.raises(ValueError):
-            jobs_mod.BatchReport.from_dict({"format": "nope", "jobs": []})
 
 
 def _crash_once_body(job, timeout_s):
@@ -233,7 +267,8 @@ class TestIntegration:
                 "ami33",
                 "--flows",
                 "two-layer",
-                "--serial",
+                "--jobs",
+                "1",
                 "--json",
                 str(out),
             ]
@@ -241,6 +276,7 @@ class TestIntegration:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["format"] == "repro-dispatch-batch"
+        assert doc["mode"] == "serial" and doc["workers"] == 1
         assert doc["jobs"][0]["design"] == "ami33"
         captured = capsys.readouterr().out
         assert "dispatch batch" in captured
@@ -253,3 +289,22 @@ class TestIntegration:
             main(["dispatch", "--suites", "ami33", "--timeout", value])
         assert excinfo.value.code == 2
         assert "positive number of seconds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mode", "thread"],
+            ["--mode", "process"],
+            ["--serial"],
+            ["--jobs", "0"],
+            ["--retries", "-1"],
+        ],
+        ids=["mode-thread", "mode-process", "serial", "jobs-zero", "retries-negative"],
+    )
+    def test_parser_rejects(self, argv, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["dispatch", "--suites", "ami33", *argv])
+        assert excinfo.value.code == 2
+        assert argv[0] in capsys.readouterr().err

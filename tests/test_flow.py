@@ -116,12 +116,6 @@ class TestMultilayerChannelFlow:
         oc = overcell_flow(small_design)
         assert oc.layout_area < ml.layout_area
 
-    def test_custom_area_factor(self, small_design, baseline):
-        params = FlowParams(channel_area_factor=0.75)
-        ml = multilayer_channel_flow(small_design, params)
-        ml50 = multilayer_channel_flow(small_design)
-        assert ml.layout_area >= ml50.layout_area
-
 
 class TestHelpers:
     def test_percent_reduction(self):
@@ -139,25 +133,6 @@ class TestHelpers:
         assert a.layout_area == b.layout_area
         assert a.wire_length == b.wire_length
         assert a.via_count == b.via_count
-
-
-class TestChannelRouterChoice:
-    def test_left_edge_flow_completes(self, small_design):
-        params = FlowParams(channel_router="left-edge")
-        result = two_layer_flow(small_design, params)
-        assert result.completion == 1.0
-        for spec, route in zip(result.global_route.specs, result.channel_routes):
-            route.check(spec.problem)
-
-    def test_unknown_router_rejected(self, small_design):
-        with pytest.raises(ValueError, match="channel router"):
-            two_layer_flow(small_design, FlowParams(channel_router="magic"))
-
-    def test_router_choice_changes_nothing_fundamental(self, small_design, baseline):
-        lea = two_layer_flow(small_design, FlowParams(channel_router="left-edge"))
-        # Same decomposition, possibly different track counts.
-        assert len(lea.channel_tracks) == len(baseline.channel_tracks)
-        assert lea.completion == baseline.completion == 1.0
 
 
 class TestRegionProfile:

@@ -26,11 +26,11 @@ from repro.geometry import Point, Rect
 from repro.grid import RoutingGrid, TrackSet
 from repro.iterate import (
     POLICIES,
-    CostSchedule,
     IterateConfig,
     NetFeedback,
     iterate_levelb,
 )
+from repro.iterate.loop import history_weight
 from repro.iterate.policies import (
     NO_FEEDBACK,
     congestion,
@@ -50,7 +50,7 @@ def levelb_instance(seed: int, num_cells: int = 6, num_nets: int = 40):
     """A level B router over the real over-cell pipeline's geometry."""
     from repro.bench_suite import random_design
     from repro.flow import FlowParams
-    from repro.flow.pipeline import _run_channel_pipeline
+    from repro.flow.pipeline import CORE_MARGIN, _run_channel_pipeline
     from repro.partition import partition_nets
 
     design = random_design(
@@ -68,7 +68,7 @@ def levelb_instance(seed: int, num_cells: int = 6, num_nets: int = 40):
         heights,
         left_width=side_widths[0],
         right_width=side_widths[1],
-        margin=params.margin,
+        margin=CORE_MARGIN,
     )
     return LevelBRouter(bounds, set_b)
 
@@ -79,7 +79,7 @@ def levelb_instance(seed: int, num_cells: int = 6, num_nets: int = 40):
 class TestTrackHistory:
     def test_starts_uncharged(self):
         h = TrackHistory(4, 4)
-        assert not h.charged
+        assert h.v == [0.0] * 4 and h.h == [0.0] * 4
         assert h.peak() == 0.0
 
     def test_charge_window_hits_crossing_tracks(self):
@@ -87,7 +87,6 @@ class TestTrackHistory:
         h.charge_window(1, 3, 2, 2, 1.5)
         assert h.v == [0.0, 1.5, 1.5, 1.5, 0.0, 0.0]
         assert h.h == [0.0, 0.0, 1.5, 0.0, 0.0, 0.0]
-        assert h.charged
         assert h.peak() == 1.5
 
     def test_charge_window_clamps_to_bounds(self):
@@ -100,16 +99,6 @@ class TestTrackHistory:
         h = TrackHistory(3, 3)
         with pytest.raises(ValueError):
             h.charge_window(0, 1, 0, 1, -0.5)
-
-    def test_decay(self):
-        h = TrackHistory(2, 2)
-        h.charge_window(0, 1, 0, 1, 4.0)
-        h.decay(0.5)
-        assert h.v == [2.0, 2.0]
-        h.decay(0.0)
-        assert not h.charged
-        with pytest.raises(ValueError):
-            h.decay(1.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -157,22 +146,13 @@ class TestEvaluatorFold:
 
 
 # ----------------------------------------------------------------------
-# CostSchedule
+# History weight schedule
 # ----------------------------------------------------------------------
 class TestCostSchedule:
     def test_weight_grows_per_iteration(self):
-        s = CostSchedule(history_weight=6.0, present_base=1.0, present_growth=0.5)
-        assert s.weight_at(1) == pytest.approx(6.0)
-        assert s.weight_at(2) == pytest.approx(9.0)
-        assert s.weight_at(3) == pytest.approx(12.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CostSchedule(history_weight=-1.0)
-        with pytest.raises(ValueError):
-            CostSchedule(decay=1.5)
-        with pytest.raises(ValueError):
-            CostSchedule(present_growth=-0.1)
+        assert history_weight(1) == pytest.approx(6.0)
+        assert history_weight(2) == pytest.approx(9.0)
+        assert history_weight(3) == pytest.approx(12.0)
 
 
 # ----------------------------------------------------------------------
@@ -330,9 +310,7 @@ class TestIterateLoop:
         assert one_pass.completion_rate < 1.0
 
         router = levelb_instance(5)
-        result, report = iterate_levelb(
-            router, IterateConfig(max_iterations=6, stall_limit=2)
-        )
+        result, report = iterate_levelb(router, IterateConfig(max_iterations=6))
         assert not report.converged
         assert report.stalled
         assert result.completion_rate >= one_pass.completion_rate
@@ -352,8 +330,6 @@ class TestIterateLoop:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             IterateConfig(max_iterations=-1)
-        with pytest.raises(ValueError):
-            IterateConfig(stall_limit=0)
 
     def test_report_serialises(self):
         router = levelb_instance(9)

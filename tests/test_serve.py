@@ -19,6 +19,7 @@ from repro.serve import (
     JobQueue,
     JobSpec,
     QueueClosed,
+    QueueFull,
     ResultCache,
     RoutingServer,
     ServeClient,
@@ -214,8 +215,11 @@ class TestEventBuffer:
         assert events == []
         assert closed
 
-    def test_overflow_drops_newest_and_counts(self):
-        buf = EventBuffer(max_events=2)
+    def test_overflow_drops_newest_and_counts(self, monkeypatch):
+        from repro.serve import jobqueue
+
+        monkeypatch.setattr(jobqueue, "MAX_EVENTS", 2)
+        buf = EventBuffer()
         buf.extend([{"n": 1}, {"n": 2}, {"n": 3}])
         assert len(buf) == 2
         assert buf.dropped == 1
@@ -237,9 +241,9 @@ def _count_runs(monkeypatch) -> dict:
     runs = {"n": 0}
     execute = jobqueue.execute_spec
 
-    def counted(spec):
+    def counted(spec, design):
         runs["n"] += 1
-        return execute(spec)
+        return execute(spec, design)
 
     monkeypatch.setattr(jobqueue, "execute_spec", counted)
     return runs
@@ -312,17 +316,21 @@ class TestJobQueue:
             q.close()
 
     def test_failed_job_records_error(self, monkeypatch):
+        from repro.flow import FLOWS
+
+        def dies(design, params):
+            raise ValueError("flow died")
+
         runs = _count_runs(monkeypatch)
-        bad = toy_spec()
-        bad["design"] = dict(bad["design"], cells=[])  # no cells: flow dies
+        monkeypatch.setitem(FLOWS, "overcell", dies)
         q = JobQueue(workers=1)
         q.start()
         try:
-            record = q.submit(JobSpec.from_dict(bad))
+            record = q.submit(JobSpec.from_dict(toy_spec()))
             assert record.wait(timeout_s=30.0)
             assert record.state == "failed"
             assert record.ok is False
-            assert record.error.startswith("ValueError: ")
+            assert record.error == "ValueError: flow died"
             assert q.counters["failed"] == 1
             assert runs["n"] == 1  # a failure is not rerun
             assert _final_state(record)["timed_out"] is False
@@ -370,6 +378,158 @@ class TestJobQueue:
         with pytest.raises(QueueClosed):
             q.submit(JobSpec.from_dict(toy_spec()))
 
+    def test_refused_submissions_leave_no_record(self):
+        q = JobQueue(workers=1, queue_size=1)  # never started
+        queued = q.submit(JobSpec.from_dict(toy_spec(seed=31)))
+        with pytest.raises(QueueFull):
+            q.submit(JobSpec.from_dict(toy_spec(seed=32)))
+        bad = toy_spec(seed=33)
+        bad["design"]["cells"] = [{}]
+        with pytest.raises(SpecError, match="invalid design document"):
+            q.submit(JobSpec.from_dict(bad))
+        counters = q.stats()["counters"]
+        assert counters["submitted"] == 1 and counters["cache_misses"] == 1
+        assert q.list_records() == [queued]
+        # Ids stay dense: the next record is the second one.
+        assert q.submit(JobSpec.from_dict(toy_spec(seed=31))).id == "j000002"
+        q.close(drain=False)
+
+    def test_design_build_holds_no_lock(self, monkeypatch):
+        # A cache hit and /stats answer while another request's design
+        # is still being built.
+        from repro.serve import jobqueue
+
+        q = JobQueue(workers=1, queue_size=8)  # never started
+        hit_spec = JobSpec.from_dict(toy_spec(seed=34))
+        q.cache.put(hit_spec.digest(), {"completion": 1.0})
+        building, release = threading.Event(), threading.Event()
+        build = jobqueue.build_design
+
+        def slow_build(spec):
+            building.set()
+            release.wait(30.0)
+            return build(spec)
+
+        monkeypatch.setattr(jobqueue, "build_design", slow_build)
+        miss = threading.Thread(
+            target=q.submit, args=(JobSpec.from_dict(toy_spec(seed=35)),)
+        )
+        miss.start()
+        answered = []
+        try:
+            assert building.wait(30.0)
+            reader = threading.Thread(
+                target=lambda: answered.append((q.submit(hit_spec), q.stats()))
+            )
+            reader.start()
+            reader.join(10.0)
+            assert answered, "the cache hit waited on the design build"
+            hit, stats = answered[0]
+            assert hit.cache_hit and hit.state == "done"
+            assert stats["counters"]["submitted"] == 1
+        finally:
+            release.set()
+            miss.join(30.0)
+            q.close(drain=False)
+        assert not miss.is_alive()
+        assert q.stats()["counters"]["cache_misses"] == 1
+
+    def test_duplicates_built_together_coalesce(self, monkeypatch):
+        # Two identical misses build their designs at the same time;
+        # the one that registers second coalesces onto the first.
+        from repro.serve import jobqueue
+
+        q = JobQueue(workers=1, queue_size=8)  # never started
+        both_building = threading.Barrier(2, timeout=30.0)
+        build = jobqueue.build_design
+
+        def paired_build(spec):
+            both_building.wait()
+            return build(spec)
+
+        monkeypatch.setattr(jobqueue, "build_design", paired_build)
+        spec = JobSpec.from_dict(toy_spec(seed=36))
+        records = []
+        threads = [
+            threading.Thread(target=lambda: records.append(q.submit(spec)))
+            for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+        try:
+            assert not any(t.is_alive() for t in threads)
+            assert sorted(r.coalesced for r in records) == [False, True]
+            counters = q.stats()["counters"]
+            assert counters["submitted"] == 2
+            assert counters["cache_misses"] == 1
+            assert counters["coalesced"] == 1
+            assert q.depth() == 1
+        finally:
+            q.close(drain=False)
+
+    def test_concurrent_submits_queue_each_digest_once(self, monkeypatch):
+        # More submitting threads than cores, released together and
+        # switching often, and a design build slow enough to overlap,
+        # so identical specs race through submit: each distinct spec is
+        # queued once, every other submission coalesces onto it, and no
+        # count or id is lost.
+        from repro.serve import jobqueue
+
+        build = jobqueue.build_design
+
+        def slow_build(spec):
+            time.sleep(0.005)
+            return build(spec)
+
+        monkeypatch.setattr(jobqueue, "build_design", slow_build)
+        q = JobQueue(workers=1, queue_size=64)  # never started
+        specs = [JobSpec.from_dict(toy_spec(seed=40 + i)) for i in range(4)]
+        n_threads, per_thread = 8, 6
+        records: list = []
+        errors: list[BaseException] = []
+        lock = threading.Lock()
+        start = threading.Barrier(n_threads, timeout=30.0)
+
+        def client(k: int) -> None:
+            try:
+                start.wait()
+                for j in range(per_thread):
+                    record = q.submit(specs[(k + j) % len(specs)])
+                    with lock:
+                        records.append(record)
+            except BaseException as exc:  # noqa: BLE001 - collect for assert
+                with lock:
+                    errors.append(exc)
+
+        threads = [
+            threading.Thread(target=client, args=(k,))
+            for k in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(t.is_alive() for t in threads)
+            assert not errors, errors[:3]
+            total = n_threads * per_thread
+            counters = q.stats()["counters"]
+            assert counters["submitted"] == len(records) == total
+            assert counters["cache_misses"] == q.depth() == len(specs)
+            assert counters["coalesced"] == total - len(specs)
+            assert sorted(r.id for r in records) == [
+                f"j{i:06d}" for i in range(1, total + 1)
+            ]
+        finally:
+            q.close(drain=False)
+
     def test_close_without_drain_fails_queued_jobs(self):
         q = JobQueue(workers=1, queue_size=8)  # never started
         record = q.submit(JobSpec.from_dict(toy_spec()))
@@ -381,6 +541,23 @@ class TestJobQueue:
 # ----------------------------------------------------------------------
 # HTTP server end-to-end
 # ----------------------------------------------------------------------
+def _raw_post_job(server, doc) -> tuple[bytes, dict]:
+    """``POST /jobs`` over a raw socket: the reply head and JSON body."""
+    body = json.dumps(doc).encode()
+    with socket.create_connection((server.host, server.port), timeout=30.0) as sock:
+        sock.sendall(
+            b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\nConnection: close\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            + body
+        )
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    return head, json.loads(payload)
+
+
 @pytest.fixture(scope="module")
 def server():
     srv = RoutingServer(port=0, workers=2, cache_size=128, queue_size=256)
@@ -525,23 +702,66 @@ class TestServerEndpoints:
         assert "Content-Length" in json.loads(body)["error"]
 
     def test_non_string_flow_is_400_and_keeps_serving(self, server, client):
-        body = json.dumps({"design": "ami33", "flow": ["overcell"]}).encode()
-        with socket.create_connection(
-            (server.host, server.port), timeout=30.0
-        ) as sock:
-            sock.sendall(
-                b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
-                b"Content-Type: application/json\r\nConnection: close\r\n"
-                + f"Content-Length: {len(body)}\r\n\r\n".encode()
-                + body
-            )
-            reply = b""
-            while chunk := sock.recv(4096):
-                reply += chunk
-        head, _, payload = reply.partition(b"\r\n\r\n")
+        head, payload = _raw_post_job(
+            server, {"design": "ami33", "flow": ["overcell"]}
+        )
         assert head.startswith(b"HTTP/1.1 400 ")
-        assert "'flow' must be a string" in json.loads(payload)["error"]
+        assert "'flow' must be a string" in payload["error"]
         assert client.health()["ok"] is True
+
+    @pytest.mark.parametrize(
+        "design, error",
+        [
+            ({"format": "repro-design"}, "ValueError"),
+            (
+                {
+                    "format": "repro-design",
+                    "version": 1,
+                    "name": "x",
+                    "cells": "x",
+                    "nets": [],
+                },
+                "TypeError",
+            ),
+            ("unknown-pin", "ValueError"),
+            (
+                {
+                    "format": "repro-design",
+                    "version": 1,
+                    "name": "x",
+                    "cells": [{}],
+                    "nets": [],
+                },
+                "KeyError",
+            ),
+        ],
+        ids=["format-only", "cells-string", "unknown-pin", "empty-cell"],
+    )
+    def test_malformed_inline_design_is_400_without_record(
+        self, server, client, design, error
+    ):
+        if design == "unknown-pin":
+            design = design_to_dict(make_toy_design(seed=209))
+            net = dict(design["nets"][0], pins=["nope.p0", "c0.p1"])
+            design["nets"] = [net, *design["nets"][1:]]
+        before = {r["id"] for r in client.jobs()}
+        counted = client.stats()["queue"]["counters"]
+        head, payload = _raw_post_job(server, {"design": design})
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert payload["error"].startswith(f"invalid design document: {error}")
+        assert {r["id"] for r in client.jobs()} == before
+        # Refused like a spec that fails validation: nothing counted,
+        # no job id used.
+        now = client.stats()["queue"]["counters"]
+        for key in ("submitted", "cache_misses", "coalesced"):
+            assert now[key] == counted[key]
+        # The server keeps serving: a valid inline design routes, and
+        # repeating it is a cache hit.
+        spec = toy_spec(seed=210)
+        first = client.submit(spec)
+        assert first["id"] == f"j{counted['submitted'] + 1:06d}"
+        assert client.wait(first["id"], timeout_s=60.0)["state"] == "done"
+        assert client.submit(spec)["cache_hit"] is True
 
     def test_stats_shape(self, client):
         stats = client.stats()
@@ -726,8 +946,22 @@ class TestServeCli:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--timeout", "0"], ["--timeout", "-1"], ["--retries", "1"]],
-        ids=["timeout-zero", "timeout-negative", "retries"],
+        [
+            ["--timeout", "0"],
+            ["--timeout", "-1"],
+            ["--retries", "1"],
+            ["--workers", "0"],
+            ["--cache-size", "0"],
+            ["--queue-size", "0"],
+        ],
+        ids=[
+            "timeout-zero",
+            "timeout-negative",
+            "retries",
+            "workers-zero",
+            "cache-size-zero",
+            "queue-size-zero",
+        ],
     )
     def test_parser_rejects(self, argv, capsys):
         from repro.cli import build_parser
