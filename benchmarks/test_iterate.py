@@ -30,7 +30,7 @@ import pytest
 
 from repro.bench_suite import dense_design, dense_profile, scale_design
 from repro.flow import FlowParams, overcell_flow
-from repro.iterate import POLICIES
+from repro.core.ordering import POLICIES
 
 from conftest import print_experiment
 

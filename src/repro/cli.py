@@ -71,9 +71,8 @@ def _flow_params(args: argparse.Namespace):
     if getattr(args, "iterate", False):
         kwargs["iterate"] = True
         kwargs["max_iterations"] = getattr(args, "max_iterations", 8)
-        kwargs["ordering_policy"] = getattr(
-            args, "ordering_policy", "longest-first"
-        )
+    if getattr(args, "ordering_policy", None):
+        kwargs["ordering_policy"] = args.ordering_policy
     if getattr(args, "objective", "wire") != "wire":
         kwargs["objective"] = args.objective
     return FlowParams(**kwargs)
@@ -89,18 +88,21 @@ def _seconds(text: str) -> float:
     return value
 
 
-def _at_least(low: int) -> Callable[[str], int]:
-    """An argparse type for integers no smaller than ``low``."""
+def _at_least(low: int, high: int | None = None) -> Callable[[str], int]:
+    """An argparse type for integers no smaller than ``low`` (and no
+    larger than ``high``, if given)."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < low:
+        if value < low or (high is not None and value > high):
             raise argparse.ArgumentTypeError(
-                f"must be an integer >= {low}, got {text!r}"
+                f"must be an {parse.__name__}, got {text!r}"
             )
         return value
 
-    parse.__name__ = f"integer >= {low}"
+    parse.__name__ = (
+        f"integer >= {low}" if high is None else f"integer in [{low}, {high}]"
+    )
     return parse
 
 
@@ -352,7 +354,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 def _add_levelb_args(parser: argparse.ArgumentParser) -> None:
     """Level B strategy knobs shared by the flow-running commands."""
-    from repro.iterate import POLICIES
+    from repro.core.ordering import POLICIES
 
     parser.add_argument(
         "--iterate",
@@ -370,7 +372,7 @@ def _add_levelb_args(parser: argparse.ArgumentParser) -> None:
         "--ordering-policy",
         choices=sorted(POLICIES),
         default="longest-first",
-        help="net-ordering policy for --iterate passes "
+        help="level B net-ordering policy, one-pass or with --iterate "
         "(default longest-first)",
     )
     parser.add_argument(
@@ -465,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--json", help="write the check report as JSON")
     p_check.add_argument(
-        "--limit", type=int, default=50, help="violations to print"
+        "--limit", type=_at_least(0), default=50, help="violations to print"
     )
     p_check.add_argument(
         "--strict",
@@ -497,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument("--json", help="write the lint report as JSON")
     p_lint.add_argument(
-        "--limit", type=int, default=50, help="violations to print"
+        "--limit", type=_at_least(0), default=50, help="violations to print"
     )
     p_lint.add_argument(
         "--strict",
@@ -564,7 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
-        "--port", type=int, default=8787, help="0 binds an ephemeral port"
+        "--port", type=_at_least(0, 65535), default=8787,
+        help="0 binds an ephemeral port"
     )
     p_serve.add_argument(
         "--workers", type=_at_least(1), default=2, help="routing worker threads"
@@ -598,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--planes", type=_at_least(1), default=1,
         help="over-cell routing planes for level B (default 1)",
     )
-    p_report.add_argument("--top", type=int, default=5,
+    p_report.add_argument("--top", type=_at_least(0), default=5,
                           help="slowest pins to list")
     p_report.add_argument("--html", help="also write a single-file HTML report")
     _add_levelb_args(p_report)

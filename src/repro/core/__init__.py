@@ -17,8 +17,8 @@ stacked pairs via ``LevelBRouter(planes=)`` (docs/LAYERS.md):
   over the Path Selection Trees to pick the cheapest candidate.
 * :mod:`repro.core.steiner` - the Steiner-Prim decomposition of
   multi-terminal nets into two-terminal connections.
-* :mod:`repro.core.ordering` - serial net ordering (longest distance
-  first by default, user criteria supported).
+* :mod:`repro.core.ordering` - the table of serial net-ordering
+  policies (longest distance first by default).
 * :mod:`repro.core.assign` - the static plane-assignment pass that
   distributes nets across over-cell planes by estimated congestion.
 * :mod:`repro.core.engine` - the :class:`ConnectionEngine` protocol
@@ -34,7 +34,6 @@ from repro.core.assign import NetDemand, assign_planes
 from repro.core.cost import CostWeights
 from repro.core.search import MBFSearch, PSTNode, SearchResult
 from repro.core.select import select_best_path
-from repro.core.ordering import NetOrdering, order_nets
 from repro.core.engine import (
     ConnectionEngine,
     EngineContext,
@@ -53,8 +52,6 @@ __all__ = [
     "PSTNode",
     "SearchResult",
     "select_best_path",
-    "NetOrdering",
-    "order_nets",
     "ConnectionEngine",
     "EngineContext",
     "MBFSEngine",

@@ -44,6 +44,9 @@ from repro.core.tig import GridTerminal
 #: A bounded search region in index space, or ``None`` for the whole grid.
 Region = tuple[Interval, Interval] | None
 
+#: The most corners a level B MBFS search considers.
+MAX_DEPTH = 12
+
 
 @dataclass
 class RoutedConnection:
@@ -73,8 +76,8 @@ class EngineContext:
     grid:
         The occupancy grid (the stored TIG) to search and commit on.
     config:
-        The router's :class:`~repro.core.router.LevelBConfig`; engines
-        read their tuning knobs (search caps, penalties) from it.
+        The router's :class:`~repro.core.router.LevelBConfig`; the
+        MBFS engine reads its per-track entry cap from it.
     evaluator:
         ``evaluator(net_id)`` builds a fresh
         :class:`~repro.core.cost.CornerCostEvaluator` carrying the
@@ -146,7 +149,7 @@ class MBFSEngine(ConnectionEngine):
                 source,
                 target,
                 region=region,
-                max_depth=cfg.max_depth,
+                max_depth=MAX_DEPTH,
                 max_entries_per_track=cfg.max_entries_per_track,
             )
             outcome = search.run()

@@ -35,7 +35,7 @@ each net and each search window raises ``RouteCancelled``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
@@ -80,7 +80,7 @@ from repro.core.engine import (
     Region,
     RoutedConnection,
 )
-from repro.core.ordering import NetOrdering, order_nets
+from repro.core.ordering import POLICIES
 from repro.core.search import search_window
 from repro.core.steiner import SteinerTreeBuilder, dedupe_terminals
 from repro.core.tig import GridTerminal, TrackIntersectionGraph
@@ -107,41 +107,30 @@ class Obstacle:
 
 @dataclass(frozen=True)
 class LevelBConfig:
-    """Tuning knobs for the level B router.
+    """Tuning knobs for the level B router, each swept by a benchmark.
 
-    What the router routes on and how it reports — ``planes``,
-    ``objective`` and ``checked`` — are
-    :class:`LevelBRouter` arguments instead (and
-    :class:`~repro.flow.FlowParams` fields at the flow level).  The
-    region schedule, the plane via weight, the MBFS node cap and the
-    parallel-run separation are fixed (constants below, callee defaults).
+    What the router routes on, in what order and how it reports —
+    ``planes``, ``ordering_policy``, ``objective`` and ``checked`` —
+    are :class:`LevelBRouter` arguments instead (and
+    :class:`~repro.flow.FlowParams` fields).  Values no caller varies
+    are module constants (below and :data:`repro.core.engine.MAX_DEPTH`)
+    or callee defaults.
     """
 
     weights: CostWeights = field(default_factory=CostWeights.sparse)
-    ordering: NetOrdering = NetOrdering.LONGEST_FIRST
-    region_margin_tracks: int = 8
-    max_depth: int = 12
     max_entries_per_track: int = 8
     # The MBFS excludes paths with more than one corner per track, so
     # on congested grids a routable connection can be invisible to it
     # (the paper conditions 100% completion on the solution space).
     # The fallback re-tries failed connections with the Lee/Dijkstra
-    # maze search over the whole grid before giving up.  Every Lee
-    # search (the rescue, and MazeRouter's primary engine) prices a
-    # corner at ``maze_via_penalty``.
+    # maze search over the whole grid before giving up.
     maze_fallback: bool = True
-    maze_via_penalty: float = 10.0
     # Bounded rip-up-and-reroute: when a net stays unroutable even via
     # the maze fallback, up to ``max_ripups`` neighbouring nets are
     # ripped up and rerouted after it.  A completion aid beyond the
     # paper (whose experiments assume the solution space admits 100%
     # completion); set to 0 to disable.
     max_ripups: int = 24
-    # Cross-talk control (paper section 3.2's extension hook): when any
-    # net is marked ``is_sensitive`` the router adds a
-    # ParallelRunPenalty so other nets avoid long parallel runs next to
-    # it (and it next to them).  Set the weight to 0 to disable.
-    parallel_run_weight: float = 20.0
     # Post-routing refinement: after all nets route, each net is
     # ripped up and rerouted once per pass with full knowledge of the
     # others (serial routers over-constrain early nets).  Each net's
@@ -150,8 +139,12 @@ class LevelBConfig:
     refinement_passes: int = 0
 
 
+#: A connection's first search region is its terminals' bounding box
+#: grown by this many tracks on every side.
+REGION_MARGIN_TRACKS = 8
+
 #: Each widening of a connection's search region multiplies its margin
-#: (``region_margin_tracks`` at first) by this factor.
+#: (:data:`REGION_MARGIN_TRACKS` at first) by this factor.
 REGION_GROWTH = 4
 
 #: Bounded windows searched after the first, before the whole grid.
@@ -162,11 +155,22 @@ MAX_REGION_EXPANSIONS = 2
 #: this weight per extra via level.
 PLANE_VIA_WEIGHT = 4.0
 
+#: The corner price of every Lee search: the rescue behind
+#: ``maze_fallback``, and :class:`~repro.maze.MazeRouter`'s primary
+#: engine.
+MAZE_VIA_PENALTY = 10.0
+
+#: Cross-talk control (paper section 3.2's extension hook): when any
+#: net is marked ``is_sensitive`` the router adds a
+#: :class:`~repro.core.coupling.ParallelRunPenalty` of this weight, so
+#: other nets avoid long parallel runs next to it (and it next to
+#: them).  0 turns the term off.
+PARALLEL_RUN_WEIGHT = 20.0
 
 #: How much harder the "vias" objective leans on via prices than the
 #: default weighting.  It scales two prices and nothing else: the plane
 #: assignment's per-via-level weight (times the technology's mean via
-#: cost) and ``maze_via_penalty``, the corner price of every Lee
+#: cost) and :data:`MAZE_VIA_PENALTY`, the corner price of every Lee
 #: search.  The knee of a measured trade-off:
 #: raising it keeps cutting vias but concentrates nets on plane 0
 #: until completions start to fall on saturated designs (the wide
@@ -284,15 +288,13 @@ class LevelBResult:
             raise KeyError(f"net {name!r} was not routed at level B") from None
 
 
-def coupling_terms(
-    net_id: int, sensitive_ids: frozenset[int], config: LevelBConfig
-) -> tuple:
+def coupling_terms(net_id: int, sensitive_ids: frozenset[int]) -> tuple:
     """Cost-function extension terms for one net's connections.
 
     A sensitive net keeps clear of *all* foreign wiring; every other
     net keeps clear of the sensitive nets.
     """
-    if not sensitive_ids or config.parallel_run_weight <= 0:
+    if not sensitive_ids or PARALLEL_RUN_WEIGHT <= 0:
         return ()
     from repro.core.coupling import ParallelRunPenalty
 
@@ -301,9 +303,7 @@ def coupling_terms(
     else:
         targets = sensitive_ids - {net_id}
     return (
-        ParallelRunPenalty(
-            targets, weight=config.parallel_run_weight, exclude=net_id
-        ),
+        ParallelRunPenalty(targets, weight=PARALLEL_RUN_WEIGHT, exclude=net_id),
     )
 
 
@@ -432,12 +432,18 @@ class LevelBRouter:
         1 is the paper's single metal3/metal4 plane; with more, the
         assignment pass (:mod:`repro.core.assign`) distributes nets
         across them by estimated congestion.
+    ordering_policy:
+        The :data:`~repro.core.ordering.POLICIES` name that orders the
+        nets: :meth:`route` and its refinement passes route in
+        ``POLICIES[ordering_policy](nets, {})``, and
+        :mod:`repro.iterate` asks the same policy for every later pass.
+        The default is the paper's longest-distance-first criterion.
     objective:
         ``"wire"`` (the paper's wire-length-led cost, the default) or
         ``"vias"`` (via minimization, docs/TECHNOLOGY.md: the plane
         assignment's via weight times :data:`VIA_OBJECTIVE_SCALE` and
         the technology's mean via cost, Lee corners at
-        ``maze_via_penalty`` times :data:`VIA_OBJECTIVE_SCALE`).
+        :data:`MAZE_VIA_PENALTY` times :data:`VIA_OBJECTIVE_SCALE`).
     checked:
         Checked mode (:mod:`repro.check`): sanitize every net commit
         and audit the grid bookkeeping, raising ``CheckFailure`` on the
@@ -454,6 +460,7 @@ class LevelBRouter:
         obstacles: Iterable[Obstacle | Rect] = (),
         config: LevelBConfig | None = None,
         planes: int = 1,
+        ordering_policy: str = "longest-first",
         objective: str = "wire",
         checked: bool = False,
     ) -> None:
@@ -461,24 +468,18 @@ class LevelBRouter:
         self.config = config or LevelBConfig()
         if planes < 1:
             raise ValueError(f"planes must be >= 1, got {planes}")
+        if ordering_policy not in POLICIES:
+            raise ValueError(
+                f"unknown ordering policy {ordering_policy!r} "
+                f"(available: {sorted(POLICIES)})"
+            )
         if objective not in ("wire", "vias"):
             raise ValueError(
                 f"objective must be 'wire' or 'vias', got {objective!r}"
             )
+        self.ordering_policy = ordering_policy
         self.objective = objective
         self.checked = checked
-        if objective == "vias":
-            # Lee searches trade corners against length through
-            # ``maze_via_penalty``; under via minimization every corner
-            # is a via, so its price scales accordingly.  The replaced
-            # config is what every engine sees, the rescue and
-            # MazeRouter's primary Lee engine alike.
-            self.config = replace(
-                self.config,
-                maze_via_penalty=(
-                    self.config.maze_via_penalty * VIA_OBJECTIVE_SCALE
-                ),
-            )
         tech = technology or (
             Technology.four_layer()
             if planes == 1
@@ -606,8 +607,13 @@ class LevelBRouter:
         if self._rescue is None:
             from repro.maze.lee import LeeEngine
 
-            self._rescue = LeeEngine(self.config.maze_via_penalty)
+            self._rescue = LeeEngine(self._lee_via_penalty())
         return self._rescue
+
+    def _lee_via_penalty(self) -> float:
+        """Every Lee corner's price; under "vias" each corner is a via."""
+        scale = VIA_OBJECTIVE_SCALE if self.objective == "vias" else 1.0
+        return MAZE_VIA_PENALTY * scale
 
     def _add_nodes(self, n: int) -> None:
         self._nodes_created += n
@@ -632,20 +638,19 @@ class LevelBRouter:
         return self._ctxs[self.tig.plane_of(net_id)]
 
     def _extra_terms_for(self, net_id: int) -> tuple:
-        return coupling_terms(net_id, self._sensitive_ids, self.config)
+        return coupling_terms(net_id, self._sensitive_ids)
 
     # ------------------------------------------------------------------
     def net_id(self, net: Net) -> int:
         return self._net_ids[net]
 
     def route(self, *, order: Sequence[Net] | None = None) -> LevelBResult:
-        """Route every net in the configured order.
+        """Route every net in the ``ordering_policy`` order.
 
-        ``order`` overrides the configured :class:`NetOrdering` with an
-        explicit sequence (the iterative driver's ordering policies,
-        docs/ITERATION.md).  It must be a permutation of this router's
-        nets; ``None`` — always the case in one-pass mode — keeps the
-        seed-identical ``order_nets`` path.
+        ``order`` replaces that order with an explicit sequence (the
+        iterate loop's fed-back policy orders, docs/ITERATION.md, or
+        any user criterion).  It must be a permutation of this router's
+        nets; ``None`` routes in ``POLICIES[ordering_policy](nets, {})``.
 
         Nets that fail outright trigger the bounded rip-up loop: the
         blockers crowding the failed terminals are unrouted, the failed
@@ -680,7 +685,7 @@ class LevelBRouter:
                 TXN_UNDO_CELLS,
             )
             if order is None:
-                ordered = order_nets(self.nets, self.config.ordering)
+                ordered = POLICIES[self.ordering_policy](self.nets, {})
             else:
                 ordered = list(order)
                 if len(ordered) != len(self.nets) or set(ordered) != set(
@@ -774,14 +779,15 @@ class LevelBRouter:
     ) -> None:
         """One refinement pass: reroute every net with others in place.
 
-        Nets revisit in routing order.  Each rip/reroute runs inside a
+        Nets revisit in the ``ordering_policy`` order, with no
+        feedback.  Each rip/reroute runs inside a
         grid transaction: a net's own wiring is freed before its
         reroute (so its previous path remains available), and a reroute
         that does not improve on the old outcome is rolled back through
         the journal - O(cells touched), with the old wiring restored
         byte-identically.
         """
-        for net in order_nets(list(results), self.config.ordering):
+        for net in POLICIES[self.ordering_policy](list(results), {}):
             old = results[net]
             if not old.connections and old.complete:
                 continue  # nothing wired (coincident pins)
@@ -914,8 +920,9 @@ class LevelBRouter:
     ) -> RoutedConnection | None:
         """Last-resort whole-grid shot with the rescue engine.
 
-        The Lee search prices each corner at ``maze_via_penalty``, not
-        with the section 3.2 model; ``expansions_used == -1`` marks the
+        The Lee search prices each corner at :data:`MAZE_VIA_PENALTY`
+        (scaled under ``objective="vias"``), not with the section 3.2
+        model; ``expansions_used == -1`` marks the
         rescue.
         """
         engine = self._rescue_engine()
@@ -943,7 +950,7 @@ class LevelBRouter:
         """
         v_box = Interval.spanning(source.v_idx, target.v_idx)
         h_box = Interval.spanning(source.h_idx, target.h_idx)
-        margin = self.config.region_margin_tracks
+        margin = REGION_MARGIN_TRACKS
         for _ in range(MAX_REGION_EXPANSIONS + 1):
             yield (v_box.expanded(margin), h_box.expanded(margin))
             margin *= REGION_GROWTH

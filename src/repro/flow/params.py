@@ -28,9 +28,10 @@ class FlowParams:
     length_threshold:
         Half-perimeter threshold for ``LONG_TO_B`` partitioning.
     levelb:
-        Level B router tuning (search caps, cost weights, rescue,
-        rip-up); the router's ``planes``, ``objective`` and
-        ``checked`` arguments come from the fields below.
+        Level B router tuning (cost weights, the MBFS entry cap,
+        rescue, rip-up, refinement); the router's ``planes``,
+        ``ordering_policy``, ``objective`` and ``checked`` arguments
+        come from the fields below.
     obstacles:
         Over-cell exclusions forwarded to the level B router.
     checked:
@@ -59,9 +60,11 @@ class FlowParams:
         Re-route pass budget when ``iterate`` is on (the initial pass
         is not counted).
     ordering_policy:
-        A :data:`repro.iterate.POLICIES` name deciding each pass's net
-        order (``longest-first``, ``congestion`` or ``feature``; see
-        docs/ITERATION.md).
+        A :data:`repro.core.ordering.POLICIES` name deciding the level
+        B net order (``longest-first``, ``congestion`` or ``feature``),
+        one-pass or iterated; under ``iterate`` each later pass feeds
+        the policy the previous pass's outcome (docs/ITERATION.md).
+        An unknown name is rejected by the level B router.
     objective:
         Level B routing objective: ``"wire"`` (default; the paper's
         wire-length-led cost, bit-identical to the seed) or ``"vias"``

@@ -167,10 +167,10 @@ def levelb_router(
     """The level B router ``params`` describe, over realised ``bounds``.
 
     :class:`FlowParams` is the one flow-level home of the router's
-    ``planes``, ``objective`` and ``checked`` knobs; its
-    ``levelb`` config carries the rest.  A technology too short for the
-    requested plane count is extended with extrapolated reserved pairs
-    (docs/LAYERS.md).
+    ``planes``, ``ordering_policy``, ``objective`` and ``checked``
+    knobs; its ``levelb`` config carries the rest.  A technology too
+    short for the requested plane count is extended with extrapolated
+    reserved pairs (docs/LAYERS.md).
     """
     return LevelBRouter(
         bounds,
@@ -179,6 +179,7 @@ def levelb_router(
         obstacles=params.obstacles,
         config=params.levelb,
         planes=params.planes,
+        ordering_policy=params.ordering_policy,
         objective=params.objective,
         checked=params.checked,
     )
@@ -207,13 +208,9 @@ def _route_levelb(router: LevelBRouter, params: FlowParams):
     """
     if not params.iterate:
         return router.route(), None
-    from repro.iterate import IterateConfig, iterate_levelb
+    from repro.iterate import iterate_levelb
 
-    iter_config = IterateConfig(
-        max_iterations=params.max_iterations,
-        policy=params.ordering_policy,
-    )
-    return iterate_levelb(router, iter_config)
+    return iterate_levelb(router, params.max_iterations)
 
 
 def _attach_profile(result: FlowResult) -> FlowResult:

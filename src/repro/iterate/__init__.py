@@ -2,27 +2,15 @@
 
 The subsystem that turns one-pass failures into iterations: a
 PathFinder-style convergence loop (:func:`iterate_levelb`) over the
-transactional grid, per-track history costs
+transactional grid, with per-track history costs
 (:class:`repro.core.cost.TrackHistory`) folded into the section 3.2
-cost model, and a table of ordering policies (:data:`POLICIES`)
-deciding each pass's net order.  One-pass routing never touches any of
-this — with ``FlowParams.iterate`` off, routed geometry stays
-bit-identical to the seed digests.
+cost model.  Each pass routes in the order of the router's own
+ordering policy (:data:`repro.core.ordering.POLICIES`), fed the
+previous pass's outcome.  One-pass routing never touches any of this —
+with ``FlowParams.iterate`` off, routed geometry stays bit-identical
+to the seed digests.
 """
 
-from repro.iterate.loop import (
-    IterateConfig,
-    IterateReport,
-    IterationRecord,
-    iterate_levelb,
-)
-from repro.iterate.policies import POLICIES, NetFeedback
+from repro.iterate.loop import IterateReport, IterationRecord, iterate_levelb
 
-__all__ = [
-    "POLICIES",
-    "IterateConfig",
-    "IterateReport",
-    "IterationRecord",
-    "NetFeedback",
-    "iterate_levelb",
-]
+__all__ = ["IterateReport", "IterationRecord", "iterate_levelb"]

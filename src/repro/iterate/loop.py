@@ -3,9 +3,10 @@
 PathFinder-style iterative routing (SNIPPETS.md snippet 3) on top of
 the transactional grid: route, detect failures and overflow, rip every
 net back to bare terminals through the journal, charge per-track
-history where the grid overflowed, and re-route in a policy-chosen
-order with the history folded into the section 3.2 cost — until the
-design completes or the iteration/stall budget runs out.
+history where the grid overflowed, and re-route in the order the
+router's ordering policy (:data:`repro.core.ordering.POLICIES`) picks
+from that outcome, with the history folded into the section 3.2 cost —
+until the design completes or the iteration/stall budget runs out.
 
 Two structural choices keep the loop compatible with the rest of the
 stack:
@@ -45,16 +46,11 @@ from repro.instrument.names import (
     SPAN_ITERATE_PASS,
 )
 from repro.core.cost import TrackHistory
+from repro.core.ordering import POLICIES, NetFeedback
 from repro.core.router import LevelBResult, LevelBRouter
 from repro.globalroute.regions import RegionModel
-from repro.iterate.policies import POLICIES, NetFeedback
 
-__all__ = [
-    "IterateConfig",
-    "IterateReport",
-    "IterationRecord",
-    "iterate_levelb",
-]
+__all__ = ["IterateReport", "IterationRecord", "iterate_levelb"]
 
 
 #: PathFinder's growing present-cost factor, collapsed onto the history
@@ -76,25 +72,6 @@ STALL_LIMIT = 2
 def history_weight(iteration: int) -> float:
     """Effective history weight of one iteration (1-based)."""
     return HISTORY_WEIGHT * (PRESENT_BASE + PRESENT_GROWTH * (iteration - 1))
-
-
-@dataclass(frozen=True)
-class IterateConfig:
-    """Tuning knobs of the convergence loop."""
-
-    #: Re-route passes after the initial one (0 = one-pass routing).
-    max_iterations: int = 8
-    #: Ordering policy: a :data:`~repro.iterate.policies.POLICIES` name.
-    policy: str = "longest-first"
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
-        if self.policy not in POLICIES:
-            raise ValueError(
-                f"unknown ordering policy {self.policy!r} "
-                f"(available: {sorted(POLICIES)})"
-            )
 
 
 @dataclass
@@ -245,20 +222,19 @@ def _charge_history(
 # The loop
 # ----------------------------------------------------------------------
 def iterate_levelb(
-    router: LevelBRouter,
-    config: IterateConfig | None = None,
+    router: LevelBRouter, max_iterations: int = 8
 ) -> tuple[LevelBResult, IterateReport]:
-    """Route iteratively until complete or out of budget.
+    """Route until complete or out of ``max_iterations`` re-route passes.
 
+    Every pass orders the nets with the router's ``ordering_policy``;
+    the first is a plain ``router.route()``, so a run with no budget,
+    or one that completes there, routes exactly like one-pass routing.
     Returns the best result (whose wiring is what the grid holds) and
-    the convergence report.  With ``max_iterations == 0``, or when the
-    first pass already completes, exactly one routing pass runs, in the
-    order ``policy(nets, {})``.  That order is longest-first for every
-    policy but ``feature``, so under the default net ordering such a
-    run routes exactly like one-pass routing.
+    the convergence report.  A negative budget raises ``ValueError``.
     """
-    cfg = config or IterateConfig()
-    policy = POLICIES[cfg.policy]
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
+    policy = POLICIES[router.ordering_policy]
     records: list[IterationRecord] = []
     stalls = 0
     iterations = 0
@@ -269,7 +245,7 @@ def iterate_levelb(
             ITERATE_ROLLBACKS,
             ITERATE_STALLS,
         )
-        best = router.route(order=policy(router.nets, {}))
+        best = router.route()
         records.append(
             IterationRecord(
                 iteration=0,
@@ -286,7 +262,7 @@ def iterate_levelb(
         try:
             while (
                 not _complete(best)
-                and iterations < cfg.max_iterations
+                and iterations < max_iterations
                 and stalls < STALL_LIMIT
             ):
                 iterations += 1
@@ -355,7 +331,7 @@ def iterate_levelb(
                 ITERATE_HISTORY_PEAK, max(h.peak() for h in history)
             )
     report = IterateReport(
-        policy=cfg.policy,
+        policy=router.ordering_policy,
         iterations=iterations,
         converged=_complete(best),
         stalled=not _complete(best) and stalls >= STALL_LIMIT,

@@ -22,7 +22,7 @@ order, so the heap pops them in the same ``(cost, state)`` order.
 :class:`~repro.core.engine.ConnectionEngine`, so the same code serves
 as the primary engine of the standalone :class:`MazeRouter` baseline
 and as the rescue engine behind ``LevelBConfig.maze_fallback``; both
-price a corner at ``LevelBConfig.maze_via_penalty``.
+price a corner at :data:`repro.core.router.MAZE_VIA_PENALTY`.
 """
 
 from __future__ import annotations
@@ -258,12 +258,12 @@ class MazeRouter(LevelBRouter):
     region escalation, rip-up, refinement) from :class:`LevelBRouter`
     and swaps only the per-connection engine, so benchmark comparisons
     isolate the search algorithm.  Corners cost
-    ``config.maze_via_penalty``, scaled under ``objective="vias"``
-    exactly as for the rescue engine.
+    :data:`~repro.core.router.MAZE_VIA_PENALTY`, scaled under
+    ``objective="vias"`` exactly as for the rescue engine.
     """
 
     def _primary_engine(self) -> ConnectionEngine:
-        return LeeEngine(self.config.maze_via_penalty)
+        return LeeEngine(self._lee_via_penalty())
 
     def _rescue_engine(self) -> None:
         """No rescue: Lee's last region is already the whole grid."""

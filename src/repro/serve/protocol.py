@@ -3,10 +3,11 @@
 A :class:`JobSpec` is everything a client sends to request a routing
 run: the design (a built-in suite name or an inline ``repro-design``
 document), the flow, an optional technology document, the routing
-knobs that change the answer (``planes``, ``objective``, the iterate
-knobs) and ``check``.  Specs validate strictly on ingest so a malformed
-request — including one carrying a key the protocol does not define —
-fails at the HTTP boundary, not inside a worker.
+knobs that change the answer (``planes``, ``ordering_policy``,
+``objective``, the iterate knobs) and ``check``.  Specs validate
+strictly on ingest so a malformed request — including one carrying a
+key the protocol does not define — fails at the HTTP boundary, not
+inside a worker.
 
 Every spec has a *canonical digest* — :func:`repro.io.canonical_digest`
 over its canonical document — which keys the server's result cache.
@@ -62,6 +63,7 @@ DIGESTED_FIELDS = {
     # iterate knob keys the cache.
     "iterate": "iterate",
     "max_iterations": "max_iterations",
+    # The net order changes the routed geometry, one-pass or iterated.
     "ordering_policy": "ordering_policy",
     # The routing objective changes plane assignment and corner
     # pricing, hence the routed geometry itself.
@@ -185,7 +187,7 @@ class JobSpec:
         ordering_policy = data.get("ordering_policy", "longest-first")
         if not isinstance(ordering_policy, str):
             raise SpecError("'ordering_policy' must be a string")
-        from repro.iterate import POLICIES
+        from repro.core.ordering import POLICIES
 
         if ordering_policy not in POLICIES:
             raise SpecError(

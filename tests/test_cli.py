@@ -26,6 +26,9 @@ class TestParser:
             (["report", "--suite", "ami33", "--planes", "0"], 1),
             (["route", "--suite", "ami33", "--iterate", "--max-iterations", "-1"], 0),
             (["flow", "--suite", "ami33", "--planes", "two"], 1),
+            (["check", "--suite", "ami33", "--limit", "-1"], 0),
+            (["lint", "--limit", "-1"], 0),
+            (["report", "--suite", "ami33", "--top", "-1"], 0),
         ],
         ids=[
             "flow-planes-zero",
@@ -35,6 +38,9 @@ class TestParser:
             "report-planes-zero",
             "route-max-iterations-negative",
             "flow-planes-not-integer",
+            "check-limit-negative",
+            "lint-limit-negative",
+            "report-top-negative",
         ],
     )
     def test_out_of_range_integers_are_usage_errors(self, argv, low, capsys):
@@ -332,7 +338,7 @@ class TestPolicyTable:
         import argparse
         import ast
 
-        from repro.iterate import POLICIES
+        from repro.core.ordering import POLICIES
         from repro.serve.protocol import JobSpec, SpecError
 
         names = sorted(POLICIES)
@@ -354,3 +360,11 @@ class TestPolicyTable:
             JobSpec.from_dict({"design": "ami33", "ordering_policy": "nope"})
         listed = str(exc.value).split("(available: ", 1)[1].rstrip(")")
         assert ast.literal_eval(listed) == names
+
+    def test_one_pass_flow_honours_the_policy(self, capsys):
+        """``--ordering-policy`` orders one-pass routing too: ``feature``
+        moves ami33 off the longest-first wl=106,396."""
+        rc = main(["flow", "--suite", "ami33", "--ordering-policy", "feature"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "wl=106,464" in out and "vias=936" in out

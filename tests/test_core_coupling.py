@@ -4,7 +4,7 @@ import pytest
 
 from repro.geometry import Point, Rect
 from repro.grid import RoutingGrid, TrackSet
-from repro.core import LevelBConfig, LevelBRouter
+from repro.core import LevelBRouter, router as router_module
 from repro.core.coupling import ParallelRunPenalty, parallel_exposure
 from repro.netlist import Design, Edge
 
@@ -127,23 +127,21 @@ class TestRouterIntegration:
         noisy.add_pin(pin_at("n2", 180, 100))
         return d
 
-    def route(self, **cfg):
+    def route(self, monkeypatch, weight):
+        monkeypatch.setattr(router_module, "PARALLEL_RUN_WEIGHT", weight)
         design = self.sensitive_design()
-        config = LevelBConfig(**cfg)
-        router = LevelBRouter(
-            Rect(-20, 0, 240, 140), list(design.nets.values()), config=config
-        )
+        router = LevelBRouter(Rect(-20, 0, 240, 140), list(design.nets.values()))
         result = router.route()
         grid = result.tig.grid
         victim_id = router.net_id(design.nets["victim"])
         noisy_id = router.net_id(design.nets["noisy"])
         return result, parallel_exposure(grid, noisy_id, [victim_id], separation=1)
 
-    def test_term_reduces_exposure(self):
-        _, exposure_on = self.route(parallel_run_weight=50.0)
-        _, exposure_off = self.route(parallel_run_weight=0.0)
+    def test_term_reduces_exposure(self, monkeypatch):
+        _, exposure_on = self.route(monkeypatch, 50.0)
+        _, exposure_off = self.route(monkeypatch, 0.0)
         assert exposure_on <= exposure_off
 
-    def test_routing_still_completes(self):
-        result, _ = self.route(parallel_run_weight=50.0)
+    def test_routing_still_completes(self, monkeypatch):
+        result, _ = self.route(monkeypatch, 50.0)
         assert result.completion_rate == 1.0

@@ -1,9 +1,9 @@
-"""Tests for serial net ordering."""
+"""Tests for serial net ordering: the one table of policies."""
 
 import random
 
 from repro.netlist import Cell, Net, Pin, Edge
-from repro.core.ordering import NetOrdering, order_nets
+from repro.core.ordering import POLICIES, NetFeedback, longest_first
 
 
 def make_net(name, length, pins=2, critical=False, weight=1.0):
@@ -21,63 +21,32 @@ def make_net(name, length, pins=2, critical=False, weight=1.0):
 class TestOrderings:
     def test_longest_first_default(self):
         nets = [make_net("a", 10), make_net("b", 100), make_net("c", 50)]
-        ordered = order_nets(nets)
+        ordered = longest_first(nets, {})
         assert [n.name for n in ordered] == ["b", "c", "a"]
-
-    def test_shortest_first(self):
-        nets = [make_net("a", 10), make_net("b", 100)]
-        ordered = order_nets(nets, NetOrdering.SHORTEST_FIRST)
-        assert [n.name for n in ordered] == ["a", "b"]
-
-    def test_most_pins_first(self):
-        nets = [make_net("a", 10, pins=2), make_net("b", 10, pins=5)]
-        ordered = order_nets(nets, NetOrdering.MOST_PINS_FIRST)
-        assert ordered[0].name == "b"
-
-    def test_critical_first(self):
-        nets = [make_net("a", 100), make_net("b", 10, critical=True)]
-        ordered = order_nets(nets, NetOrdering.CRITICAL_FIRST)
-        assert ordered[0].name == "b"
-
-    def test_critical_first_respects_weight(self):
-        nets = [
-            make_net("a", 10, critical=True, weight=1.0),
-            make_net("b", 10, critical=True, weight=5.0),
-        ]
-        ordered = order_nets(nets, NetOrdering.CRITICAL_FIRST)
-        assert ordered[0].name == "b"
-
-    def test_name_ordering(self):
-        nets = [make_net("z", 10), make_net("a", 100)]
-        ordered = order_nets(nets, NetOrdering.NAME)
-        assert [n.name for n in ordered] == ["a", "z"]
-
-    def test_user_key_overrides(self):
-        nets = [make_net("a", 10), make_net("b", 100)]
-        ordered = order_nets(nets, key=lambda n: n.name)
-        assert [n.name for n in ordered] == ["a", "b"]
 
     def test_deterministic_tie_break_by_name(self):
         nets = [make_net("b", 50), make_net("a", 50)]
-        ordered = order_nets(nets)
+        ordered = longest_first(nets, {})
         assert [n.name for n in ordered] == ["a", "b"]
 
     def test_input_not_mutated(self):
         nets = [make_net("b", 50), make_net("a", 100)]
-        order_nets(nets)
-        assert [n.name for n in nets] == ["b", "a"]
+        for policy in POLICIES.values():
+            policy(nets, {})
+            assert [n.name for n in nets] == ["b", "a"]
 
 
 class TestPermutationProperty:
-    """Every criterion is a total, deterministic, input-order-free sort.
+    """Every policy is a total, deterministic, input-order-free sort.
 
-    This is the contract the iterative driver's ordering policies
-    (``repro.iterate.policies``) inherit: each sort key ends on the net
-    name, so no pair of distinct nets ever compares equal and the
-    result cannot depend on how the caller happened to list the nets.
-    The fixture nets tie deliberately on every other key dimension
-    (length, pin count, criticality, weight) to force the name
-    tie-break to carry the order.
+    Each sort key ends on the net name, so no pair of distinct nets
+    ever compares equal and the result cannot depend on how the caller
+    happened to list the nets.  The fixture nets tie deliberately on
+    every other key dimension (length, pin count, and in the feedback
+    failure, overflow and demand) to force the name tie-break to carry
+    the order.  Each property holds with no feedback (the order of the
+    first pass and of one-pass routing) and with feedback (the order
+    of an iterate pass).
     """
 
     def _tied_nets(self):
@@ -93,29 +62,40 @@ class TestPermutationProperty:
             make_net("i", 10, pins=3, critical=True, weight=2.0),
         ]
 
+    def _feedbacks(self, nets):
+        tied = {
+            n.name: NetFeedback(failed=i % 2 == 0, overflow=i % 3, demand=0.5)
+            for i, n in enumerate(sorted(nets, key=lambda n: n.name))
+        }
+        return ({}, tied)
+
     def test_every_criterion_is_a_permutation(self):
         nets = self._tied_nets()
-        for ordering in NetOrdering:
-            ordered = order_nets(nets, ordering)
-            assert sorted(n.name for n in ordered) == sorted(
-                n.name for n in nets
-            ), ordering
+        for feedback in self._feedbacks(nets):
+            for name, policy in POLICIES.items():
+                ordered = policy(nets, feedback)
+                assert sorted(n.name for n in ordered) == sorted(
+                    n.name for n in nets
+                ), name
 
     def test_every_criterion_is_shuffle_invariant(self):
         nets = self._tied_nets()
         rng = random.Random(0xC0FFEE)
-        for ordering in NetOrdering:
-            baseline = [n.name for n in order_nets(nets, ordering)]
-            for _ in range(25):
-                shuffled = list(nets)
-                rng.shuffle(shuffled)
-                got = [n.name for n in order_nets(shuffled, ordering)]
-                assert got == baseline, ordering
+        for feedback in self._feedbacks(nets):
+            for name, policy in POLICIES.items():
+                baseline = [n.name for n in policy(nets, feedback)]
+                for _ in range(25):
+                    shuffled = list(nets)
+                    rng.shuffle(shuffled)
+                    got = [n.name for n in policy(shuffled, feedback)]
+                    assert got == baseline, name
 
     def test_ties_resolve_by_name_under_every_criterion(self):
         # Three nets identical under every non-name key must come out
-        # name-sorted relative to each other, whatever the criterion.
+        # name-sorted relative to each other, whatever the policy.
         triplet = [make_net(n, 64, pins=3) for n in ("z", "m", "b")]
-        for ordering in NetOrdering:
-            ordered = [n.name for n in order_nets(triplet, ordering)]
-            assert ordered == ["b", "m", "z"], ordering
+        same = NetFeedback(failed=True, overflow=2, demand=0.5)
+        for feedback in ({}, {n.name: same for n in triplet}):
+            for name, policy in POLICIES.items():
+                ordered = [n.name for n in policy(triplet, feedback)]
+                assert ordered == ["b", "m", "z"], name

@@ -7,7 +7,7 @@ from repro.geometry import Rect
 from repro.netlist import Edge
 from repro.core import LevelBConfig, LevelBRouter
 from repro.core.cost import CostWeights
-from repro.core.ordering import NetOrdering
+from repro.core.ordering import POLICIES, feature, longest_first
 from repro.core.router import Obstacle
 
 from conftest import make_toy_design
@@ -145,11 +145,30 @@ class TestObstacles:
             )
 
 
+def geometry(result):
+    return {
+        r.net.name: [tuple(c.path.waypoints()) for c in r.connections]
+        for r in result.routed
+    }
+
+
 class TestConfiguration:
     def test_orderings_all_complete(self):
-        for ordering in NetOrdering:
-            result = route_toy(ordering=ordering)
-            assert result.completion_rate == 1.0
+        nets = list(make_toy_design().nets.values())
+        for name in POLICIES:
+            router = LevelBRouter(Rect(0, 0, 256, 256), nets, ordering_policy=name)
+            assert router.route().completion_rate == 1.0, name
+
+    def test_ordering_policy_orders_one_pass_routing(self):
+        """``route()`` routes in ``POLICIES[ordering_policy](nets, {})``;
+        on this design the ``feature`` order moves the geometry."""
+        nets = list(make_toy_design(seed=1, nets=8).nets.values())
+        assert feature(nets, {}) != longest_first(nets, {})
+        bounds = Rect(0, 0, 256, 256)
+        got = LevelBRouter(bounds, nets, ordering_policy="feature").route()
+        want = LevelBRouter(bounds, nets).route(order=feature(nets, {}))
+        assert geometry(got) == geometry(want)
+        assert geometry(got) != geometry(LevelBRouter(bounds, nets).route())
 
     def test_dense_weights_work(self):
         result = route_toy(weights=CostWeights.dense())

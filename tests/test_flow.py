@@ -187,6 +187,19 @@ class TestLevelBConstruction:
         assert result.completion == 1.0
         assert result.levelb.technology.num_overcell_planes == 1
 
+    def test_ordering_policy_orders_one_pass(self):
+        """``ordering_policy`` reaches the router without ``iterate``:
+        ``feature`` moves ami33 off the longest-first 106,396 / 940."""
+        params = FlowParams(ordering_policy="feature")
+        result = overcell_flow(SUITES["ami33"](), params)
+        assert (result.wire_length, result.via_count) == (106_464, 936)
+        assert result.completion == 1.0
+
+    def test_unknown_ordering_policy_rejected(self):
+        params = FlowParams(ordering_policy="nope")
+        with pytest.raises(ValueError, match="unknown ordering policy 'nope'"):
+            overcell_flow(SUITES["ami33"](), params)
+
 
 class TestFlowTable:
     def test_every_flow_by_name(self):

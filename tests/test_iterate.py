@@ -4,8 +4,8 @@ Four layers of coverage (docs/ITERATION.md):
 
 * the :class:`TrackHistory` cost carrier and its fold into the
   section 3.2 evaluator (one-pass costs must stay bit-identical);
-* the ordering-policy table and the determinism contract every
-  policy inherits from ``core/ordering.py``;
+* the ordering-policy table (``core/ordering.py``) the loop reads and
+  the determinism contract every policy keeps;
 * the convergence loop itself — converged-at-zero bit-identity with
   the seed digests, real recovery on a one-pass-failing design,
   honest stalling, and grid/state hygiene after every outcome;
@@ -21,22 +21,18 @@ import pytest
 
 from repro.core import LevelBRouter
 from repro.core.cost import CornerCostEvaluator, CostWeights, TrackHistory
-from repro.core.ordering import NetOrdering, order_nets
-from repro.geometry import Point, Rect
-from repro.grid import RoutingGrid, TrackSet
-from repro.iterate import (
-    POLICIES,
-    IterateConfig,
-    NetFeedback,
-    iterate_levelb,
-)
-from repro.iterate.loop import history_weight
-from repro.iterate.policies import (
+from repro.core.ordering import (
     NO_FEEDBACK,
+    POLICIES,
+    NetFeedback,
     congestion,
     feature,
     longest_first,
 )
+from repro.geometry import Point, Rect
+from repro.grid import RoutingGrid, TrackSet
+from repro.iterate import iterate_levelb
+from repro.iterate.loop import history_weight
 
 from conftest import make_toy_design
 
@@ -46,7 +42,12 @@ def make_grid(n=9):
     return RoutingGrid(ts, TrackSet(range(0, n * 10, 10)))
 
 
-def levelb_instance(seed: int, num_cells: int = 6, num_nets: int = 40):
+def levelb_instance(
+    seed: int,
+    num_cells: int = 6,
+    num_nets: int = 40,
+    ordering_policy: str = "longest-first",
+):
     """A level B router over the real over-cell pipeline's geometry."""
     from repro.bench_suite import random_design
     from repro.flow import FlowParams
@@ -70,7 +71,7 @@ def levelb_instance(seed: int, num_cells: int = 6, num_nets: int = 40):
         right_width=side_widths[1],
         margin=CORE_MARGIN,
     )
-    return LevelBRouter(bounds, set_b)
+    return LevelBRouter(bounds, set_b, ordering_policy=ordering_policy)
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +173,7 @@ class TestPolicyRegistry:
             match=r"unknown ordering policy 'nope' \(available: "
             r"\['congestion', 'feature', 'longest-first'\]\)",
         ):
-            IterateConfig(policy="nope")
+            LevelBRouter(Rect(0, 0, 256, 256), [], ordering_policy="nope")
 
 
 class TestPolicyDeterminism:
@@ -193,16 +194,16 @@ class TestPolicyDeterminism:
         return fb
 
     def test_initial_order_matches_seed_ordering(self):
-        """Pass 0 is ``policy(nets, {})``: with no feedback every key
-        but length ties, so two policies start where one-pass routing
-        does (dense-quick's set B has nets of equal length)."""
+        """With no feedback every key but length ties, so two policies
+        order like the seed's longest-first key (dense-quick's set B
+        has nets of equal length)."""
         from repro.bench_suite import dense_design
         from repro.flow import FlowParams
         from repro.flow.pipeline import realize_level_a
 
         dense = realize_level_a(dense_design("quick"), FlowParams()).set_b
         for nets in (self._nets(), dense):
-            expected = order_nets(nets, NetOrdering.LONGEST_FIRST)
+            expected = sorted(nets, key=lambda n: (-n.half_perimeter, n.name))
             for name, policy in POLICIES.items():
                 got = policy(nets, {})
                 assert sorted(n.name for n in got) == sorted(
@@ -273,10 +274,8 @@ class TestIterateLoop:
         one_pass = levelb_instance(9).route()
         assert one_pass.completion_rate < 1.0
 
-        router = levelb_instance(9)
-        result, report = iterate_levelb(
-            router, IterateConfig(max_iterations=4, policy="congestion")
-        )
+        router = levelb_instance(9, ordering_policy="congestion")
+        result, report = iterate_levelb(router, max_iterations=4)
         assert report.converged
         assert result.completion_rate == 1.0
         assert report.iterations >= 1
@@ -295,11 +294,12 @@ class TestIterateLoop:
         """Every pass after the first routes inside an ambient plane-set
         transaction; checked mode's per-commit audit must accept that
         and change nothing routed."""
-        config = IterateConfig(max_iterations=4, policy="congestion")
-        want, _ = iterate_levelb(levelb_instance(9), config)
-        base = levelb_instance(9)
-        router = LevelBRouter(base.bounds, base.nets, checked=True)
-        got, report = iterate_levelb(router, config)
+        base = levelb_instance(9, ordering_policy="congestion")
+        want, _ = iterate_levelb(base, max_iterations=4)
+        router = LevelBRouter(
+            base.bounds, base.nets, ordering_policy="congestion", checked=True
+        )
+        got, report = iterate_levelb(router, max_iterations=4)
         assert report.converged and report.iterations >= 1
         assert got.completion_rate == 1.0
         assert got.total_wire_length == want.total_wire_length
@@ -310,7 +310,7 @@ class TestIterateLoop:
         assert one_pass.completion_rate < 1.0
 
         router = levelb_instance(5)
-        result, report = iterate_levelb(router, IterateConfig(max_iterations=6))
+        result, report = iterate_levelb(router, max_iterations=6)
         assert not report.converged
         assert report.stalled
         assert result.completion_rate >= one_pass.completion_rate
@@ -321,21 +321,19 @@ class TestIterateLoop:
 
     def test_max_iterations_zero_is_single_pass(self):
         router = levelb_instance(9)
-        result, report = iterate_levelb(router, IterateConfig(max_iterations=0))
+        result, report = iterate_levelb(router, max_iterations=0)
         assert report.iterations == 0
         assert len(report.records) == 1
         assert result.completion_rate < 1.0
         assert not report.converged
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            IterateConfig(max_iterations=-1)
+        with pytest.raises(ValueError, match="max_iterations must be >= 0"):
+            iterate_levelb(levelb_instance(9), -1)
 
     def test_report_serialises(self):
-        router = levelb_instance(9)
-        _result, report = iterate_levelb(
-            router, IterateConfig(max_iterations=2, policy="feature")
-        )
+        router = levelb_instance(9, ordering_policy="feature")
+        _result, report = iterate_levelb(router, max_iterations=2)
         doc = report.to_dict()
         assert doc["policy"] == "feature"
         assert isinstance(doc["iterations"], int)
@@ -359,11 +357,9 @@ class TestIterateLoop:
             ITERATE_PASSES,
         )
 
-        router = levelb_instance(9)
+        router = levelb_instance(9, ordering_policy="congestion")
         with instrument.collecting() as col:
-            _result, report = iterate_levelb(
-                router, IterateConfig(max_iterations=4, policy="congestion")
-            )
+            _result, report = iterate_levelb(router, max_iterations=4)
         assert col.counters[ITERATE_PASSES] == report.iterations
         assert col.counters[ITERATE_NETS_RIPPED] >= len(router.nets)
 

@@ -101,24 +101,21 @@ class TestMazeRouter:
         assert maze.total_wire_length < 2 * mbfs.total_wire_length
         assert mbfs.total_wire_length < 2 * maze.total_wire_length
 
-    def test_vias_objective_prices_primary_lee_corners(self):
+    def test_vias_objective_prices_primary_lee_corners(self, monkeypatch):
         """One Lee via price: under objective="vias" the primary engine
-        pays the same scaled ``maze_via_penalty`` as the rescue."""
-        from repro.core import LevelBConfig
-        from repro.core.router import VIA_OBJECTIVE_SCALE
+        pays the same scaled ``MAZE_VIA_PENALTY`` as the rescue."""
+        from repro.core import router as router_module
+        from repro.core.router import MAZE_VIA_PENALTY, VIA_OBJECTIVE_SCALE
 
-        price = VIA_OBJECTIVE_SCALE * LevelBConfig().maze_via_penalty
+        price = VIA_OBJECTIVE_SCALE * MAZE_VIA_PENALTY
         bounds = Rect(0, 0, 256, 256)
         router = MazeRouter(
             bounds, list(make_toy_design().nets.values()), objective="vias"
         )
-        assert router.config.maze_via_penalty == price
+        assert router._engine.via_penalty == price
         vias = router.route()
-        priced = MazeRouter(
-            bounds,
-            list(make_toy_design().nets.values()),
-            config=LevelBConfig(maze_via_penalty=price),
-        ).route()
+        monkeypatch.setattr(router_module, "MAZE_VIA_PENALTY", price)
+        priced = MazeRouter(bounds, list(make_toy_design().nets.values())).route()
         # The dearer corner trades wire for corners against the
         # objective="wire" run's 1340 / 14 (test_toy_maze_parity).
         assert (vias.total_wire_length, vias.total_corners) == (1296, 13)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.bench_suite import SuiteProfile, make_design, random_design
 from repro.check import check_flow
-from repro.core import LevelBConfig, LevelBRouter
+from repro.core import LevelBConfig, LevelBRouter, router as router_module
 from repro.flow import FlowParams, overcell_flow
 from repro.geometry import Rect
 from repro.netlist import Design, Edge
@@ -204,8 +204,9 @@ class TestFailureInjection:
 
 
 class TestRegionExpansion:
-    def test_detour_uses_expansion(self):
+    def test_detour_uses_expansion(self, monkeypatch):
         """A long wall between terminals forces region escalation."""
+        monkeypatch.setattr(router_module, "REGION_MARGIN_TRACKS", 2)
         d = Design("detour")
         for name, x in (("c1", 0), ("c2", 400)):
             cell = d.add_cell(name, 16, 16)
@@ -220,7 +221,7 @@ class TestRegionExpansion:
             Rect(-16, 0, 440, 480),
             [net],
             obstacles=[wall],
-            config=LevelBConfig(region_margin_tracks=2, maze_fallback=False),
+            config=LevelBConfig(maze_fallback=False),
         )
         result = router.route()
         routed = result.routed[0]

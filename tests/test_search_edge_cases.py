@@ -5,7 +5,7 @@ import pytest
 from repro import instrument
 from repro.geometry import Interval, Point, Rect
 from repro.grid import RoutingGrid, TrackSet
-from repro.core import LevelBConfig, LevelBRouter
+from repro.core import LevelBConfig, LevelBRouter, engine
 from repro.core.router import Escalation
 from repro.core.search import MBFSearch
 from repro.core.tig import GridTerminal, TrackIntersectionGraph
@@ -96,10 +96,11 @@ class TestMazeRescue:
         net.add_pin(d.add_pin("c2", "p", Edge.TOP, 8))
         return d
 
-    def test_rescue_triggers_when_mbfs_capped(self):
-        """With max_depth=0 the MBFS can never turn; the maze rescues."""
+    def test_rescue_triggers_when_mbfs_capped(self, monkeypatch):
+        """With MAX_DEPTH=0 the MBFS can never turn; the maze rescues."""
+        monkeypatch.setattr(engine, "MAX_DEPTH", 0)
         d = self.make_design()
-        config = LevelBConfig(max_depth=0, maze_fallback=True, max_ripups=0)
+        config = LevelBConfig(maze_fallback=True, max_ripups=0)
         router = LevelBRouter(
             Rect(-16, -16, 260, 200), list(d.nets.values()), config=config
         )
@@ -108,9 +109,10 @@ class TestMazeRescue:
         assert result.completion_rate == 1.0
         assert conn.expansions_used == -1  # marks the maze rescue
 
-    def test_no_rescue_when_disabled(self):
+    def test_no_rescue_when_disabled(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_DEPTH", 0)
         d = self.make_design()
-        config = LevelBConfig(max_depth=0, maze_fallback=False, max_ripups=0)
+        config = LevelBConfig(maze_fallback=False, max_ripups=0)
         router = LevelBRouter(
             Rect(-16, -16, 260, 200), list(d.nets.values()), config=config
         )

@@ -676,6 +676,16 @@ class TestServerEndpoints:
         assert payload["check_clean"] is True
         assert payload["check_violations"] == 0
 
+    def test_ordering_policy_orders_one_pass_jobs(self, client):
+        """A spec naming ``feature`` without ``iterate`` is routed in the
+        ``feature`` order: ami33 at 106,464 / 936, not the longest-first
+        106,396 / 940."""
+        record = client.submit({"design": "ami33", "ordering_policy": "feature"})
+        final = client.wait(record["id"], timeout_s=60.0)
+        assert final["ok"] is True
+        payload = client.result(record["id"])["payload"]
+        assert (payload["wire_length"], payload["via_count"]) == (106_464, 936)
+
     def test_probe_endpoint_is_gone(self, client):
         # A job reports completion and failed nets itself; there is no
         # second level B path behind a pre-screen endpoint.
@@ -953,6 +963,8 @@ class TestServeCli:
             ["--workers", "0"],
             ["--cache-size", "0"],
             ["--queue-size", "0"],
+            ["--port", "-1"],
+            ["--port", "70000"],
         ],
         ids=[
             "timeout-zero",
@@ -961,6 +973,8 @@ class TestServeCli:
             "workers-zero",
             "cache-size-zero",
             "queue-size-zero",
+            "port-negative",
+            "port-too-large",
         ],
     )
     def test_parser_rejects(self, argv, capsys):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LevelBConfig, LevelBRouter
+from repro.core import LevelBRouter
 from repro.core.tig import TrackIntersectionGraph
 from repro.geometry import Interval, Point, Rect
 from repro.grid import FREE, RoutingGrid, TrackSet
@@ -363,18 +363,18 @@ class TestViasObjective:
             )
 
     def test_wire_objective_has_no_surcharge(self):
-        # The rescue's Lee search prices a corner at the configured
-        # penalty, unscaled.
+        # The rescue's Lee search prices a corner at MAZE_VIA_PENALTY,
+        # unscaled.
+        from repro.core.router import MAZE_VIA_PENALTY
+
         design = _wide_toy()
         router = LevelBRouter(self.BOUNDS, list(design.nets.values()))
-        penalty = LevelBConfig().maze_via_penalty
-        assert router.config.maze_via_penalty == penalty
-        assert router._rescue_engine().via_penalty == penalty
+        assert router._rescue_engine().via_penalty == MAZE_VIA_PENALTY
 
     def test_vias_objective_prices_corners(self):
         # Under "vias" the one corner price, the Lee via penalty of the
         # rescue, scales by VIA_OBJECTIVE_SCALE on every plane.
-        from repro.core.router import VIA_OBJECTIVE_SCALE
+        from repro.core.router import MAZE_VIA_PENALTY, VIA_OBJECTIVE_SCALE
 
         design = _wide_toy()
         router = LevelBRouter(
@@ -384,8 +384,7 @@ class TestViasObjective:
             planes=2,
             objective="vias",
         )
-        penalty = VIA_OBJECTIVE_SCALE * LevelBConfig().maze_via_penalty
-        assert router.config.maze_via_penalty == penalty
+        penalty = VIA_OBJECTIVE_SCALE * MAZE_VIA_PENALTY
         assert router._rescue_engine().via_penalty == penalty
 
     def test_wide_classes_get_footprints(self):
