@@ -48,7 +48,7 @@ Region = tuple[Interval, Interval] | None
 MAX_DEPTH = 12
 
 
-@dataclass
+@dataclass(slots=True)
 class RoutedConnection:
     """One committed two-terminal connection."""
 
@@ -155,11 +155,9 @@ class MBFSEngine(ConnectionEngine):
             outcome = search.run()
             ctx.add_nodes(outcome.nodes_created)
             if not outcome.found:
-                outcome.release()
                 continue
             cands = candidate_paths(outcome, grid)
             best, _ = select_best_path(cands, evaluator)
-            outcome.release()
             if best is None:
                 continue
             with grid.transaction():

@@ -179,7 +179,7 @@ PARALLEL_RUN_WEIGHT = 20.0
 VIA_OBJECTIVE_SCALE = 4.0
 
 
-@dataclass
+@dataclass(slots=True)
 class RoutedNet:
     """All connections realised for one net."""
 

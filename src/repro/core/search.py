@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro import instrument
 from repro.instrument.names import (
     MBFS_ABORTS,
@@ -38,7 +40,6 @@ from repro.instrument.names import (
 )
 from repro.geometry import Interval, Point
 from repro.grid import RoutingGrid
-from repro.grid.occupancy import bit_run
 from repro.core.tig import GridTerminal
 
 VERTICAL = "V"
@@ -61,9 +62,9 @@ class PSTNode:
         vertical node and ``(entry, track)`` for a horizontal one).
     span:
         The maximal usable index interval along this track around the
-        entry point - how far the wire can slide.  Computed lazily
-        (``None`` until the node is expanded or tested for completion);
-        most frontier-leaf nodes never need it.
+        entry point - how far the wire can slide.  Set on the nodes the
+        search expanded or tested for completion, once
+        :attr:`SearchResult.roots` builds the trees; ``None`` elsewhere.
     parent:
         The previous track visit (``None`` at a root).
     depth:
@@ -114,35 +115,33 @@ class CandidatePath:
 
 @dataclass
 class SearchResult:
-    """Outcome of the two MBFS runs for one two-terminal connection."""
+    """Outcome of the two MBFS runs for one two-terminal connection.
+
+    ``leaves`` are the minimum-corner leaves, each with its root chain.
+    The whole Path Selection Trees (:attr:`roots`) are built on first
+    access from the searches' per-level arrays; they reuse the leaf
+    chains' nodes.
+    """
 
     source: GridTerminal
     target: GridTerminal
-    roots: list[PSTNode]
     leaves: list[PSTNode]
     min_corners: int | None
     nodes_created: int
     aborted: bool = False
+    _trees: list["_Tree"] = field(default_factory=list, repr=False)
+    _roots: list[PSTNode] | None = field(default=None, init=False, repr=False)
 
     @property
     def found(self) -> bool:
         return self.min_corners is not None
 
-    def release(self) -> None:
-        """Free the Path Selection Trees without waiting for the collector.
-
-        A tree is a web of reference cycles (``parent`` up, ``children``
-        down), so a dropped result would otherwise linger until a cyclic
-        garbage collection.  Emptying every ``children`` list lets
-        reference counting free each node as soon as nothing else holds
-        it.  Leaves and their candidates stay usable: ``chain()`` only
-        walks ``parent``.
-        """
-        stack = list(self.roots)
-        while stack:
-            node = stack.pop()
-            stack.extend(node.children)
-            node.children.clear()
+    @property
+    def roots(self) -> list[PSTNode]:
+        """One Path Selection Tree root per search that had one."""
+        if self._roots is None:
+            self._roots = [tree.build() for tree in self._trees]
+        return self._roots
 
 
 def search_window(
@@ -170,6 +169,165 @@ def search_window(
             region[1].hull(Interval.spanning(source.h_idx, target.h_idx))
         ),
     )
+
+
+class _Axis:
+    """One track kind's rows of the search window.
+
+    Row ``t`` is the kind's track ``base + t``; column ``p`` is position
+    ``along + p`` on it, i.e. the orthogonal kind's track ``along + p``.
+    ``lo``/``hi`` hold, for every usable cell, the first and last column
+    of the usable run through it: a node's slide interval.  ``target``
+    is the row of the target's track and ``goal`` the target's column
+    on it; a child entering row ``target`` completes when its entry
+    lies in ``[goal_lo, goal_hi]``, the run holding the goal (empty when
+    the goal cell is unusable).
+    """
+
+    __slots__ = (
+        "kind", "base", "along", "usable", "corner", "lo", "hi", "cols",
+        "target", "goal_lo", "goal_hi",
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        base: int,
+        along: int,
+        usable: np.ndarray,
+        corner: np.ndarray,
+        target: int,
+        goal: int,
+    ) -> None:
+        self.kind = kind
+        self.base = base
+        self.along = along
+        self.usable = usable
+        self.corner = corner
+        self.lo, self.hi = _run_bounds(usable)
+        self.cols = np.arange(usable.shape[1])
+        self.target = target
+        if usable[target, goal]:
+            self.goal_lo = int(self.lo[target, goal])
+            self.goal_hi = int(self.hi[target, goal])
+        else:
+            self.goal_lo, self.goal_hi = 1, 0
+
+    def span(self, track: int, entry: int) -> Interval:
+        """The grid-index slide interval of a node at (row, column)."""
+        return Interval(
+            int(self.lo[track, entry]) + self.along,
+            int(self.hi[track, entry]) + self.along,
+        )
+
+
+def _run_bounds(usable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell, the first and last column of the usable run through it.
+
+    Only usable cells hold meaningful values.  A running maximum of the
+    run starts gives ``lo``; a running minimum of the run ends, taken
+    from the right, gives ``hi``.  Bounds rather than run labels
+    (``_run_labels``, the flood's): a level then compares its rows with
+    two per-node vectors instead of gathering an ``int32`` label row per
+    node, which would more than double the level's temporaries.
+    """
+    n = usable.shape[1]
+    cols = np.arange(n, dtype=np.int32)
+    edge = usable.copy()
+    edge[:, 1:] &= ~usable[:, :-1]
+    lo = np.where(edge, cols, 0)
+    np.maximum.accumulate(lo, axis=1, out=lo)
+    edge = usable.copy()
+    edge[:, :-1] &= ~usable[:, 1:]
+    hi = np.where(edge, cols, n)[:, ::-1]
+    np.minimum.accumulate(hi, axis=1, out=hi)
+    return lo, hi[:, ::-1]
+
+
+class _Tree:
+    """One search's Path Selection Tree, stored as per-level arrays.
+
+    ``levels[L - 1]`` holds level ``L``'s nodes in creation order as
+    ``(rows, parents)``: each node's track row on its axis and its
+    parent's index in level ``L - 1`` (level 0 is the root alone).  A
+    node's entry is its parent's track.  ``PSTNode`` objects exist only
+    for the chains :meth:`chains` builds (the leaves'), until
+    :meth:`build` makes the whole tree around them.
+
+    ``abort_parent`` is the index of the frontier node whose child broke
+    the node budget in the last level, or ``None``.  The search expanded
+    every frontier node of every level before the last one and, in the
+    last level, the frontier nodes up to that parent; it tested for
+    completion the target-track child of every expanded node but that
+    parent.  Those are the nodes :meth:`build` gives spans.
+    """
+
+    __slots__ = ("axes", "root", "levels", "abort_parent", "_nodes")
+
+    def __init__(self, axes: tuple[_Axis, _Axis], root: PSTNode) -> None:
+        self.axes = axes  # (root kind, other kind)
+        self.root = root
+        self.levels: list[tuple[np.ndarray, np.ndarray]] = []
+        self.abort_parent: int | None = None
+        # Built nodes per level, by index: chains share their prefixes.
+        self._nodes: list[dict[int, PSTNode]] = [{0: root}]
+
+    def chains(self, indices: np.ndarray) -> list[PSTNode]:
+        """The ``PSTNode`` of each last-level node ``indices``, with its chain."""
+        path = [indices]
+        for _, parents in reversed(self.levels[1:]):
+            path.append(parents[path[-1]])
+        nodes = [self.root] * len(indices)
+        for level, ((rows, _), idx) in enumerate(
+            zip(self.levels, reversed(path)), start=1
+        ):
+            axis = self.axes[level % 2]
+            if len(self._nodes) == level:
+                self._nodes.append({})
+            built = self._nodes[level]
+            chained = []
+            for parent, i, row in zip(nodes, idx.tolist(), rows[idx].tolist()):
+                node = built.get(i)
+                if node is None:
+                    node = built[i] = PSTNode(
+                        axis.kind, row + axis.base, parent.track, None, parent, level
+                    )
+                chained.append(node)
+            nodes = chained
+        return nodes
+
+    def build(self) -> PSTNode:
+        """Link the whole tree (children and spans) and return its root."""
+        root = self.root
+        axis = self.axes[0]
+        root.span = axis.span(root.track - axis.base, root.entry - axis.along)
+        frontier = [root]
+        last = len(self.levels)
+        for level, (rows, parents) in enumerate(self.levels, start=1):
+            axis, parent_axis = self.axes[level % 2], self.axes[(level - 1) % 2]
+            expanded = len(rows)
+            checked = len(frontier)
+            if level == last - 1 and self.abort_parent is not None:
+                expanded = self.abort_parent + 1
+            elif level == last:
+                expanded = 0
+                if self.abort_parent is not None:
+                    checked = self.abort_parent
+            built = self._nodes[level] if level < len(self._nodes) else {}
+            nodes: list[PSTNode] = []
+            for i, (row, p) in enumerate(zip(rows.tolist(), parents.tolist())):
+                node = built.get(i)
+                parent = frontier[p]
+                if node is None:
+                    node = PSTNode(
+                        axis.kind, row + axis.base, parent.track, None, parent, level
+                    )
+                parent.children.append(node)
+                if i < expanded or (row == axis.target and p < checked):
+                    node.span = axis.span(row, parent.track - parent_axis.base)
+                nodes.append(node)
+            frontier = nodes
+        return root
 
 
 class MBFSearch:
@@ -216,38 +374,46 @@ class MBFSearch:
         self.max_depth = max_depth
         self.max_nodes = max_nodes
         self.max_entries_per_track = max_entries_per_track
-        # Validate both terminals once: the search indexes bitmasks by
-        # track, where a bad index would shift silently instead of raise.
+        # Validate both terminals once: the search indexes the window
+        # arrays by track, where a bad index would wrap instead of raise.
         source.position(grid)
         target.position(grid)
         self.v_region, self.h_region = search_window(grid, source, target, region)
         self._nodes_created = 0
         self._aborted = False
-        # Per-search row cache, one dict per track kind: track index ->
-        # ``RoutingGrid.track_bits`` over the region.  The grid does not
-        # change during a search, so each row is read at most once.
-        self._rows: dict[str, dict[int, tuple[int, int]]] = {
-            VERTICAL: {},
-            HORIZONTAL: {},
-        }
 
     # ------------------------------------------------------------------
     def run(self) -> SearchResult:
         """Run both searches and keep the global minimum-corner leaves.
 
-        Search effort is tallied locally (``self._nodes_created``) and
-        reported to the instrumentation collector in one batch here, so
-        the per-node expansion loop carries no observability cost.
+        The window is read once, as the three boolean matrices of
+        :meth:`RoutingGrid.window_masks`, and both searches expand it one
+        BFS level per numpy step.  Search effort is reported to the
+        instrumentation collector in one batch here.
         """
-        roots: list[PSTNode] = []
+        trees: list[_Tree] = []
         all_leaves: list[tuple[int, list[PSTNode]]] = []
         best_depth: int | None = None
         with instrument.span(SPAN_MBFS_SEARCH):
-            for kind in (VERTICAL, HORIZONTAL):
+            v_iv, h_iv = self.v_region, self.h_region
+            usable_h, usable_v, corner = self.grid.window_masks(
+                self.net_id, v_iv, h_iv
+            )
+            t = self.target
+            v_axis = _Axis(
+                VERTICAL, v_iv.lo, h_iv.lo, usable_v,
+                np.ascontiguousarray(corner.T),
+                t.v_idx - v_iv.lo, t.h_idx - h_iv.lo,
+            )
+            h_axis = _Axis(
+                HORIZONTAL, h_iv.lo, v_iv.lo, usable_h, corner,
+                t.h_idx - h_iv.lo, t.v_idx - v_iv.lo,
+            )
+            for axes in ((v_axis, h_axis), (h_axis, v_axis)):
                 limit = self.max_depth if best_depth is None else best_depth
-                root, leaves, depth = self._single_search(kind, limit)
-                if root is not None:
-                    roots.append(root)
+                tree, leaves, depth = self._search(axes, limit)
+                if tree is not None:
+                    trees.append(tree)
                 if depth is not None:
                     all_leaves.append((depth, leaves))
                     best_depth = (
@@ -265,148 +431,98 @@ class MBFSearch:
         return SearchResult(
             source=self.source,
             target=self.target,
-            roots=roots,
             leaves=leaves,
             min_corners=best_depth,
             nodes_created=self._nodes_created,
             aborted=self._aborted,
+            _trees=trees,
         )
 
     # ------------------------------------------------------------------
-    def _single_search(
-        self, root_kind: str, depth_limit: int
-    ) -> tuple[PSTNode | None, list[PSTNode], int | None]:
+    def _search(
+        self, axes: tuple[_Axis, _Axis], depth_limit: int
+    ) -> tuple[_Tree | None, list[PSTNode], int | None]:
         """One MBFS from one of the source's two tracks.
 
-        Whole-row bit operations stand in for per-crossing bookkeeping.
-        Per child kind, an *enterable* bitmask over the region's tracks
-        holds the tracks a child may still enter: a track leaves it at
-        the end of the level that first reached it (it is examined once)
-        or as soon as its same-level entry cap is hit.  The target track
-        never leaves it.  A node's children are then the set bits of
-        ``corner & span & enterable & ~entry``, walked in ascending order.
+        Each level is one step over the frontier's (row, entry) arrays.
+        A node's candidate children are its corner row ANDed with its
+        usable run, the child kind's *enterable* columns and everything
+        but its entry column.  A column stays enterable until the end of
+        the level that first reached it (each track is examined once),
+        except the target's, which always is; within a level, a column
+        keeps its first ``max_entries_per_track`` entries in frontier
+        order, which is exactly the per-entry cap of a node-by-node
+        walk.  The level is counted once against the node budget, and
+        ``np.nonzero`` lists the children in row-major order - frontier
+        order, then ascending track - the next frontier.
         """
-        source, target = self.source, self.target
-        if root_kind == VERTICAL:
-            track, entry = source.v_idx, source.h_idx
+        own = axes[0]
+        source = self.source
+        if own.kind == VERTICAL:
+            track, entry = source.v_idx - own.base, source.h_idx - own.along
         else:
-            track, entry = source.h_idx, source.v_idx
-        root = PSTNode(
-            kind=root_kind, track=track, entry=entry, span=None, parent=None, depth=0
-        )
-        if self._node_span(root) is None:
+            track, entry = source.h_idx - own.base, source.v_idx - own.along
+        if not own.usable[track, entry]:
             return None, [], None
+        root = PSTNode(own.kind, track + own.base, entry + own.along, None, None, 0)
+        tree = _Tree(axes, root)
         self._nodes_created += 1
-        if self._completes(root):
-            return root, [root], 0
+        if track == own.target and own.goal_lo <= entry <= own.goal_hi:
+            return tree, [root], 0
         cap = self.max_entries_per_track
-        # Per kind: region offset of its track indices, target bit and
-        # enterable mask (indexed by track - offset).
-        offset = {VERTICAL: self.v_region.lo, HORIZONTAL: self.h_region.lo}
-        target_bit = {
-            VERTICAL: 1 << (target.v_idx - offset[VERTICAL]),
-            HORIZONTAL: 1 << (target.h_idx - offset[HORIZONTAL]),
-        }
-        enterable = {
-            VERTICAL: (1 << self.v_region.count) - 1 if cap > 0 else 0,
-            HORIZONTAL: (1 << self.h_region.count) - 1 if cap > 0 else 0,
-        }
-        # The root's own track counts as reached at level 0.
-        enterable[root_kind] &= ~(1 << (track - offset[root_kind]))
-        for k in (VERTICAL, HORIZONTAL):
-            enterable[k] |= target_bit[k]
-        rows = self._rows
-        nodes_created = self._nodes_created
+        enterable = []
+        for axis in axes:
+            enter = np.full(axis.usable.shape[0], cap > 0)
+            if axis is own:
+                enter[track] = False  # the root's track is reached at level 0
+            enter[axis.target] = True
+            enterable.append(enter)
+        rows = np.array([track])
+        entries = np.array([entry])
+        created = self._nodes_created
         max_nodes = self.max_nodes
-        frontier = [root]
         level = 0
-        kind = root_kind
-        while frontier and level < depth_limit:
+        while rows.size and level < depth_limit:
             level += 1
-            child_kind = HORIZONTAL if kind == VERTICAL else VERTICAL
-            node_rows = rows[kind]
-            base = offset[child_kind]
-            t_bit = target_bit[child_kind]
-            enter = enterable[child_kind]
-            entries = [0] * (enter.bit_length())
-            reached = 0
-            next_frontier: list[PSTNode] = []
-            completions: list[PSTNode] = []
-            for node in frontier:
-                span = self._node_span(node)  # also caches the node's row
-                if span is None:  # entry cell got unusable - cannot happen
-                    continue
-                corner = node_rows[node.track][1]
-                cands = (
-                    corner
-                    & ((1 << (span.hi - base + 1)) - (1 << (span.lo - base)))
-                    & enter
-                    & ~(1 << (node.entry - base))
-                )
-                depth = node.depth + 1
-                children = node.children
-                on_target: PSTNode | None = None
-                while cands:
-                    low = cands & -cands
-                    cands ^= low
-                    i = low.bit_length() - 1
-                    if low != t_bit:
-                        seen = entries[i] + 1
-                        entries[i] = seen
-                        reached |= low
-                        if seen >= cap:
-                            enter &= ~low
-                    child = PSTNode(child_kind, base + i, node.track, None, node, depth)
-                    children.append(child)
-                    nodes_created += 1
-                    if nodes_created > max_nodes:  # node budget exhausted
-                        self._nodes_created = nodes_created
-                        self._aborted = True
-                        return root, [], None
-                    next_frontier.append(child)
-                    if low == t_bit:
-                        on_target = child
-                if on_target is not None and self._completes(on_target):
-                    completions.append(on_target)
-            self._nodes_created = nodes_created
-            enterable[child_kind] = enter & ~reached
-            if completions:
-                return root, completions, level
-            frontier = next_frontier
-            kind = child_kind
-        return root, [], None
-
-    def _node_span(self, node: PSTNode) -> Interval | None:
-        """The node's slide interval, computed on first use.
-
-        Read off the track's usable bits with :func:`bit_run`; each
-        track's bits are fetched once per search (both runs share them).
-        """
-        if node.span is None:
-            kind = node.kind
-            bits = self._rows[kind].get(node.track)
-            iv = self.h_region if kind == VERTICAL else self.v_region
-            if bits is None:
-                bits = self.grid.track_bits(
-                    kind == VERTICAL, node.track, iv.lo, iv.hi, self.net_id
-                )
-                self._rows[kind][node.track] = bits
-            run = bit_run(bits[0], node.entry - iv.lo)
-            if run is not None:
-                node.span = Interval(run[0] + iv.lo, run[1] + iv.lo)
-        return node.span
-
-    def _completes(self, node: PSTNode) -> bool:
-        """Can the path slide along ``node``'s track onto the terminal?"""
-        if node.kind == VERTICAL:
-            if node.track != self.target.v_idx:
-                return False
-            span = self._node_span(node)
-            return span is not None and span.contains(self.target.h_idx)
-        if node.track != self.target.h_idx:
-            return False
-        span = self._node_span(node)
-        return span is not None and span.contains(self.target.v_idx)
+            axis, child = axes[(level - 1) % 2], axes[level % 2]
+            enter = enterable[level % 2]
+            cand = axis.corner[rows]
+            cand &= axis.cols >= axis.lo[rows, entries][:, None]
+            cand &= axis.cols <= axis.hi[rows, entries][:, None]
+            cand &= enter
+            cand[np.arange(rows.size), entries] = False
+            if rows.size > cap:  # else no column can exceed the cap
+                counts = cand.sum(axis=0, dtype=np.int32)
+                counts[child.target] = 0
+                over = np.flatnonzero(counts > cap)
+                if over.size:
+                    sub = cand[:, over]
+                    sub &= np.cumsum(sub, axis=0, dtype=np.int32) <= cap
+                    cand[:, over] = sub
+            parents, kids = np.nonzero(cand)
+            aborted = kids.size > 0 and created + kids.size > max_nodes
+            if aborted:  # keep the children up to the one that crosses
+                keep = max(max_nodes - created, 0) + 1
+                parents, kids = parents[:keep], kids[:keep]
+            created += kids.size
+            self._nodes_created = created
+            tree.levels.append((kids, parents))
+            if aborted:
+                tree.abort_parent = int(parents[-1])
+                self._aborted = True
+                return tree, [], None
+            on_target = np.flatnonzero(kids == child.target)
+            if on_target.size:
+                entered = rows[parents[on_target]]
+                done = on_target[
+                    (entered >= child.goal_lo) & (entered <= child.goal_hi)
+                ]
+                if done.size:
+                    return tree, tree.chains(done), level
+            enter[kids] = False
+            enter[child.target] = True
+            rows, entries = kids, rows[parents]
+        return tree, [], None
 
 
 # ----------------------------------------------------------------------

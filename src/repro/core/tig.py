@@ -26,7 +26,7 @@ from repro.geometry import Point, Rect
 from repro.grid import FREE, PlaneSet, RoutingGrid, TrackSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridTerminal:
     """A net terminal expressed as a TIG edge ``(vertical, horizontal)``.
 

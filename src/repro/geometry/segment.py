@@ -16,7 +16,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """A horizontal or vertical wire segment between two grid points.
 
@@ -98,7 +98,7 @@ class Segment:
         return f"{self.a}->{self.b}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """A rectilinear path as a contiguous sequence of segments.
 

@@ -53,6 +53,7 @@ untransacted fast path pays a single truthiness test per mutation.
 
 from __future__ import annotations
 
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
@@ -72,12 +73,14 @@ from repro.grid.tracks import TrackSet
 FREE: int = 0
 OBSTACLE: int = -1
 
-# Ledger entry tags: ("h", h_idx, v_lo, v_hi) for a horizontal span,
-# ("v", v_idx, h_lo, h_hi) for a vertical span, ("c", v_idx, h_idx)
-# for a both-slot claim (corner via or terminal stack).
-_LEDGER_H = "h"
-_LEDGER_V = "v"
-_LEDGER_C = "c"
+# A net's ledger is one flat ``array`` of 4-int records, in commit
+# order: (0, h_idx, v_lo, v_hi) for a horizontal span, (1, v_idx, h_lo,
+# h_hi) for a vertical span, (2, v_idx, h_idx, 0) for a both-slot claim
+# (corner via or terminal stack).  ``ledger_entries`` names the tags.
+_LEDGER_H = 0
+_LEDGER_V = 1
+_LEDGER_C = 2
+_LEDGER_TAGS = ("h", "v", "c")
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,10 @@ class RoutingGrid:
         self._unrouted_terms = np.zeros((nh, nv), dtype=terms)
         # Per-net mutation ledger: every span/cell a net claimed, in
         # commit order.  Rip-up replays it instead of scanning arrays.
-        self._net_ledger: dict[int, list[tuple]] = {}
+        # Records hold tags and track indices, so they take the
+        # narrowest signed type that holds the larger track count.
+        self._net_ledger: dict[int, array] = {}
+        self._ledger_type = narrowest_int(max(nv, nh)).char
         # Per-net track footprints (span, guard) for wide net classes.
         # Only nets wider than the default single-track claim appear
         # here, so `.get(net_id)` returning None IS the fast path.
@@ -284,8 +290,9 @@ class RoutingGrid:
         the router never connects it, but the pin's via stack still
         stands there, so no other net may run wire through the point or
         place a corner on it.  Occupancy state is untouched — the cost
-        model reads the grid exactly as before — and only
-        :meth:`track_bits` and :meth:`corner_free` exclude the point.
+        model reads the grid exactly as before — and only the
+        availability reads (:meth:`track_bits`, :meth:`window_masks`,
+        :meth:`corner_free`) exclude the point.
         """
         self._check_indices(v_idx, h_idx)
         self._keepouts_v.setdefault(v_idx, {})[h_idx] = net_id
@@ -393,30 +400,29 @@ class RoutingGrid:
 
     def _ledger_pop(self, net_id: int) -> None:
         if net_id >= 1:
-            self._net_ledger[net_id].pop()
+            del self._net_ledger[net_id][-4:]
 
-    def _ledger_push(self, net_id: int, entry: tuple) -> None:
+    def _ledger_push(self, net_id: int, tag: int, a: int, b: int, c: int = 0) -> None:
         if net_id >= 1:
-            self._net_ledger.setdefault(net_id, []).append(entry)
+            ledger = self._net_ledger.get(net_id)
+            if ledger is None:
+                ledger = self._net_ledger[net_id] = array(self._ledger_type)
+            ledger.extend((tag, a, b, c))
 
-    def _replay_ledger(self, net_id: int, ledger: Iterable[tuple]) -> int:
+    def _replay_ledger(self, net_id: int, ledger: array) -> int:
         """Re-claim every ledger cell for ``net_id`` (rip-up undo)."""
         H, V = self._h_owner, self._v_owner
         cells = 0
-        for entry in ledger:
-            tag = entry[0]
+        for tag, a, b, c in _records(ledger):
             if tag == _LEDGER_H:
-                _, h_idx, v_lo, v_hi = entry
-                H[h_idx, v_lo : v_hi + 1] = net_id
-                cells += v_hi - v_lo + 1
+                H[a, b : c + 1] = net_id
+                cells += c - b + 1
             elif tag == _LEDGER_V:
-                _, v_idx, h_lo, h_hi = entry
-                V[v_idx, h_lo : h_hi + 1] = net_id
-                cells += h_hi - h_lo + 1
+                V[a, b : c + 1] = net_id
+                cells += c - b + 1
             else:
-                _, v_idx, h_idx = entry
-                H[h_idx, v_idx] = net_id
-                V[v_idx, h_idx] = net_id
+                H[b, a] = net_id
+                V[a, b] = net_id
                 cells += 2
         return cells
 
@@ -523,7 +529,7 @@ class RoutingGrid:
         self._h_owner[h_idx, v_idx] = net_id
         self._v_owner[v_idx, h_idx] = net_id
         self._unrouted_terms[h_idx, v_idx] += 1
-        self._ledger_push(net_id, (_LEDGER_C, v_idx, h_idx))
+        self._ledger_push(net_id, _LEDGER_C, v_idx, h_idx)
         for v, h in extra:
             if self._txns:
                 self._journal.append(
@@ -535,7 +541,7 @@ class RoutingGrid:
                 )
             self._h_owner[h, v] = net_id
             self._v_owner[v, h] = net_id
-            self._ledger_push(net_id, (_LEDGER_C, v, h))
+            self._ledger_push(net_id, _LEDGER_C, v, h)
 
     def mark_terminal_routed(self, v_idx: int, h_idx: int) -> None:
         """Drop one unrouted-terminal mark at an intersection."""
@@ -584,12 +590,13 @@ class RoutingGrid:
         where :meth:`corner_free` holds.
 
         The availability primitive behind the span and corner queries
-        and both connection engines: each array is read once by slicing
-        ``[lo, hi]``, compared once and packed into a Python int whose
-        bit operations replace per-cell scans.  A wide net reads its
-        footprint rows of both arrays along the whole track instead, so
-        that its corner blocks, which reach past ``[lo, hi]``, come from
-        the clamped-window AND :meth:`net_masks` uses.
+        and the Lee wave (the MBFS reads :meth:`window_masks`): each
+        array is read once by slicing ``[lo, hi]``, compared once and
+        packed into a Python int whose bit operations replace per-cell
+        scans.  A wide net reads its footprint rows of both arrays
+        along the whole track instead, so that its corner blocks, which
+        reach past ``[lo, hi]``, come from the clamped-window AND
+        :meth:`window_masks` uses.
         Indices are validated here, once per row.
         """
         if vertical:
@@ -631,33 +638,63 @@ class RoutingGrid:
             corner_bits &= ~mask
         return usable_bits, corner_bits
 
-    def net_masks(self, net_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Whole-grid ``(usable_h, usable_v, corner)`` boolean arrays of a net.
+    def window_masks(
+        self, net_id: int, v_iv: Interval, h_iv: Interval
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(usable_h, usable_v, corner)`` boolean arrays of a net over a window.
 
+        The window is the index intervals ``v_iv`` x ``h_iv``.
         ``usable_h`` is indexed ``[h, v]``, ``usable_v`` ``[v, h]`` and
-        ``corner`` ``[h, v]``; each cell holds exactly the bit
-        :meth:`track_bits` reads for it.  A wide net's footprint rows
-        and corner blocks are clamped-window ANDs, taken with cumulative
-        sums instead of per-cell block checks, and every other net's pin
-        keep-out clears its exact point in all three arrays.
+        ``corner`` ``[h, v]``, all relative to the window's low corner;
+        each cell holds exactly the bit :meth:`track_bits` reads for it.
+        A wide net reads the window plus its footprint's reach (clamped
+        at the grid edge): its footprint rows and corner blocks are
+        clamped-window ANDs, taken with cumulative sums instead of
+        per-cell block checks.  Every other net's pin keep-out clears
+        its exact point in all three arrays.
         """
-        usable_h = _usable(self._h_owner, net_id)
-        usable_v = _usable(self._v_owner, net_id)
-        both = usable_h & usable_v.T
+        if not (
+            0 <= v_iv.lo <= v_iv.hi < self.num_vtracks
+            and 0 <= h_iv.lo <= h_iv.hi < self.num_htracks
+        ):
+            raise IndexError(f"window {v_iv} x {h_iv} out of range")
         fp = self._footprints.get(net_id)
+        below, above = (0, 0) if fp is None else (fp[1], fp[0] - 1 + fp[1])
+        v0 = max(0, v_iv.lo - below)
+        v1 = min(self.num_vtracks - 1, v_iv.hi + above)
+        h0 = max(0, h_iv.lo - below)
+        h1 = min(self.num_htracks - 1, h_iv.hi + above)
+        usable_h = _usable(self._h_owner[h0 : h1 + 1, v0 : v1 + 1], net_id)
+        usable_v = _usable(self._v_owner[v0 : v1 + 1, h0 : h1 + 1], net_id)
+        both = usable_h & usable_v.T
         if fp is None:
             corner = both
         else:
-            usable_h = _window_all(usable_h, fp, axis=0)
-            usable_v = _window_all(usable_v, fp, axis=0)
-            corner = _window_all(_window_all(both, fp, axis=0), fp, axis=1)
+            # Reach rows clamp exactly as the grid edge does, so each
+            # window cell's block lies inside the slice read.
+            hs = slice(h_iv.lo - h0, h_iv.hi - h0 + 1)
+            vs = slice(v_iv.lo - v0, v_iv.hi - v0 + 1)
+            usable_h = _window_all(usable_h, fp, axis=0)[hs, vs]
+            usable_v = _window_all(usable_v, fp, axis=0)[vs, hs]
+            corner = _window_all(_window_all(both, fp, axis=0), fp, axis=1)[hs, vs]
         for v_idx, row in self._keepouts_v.items():
+            if not v_iv.lo <= v_idx <= v_iv.hi:
+                continue
             for h_idx, owner in row.items():
-                if owner != net_id:
-                    usable_h[h_idx, v_idx] = False
-                    usable_v[v_idx, h_idx] = False
-                    corner[h_idx, v_idx] = False
+                if owner != net_id and h_iv.lo <= h_idx <= h_iv.hi:
+                    v, h = v_idx - v_iv.lo, h_idx - h_iv.lo
+                    usable_h[h, v] = False
+                    usable_v[v, h] = False
+                    corner[h, v] = False
         return usable_h, usable_v, corner
+
+    def net_masks(self, net_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Whole-grid :meth:`window_masks` of a net."""
+        return self.window_masks(
+            net_id,
+            Interval(0, self.num_vtracks - 1),
+            Interval(0, self.num_htracks - 1),
+        )
 
     def reachable(
         self, net_id: int, source: tuple[int, int], target: tuple[int, int]
@@ -801,7 +838,7 @@ class RoutingGrid:
             if self._txns:
                 self._journal.append(("h", net_id, r, v_lo, row.copy()))
             self._h_owner[r, v_lo : v_hi + 1] = net_id
-            self._ledger_push(net_id, (_LEDGER_H, r, v_lo, v_hi))
+            self._ledger_push(net_id, _LEDGER_H, r, v_lo, v_hi)
 
     def occupy_v(self, v_idx: int, h_lo: int, h_hi: int, net_id: int) -> None:
         """Claim the vertical slots of a span for ``net_id``."""
@@ -825,7 +862,7 @@ class RoutingGrid:
             if self._txns:
                 self._journal.append(("v", net_id, r, h_lo, row.copy()))
             self._v_owner[r, h_lo : h_hi + 1] = net_id
-            self._ledger_push(net_id, (_LEDGER_V, r, h_lo, h_hi))
+            self._ledger_push(net_id, _LEDGER_V, r, h_lo, h_hi)
 
     def occupy_corner(self, v_idx: int, h_idx: int, net_id: int) -> None:
         """Claim both slots at an intersection (an m3-m4 via).
@@ -860,7 +897,7 @@ class RoutingGrid:
                 )
             self._h_owner[h, v] = net_id
             self._v_owner[v, h] = net_id
-            self._ledger_push(net_id, (_LEDGER_C, v, h))
+            self._ledger_push(net_id, _LEDGER_C, v, h)
 
     def commit_path(
         self,
@@ -911,28 +948,19 @@ class RoutingGrid:
             return 0
         freed = 0
         H, V = self._h_owner, self._v_owner
-        for entry in ledger:
-            tag = entry[0]
-            if tag == _LEDGER_H:
-                _, h_idx, v_lo, v_hi = entry
-                row = H[h_idx, v_lo : v_hi + 1]
-                mask = row == net_id  # overlap-safe: count each slot once
-                freed += int(mask.sum())
-                row[mask] = FREE
-            elif tag == _LEDGER_V:
-                _, v_idx, h_lo, h_hi = entry
-                row = V[v_idx, h_lo : h_hi + 1]
-                mask = row == net_id
-                freed += int(mask.sum())
-                row[mask] = FREE
-            else:
-                _, v_idx, h_idx = entry
-                if H[h_idx, v_idx] == net_id:
-                    H[h_idx, v_idx] = FREE
+        for tag, a, b, c in _records(ledger):
+            if tag == _LEDGER_C:
+                if H[b, a] == net_id:
+                    H[b, a] = FREE
                     freed += 1
-                if V[v_idx, h_idx] == net_id:
-                    V[v_idx, h_idx] = FREE
+                if V[a, b] == net_id:
+                    V[a, b] = FREE
                     freed += 1
+                continue
+            row = (H if tag == _LEDGER_H else V)[a, b : c + 1]
+            mask = row == net_id  # overlap-safe: count each slot once
+            freed += int(mask.sum())
+            row[mask] = FREE
         if self._txns:
             self._journal.append(("rip", net_id, ledger))
         return freed
@@ -950,7 +978,10 @@ class RoutingGrid:
         terminal stacks), in commit order.  The ``grid.ledger`` audit in
         :mod:`repro.check` replays these against the occupancy arrays.
         """
-        return tuple(self._net_ledger.get(net_id, ()))
+        return tuple(
+            (_LEDGER_TAGS[tag], a, b) if tag == _LEDGER_C else (_LEDGER_TAGS[tag], a, b, c)
+            for tag, a, b, c in _records(self._net_ledger.get(net_id, ()))
+        )
 
     def net_cells_recorded(self, net_id: int) -> int:
         """Slots recorded in a net's ledger (overlaps counted twice).
@@ -959,12 +990,8 @@ class RoutingGrid:
         tests and benchmarks asserting the O(cells) rip-up contract.
         """
         cells = 0
-        for entry in self._net_ledger.get(net_id, ()):
-            tag = entry[0]
-            if tag == _LEDGER_C:
-                cells += 2
-            else:
-                cells += entry[3] - entry[2] + 1
+        for tag, _, b, c in _records(self._net_ledger.get(net_id, ())):
+            cells += 2 if tag == _LEDGER_C else c - b + 1
         return cells
 
     def owners_near(self, v_idx: int, h_idx: int, radius: int) -> list[int]:
@@ -1083,6 +1110,12 @@ def _run_labels(mask: np.ndarray) -> np.ndarray:
     labels: np.ndarray = np.cumsum(starts, dtype=np.int32).reshape(mask.shape)
     labels[~mask] = 0
     return labels
+
+
+def _records(ledger: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
+    """A flat ledger's ``(tag, a, b, c)`` records, in commit order."""
+    it = iter(ledger)
+    return zip(it, it, it, it)
 
 
 def _pack(mask: np.ndarray) -> int:

@@ -17,13 +17,12 @@ class TrackSet:
     assigned "a pair of horizontal and vertical tracks" (section 3).
     """
 
-    __slots__ = ("_coords", "_index")
+    __slots__ = ("_coords",)
 
     def __init__(self, coords: Iterable[int]) -> None:
         self._coords: list[int] = sorted({int(c) for c in coords})
         if not self._coords:
             raise ValueError("TrackSet needs at least one track")
-        self._index: dict[int, int] = {c: i for i, c in enumerate(self._coords)}
 
     @staticmethod
     def uniform(lo: int, hi: int, pitch: int, extra: Iterable[int] = ()) -> "TrackSet":
@@ -65,13 +64,14 @@ class TrackSet:
 
     def index_of(self, coord: int) -> int:
         """Exact index of a track coordinate (raises when absent)."""
-        try:
-            return self._index[coord]
-        except KeyError:
-            raise KeyError(f"no track at coordinate {coord}") from None
+        pos = bisect.bisect_left(self._coords, coord)
+        if pos == len(self._coords) or self._coords[pos] != coord:
+            raise KeyError(f"no track at coordinate {coord}")
+        return pos
 
     def has(self, coord: int) -> bool:
-        return coord in self._index
+        pos = bisect.bisect_left(self._coords, coord)
+        return pos < len(self._coords) and self._coords[pos] == coord
 
     def nearest_index(self, coord: int) -> int:
         """Index of the track closest to ``coord`` (ties go low)."""

@@ -1,20 +1,21 @@
-"""Differential equivalence: bit-parallel MBFS, row-cached Lee and the flood vs per-cell.
+"""Differential equivalence: level-step MBFS, row-cached Lee and the flood vs per-cell.
 
-The level B engines read availability as packed track rows
-(:meth:`RoutingGrid.track_bits`) and expand whole rows with bit
-operations.  This module keeps a test-local copy of the per-crossing
-MBFS expansion and the per-probe Lee wave as the oracle, both reading
-the grid one cell at a time through ``h_slot``/``v_slot``, and checks
-on random grids - obstacles, foreign wiring, wide-net footprints,
-foreign pin keep-outs, random regions, entry caps and node budgets
-small enough to abort - that the fast engines produce exactly the
-oracle's searches: the same minimum corner count, abort flag, node
-count, ordered leaves and Path Selection Tree, and the same Lee paths
-and expansion counts.  The whole-grid masks
-(:meth:`RoutingGrid.net_masks`) must match the per-cell reads, and the
-reachability flood (:meth:`RoutingGrid.reachable`) must agree with
-whether the oracle's whole-grid Lee wave finds a path.  A grid replayed
-with int8 owners must read, flood and search exactly as with int32.
+The MBFS reads its window once as boolean matrices
+(:meth:`RoutingGrid.window_masks`) and expands one BFS level per numpy
+step; Lee reads packed track rows (:meth:`RoutingGrid.track_bits`).
+This module keeps a test-local copy of the per-crossing MBFS expansion
+and the per-probe Lee wave as the oracle, both reading the grid one
+cell at a time through ``h_slot``/``v_slot``, and checks on random
+grids - obstacles, foreign wiring, wide-net footprints, foreign pin
+keep-outs, random regions, entry caps (zero included), depth limits and
+node budgets small enough to abort - that the fast engines produce
+exactly the oracle's searches: the same minimum corner count, abort
+flag, node count, ordered leaves and Path Selection Tree, spans
+included, and the same Lee paths and expansion counts.  The window and
+whole-grid masks must match the per-cell reads, and the reachability
+flood (:meth:`RoutingGrid.reachable`) must agree with whether the
+oracle's whole-grid Lee wave finds a path.  A grid replayed with int8
+owners must read, flood and search exactly as with int32.
 """
 
 from __future__ import annotations
@@ -419,6 +420,32 @@ def edge_instance():
     return grid, GridTerminal(2, 1), GridTerminal(4, 3), None
 
 
+def abort_then_idle_instance():
+    """The vertical search aborts in its first level; the horizontal
+    root's run is its entry alone, so its first level creates nothing
+    (cap 1, max_nodes 3, max_depth 2: 5 nodes, not an abort there)."""
+    grid = RoutingGrid(TrackSet(range(0, 60, 10)), TrackSet(range(0, 60, 10)))
+    source, target = GridTerminal(2, 2), GridTerminal(5, 5)
+    for term in (source, target):
+        grid.reserve_terminal(term.v_idx, term.h_idx, NET)
+    grid.occupy_h(2, 1, 1, 2)
+    grid.occupy_h(2, 3, 3, 2)
+    return grid, source, target, None
+
+
+def mid_level_abort_instance():
+    """Two walls force two corners; with max_nodes 10 the budget breaks
+    in level 2 at the first frontier node's last child, after its
+    target-track child and before the other four frontier nodes."""
+    grid = RoutingGrid(TrackSet(range(0, 60, 10)), TrackSet(range(0, 60, 10)))
+    source, target = GridTerminal(0, 0), GridTerminal(4, 4)
+    for term in (source, target):
+        grid.reserve_terminal(term.v_idx, term.h_idx, NET)
+    grid.occupy_h(4, 2, 2, 2)
+    grid.occupy_v(4, 2, 2, 2)
+    return grid, source, target, None
+
+
 def _tree(node: PSTNode):
     """A node's whole subtree as nested tuples (span included)."""
     return (
@@ -436,10 +463,12 @@ class TestMBFSEquivalence:
     @FAST
     @given(
         instances(),
-        st.sampled_from([1, 2, 8]),
+        st.sampled_from([0, 1, 2, 8]),
         st.sampled_from([3, 12, 40, 120, 250_000]),
-        st.sampled_from([2, 12]),
+        st.sampled_from([0, 2, 12]),
     )
+    @example(abort_then_idle_instance(), 1, 3, 2)
+    @example(mid_level_abort_instance(), 1, 10, 12)
     def test_matches_per_crossing_search(self, inst, cap, max_nodes, max_depth):
         grid, source, target, region = inst
         ref = ReferenceSearch(
@@ -473,19 +502,29 @@ class TestLeeEquivalence:
 
 class TestReachability:
     @FAST
-    @given(instances())
-    @example(edge_instance())
-    def test_net_masks_match_per_cell_reads(self, inst):
+    @given(instances(), st.lists(st.integers(0, 19), min_size=4, max_size=4))
+    @example(edge_instance(), [0, 0, 19, 19])
+    @example(edge_instance(), [1, 1, 2, 1])  # blocks clamp at the window edge
+    def test_net_masks_match_per_cell_reads(self, inst, corners):
         grid = inst[0]
         nv, nh = grid.num_vtracks, grid.num_htracks
-        usable_h, usable_v, corner = grid.net_masks(NET)
-        assert usable_h.shape == corner.shape == (nh, nv)
-        assert usable_v.shape == (nv, nh)
-        for v in range(nv):
-            for h in range(nh):
-                assert usable_h[h, v] == ref_h_ok(grid, v, h)
-                assert usable_v[v, h] == ref_v_ok(grid, v, h)
-                assert corner[h, v] == ref_corner(grid, v, h)
+        v_lo, h_lo = corners[0] % nv, corners[1] % nh
+        v_iv = Interval(v_lo, v_lo + corners[2] % (nv - v_lo))
+        h_iv = Interval(h_lo, h_lo + corners[3] % (nh - h_lo))
+        whole = (Interval(0, nv - 1), Interval(0, nh - 1))
+        for (vs, hs), masks in (
+            (whole, grid.net_masks(NET)),
+            ((v_iv, h_iv), grid.window_masks(NET, v_iv, h_iv)),
+        ):
+            usable_h, usable_v, corner = masks
+            assert usable_h.shape == corner.shape == (hs.count, vs.count)
+            assert usable_v.shape == (vs.count, hs.count)
+            for v in range(vs.lo, vs.hi + 1):
+                for h in range(hs.lo, hs.hi + 1):
+                    i, j = v - vs.lo, h - hs.lo
+                    assert usable_h[j, i] == ref_h_ok(grid, v, h)
+                    assert usable_v[i, j] == ref_v_ok(grid, v, h)
+                    assert corner[j, i] == ref_corner(grid, v, h)
 
     @FAST
     @given(instances())
@@ -628,6 +667,8 @@ class TestTrackBits:
             lambda: grid.corner_candidates_on_v(0, 0, 9, NET),
             lambda: grid.reachable(NET, (-1, 0), (1, 1)),
             lambda: grid.reachable(NET, (1, 1), (1, 4)),
+            lambda: grid.window_masks(NET, Interval(0, 5), Interval(0, 3)),
+            lambda: grid.window_masks(NET, Interval(-1, 2), Interval(0, 3)),
         ):
             with pytest.raises(IndexError):
                 call()

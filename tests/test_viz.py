@@ -64,6 +64,10 @@ class TestPstRendering:
         lines = art.splitlines()
         assert lines[0] in ("v2", "h2")
         assert any("*" in line for line in lines)  # a completing leaf
+        # The trees are built on demand around the leaf objects: every
+        # leaf is marked exactly once across both trees.
+        marks = sum(render_pst(root, res.leaves).count("*") for root in res.roots)
+        assert marks == len(res.leaves)
 
 
 class TestLevelBRendering:
