@@ -24,8 +24,11 @@ which the :meth:`CostWeights.dense` preset does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Sequence
+
+import numpy as np
 
 from repro.grid import RoutingGrid
 
@@ -61,8 +64,8 @@ class TrackHistory:
     ) -> None:
         if num_vtracks < 1 or num_htracks < 1:
             raise ValueError("TrackHistory needs at least one track per axis")
-        if weight < 0:
-            raise ValueError("history weight must be non-negative")
+        if not 0 <= weight < math.inf:
+            raise ValueError(f"history weight must be finite and non-negative, got {weight}")
         self.v: list[float] = [0.0] * num_vtracks
         self.h: list[float] = [0.0] * num_htracks
         self.weight = weight
@@ -72,8 +75,8 @@ class TrackHistory:
         self, v_lo: int, v_hi: int, h_lo: int, h_hi: int, amount: float
     ) -> None:
         """Add ``amount`` to every track crossing an index-space window."""
-        if amount < 0:
-            raise ValueError("history charges must be non-negative")
+        if not 0 <= amount < math.inf:
+            raise ValueError(f"history charges must be finite and non-negative, got {amount}")
         for v in range(max(0, v_lo), min(len(self.v) - 1, v_hi) + 1):
             self.v[v] += amount
         for h in range(max(0, h_lo), min(len(self.h) - 1, h_hi) + 1):
@@ -114,8 +117,15 @@ class CostWeights:
     w23: float = 10.0
 
     def __post_init__(self) -> None:
-        if min(self.w1, self.w21, self.w22, self.w23) < 0:
-            raise ValueError("cost weights must be non-negative")
+        # A NaN weight makes every partial sum NaN, so the bounded walk
+        # would accept no candidate and every connection would fall to
+        # the rescue; an infinite one prices every corner alike.
+        for name in ("w1", "w21", "w22", "w23"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"cost weight {name} must be finite and non-negative, got {value}"
+                )
 
     @staticmethod
     def sparse() -> "CostWeights":
@@ -136,10 +146,10 @@ class CostWeights:
 class CornerCostEvaluator:
     """Evaluates the per-corner term of the cost function on a grid.
 
-    A small memo keyed on the corner's indices makes repeated
-    evaluation of shared Path Selection Tree prefixes cheap; the memo
-    must be discarded once the grid mutates (the router creates one
-    evaluator per two-terminal connection).
+    :meth:`corner_costs` prices a whole batch of corners with one
+    :meth:`~repro.grid.RoutingGrid.window_counts` read, so no memo is
+    kept: the router creates one evaluator per two-terminal connection
+    and prices each candidate batch against the grid as it stands.
 
     ``extra_terms`` hooks in user cost-function extensions (paper
     section 3.2's "additional terms ... for nets with special
@@ -162,15 +172,19 @@ class CornerCostEvaluator:
         #: one-pass mode, keeping the evaluator bit-identical to the
         #: seed cost model.
         self.history = history
-        self._memo: dict[tuple[int, int], float] = {}
+
+    @property
+    def has_path_terms(self) -> bool:
+        """Does :meth:`extra_cost` add anything (extension terms or history)?"""
+        return bool(self.extra_terms) or self.history is not None
 
     def extra_cost(self, points, corners) -> float:
         """Sum of the user extension terms for one candidate.
 
         Includes the per-track history surcharge when an iterative run
         attached a :class:`TrackHistory` — evaluated here (once per
-        surviving candidate) rather than in :meth:`corner_cost` so the
-        memoised corner term stays history-free.
+        surviving candidate) rather than in :meth:`corner_costs` so the
+        corner term stays history-free.
         """
         total = sum(
             term.cost(self.grid, points, corners) for term in self.extra_terms
@@ -179,20 +193,37 @@ class CornerCostEvaluator:
             total += self.history.segment_cost(self.grid, points)
         return total
 
-    def corner_cost(self, v_idx: int, h_idx: int) -> float:
-        """``w21*drg + w22*dup + w23*acf`` for a corner at (v, h)."""
-        key = (v_idx, h_idx)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        w = self.weights
+    def corner_costs(self, v_idx: np.ndarray, h_idx: np.ndarray) -> np.ndarray:
+        """``w21*drg + w22*dup + w23*acf`` of every corner ``(v_idx[i], h_idx[i])``.
+
+        Float64, in the scalar formula's operation order, so a corner
+        costs the same bits alone or in any batch.
+        """
+        # Candidates share corners: read each distinct corner once.  The
+        # stable sort is the one the candidates' walk order already uses.
+        n_h = self.grid.num_htracks
+        keys = np.asarray(v_idx, dtype=np.intp) * n_h + h_idx
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+        corners = ranked[first]
+        copies = np.empty(len(keys), dtype=np.intp)
+        copies[order] = np.cumsum(first) - 1
         r = COST_WINDOW_RADIUS
-        drg = self.grid.routed_density_near(v_idx, h_idx, r)
+        used, terms, busy, cells = self.grid.window_counts(
+            corners // n_h, corners % n_h, r
+        )
+        slots = 2.0 * cells
+        drg = used / slots
         # Normalise the raw terminal count by the window cell count so
         # all three measures share the [0, 1] scale.
-        window = (2 * r + 1) ** 2
-        dup = min(1.0, self.grid.unrouted_terminals_near(v_idx, h_idx, r) / window)
-        acf = self.grid.congestion_near(v_idx, h_idx, r)
-        cost = w.w21 * drg + w.w22 * dup + w.w23 * acf
-        self._memo[key] = cost
-        return cost
+        dup = np.minimum(1.0, terms / (2 * r + 1) ** 2)
+        acf = busy / slots
+        w = self.weights
+        costs: np.ndarray = (w.w21 * drg + w.w22 * dup + w.w23 * acf)[copies]
+        return costs
+
+    def corner_cost(self, v_idx: int, h_idx: int) -> float:
+        """``w21*drg + w22*dup + w23*acf`` for one corner at (v, h)."""
+        return float(self.corner_costs(np.array([v_idx]), np.array([h_idx]))[0])

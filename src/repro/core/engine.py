@@ -83,7 +83,8 @@ class EngineContext:
         :class:`~repro.core.cost.CornerCostEvaluator` carrying the
         net's cost-function extension terms.  An engine that selects
         by the section 3.2 cost (the MBFS) creates one per connection
-        (the memo assumes a frozen grid); a Lee search never reads it.
+        and prices each candidate batch against the grid as it stands;
+        a Lee search never reads it.
     add_nodes:
         Search-effort callback; engines report nodes created/expanded
         so the orchestrator can aggregate them into the result.

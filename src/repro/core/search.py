@@ -27,7 +27,9 @@ Key properties implemented here, matching the paper:
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import overload
 
 import numpy as np
 
@@ -44,6 +46,10 @@ from repro.core.tig import GridTerminal
 
 VERTICAL = "V"
 HORIZONTAL = "H"
+
+#: No completing node (a read-only empty index array).
+_NONE = np.zeros(0, dtype=np.intp)
+_NONE.flags.writeable = False
 
 
 @dataclass(slots=True)
@@ -117,19 +123,21 @@ class CandidatePath:
 class SearchResult:
     """Outcome of the two MBFS runs for one two-terminal connection.
 
-    ``leaves`` are the minimum-corner leaves, each with its root chain.
-    The whole Path Selection Trees (:attr:`roots`) are built on first
-    access from the searches' per-level arrays; they reuse the leaf
-    chains' nodes.
+    The minimum-corner leaves stay arrays: ``_done`` holds, for each
+    search that reached the best depth, its tree and the indices of its
+    completing last-level nodes.  :attr:`leaves` builds their
+    ``PSTNode`` chains on first access, and :attr:`roots` the whole
+    Path Selection Trees around them.
     """
 
     source: GridTerminal
     target: GridTerminal
-    leaves: list[PSTNode]
     min_corners: int | None
     nodes_created: int
     aborted: bool = False
     _trees: list["_Tree"] = field(default_factory=list, repr=False)
+    _done: list[tuple["_Tree", np.ndarray]] = field(default_factory=list, repr=False)
+    _leaves: list[PSTNode] | None = field(default=None, init=False, repr=False)
     _roots: list[PSTNode] | None = field(default=None, init=False, repr=False)
 
     @property
@@ -137,9 +145,32 @@ class SearchResult:
         return self.min_corners is not None
 
     @property
+    def leaves(self) -> list[PSTNode]:
+        """The minimum-corner leaves, each with its root chain, search by search."""
+        if self._leaves is None:
+            self._leaves = [
+                leaf for tree, done in self._done for leaf in tree.chains(done)
+            ]
+        return self._leaves
+
+    def leaf(self, i: int) -> PSTNode:
+        """Leaf ``i`` alone: the object :attr:`leaves` holds, chain built once."""
+        if self._leaves is not None:
+            return self._leaves[i]
+        for tree, done in self._done:
+            if i < len(done):
+                return tree.chains(done[i : i + 1])[0]
+            i -= len(done)
+        raise IndexError("leaf index out of range")
+
+    @property
     def roots(self) -> list[PSTNode]:
-        """One Path Selection Tree root per search that had one."""
+        """One Path Selection Tree root per search that had one.
+
+        The leaves are built first, so the trees reuse their objects.
+        """
         if self._roots is None:
+            self.leaves  # noqa: B018 - built for the trees to reuse
             self._roots = [tree.build() for tree in self._trees]
         return self._roots
 
@@ -250,9 +281,10 @@ class _Tree:
     ``levels[L - 1]`` holds level ``L``'s nodes in creation order as
     ``(rows, parents)``: each node's track row on its axis and its
     parent's index in level ``L - 1`` (level 0 is the root alone).  A
-    node's entry is its parent's track.  ``PSTNode`` objects exist only
-    for the chains :meth:`chains` builds (the leaves'), until
-    :meth:`build` makes the whole tree around them.
+    node's entry is its parent's track.  Path selection reads chains as
+    arrays (:meth:`rows`); ``PSTNode`` objects exist only for the chains
+    :meth:`chains` builds, until :meth:`build` makes the whole tree
+    around them.
 
     ``abort_parent`` is the index of the frontier node whose child broke
     the node budget in the last level, or ``None``.  The search expanded
@@ -271,6 +303,23 @@ class _Tree:
         self.abort_parent: int | None = None
         # Built nodes per level, by index: chains share their prefixes.
         self._nodes: list[dict[int, PSTNode]] = [{0: root}]
+
+    def rows(self, indices: np.ndarray) -> np.ndarray:
+        """Each last-level node's chain as window rows, root first.
+
+        Row ``i`` of the ``(len(indices), depth + 1)`` result holds the
+        track rows, on their own axes, of node ``indices[i]`` and of its
+        ancestors up to the root, in column ``depth`` down to column 0.
+        """
+        depth = len(self.levels)
+        out = np.empty((len(indices), depth + 1), dtype=np.int32)
+        out[:, 0] = self.root.track - self.axes[0].base
+        idx = indices
+        for level in range(depth, 0, -1):
+            rows, parents = self.levels[level - 1]
+            out[:, level] = rows[idx]
+            idx = parents[idx]
+        return out
 
     def chains(self, indices: np.ndarray) -> list[PSTNode]:
         """The ``PSTNode`` of each last-level node ``indices``, with its chain."""
@@ -392,7 +441,7 @@ class MBFSearch:
         instrumentation collector in one batch here.
         """
         trees: list[_Tree] = []
-        all_leaves: list[tuple[int, list[PSTNode]]] = []
+        found: list[tuple[int, _Tree, np.ndarray]] = []
         best_depth: int | None = None
         with instrument.span(SPAN_MBFS_SEARCH):
             v_iv, h_iv = self.v_region, self.h_region
@@ -411,17 +460,14 @@ class MBFSearch:
             )
             for axes in ((v_axis, h_axis), (h_axis, v_axis)):
                 limit = self.max_depth if best_depth is None else best_depth
-                tree, leaves, depth = self._search(axes, limit)
+                tree, done, depth = self._search(axes, limit)
                 if tree is not None:
                     trees.append(tree)
                 if depth is not None:
-                    all_leaves.append((depth, leaves))
+                    found.append((depth, tree, done))
                     best_depth = (
                         depth if best_depth is None else min(best_depth, depth)
                     )
-        leaves = [
-            leaf for depth, group in all_leaves if depth == best_depth for leaf in group
-        ]
         inst = instrument.active()
         if inst.enabled:
             inst.count(MBFS_SEARCHES)
@@ -431,18 +477,22 @@ class MBFSearch:
         return SearchResult(
             source=self.source,
             target=self.target,
-            leaves=leaves,
             min_corners=best_depth,
             nodes_created=self._nodes_created,
             aborted=self._aborted,
             _trees=trees,
+            _done=[(tree, done) for depth, tree, done in found if depth == best_depth],
         )
 
     # ------------------------------------------------------------------
     def _search(
         self, axes: tuple[_Axis, _Axis], depth_limit: int
-    ) -> tuple[_Tree | None, list[PSTNode], int | None]:
+    ) -> tuple[_Tree | None, np.ndarray, int | None]:
         """One MBFS from one of the source's two tracks.
+
+        Returns the tree (``None`` when the source track is unusable),
+        the indices of the completing nodes in its last level, and their
+        depth (``None`` when none completed).
 
         Each level is one step over the frontier's (row, entry) arrays.
         A node's candidate children are its corner row ANDed with its
@@ -463,12 +513,12 @@ class MBFSearch:
         else:
             track, entry = source.h_idx - own.base, source.v_idx - own.along
         if not own.usable[track, entry]:
-            return None, [], None
+            return None, _NONE, None
         root = PSTNode(own.kind, track + own.base, entry + own.along, None, None, 0)
         tree = _Tree(axes, root)
         self._nodes_created += 1
         if track == own.target and own.goal_lo <= entry <= own.goal_hi:
-            return tree, [root], 0
+            return tree, np.zeros(1, dtype=np.intp), 0
         cap = self.max_entries_per_track
         enterable = []
         for axis in axes:
@@ -510,7 +560,7 @@ class MBFSearch:
             if aborted:
                 tree.abort_parent = int(parents[-1])
                 self._aborted = True
-                return tree, [], None
+                return tree, _NONE, None
             on_target = np.flatnonzero(kids == child.target)
             if on_target.size:
                 entered = rows[parents[on_target]]
@@ -518,47 +568,156 @@ class MBFSearch:
                     (entered >= child.goal_lo) & (entered <= child.goal_hi)
                 ]
                 if done.size:
-                    return tree, tree.chains(done), level
+                    return tree, done, level
             enter[kids] = False
             enter[child.target] = True
             rows, entries = kids, rows[parents]
-        return tree, [], None
+        return tree, _NONE, None
 
 
 # ----------------------------------------------------------------------
 # Path reconstruction
 # ----------------------------------------------------------------------
-def candidate_paths(
-    result: SearchResult, grid: RoutingGrid
-) -> list[CandidatePath]:
-    """Geometric candidates for every minimum-corner leaf.
+class CandidateBatch(Sequence[CandidatePath]):
+    """A connection's candidates as arrays, indexed in leaf order.
 
-    Each candidate's point list runs source, corners..., target with
-    consecutive points axis-aligned; duplicate consecutive points
-    (a corner coinciding with a terminal) are merged.
+    Candidate ``i`` has the corners ``(v[j], h[j])`` for ``j`` in
+    ``range(starts[i], starts[i + 1])`` and the wire length
+    ``lengths[i]``.  ``order`` lists the candidates by ascending
+    ``(length, first point after the source)``, ties in leaf order: the
+    order :func:`repro.core.select.select_best_path` walks.  Indexing
+    builds candidate ``i``'s :class:`CandidatePath` (a batch made by
+    :meth:`of` returns the object it was given); :meth:`geometry` builds
+    only its points and corners.
     """
-    out: list[CandidatePath] = []
+
+    __slots__ = ("v", "h", "starts", "lengths", "order", "_geometry", "_path")
+
+    def __init__(
+        self,
+        v: np.ndarray,
+        h: np.ndarray,
+        starts: np.ndarray,
+        lengths: np.ndarray,
+        order: np.ndarray,
+        geometry: Callable[[int], tuple[list[Point], list[tuple[int, int]]]],
+        path: Callable[[int], CandidatePath],
+    ) -> None:
+        self.v = v
+        self.h = h
+        self.starts = starts
+        self.lengths = lengths
+        self.order = order
+        self._geometry = geometry
+        self._path = path
+
+    @classmethod
+    def of(cls, candidates: Sequence[CandidatePath]) -> CandidateBatch:
+        """A batch over candidates built elsewhere, in their order."""
+        corners = [c for cand in candidates for c in cand.corners]
+        counts = [len(cand.corners) for cand in candidates]
+        order = sorted(
+            range(len(candidates)),
+            key=lambda i: (candidates[i].length, candidates[i].points[1:2]),
+        )
+        return cls(
+            np.array([v for v, _ in corners], dtype=np.intp),
+            np.array([h for _, h in corners], dtype=np.intp),
+            np.cumsum([0, *counts]),
+            np.array([cand.length for cand in candidates], dtype=np.int64),
+            np.array(order, dtype=np.intp),
+            lambda i: (candidates[i].points, candidates[i].corners),
+            candidates.__getitem__,
+        )
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def geometry(self, i: int) -> tuple[list[Point], list[tuple[int, int]]]:
+        """Candidate ``i``'s points and corners, without its leaf."""
+        return self._geometry(i)
+
+    @overload
+    def __getitem__(self, i: int) -> CandidatePath: ...
+
+    @overload
+    def __getitem__(self, i: slice) -> list[CandidatePath]: ...
+
+    def __getitem__(self, i: int | slice) -> CandidatePath | list[CandidatePath]:
+        n = len(self)
+        if isinstance(i, slice):
+            return [self._path(j) for j in range(*i.indices(n))]
+        if not -n <= i < n:
+            raise IndexError("candidate index out of range")
+        return self._path(i % n)
+
+
+def candidate_paths(result: SearchResult, grid: RoutingGrid) -> CandidateBatch:
+    """Every minimum-corner candidate of a search, as one batch.
+
+    The corners come from the trees' level arrays, each length is one
+    integer expression over the track coordinates and the walk order
+    one stable ``np.lexsort``.  A candidate's point list runs source,
+    corners..., target with consecutive points axis-aligned; duplicate
+    consecutive points (a corner on a terminal) are merged.
+    """
+    if not result._done:
+        return CandidateBatch.of([])
     src = result.source.position(grid)
     dst = result.target.position(grid)
-    for leaf in result.leaves:
-        chain = leaf.chain()
+    vt, ht = grid.vtracks, grid.htracks
+    depth = result.min_corners or 0
+    # Both searches read the same window, as the same two axes.
+    axes = result._done[0][0].axes
+    v_axis, h_axis = axes if axes[0].kind == VERTICAL else axes[::-1]
+    # Corner j joins the tracks of levels j - 1 and j; the vertical one
+    # is the even level when the root is vertical.
+    j = np.arange(1, depth + 1)
+    even, odd = j - j % 2, j - 1 + j % 2
+    v_parts: list[np.ndarray] = []
+    h_parts: list[np.ndarray] = []
+    for tree, done in result._done:
+        rows = tree.rows(done)
+        v_cols, h_cols = (even, odd) if tree.axes[0] is v_axis else (odd, even)
+        v_parts.append(rows[:, v_cols])
+        h_parts.append(rows[:, h_cols])
+    v_rows = np.concatenate(v_parts)
+    h_rows = np.concatenate(h_parts)
+    n = len(v_rows)
+    # Window rows to coordinates, over the window the searches read.
+    xs = np.array(vt.coords[v_axis.base : v_axis.base + v_axis.usable.shape[0]])
+    ys = np.array(ht.coords[h_axis.base : h_axis.base + h_axis.usable.shape[0]])
+    x = np.empty((n, depth + 2), dtype=np.int64)
+    y = np.empty((n, depth + 2), dtype=np.int64)
+    x[:, 0], x[:, -1], x[:, 1:-1] = src.x, dst.x, xs[v_rows]
+    y[:, 0], y[:, -1], y[:, 1:-1] = src.y, dst.y, ys[h_rows]
+    # Consecutive points share a track, so a candidate's length is the
+    # sum of both coordinates' steps.
+    lengths = np.abs(x[:, 1:] - x[:, :-1]).sum(axis=1) + np.abs(
+        y[:, 1:] - y[:, :-1]
+    ).sum(axis=1)
+    # Point 1 is the first corner, or the target when there is none:
+    # the search never turns onto the source's own orthogonal track.
+    order = np.lexsort((y[:, 1], x[:, 1], lengths))
+    v = (v_rows + v_axis.base).ravel()
+    h = (h_rows + h_axis.base).ravel()
+
+    def geometry(i: int) -> tuple[list[Point], list[tuple[int, int]]]:
+        lo = i * depth
         corners: list[tuple[int, int]] = []
-        for parent, child in zip(chain, chain[1:]):
-            if parent.kind == VERTICAL:
-                corners.append((parent.track, child.track))
-            else:
-                corners.append((child.track, parent.track))
-        points: list[Point] = [src]
-        for v_idx, h_idx in corners:
-            x, y = grid.coord_of(v_idx, h_idx)
-            points.append(Point(x, y))
-        points.append(dst)
-        deduped = [points[0]]
-        for p in points[1:]:
-            if p != deduped[-1]:
-                deduped.append(p)
-        length = sum(a.manhattan_to(b) for a, b in zip(deduped, deduped[1:]))
-        out.append(
-            CandidatePath(points=deduped, corners=corners, length=length, leaf=leaf)
-        )
-    return out
+        points = [src]
+        for v_idx, h_idx in zip(v[lo : lo + depth].tolist(), h[lo : lo + depth].tolist()):
+            corners.append((v_idx, h_idx))
+            point = Point(vt[v_idx], ht[h_idx])
+            if point != points[-1]:
+                points.append(point)
+        if dst != points[-1]:
+            points.append(dst)
+        return points, corners
+
+    def path(i: int) -> CandidatePath:
+        points, corners = geometry(i)
+        return CandidatePath(points, corners, int(lengths[i]), result.leaf(i))
+
+    starts = np.arange(0, n * depth + 1, depth) if depth else np.zeros(n + 1, np.intp)
+    return CandidateBatch(v, h, starts, lengths, order, geometry, path)

@@ -996,7 +996,8 @@ class RoutingGrid:
 
     def owners_near(self, v_idx: int, h_idx: int, radius: int) -> list[int]:
         """Net ids wired within ``radius`` tracks of an intersection."""
-        hw, vw = self._window(v_idx, h_idx, radius)
+        hw = slice(max(0, h_idx - radius), min(self.num_htracks, h_idx + radius + 1))
+        vw = slice(max(0, v_idx - radius), min(self.num_vtracks, v_idx + radius + 1))
         h = self._h_owner[hw, vw]
         v = self._v_owner[vw, hw]
         ids = set(np.unique(h)) | set(np.unique(v))
@@ -1005,40 +1006,48 @@ class RoutingGrid:
     # ------------------------------------------------------------------
     # Cost-model statistics (drg / dup / acf inputs)
     # ------------------------------------------------------------------
-    def routed_density_near(self, v_idx: int, h_idx: int, radius: int) -> float:
-        """Fraction of slots near an intersection used by routed nets.
+    def window_counts(
+        self, v_idx: np.ndarray, h_idx: np.ndarray, radius: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Slot and terminal counts of the window around each corner.
 
-        Input to the ``drg`` term: corners close to existing wiring are
-        penalised.
+        Corner ``i`` is ``(v_idx[i], h_idx[i])``, which must lie on the
+        grid; its window reaches ``radius`` tracks each way, clipped to
+        the grid.  Returns, per corner, the slots (both directions)
+        routed nets use, the unrouted terminals, the *busy* slots
+        (routed or obstacle) and the window's cell count: the inputs of
+        the cost model's ``drg``, ``dup`` and ``acf`` terms.  The
+        ``(2r+1)^2`` windows are gathered by fancy indexing, and the
+        cells a clipped window leaves off the grid are masked out.
         """
-        hw, vw = self._window(v_idx, h_idx, radius)
-        h = self._h_owner[hw, vw]
-        v = self._v_owner[vw, hw].T
-        used = (h > 0).sum() + (v > 0).sum()
-        return float(used) / float(2 * h.size)
-
-    def unrouted_terminals_near(self, v_idx: int, h_idx: int, radius: int) -> int:
-        """Count of unrouted terminals near an intersection (``dup``)."""
-        hw, vw = self._window(v_idx, h_idx, radius)
-        return int(self._unrouted_terms[hw, vw].sum())
-
-    def congestion_near(self, v_idx: int, h_idx: int, radius: int) -> float:
-        """Fraction of *unusable* slots (routed or obstacle) nearby.
-
-        Input to the area congestion factor ``acf``.
-        """
-        hw, vw = self._window(v_idx, h_idx, radius)
-        h = self._h_owner[hw, vw]
-        v = self._v_owner[vw, hw].T
-        busy = (h != FREE).sum() + (v != FREE).sum()
-        return float(busy) / float(2 * h.size)
-
-    def _window(self, v_idx: int, h_idx: int, radius: int) -> tuple[slice, slice]:
-        h_lo = max(0, h_idx - radius)
-        h_hi = min(self.num_htracks - 1, h_idx + radius)
-        v_lo = max(0, v_idx - radius)
-        v_hi = min(self.num_vtracks - 1, v_idx + radius)
-        return slice(h_lo, h_hi + 1), slice(v_lo, v_hi + 1)
+        v = np.asarray(v_idx, dtype=np.intp)
+        h = np.asarray(h_idx, dtype=np.intp)
+        nv, nh = self.num_vtracks, self.num_htracks
+        if v.size and not (0 <= v.min() and v.max() < nv and 0 <= h.min() and h.max() < nh):
+            raise IndexError(f"corners must lie on the {nv}x{nh} grid")
+        # Each corner reads a block of up to (2r+1)^2 cells, shifted to
+        # lie on the grid; ``near`` masks the block cells outside the
+        # corner's clipped window.
+        wv, wh = min(2 * radius + 1, nv), min(2 * radius + 1, nh)
+        ov = np.minimum(np.maximum(v - radius, 0), nv - wv)
+        oh = np.minimum(np.maximum(h - radius, 0), nh - wh)
+        dv, dh = np.arange(wv), np.arange(wh)
+        v_near = np.abs((ov - v)[:, None] + dv) <= radius
+        h_near = np.abs((oh - h)[:, None] + dh) <= radius
+        near = (h_near[:, :, None] & v_near[:, None, :]).reshape(len(v), wh * wv)
+        # Flat offsets of the block cells in the [h, v] arrays (h owner,
+        # terminals), then, in the same cell order and buffer, in the
+        # [v, h] array.
+        at = (oh * nv + ov)[:, None] + (dh[:, None] * nv + dv).ravel()
+        h_own = self._h_owner.ravel().take(at)
+        terms = self._unrouted_terms.ravel().take(at)
+        np.add((ov * nh + oh)[:, None], (dv * nh + dh[:, None]).ravel(), out=at)
+        v_own = self._v_owner.ravel().take(at)
+        terms *= near
+        used = ((h_own > FREE) & near).sum(axis=1) + ((v_own > FREE) & near).sum(axis=1)
+        busy = ((h_own != FREE) & near).sum(axis=1) + ((v_own != FREE) & near).sum(axis=1)
+        cells = v_near.sum(axis=1) * h_near.sum(axis=1)
+        return used, terms.sum(axis=1, dtype=np.int64), busy, cells
 
     # ------------------------------------------------------------------
     # Whole-grid statistics

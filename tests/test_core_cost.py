@@ -1,5 +1,6 @@
 """Tests for the section 3.2 cost model."""
 
+import numpy as np
 import pytest
 
 from repro.geometry import Rect
@@ -29,6 +30,14 @@ class TestCostWeights:
         with pytest.raises(ValueError):
             CostWeights(w1=-1.0)
 
+    @pytest.mark.parametrize("field", ["w1", "w21", "w22", "w23"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, field, value):
+        # A NaN weight would make every partial sum NaN, so selection
+        # would accept no candidate and every connection fall to the rescue.
+        with pytest.raises(ValueError, match=field):
+            CostWeights(**{field: value})
+
 
 class TestCornerCost:
     def test_empty_grid_zero_corner_cost(self):
@@ -57,14 +66,34 @@ class TestCornerCost:
         ev = CornerCostEvaluator(grid, weights)
         assert ev.corner_cost(2, 2) > ev.corner_cost(8, 8)
 
-    def test_memoisation(self):
+    def test_cost_reads_the_grid_as_it_stands(self):
         grid = make_grid()
         ev = CornerCostEvaluator(grid, CostWeights())
         first = ev.corner_cost(3, 3)
-        grid.occupy_h(3, 0, 8, net_id=2)  # grid changes, memo does not
-        assert ev.corner_cost(3, 3) == first
-        fresh = CornerCostEvaluator(grid, CostWeights())
-        assert fresh.corner_cost(3, 4) != first or fresh.corner_cost(3, 4) > 0
+        grid.occupy_h(3, 0, 8, net_id=2)  # no memo: the next read sees it
+        assert ev.corner_cost(3, 3) > first
+        assert ev.corner_cost(3, 3) == CornerCostEvaluator(
+            grid, CostWeights()
+        ).corner_cost(3, 3)
+
+    def test_batch_prices_each_corner_as_alone(self):
+        """Every corner, clipped windows and repeats included, costs the
+        same bits in a batch as in a one-corner call."""
+        grid = make_grid(6)
+        grid.occupy_h(1, 0, 4, net_id=2)
+        grid.occupy_v(4, 2, 5, net_id=3)
+        grid.reserve_terminal(0, 5, net_id=4)
+        grid.reserve_terminal(2, 2, net_id=4)
+        grid.add_obstacle(Rect(0, 30, 20, 40))
+        ev = CornerCostEvaluator(grid, CostWeights(w1=1.0, w21=7.0, w22=3.0, w23=11.0))
+        corners = [(v, h) for v in range(6) for h in range(6)]
+        batch = corners[::-1] + corners[::3]
+        costs = ev.corner_costs(
+            np.array([v for v, _ in batch]), np.array([h for _, h in batch])
+        )
+        assert costs.dtype == np.float64
+        assert costs.tolist() == [ev.corner_cost(v, h) for v, h in batch]
+        assert len(set(costs.tolist())) > 3  # the grid varies the costs
 
     def test_weights_scale_terms(self):
         grid = make_grid()

@@ -1,9 +1,17 @@
 """Tests for backtracking path selection over the PST candidates."""
 
+import pytest
+
 from repro.geometry import Point
 from repro.grid import RoutingGrid, TrackSet
 from repro.core.cost import CornerCostEvaluator, CostWeights
-from repro.core.search import CandidatePath, MBFSearch, PSTNode, candidate_paths
+from repro.core.search import (
+    CandidateBatch,
+    CandidatePath,
+    MBFSearch,
+    PSTNode,
+    candidate_paths,
+)
 from repro.core.select import select_best_path
 from repro.core.tig import TrackIntersectionGraph
 
@@ -96,3 +104,28 @@ class TestEndToEndSelection:
         best, cost = select_best_path(cands, ev)
         assert best in cands
         assert cost >= best.length  # corner terms are non-negative
+
+    def test_batch_is_a_sequence_of_candidates(self):
+        tig = TrackIntersectionGraph(
+            TrackSet(range(0, 90, 10)), TrackSet(range(0, 90, 10))
+        )
+        terms = tig.register_net(1, [Point(0, 0), Point(80, 80)])
+        res = MBFSearch(tig.grid, 1, *terms).run()
+        batch = candidate_paths(res, tig.grid)
+        assert len(batch) == len(res.leaves) == 2
+        items = list(batch)
+        assert [c.points for c in batch[:]] == [c.points for c in items]
+        assert batch[-1].corners == items[1].corners
+        # Built one at a time, the leaves are the objects res.leaves holds.
+        assert all(c.leaf is leaf for c, leaf in zip(items, res.leaves))
+        assert batch.geometry(0) == (items[0].points, items[0].corners)
+        with pytest.raises(IndexError):
+            batch[2]
+
+    def test_hand_built_list_walks_as_a_batch(self):
+        a = cand([Point(0, 0), Point(10, 0), Point(10, 10)], [(1, 0)])
+        b = cand([Point(0, 0), Point(0, 10), Point(10, 10)], [(0, 1)])
+        batch = CandidateBatch.of([a, b])
+        assert batch[0] is a and batch[1] is b
+        assert batch.order.tolist() == [1, 0]  # (length, first point) order
+        assert batch.starts.tolist() == [0, 1, 2]

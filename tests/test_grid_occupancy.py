@@ -15,6 +15,25 @@ def make_grid(nv=10, nh=8) -> RoutingGrid:
     )
 
 
+def window(g, v, h, radius):
+    """One corner's ``window_counts``: (used, terminals, busy, cells)."""
+    return tuple(int(a[0]) for a in g.window_counts(np.array([v]), np.array([h]), radius))
+
+
+def terminals_near(g, v, h, radius):
+    return window(g, v, h, radius)[1]
+
+
+def routed_density(g, v, h, radius):
+    used, _, _, cells = window(g, v, h, radius)
+    return used / (2 * cells)
+
+
+def congestion(g, v, h, radius):
+    _, _, busy, cells = window(g, v, h, radius)
+    return busy / (2 * cells)
+
+
 class TestBasics:
     def test_shape(self):
         g = make_grid(10, 8)
@@ -87,11 +106,11 @@ class TestTerminals:
         g = make_grid()
         g.reserve_terminal(3, 3, net_id=1)
         g.reserve_terminal(5, 5, net_id=1)
-        assert g.unrouted_terminals_near(4, 4, radius=2) == 2
+        assert terminals_near(g, 4, 4, radius=2) == 2
         g.mark_terminal_routed(3, 3)
-        assert g.unrouted_terminals_near(4, 4, radius=2) == 1
+        assert terminals_near(g, 4, 4, radius=2) == 1
         g.mark_terminal_routed(3, 3)  # extra mark is harmless
-        assert g.unrouted_terminals_near(4, 4, radius=2) == 1
+        assert terminals_near(g, 4, 4, radius=2) == 1
 
 
 class TestSpans:
@@ -190,14 +209,42 @@ class TestStatistics:
     def test_densities(self):
         g = make_grid(5, 5)
         g.occupy_h(2, 0, 4, net_id=1)
-        assert g.routed_density_near(2, 2, radius=2) > 0
-        assert g.congestion_near(2, 2, radius=2) >= g.routed_density_near(2, 2, 2)
+        assert routed_density(g, 2, 2, radius=2) > 0
+        assert congestion(g, 2, 2, radius=2) >= routed_density(g, 2, 2, 2)
 
     def test_congestion_counts_obstacles(self):
         g = make_grid(5, 5)
         g.add_obstacle(Rect(0, 0, 40, 40))
-        assert g.routed_density_near(2, 2, radius=2) == 0.0
-        assert g.congestion_near(2, 2, radius=2) == 1.0
+        assert routed_density(g, 2, 2, radius=2) == 0.0
+        assert congestion(g, 2, 2, radius=2) == 1.0
+
+    @pytest.mark.parametrize(("nv", "nh"), [(5, 4), (12, 9)])
+    def test_window_counts_match_slices_at_every_corner(self, nv, nh):
+        """Every corner's counts, clipped windows included, equal a direct
+        count over the clipped slices of the snapshot arrays."""
+        g = make_grid(nv, nh)
+        g.occupy_h(0, 0, 2, net_id=1)
+        g.occupy_v(nv - 1, 1, nh - 1, net_id=2)
+        g.occupy_corner(2, 2, net_id=3)
+        g.reserve_terminal(0, nh - 1, net_id=4)
+        g.reserve_terminal(0, nh - 1, net_id=4)
+        g.reserve_terminal(nv - 2, 0, net_id=5)
+        g.add_obstacle(Rect(10, 30, 10, 30), block_h=True, block_v=False)
+        snap = g.snapshot()
+        v, h = (a.ravel() for a in np.meshgrid(np.arange(nv), np.arange(nh)))
+        for radius in (0, 1, 3):
+            got = g.window_counts(v, h, radius)
+            for i, (vi, hi) in enumerate(zip(v.tolist(), h.tolist())):
+                hs = slice(max(0, hi - radius), hi + radius + 1)
+                vs = slice(max(0, vi - radius), vi + radius + 1)
+                h_own, v_own = snap.h_owner[hs, vs], snap.v_owner[vs, hs]
+                want = (
+                    int((h_own > 0).sum() + (v_own > 0).sum()),
+                    int(snap.unrouted_terms[hs, vs].sum()),
+                    int((h_own != FREE).sum() + (v_own != FREE).sum()),
+                    h_own.size,
+                )
+                assert tuple(int(a[i]) for a in got) == want, (vi, hi, radius)
 
     def test_owners(self):
         g = make_grid()
@@ -284,7 +331,7 @@ class TestOwnerWidth:
         # One net's coincident pins stack up to its degree at one point.
         for _ in range(max_degree or 3):
             g.reserve_terminal(1, 0, 1)
-        assert g.unrouted_terminals_near(1, 0, radius=0) == (max_degree or 3)
+        assert terminals_near(g, 1, 0, radius=0) == (max_degree or 3)
 
     def test_terminal_count_above_capacity_rejected(self):
         g = RoutingGrid(TrackSet([0, 10]), TrackSet([0, 10]), 1, max_degree=6)
@@ -294,7 +341,7 @@ class TestOwnerWidth:
         with pytest.raises(ValueError):
             g.reserve_terminal(1, 0, 1)
         assert g.matches(before)
-        assert g.unrouted_terminals_near(1, 0, radius=0) == 127
+        assert terminals_near(g, 1, 0, radius=0) == 127
 
     @pytest.mark.parametrize("num_nets", [127, 32_767, None])
     def test_id_above_capacity_rejected(self, num_nets):
@@ -387,6 +434,8 @@ class TestIndexValidation:
             lambda: g.h_slot(-1, 0),
             lambda: g.v_slot(0, -2),
             lambda: g.corner_free(-4, 0, 1),
+            lambda: g.window_counts(np.array([3, -1]), np.array([2, 2]), 3),
+            lambda: g.window_counts(np.array([9]), np.array([8]), 0),
         ):
             with pytest.raises(IndexError):
                 call()

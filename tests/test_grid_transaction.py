@@ -27,6 +27,11 @@ def make_grid(nv: int = 12, nh: int = 10) -> RoutingGrid:
     )
 
 
+def terminals_at(grid: RoutingGrid, v: int, h: int) -> int:
+    """Unrouted terminals at one intersection (a radius-0 window)."""
+    return int(grid.window_counts(np.array([v]), np.array([h]), 0)[1][0])
+
+
 class TestJournalRollback:
     def test_rollback_restores_occupancy_exactly(self):
         grid = make_grid()
@@ -45,7 +50,7 @@ class TestJournalRollback:
         before = grid.snapshot()
         txn = grid.begin()
         grid.reserve_terminal(3, 3, 5)
-        assert grid.unrouted_terminals_near(3, 3, radius=0) == 1
+        assert terminals_at(grid, 3, 3) == 1
         txn.rollback()
         assert grid.matches(before)
 
@@ -55,10 +60,10 @@ class TestJournalRollback:
         before = grid.snapshot()
         txn = grid.begin()
         grid.mark_terminal_routed(3, 3)
-        assert grid.unrouted_terminals_near(3, 3, radius=0) == 0
+        assert terminals_at(grid, 3, 3) == 0
         txn.rollback()
         assert grid.matches(before)
-        assert grid.unrouted_terminals_near(3, 3, radius=0) == 1
+        assert terminals_at(grid, 3, 3) == 1
 
     def test_commit_keeps_mutations(self):
         grid = make_grid()

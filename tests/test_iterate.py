@@ -107,6 +107,18 @@ class TestTrackHistory:
         with pytest.raises(ValueError):
             TrackHistory(4, 4, weight=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            TrackHistory(4, 4, weight=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_charge_rejected(self, value):
+        h = TrackHistory(3, 3)
+        with pytest.raises(ValueError, match="finite"):
+            h.charge_window(0, 1, 0, 1, value)
+        assert h.v == [0.0] * 3 and h.h == [0.0] * 3
+
     def test_segment_cost_charges_tracks_once_per_segment(self):
         grid = make_grid(9)
         h = TrackHistory(9, 9, weight=2.0)
