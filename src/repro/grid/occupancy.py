@@ -181,11 +181,10 @@ class RoutingGrid:
         # Only nets wider than the default single-track claim appear
         # here, so `.get(net_id)` returning None IS the fast path.
         self._footprints: dict[int, tuple[int, int]] = {}
-        # Pin keep-outs (add_keepout), indexed per track as
-        # {track: {position: pin's net id}}; empty on grids without
+        # Pin keep-outs (add_keepout), indexed per v-track as
+        # {v_idx: {h_idx: pin's net id}}; empty on grids without
         # pinched terminals, which keeps the availability fast path.
         self._keepouts_v: dict[int, dict[int, int]] = {}
-        self._keepouts_h: dict[int, dict[int, int]] = {}
         # Undo journal + open-transaction stack (savepoint semantics).
         self._journal: list[tuple] = []
         self._txns: list[GridTransaction] = []
@@ -291,12 +290,11 @@ class RoutingGrid:
         stands there, so no other net may run wire through the point or
         place a corner on it.  Occupancy state is untouched — the cost
         model reads the grid exactly as before — and only the
-        availability reads (:meth:`track_bits`, :meth:`window_masks`,
-        :meth:`corner_free`) exclude the point.
+        availability reads (:meth:`window_masks` and :meth:`corner_free`)
+        exclude the point.
         """
         self._check_indices(v_idx, h_idx)
         self._keepouts_v.setdefault(v_idx, {})[h_idx] = net_id
-        self._keepouts_h.setdefault(h_idx, {})[v_idx] = net_id
 
     # ------------------------------------------------------------------
     # Transactions
@@ -561,8 +559,9 @@ class RoutingGrid:
         if keepouts and keepouts.get(v_idx, {}).get(h_idx, net_id) != net_id:
             return False
         if net_id in self._footprints:
-            # A wide net's corner block: one position of track_bits.
-            return bool(self.track_bits(True, v_idx, h_idx, h_idx, net_id)[1])
+            # A wide net's corner block: window_masks over the 1x1 window.
+            point_v, point_h = Interval(v_idx, v_idx), Interval(h_idx, h_idx)
+            return bool(self.window_masks(net_id, point_v, point_h)[2][0, 0])
         h = self._h_owner[h_idx, v_idx]
         v = self._v_owner[v_idx, h_idx]
         return h in (FREE, net_id) and v in (FREE, net_id)
@@ -575,83 +574,28 @@ class RoutingGrid:
         self._check_indices(v_idx, h_idx)
         return int(self._v_owner[v_idx, h_idx])
 
-    def track_bits(
-        self, vertical: bool, track: int, lo: int, hi: int, net_id: int
-    ) -> tuple[int, int]:
-        """Packed ``(usable, corner)`` bitmasks of one track over ``[lo, hi]``.
-
-        ``vertical`` selects v-track ``track`` (positions are h indices)
-        or h-track ``track`` (positions are v indices).  Bit ``i`` of
-        ``usable`` is set when ``net_id`` may run wire through position
-        ``lo + i`` — the track's own slot is free or the net's, on every
-        row of a wide net's footprint, and no other net's pin keep-out
-        (:meth:`add_keepout`) sits there.  Bit ``i`` of ``corner`` is set
-        when the net may also place a corner via there, i.e. exactly
-        where :meth:`corner_free` holds.
-
-        The availability primitive behind the span and corner queries
-        and the Lee wave (the MBFS reads :meth:`window_masks`): each
-        array is read once by slicing ``[lo, hi]``, compared once and
-        packed into a Python int whose bit operations replace per-cell
-        scans.  A wide net reads its footprint rows of both arrays
-        along the whole track instead, so that its corner blocks, which
-        reach past ``[lo, hi]``, come from the clamped-window AND
-        :meth:`window_masks` uses.
-        Indices are validated here, once per row.
-        """
-        if vertical:
-            along, across, keepouts = self._v_owner, self._h_owner, self._keepouts_v
-            n_tracks, n_pos, axis = self.num_vtracks, self.num_htracks, "v"
-        else:
-            along, across, keepouts = self._h_owner, self._v_owner, self._keepouts_h
-            n_tracks, n_pos, axis = self.num_htracks, self.num_vtracks, "h"
-        if not 0 <= track < n_tracks:
-            raise IndexError(
-                f"{axis}-track index {track} out of range [0, {n_tracks - 1}]"
-            )
-        if not 0 <= lo <= hi < n_pos:
-            raise IndexError(
-                f"{axis}-track window [{lo}, {hi}] out of range [0, {n_pos - 1}]"
-            )
-        fp = self._footprints.get(net_id)
-        if fp is None:
-            usable = _usable(along[track, lo : hi + 1], net_id)
-            corner = usable & _usable(across[lo : hi + 1, track], net_id)
-        else:
-            # A wide net runs wire where every row of its footprint is
-            # free (or its own).  A corner needs both slots free over the
-            # expanded block around the position: the footprint rows of
-            # both arrays ANDed, then windowed along the track.
-            rows = self._expand_rows(track, fp, n_tracks)
-            run = _usable(along[rows.start : rows.stop], net_id)
-            usable = np.logical_and.reduce(run[:, lo : hi + 1], axis=0)
-            run &= _usable(across[:, rows.start : rows.stop], net_id).T
-            both = np.logical_and.reduce(run, axis=0)
-            corner = _window_all(both, fp, axis=0)[lo : hi + 1]
-        usable_bits, corner_bits = _pack(usable), _pack(corner)
-        if keepouts and track in keepouts:
-            mask = 0
-            for pos, owner in keepouts[track].items():
-                if owner != net_id and lo <= pos <= hi:
-                    mask |= 1 << (pos - lo)
-            usable_bits &= ~mask
-            corner_bits &= ~mask
-        return usable_bits, corner_bits
-
     def window_masks(
         self, net_id: int, v_iv: Interval, h_iv: Interval
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(usable_h, usable_v, corner)`` boolean arrays of a net over a window.
 
-        The window is the index intervals ``v_iv`` x ``h_iv``.
-        ``usable_h`` is indexed ``[h, v]``, ``usable_v`` ``[v, h]`` and
-        ``corner`` ``[h, v]``, all relative to the window's low corner;
-        each cell holds exactly the bit :meth:`track_bits` reads for it.
-        A wide net reads the window plus its footprint's reach (clamped
-        at the grid edge): its footprint rows and corner blocks are
-        clamped-window ANDs, taken with cumulative sums instead of
-        per-cell block checks.  Every other net's pin keep-out clears
-        its exact point in all three arrays.
+        The one availability read of every search: the MBFS, the Lee
+        wave and the reachability flood.  The window is the index
+        intervals ``v_iv`` x ``h_iv``.  ``usable_h`` is indexed
+        ``[h, v]``, ``usable_v`` ``[v, h]`` and ``corner`` ``[h, v]``,
+        all relative to the window's low corner.  A ``usable_h`` cell is
+        set when the net may run horizontal wire through the
+        intersection: its h slot is free or the net's own on every
+        footprint row (:meth:`_expand_rows`, clamped at the grid edge).
+        ``usable_v`` is the same for vertical wire.  A ``corner`` cell is
+        set when the net may place a corner via there, exactly where
+        :meth:`corner_free` holds: both slots free or its own over the
+        footprint block around the point.  Every other net's pin
+        keep-out (:meth:`add_keepout`) clears its exact point in all
+        three arrays.  A wide net reads the window plus its footprint's
+        reach (clamped at the grid edge): its footprint rows and corner
+        blocks are clamped-window ANDs, taken with cumulative sums
+        instead of per-cell block checks.
         """
         if not (
             0 <= v_iv.lo <= v_iv.hi < self.num_vtracks
@@ -733,80 +677,6 @@ class RoutingGrid:
             reached_h[grow_h] = True
             reached_v[grow_v] = True
         return True
-
-    def free_span_h(
-        self, h_idx: int, v_idx: int, net_id: int, within: Interval | None = None
-    ) -> Interval | None:
-        """Maximal v-index interval around ``v_idx`` usable on h-track.
-
-        A cell is usable when its horizontal slot is free or already
-        owned by ``net_id`` (on every footprint row of a wide net).
-        Returns ``None`` when the entry cell itself is unusable.
-        ``within`` clips the search window (the paper bounds each search
-        to a rectangle around the terminals) before the track is read.
-        """
-        return self._span_around(False, h_idx, v_idx, net_id, within)
-
-    def free_span_v(
-        self, v_idx: int, h_idx: int, net_id: int, within: Interval | None = None
-    ) -> Interval | None:
-        """Maximal h-index interval around ``h_idx`` usable on v-track."""
-        return self._span_around(True, v_idx, h_idx, net_id, within)
-
-    def _span_around(
-        self,
-        vertical: bool,
-        track: int,
-        pos: int,
-        net_id: int,
-        within: Interval | None,
-    ) -> Interval | None:
-        last = (self.num_htracks if vertical else self.num_vtracks) - 1
-        lo = 0 if within is None else max(0, within.lo)
-        hi = last if within is None else min(last, within.hi)
-        if not lo <= pos <= hi:
-            return None
-        usable, _ = self.track_bits(vertical, track, lo, hi, net_id)
-        run = bit_run(usable, pos - lo)
-        if run is None:
-            return None
-        return Interval(run[0] + lo, run[1] + lo)
-
-    def corner_candidates_on_v(
-        self, v_idx: int, h_lo: int, h_hi: int, net_id: int
-    ) -> list[int]:
-        """h-indices in ``[h_lo, h_hi]`` where ``net_id`` may corner.
-
-        Batched form of :meth:`corner_free` along a vertical track.
-        """
-        if h_lo > h_hi:
-            return []
-        return set_bits(self.track_bits(True, v_idx, h_lo, h_hi, net_id)[1], h_lo)
-
-    def corner_candidates_on_h(
-        self, h_idx: int, v_lo: int, v_hi: int, net_id: int
-    ) -> list[int]:
-        """v-indices in ``[v_lo, v_hi]`` where ``net_id`` may corner."""
-        if v_lo > v_hi:
-            return []
-        return set_bits(self.track_bits(False, h_idx, v_lo, v_hi, net_id)[1], v_lo)
-
-    def span_usable_h(
-        self, h_idx: int, v_lo: int, v_hi: int, net_id: int
-    ) -> bool:
-        """Is the whole h-track span ``[v_lo, v_hi]`` usable by the net?"""
-        if v_lo > v_hi:
-            v_lo, v_hi = v_hi, v_lo
-        usable, _ = self.track_bits(False, h_idx, v_lo, v_hi, net_id)
-        return usable == (1 << (v_hi - v_lo + 1)) - 1
-
-    def span_usable_v(
-        self, v_idx: int, h_lo: int, h_hi: int, net_id: int
-    ) -> bool:
-        if h_lo > h_hi:
-            h_lo, h_hi = h_hi, h_lo
-        usable, _ = self.track_bits(True, v_idx, h_lo, h_hi, net_id)
-        return usable == (1 << (h_hi - h_lo + 1)) - 1
 
     # ------------------------------------------------------------------
     # Mutation (the O(t)-per-segment update of section 3.4)
@@ -1126,33 +996,3 @@ def _records(ledger: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
     it = iter(ledger)
     return zip(it, it, it, it)
 
-
-def _pack(mask: np.ndarray) -> int:
-    """A boolean row as an int whose bit ``i`` is ``mask[i]``."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-
-
-def bit_run(bits: int, pos: int) -> tuple[int, int] | None:
-    """The maximal run of set bits of ``bits`` that contains bit ``pos``.
-
-    Returns ``(lo, hi)`` bit positions, or ``None`` when bit ``pos``
-    (``pos >= 0``) is clear.  Two bit scans: the lowest clear bit above
-    ``pos`` and the highest clear bit below it.
-    """
-    if not (bits >> pos) & 1:
-        return None
-    clear = ~bits
-    above = clear >> pos
-    hi = pos + (above & -above).bit_length() - 2
-    below = clear & ((1 << pos) - 1)
-    return below.bit_length(), hi
-
-
-def set_bits(bits: int, offset: int) -> list[int]:
-    """Positions of the set bits of ``bits``, ascending, plus ``offset``."""
-    out: list[int] = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1 + offset)
-        bits ^= low
-    return out

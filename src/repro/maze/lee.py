@@ -11,12 +11,13 @@ generalisation of Lee's algorithm to weighted grids - and it returns a
 minimum-cost path whenever one exists, which also makes it the test
 oracle for the MBFS router's completeness within a region.
 
-Availability is read a track at a time: each call caches
-:meth:`~repro.grid.RoutingGrid.track_bits` per track it reaches (packed
-usable and corner bits over the region), so a probe is one shift-and-
-mask instead of a bounds-checked slot read.  States are coded as
-integers whose order equals the ``(v_idx, h_idx, direction)`` tuple
-order, so the heap pops them in the same ``(cost, state)`` order.
+Availability is read once per call: one
+:meth:`~repro.grid.RoutingGrid.window_masks` read over the search
+window (the whole grid for the rescue) gives the usable-wire and corner
+matrices the MBFS and the reachability flood read, and a probe is one
+index into them.  States are coded as integers whose order equals the
+``(v_idx, h_idx, direction)`` tuple order, so the heap pops them in the
+same ``(cost, state)`` order.
 
 :class:`LeeEngine` packages the search as a
 :class:`~repro.core.engine.ConnectionEngine`, so the same code serves
@@ -28,6 +29,7 @@ price a corner at :data:`repro.core.router.MAZE_VIA_PENALTY`.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from collections.abc import Iterable
 
@@ -61,7 +63,6 @@ class LeeSearchStats:
     """Effort accounting for one wave expansion."""
 
     nodes_expanded: int = 0
-    nodes_pushed: int = 0
 
 
 def lee_search(
@@ -79,24 +80,29 @@ def lee_search(
     compressed corner sequence (source, corners..., target); corners
     are ``(v_idx, h_idx)`` index pairs ready for
     :meth:`repro.grid.RoutingGrid.commit_path`.  Every 1024 expansions
-    the wave calls :func:`~repro.core.cancel.checkpoint`.
+    the wave calls :func:`~repro.core.cancel.checkpoint`.  A negative
+    or non-finite ``via_penalty`` raises :class:`ValueError`: Dijkstra
+    needs finite, non-negative move costs.
     """
+    if not (via_penalty >= 0 and math.isfinite(via_penalty)):
+        raise ValueError(f"via_penalty must be finite and >= 0, got {via_penalty!r}")
     stats = LeeSearchStats()
     # Validate both terminals once; every probe below stays inside the
-    # (clipped) region, so the row reads need no per-cell checks.
+    # (clipped) window, so the matrix reads need no per-cell checks.
     source.position(grid)
     target.position(grid)
     v_iv, h_iv = search_window(grid, source, target, region)
     xs, ys = grid.vtracks.coords, grid.htracks.coords
     v_lo, v_hi, h_lo, h_hi = v_iv.lo, v_iv.hi, h_iv.lo, h_iv.hi
-
-    # Row cache for this call: track -> ``RoutingGrid.track_bits`` over
-    # the region, (usable, corner) packed by position.  A horizontal
-    # move reads the h-track's usable bits, a vertical move the
-    # v-track's, a corner either track's corner bits (the grid folds a
-    # wide net's footprint into both).
-    h_rows: dict[int, tuple[int, int]] = {}
-    v_rows: dict[int, tuple[int, int]] = {}
+    # One availability read for the whole wave, indexed from the
+    # window's low corner: a horizontal move probes ``usable_h[h, v]``,
+    # a vertical move ``usable_v[v, h]`` and a turn ``corner[h, v]``
+    # (the grid folds a wide net's footprint into all three).  Probes go
+    # through memoryviews of the matrices: no copy, and a Python bool
+    # per read.
+    usable_h, usable_v, corner = map(
+        memoryview, grid.window_masks(net_id, v_iv, h_iv)
+    )
 
     # State (v, h, direction) is coded ((v * nh + h) << 1) | direction.
     nh = grid.num_htracks
@@ -105,18 +111,15 @@ def lee_search(
     parent: dict[int, int] = {}
     heap: list[tuple[float, int]] = []
     sv, sh = source.v_idx, source.h_idx
-    h_rows[sh] = grid.track_bits(False, sh, v_lo, v_hi, net_id)
-    v_rows[sv] = grid.track_bits(True, sv, h_lo, h_hi, net_id)
     for direction, usable in (
-        (HORIZONTAL, (h_rows[sh][0] >> (sv - v_lo)) & 1),
-        (VERTICAL, (v_rows[sv][0] >> (sh - h_lo)) & 1),
+        (HORIZONTAL, usable_h[sh - h_lo, sv - v_lo]),
+        (VERTICAL, usable_v[sv - v_lo, sh - h_lo]),
     ):
         if usable:
             state = ((sv * nh + sh) << 1) | direction
             dist[state] = 0.0
             parent[state] = -1
             heapq.heappush(heap, (0.0, state))
-            stats.nodes_pushed += 1
 
     goal_cell = target.v_idx * nh + target.h_idx
     goal: int | None = None
@@ -133,30 +136,21 @@ def lee_search(
             goal = state
             break
         v, h = divmod(cell, nh)
+        i, j = v - v_lo, h - h_lo
         moves: list[tuple[int, float]] = []
         if (state & 1) == HORIZONTAL:
-            bits = h_rows.get(h)
-            if bits is None:
-                bits = h_rows[h] = grid.track_bits(False, h, v_lo, v_hi, net_id)
-            usable, corner = bits
-            i = v - v_lo
-            if v > v_lo and (usable >> (i - 1)) & 1:
+            if v > v_lo and usable_h[j, i - 1]:
                 moves.append((state - v_step, float(abs(xs[v - 1] - xs[v]))))
-            if v < v_hi and (usable >> (i + 1)) & 1:
+            if v < v_hi and usable_h[j, i + 1]:
                 moves.append((state + v_step, float(abs(xs[v + 1] - xs[v]))))
-            if (corner >> i) & 1:
+            if corner[j, i]:
                 moves.append((state | VERTICAL, via_penalty))
         else:
-            bits = v_rows.get(v)
-            if bits is None:
-                bits = v_rows[v] = grid.track_bits(True, v, h_lo, h_hi, net_id)
-            usable, corner = bits
-            i = h - h_lo
-            if h > h_lo and (usable >> (i - 1)) & 1:
+            if h > h_lo and usable_v[i, j - 1]:
                 moves.append((state - h_step, float(abs(ys[h - 1] - ys[h]))))
-            if h < h_hi and (usable >> (i + 1)) & 1:
+            if h < h_hi and usable_v[i, j + 1]:
                 moves.append((state + h_step, float(abs(ys[h + 1] - ys[h]))))
-            if (corner >> i) & 1:
+            if corner[j, i]:
                 moves.append((state ^ VERTICAL, via_penalty))
         for nstate, cost in moves:
             nd = d + cost
@@ -164,7 +158,6 @@ def lee_search(
                 dist[nstate] = nd
                 parent[nstate] = state
                 heapq.heappush(heap, (nd, nstate))
-                stats.nodes_pushed += 1
     stats.nodes_expanded = expanded
 
     # One batched instrumentation report per wave expansion: the inner

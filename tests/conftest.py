@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.channels import ChannelProblem
-from repro.geometry import Point, Rect
-from repro.grid import TrackSet
+from repro.geometry import Interval, Point, Rect
+from repro.grid import RoutingGrid, TrackSet
 from repro.netlist import Design, Edge
 from repro.core.tig import TrackIntersectionGraph
 
@@ -78,6 +79,69 @@ def make_toy_design(seed: int = 7, nets: int = 6) -> Design:
             net.add_pin(p)
         idx += size
     return d
+
+
+# ----------------------------------------------------------------------
+# One track's availability, read through RoutingGrid.window_masks
+# ----------------------------------------------------------------------
+def track_cells(
+    grid: RoutingGrid, vertical: bool, track: int, lo: int, hi: int, net_id: int
+) -> tuple[list[int], list[int]]:
+    """Where ``net_id`` may run wire and where it may corner on one track.
+
+    ``vertical`` selects v-track ``track`` (positions are h indices) or
+    h-track ``track`` (positions are v indices).  Reads
+    :meth:`RoutingGrid.window_masks` over the track's ``[lo, hi]`` and
+    returns the ascending positions of its set wire and corner cells.
+    """
+    one, span = Interval(track, track), Interval(lo, hi)
+    if vertical:
+        _, usable_v, corner = grid.window_masks(net_id, one, span)
+        wire, turn = usable_v[0], corner[:, 0]
+    else:
+        usable_h, _, corner = grid.window_masks(net_id, span, one)
+        wire, turn = usable_h[0], corner[0]
+    return (
+        [lo + int(p) for p in np.flatnonzero(wire)],
+        [lo + int(p) for p in np.flatnonzero(turn)],
+    )
+
+
+def run_through(
+    grid: RoutingGrid,
+    vertical: bool,
+    track: int,
+    pos: int,
+    net_id: int,
+    within: Interval | None = None,
+) -> Interval | None:
+    """The maximal run of wire cells of one track through ``pos``.
+
+    ``within`` clips the track first; ``None`` when ``pos`` lies outside
+    it or its own cell is unusable.
+    """
+    last = (grid.num_htracks if vertical else grid.num_vtracks) - 1
+    lo = 0 if within is None else max(0, within.lo)
+    hi = last if within is None else min(last, within.hi)
+    if not lo <= pos <= hi:
+        return None
+    usable = set(track_cells(grid, vertical, track, lo, hi, net_id)[0])
+    if pos not in usable:
+        return None
+    a = b = pos
+    while a - 1 in usable:
+        a -= 1
+    while b + 1 in usable:
+        b += 1
+    return Interval(a, b)
+
+
+def span_usable(
+    grid: RoutingGrid, vertical: bool, track: int, a: int, b: int, net_id: int
+) -> bool:
+    """May ``net_id`` run wire over a whole span (ends in either order)?"""
+    lo, hi = min(a, b), max(a, b)
+    return len(track_cells(grid, vertical, track, lo, hi, net_id)[0]) == hi - lo + 1
 
 
 @pytest.fixture

@@ -181,19 +181,15 @@ class TestLevelBCheckpoints:
 
         monkeypatch.setattr(lee_mod, "checkpoint", counted_checkpoint)
         grid = tig.grid
-        original = type(grid).track_bits
+        original = type(grid).window_masks
         with deadline(3600) as event:
 
-            def track_bits(self, *args):
-                # The source's two rows are read before the wave starts;
-                # the next read happens within the first few expansions.
-                track_bits.calls += 1
-                if track_bits.calls == 3:
-                    event.set()
+            def window_masks(self, *args):
+                # Lee reads its window once, just before the wave starts.
+                event.set()
                 return original(self, *args)
 
-            track_bits.calls = 0
-            monkeypatch.setattr(type(grid), "track_bits", track_bits)
+            monkeypatch.setattr(type(grid), "window_masks", window_masks)
             with pytest.raises(RouteCancelled):
                 lee_search(grid, 1, a, b)
         assert checks["n"] == 1  # the first check, at expansion 1024

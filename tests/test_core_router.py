@@ -10,7 +10,7 @@ from repro.core.cost import CostWeights
 from repro.core.ordering import POLICIES, feature, longest_first
 from repro.core.router import Obstacle
 
-from conftest import make_toy_design
+from conftest import make_toy_design, span_usable
 
 
 def route_toy(**cfg_kwargs):
@@ -200,13 +200,13 @@ class TestOccupancyConsistency:
                         rng = grid.vtracks.index_range(
                             seg.bounds.x1, seg.bounds.x2
                         )
-                        assert grid.span_usable_h(h, rng.start, rng.stop - 1, nid)
+                        assert span_usable(grid, False, h, rng.start, rng.stop - 1, nid)
                     else:
                         v = grid.vtracks.index_of(seg.a.x)
                         rng = grid.htracks.index_range(
                             seg.bounds.y1, seg.bounds.y2
                         )
-                        assert grid.span_usable_v(v, rng.start, rng.stop - 1, nid)
+                        assert span_usable(grid, True, v, rng.start, rng.stop - 1, nid)
 
     def test_no_foreign_overlap(self):
         """Owners on the grid are exactly the routed nets."""

@@ -8,6 +8,8 @@ from repro.geometry import Interval, Rect
 from repro.grid import FREE, OBSTACLE, PlaneSet, RoutingGrid, TrackSet
 from repro.grid.occupancy import narrowest_int
 
+from conftest import run_through, span_usable
+
 
 def make_grid(nv=10, nh=8) -> RoutingGrid:
     return RoutingGrid(
@@ -118,11 +120,11 @@ class TestSpans:
         g = make_grid()
         g.occupy_h(2, 1, 4, net_id=7)
         assert g.h_slot(3, 2) == 7
-        assert g.span_usable_h(2, 1, 4, net_id=7)
-        assert not g.span_usable_h(2, 1, 4, net_id=8)
+        assert span_usable(g, False, 2, 1, 4, net_id=7)
+        assert not span_usable(g, False, 2, 1, 4, net_id=8)
         # Crossing stays open: vertical slots untouched.
         assert g.v_slot(3, 2) == FREE
-        assert g.span_usable_v(3, 0, 7, net_id=8)
+        assert span_usable(g, True, 3, 0, 7, net_id=8)
 
     def test_occupy_conflict_raises(self):
         g = make_grid()
@@ -154,29 +156,29 @@ class TestSpans:
 class TestFreeSpan:
     def test_full_row_free(self):
         g = make_grid(10, 8)
-        assert g.free_span_h(3, 5, net_id=1) == Interval(0, 9)
+        assert run_through(g, False, 3, 5, net_id=1) == Interval(0, 9)
 
     def test_blocked_entry_returns_none(self):
         g = make_grid()
         g.occupy_h(3, 5, 5, net_id=2)
-        assert g.free_span_h(3, 5, net_id=1) is None
-        assert g.free_span_h(3, 5, net_id=2) == Interval(0, 9)
+        assert run_through(g, False, 3, 5, net_id=1) is None
+        assert run_through(g, False, 3, 5, net_id=2) == Interval(0, 9)
 
     def test_span_stops_at_foreign_wire(self):
         g = make_grid()
         g.occupy_h(3, 2, 2, net_id=2)
         g.occupy_h(3, 8, 8, net_id=2)
-        assert g.free_span_h(3, 5, net_id=1) == Interval(3, 7)
+        assert run_through(g, False, 3, 5, net_id=1) == Interval(3, 7)
 
     def test_window_clipping(self):
         g = make_grid()
-        assert g.free_span_h(3, 5, net_id=1, within=Interval(4, 6)) == Interval(4, 6)
-        assert g.free_span_h(3, 5, net_id=1, within=Interval(6, 8)) is None
+        assert run_through(g, False, 3, 5, net_id=1, within=Interval(4, 6)) == Interval(4, 6)
+        assert run_through(g, False, 3, 5, net_id=1, within=Interval(6, 8)) is None
 
-    def test_free_span_v(self):
+    def test_vertical_span(self):
         g = make_grid()
         g.occupy_v(4, 6, 7, net_id=9)
-        assert g.free_span_v(4, 2, net_id=1) == Interval(0, 5)
+        assert run_through(g, True, 4, 2, net_id=1) == Interval(0, 5)
 
     @settings(max_examples=60)
     @given(
@@ -185,15 +187,15 @@ class TestFreeSpan:
         ),
         st.integers(0, 9),
     )
-    def test_free_span_matches_naive(self, blocks, probe):
+    def test_span_matches_naive(self, blocks, probe):
         g = make_grid(10, 4)
         occupied = set()
         for start, width in blocks:
             end = min(9, start + width - 1)
-            if g.span_usable_h(2, start, end, net_id=2):
+            if span_usable(g, False, 2, start, end, net_id=2):
                 g.occupy_h(2, start, end, net_id=2)
                 occupied.update(range(start, end + 1))
-        span = g.free_span_h(2, probe, net_id=1)
+        span = run_through(g, False, 2, probe, net_id=1)
         if probe in occupied:
             assert span is None
         else:

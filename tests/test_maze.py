@@ -1,6 +1,10 @@
 """Tests for the Lee/Dijkstra maze baseline."""
 
+import math
 
+import pytest
+
+from repro.core.cancel import deadline
 from repro.geometry import Point, Rect, Interval
 from repro.grid import TrackSet
 from repro.core.tig import TrackIntersectionGraph
@@ -78,6 +82,17 @@ class TestLeeSearch:
         waypoints, corners, _ = lee_search(tig.grid, 1, a, b)
         assert waypoints is not None
         assert len(corners) >= 2  # must leave the blocked row
+
+    @pytest.mark.parametrize("penalty", [-1.0, -math.inf, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_via_penalty(self, penalty):
+        # Unchecked, -1.0 lowers a state's distance at every turn and the
+        # wave never ends, -inf makes two states each other's parent, and
+        # NaN and +inf find no path where an L exists.  The deadline turns
+        # an endless wave into a failure; the parent walk has no checkpoint.
+        tig = make_tig(10)
+        a, b = tig.register_net(1, [Point(0, 0), Point(90, 90)])
+        with deadline(5.0), pytest.raises(ValueError, match=repr(penalty)):
+            lee_search(tig.grid, 1, a, b, via_penalty=penalty)
 
 
 class TestMazeRouter:

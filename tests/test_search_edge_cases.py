@@ -12,6 +12,8 @@ from repro.core.tig import GridTerminal, TrackIntersectionGraph
 from repro.maze import MazeRouter
 from repro.netlist import Design, Edge
 
+from conftest import track_cells
+
 
 def fresh_tig(nv=8, nh=8):
     return TrackIntersectionGraph(
@@ -22,22 +24,22 @@ def fresh_tig(nv=8, nh=8):
 class TestCornerCandidates:
     def test_empty_grid_all_candidates(self):
         grid = RoutingGrid(TrackSet(range(0, 50, 10)), TrackSet(range(0, 50, 10)))
-        assert grid.corner_candidates_on_v(2, 0, 4, net_id=1) == [0, 1, 2, 3, 4]
-        assert grid.corner_candidates_on_h(2, 1, 3, net_id=1) == [1, 2, 3]
+        assert track_cells(grid, True, 2, 0, 4, net_id=1)[1] == [0, 1, 2, 3, 4]
+        assert track_cells(grid, False, 2, 1, 3, net_id=1)[1] == [1, 2, 3]
 
     def test_foreign_wire_excluded(self):
         grid = RoutingGrid(TrackSet(range(0, 50, 10)), TrackSet(range(0, 50, 10)))
         grid.occupy_h(2, 0, 4, net_id=9)  # h-track 2 fully foreign
         # Cornering on v-track 1 at h=2 needs both slots.
-        assert 2 not in grid.corner_candidates_on_v(1, 0, 4, net_id=1)
-        assert 2 in grid.corner_candidates_on_v(1, 0, 4, net_id=9)
+        assert 2 not in track_cells(grid, True, 1, 0, 4, net_id=1)[1]
+        assert 2 in track_cells(grid, True, 1, 0, 4, net_id=9)[1]
 
     def test_matches_scalar_corner_free(self):
         grid = RoutingGrid(TrackSet(range(0, 80, 10)), TrackSet(range(0, 80, 10)))
         grid.occupy_h(3, 1, 5, net_id=2)
         grid.occupy_v(4, 2, 6, net_id=3)
         for v in range(8):
-            batched = set(grid.corner_candidates_on_v(v, 0, 7, net_id=1))
+            batched = set(track_cells(grid, True, v, 0, 7, net_id=1)[1])
             scalar = {h for h in range(8) if grid.corner_free(v, h, 1)}
             assert batched == scalar
 

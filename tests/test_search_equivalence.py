@@ -1,9 +1,9 @@
-"""Differential equivalence: level-step MBFS, row-cached Lee and the flood vs per-cell.
+"""Differential equivalence: level-step MBFS, matrix-probing Lee and the flood vs per-cell.
 
-The MBFS reads its window once as boolean matrices
-(:meth:`RoutingGrid.window_masks`) and expands one BFS level per numpy
-step; Lee reads packed track rows (:meth:`RoutingGrid.track_bits`).
-This module keeps a test-local copy of the per-crossing MBFS expansion
+The MBFS and Lee read their window once as boolean matrices
+(:meth:`RoutingGrid.window_masks`); the MBFS expands one BFS level per
+numpy step and Lee probes the matrices cell by cell.  This module
+keeps a test-local copy of the per-crossing MBFS expansion
 and the per-probe Lee wave as the oracle, both reading the grid one
 cell at a time through ``h_slot``/``v_slot``, and checks on random
 grids - obstacles, foreign wiring, wide-net footprints, foreign pin
@@ -34,8 +34,10 @@ from repro.core.search import HORIZONTAL, VERTICAL, MBFSearch, PSTNode
 from repro.core.tig import GridTerminal
 from repro.geometry import Interval, Point, Rect
 from repro.grid import RoutingGrid, TrackSet
-from repro.grid.occupancy import FREE, bit_run, set_bits
+from repro.grid.occupancy import FREE
 from repro.maze.lee import lee_search
+
+from conftest import run_through, span_usable, track_cells
 
 NET = 1
 
@@ -556,9 +558,12 @@ class TestOwnerWidth:
                 lo = data.draw(st.integers(0, n_pos - 1))
                 hi = data.draw(st.integers(lo, n_pos - 1))
                 for a, b in ((0, n_pos - 1), (lo, hi)):
-                    assert narrow.track_bits(vertical, track, a, b, NET) == (
-                        wide.track_bits(vertical, track, a, b, NET)
-                    )
+                    one, span = Interval(track, track), Interval(a, b)
+                    window = (one, span) if vertical else (span, one)
+                    for got, want in zip(
+                        narrow.window_masks(NET, *window), wide.window_masks(NET, *window)
+                    ):
+                        assert np.array_equal(got, want)
         for got, want in zip(narrow.net_masks(NET), wide.net_masks(NET)):
             assert np.array_equal(got, want)
         ends = (source.v_idx, source.h_idx), (target.v_idx, target.h_idx)
@@ -584,51 +589,53 @@ class TestOwnerWidth:
 
 
 class TestTrackBits:
+    """One track's cells of :meth:`RoutingGrid.window_masks` (a 1-wide
+    window) against the per-cell reads."""
+
     @settings(max_examples=80, deadline=None)
     @given(instances(), st.data())
     def test_rows_match_per_cell_queries(self, inst, data):
         grid, _, _, _ = inst
         nv, nh = grid.num_vtracks, grid.num_htracks
+        whole_corner = grid.net_masks(NET)[2]
         for v in range(nv):
             lo = data.draw(st.integers(0, nh - 1))
             hi = data.draw(st.integers(lo, nh - 1))
-            usable, corner = grid.track_bits(True, v, lo, hi, NET)
-            assert set_bits(usable, lo) == [
+            usable, corner = track_cells(grid, True, v, lo, hi, NET)
+            assert usable == [
                 h for h in range(lo, hi + 1) if ref_v_ok(grid, v, h)
             ]
-            assert set_bits(corner, lo) == [
+            assert corner == [
                 h for h in range(lo, hi + 1) if ref_corner(grid, v, h)
             ]
-            assert grid.corner_candidates_on_v(v, lo, hi, NET) == set_bits(
-                corner, lo
-            )
+            assert [h for h in range(lo, hi + 1) if whole_corner[h, v]] == corner
             h = data.draw(st.integers(0, nh - 1))
-            assert grid.free_span_v(v, h, NET) == _scan_span(
+            assert run_through(grid, True, v, h, NET) == _scan_span(
                 partial(ref_v_ok, grid, v), h, 0, nh - 1
             )
             assert grid.corner_free(v, h, NET) == ref_corner(grid, v, h)
         for h in range(nh):
             lo = data.draw(st.integers(0, nv - 1))
             hi = data.draw(st.integers(lo, nv - 1))
-            usable, corner = grid.track_bits(False, h, lo, hi, NET)
-            assert set_bits(usable, lo) == [
+            usable, corner = track_cells(grid, False, h, lo, hi, NET)
+            assert usable == [
                 v for v in range(lo, hi + 1) if ref_h_ok(grid, v, h)
             ]
-            assert set_bits(corner, lo) == [
+            assert corner == [
                 v for v in range(lo, hi + 1) if ref_corner(grid, v, h)
             ]
-            assert grid.span_usable_h(h, lo, hi, NET) == all(
+            assert span_usable(grid, False, h, lo, hi, NET) == all(
                 ref_h_ok(grid, v, h) for v in range(lo, hi + 1)
             )
             within = Interval(lo, hi)
             v = data.draw(st.integers(0, nv - 1))
-            assert grid.free_span_h(h, v, NET, within=within) == _scan_span(
+            assert run_through(grid, False, h, v, NET, within=within) == _scan_span(
                 partial(ref_h_ok, grid, h=h), v, lo, hi
             )
 
     def test_every_window_of_the_edge_instance(self):
         # Corner blocks of interior windows reach past [lo, hi] and clamp
-        # at the grid edge: the slice of the windowed whole-track AND.
+        # at the grid edge, as the whole-grid read does.
         grid = edge_instance()[0]
         nv, nh = grid.num_vtracks, grid.num_htracks
         for vertical, n_track, n_pos in ((True, nv, nh), (False, nh, nv)):
@@ -637,34 +644,21 @@ class TestTrackBits:
                 wire_ok = ref_v_ok if vertical else ref_h_ok
                 for lo in range(n_pos):
                     for hi in range(lo, n_pos):
-                        usable, corner = grid.track_bits(vertical, track, lo, hi, NET)
+                        usable, corner = track_cells(grid, vertical, track, lo, hi, NET)
                         window = range(lo, hi + 1)
-                        assert set_bits(usable, lo) == [
+                        assert usable == [
                             p for p in window if wire_ok(grid, *cell(p))
                         ]
-                        assert set_bits(corner, lo) == [
+                        assert corner == [
                             p for p in window if ref_corner(grid, *cell(p))
                         ]
         for v in range(nv):
             for h in range(nh):
                 assert grid.corner_free(v, h, NET) == ref_corner(grid, v, h)
 
-    @given(st.integers(0, 2**70), st.integers(0, 72))
-    def test_bit_run_is_the_run_around_pos(self, bits, pos):
-        ok = lambda i: bool((bits >> i) & 1)
-        want = _scan_span(ok, pos, 0, 80)
-        got = bit_run(bits, pos)
-        assert got == (None if want is None else (want.lo, want.hi))
-
     def test_indices_validated_per_row(self):
         grid = RoutingGrid(TrackSet(range(0, 50, 10)), TrackSet(range(0, 40, 10)))
         for call in (
-            lambda: grid.track_bits(True, -1, 0, 3, NET),
-            lambda: grid.track_bits(False, 4, 0, 3, NET),
-            lambda: grid.track_bits(True, 0, -1, 2, NET),
-            lambda: grid.track_bits(False, 0, 0, 5, NET),
-            lambda: grid.free_span_h(-1, 2, NET),
-            lambda: grid.corner_candidates_on_v(0, 0, 9, NET),
             lambda: grid.reachable(NET, (-1, 0), (1, 1)),
             lambda: grid.reachable(NET, (1, 1), (1, 4)),
             lambda: grid.window_masks(NET, Interval(0, 5), Interval(0, 3)),

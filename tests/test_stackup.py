@@ -30,6 +30,8 @@ from repro.technology import (
     technology_from_stackup,
 )
 
+from conftest import run_through, track_cells
+
 GOLDEN = Path(__file__).parent / "golden" / "stackup_wide.json"
 
 
@@ -256,7 +258,7 @@ class TestFootprints:
         grid = _grid()
         grid.set_net_footprint(5, 2, guard=1)
         grid.occupy_h(10, 3, 8, 5)
-        assert grid.free_span_h(9, 5, 6) is None
+        assert run_through(grid, False, 9, 5, 6) is None
         with pytest.raises(ValueError, match="not free"):
             grid.occupy_h(12, 3, 8, 6)
 
@@ -285,14 +287,14 @@ class TestFootprints:
         grid = _grid()
         grid.add_keepout(4, 6, 7)
         for vertical, track, pos in ((True, 4, 6), (False, 6, 4)):
-            usable, corner = grid.track_bits(vertical, track, 0, 10, 3)
-            assert not (usable >> pos) & 1 and not (corner >> pos) & 1
+            usable, corner = track_cells(grid, vertical, track, 0, 10, 3)
+            assert pos not in usable and pos not in corner
         assert not grid.corner_free(4, 6, 3)
-        assert grid.free_span_v(4, 2, 3) == Interval(0, 5)
+        assert run_through(grid, True, 4, 2, 3) == Interval(0, 5)
         # The pin's own net may still use the point, and the occupancy
         # arrays (which the cost model reads) are untouched.
         assert grid.corner_free(4, 6, 7)
-        assert grid.free_span_v(4, 2, 7) == Interval(0, grid.num_htracks - 1)
+        assert run_through(grid, True, 4, 2, 7) == Interval(0, grid.num_htracks - 1)
         assert grid.h_slot(4, 6) == FREE and grid.v_slot(4, 6) == FREE
 
     def test_pinched_terminal_becomes_a_keepout(self):
@@ -308,9 +310,9 @@ class TestFootprints:
         grid = tig.grid
         assert grid.v_slot(10, 11) == 5  # inside the wide claim
         assert not grid.corner_free(10, 11, 5)
-        usable, _ = grid.track_bits(True, 10, 0, 25, 5)
-        assert not (usable >> 11) & 1
-        assert (usable >> 10) & 1  # its own terminal stays usable
+        usable, _ = track_cells(grid, True, 10, 0, 25, 5)
+        assert 11 not in usable
+        assert 10 in usable  # its own terminal stays usable
 
     def test_net_class_track_spans(self):
         assert NetClass.SIGNAL.track_span == 1
