@@ -59,11 +59,12 @@ def test_figure2(benchmark):
         body.append(f"Tree {i + 1} (rooted at {root.name()}):")
         body.append(render_pst(root, result.leaves))
     body.append("")
-    for cand in candidate_paths(result, tig.grid):
-        seq = ", ".join(cand.leaf.track_sequence())
+    batch = candidate_paths(result, tig.grid)
+    for i, leaf in enumerate(result.leaves):
+        seq = ", ".join(leaf.track_sequence())
         body.append(
-            f"candidate ({seq}, terminal): corners={cand.corner_count} "
-            f"length={cand.length}"
+            f"candidate ({seq}, terminal): corners={len(batch.geometry(i)[1])} "
+            f"length={batch.lengths[i]}"
         )
     print_experiment("Figure 2: Path Selection Trees for net B", "\n".join(body))
 

@@ -51,11 +51,12 @@ def show_path_selection_trees(tig):
         print(f"\nPath Selection Tree {i + 1} (rooted at {root.name()}):")
         print(render_pst(root, result.leaves))
     print("\nCandidates (track sequences, paper notation):")
-    for cand in candidate_paths(result, tig.grid):
-        seq = cand.leaf.track_sequence()
+    batch = candidate_paths(result, tig.grid)
+    for i, leaf in enumerate(result.leaves):
+        seq = leaf.track_sequence()
         print(
-            f"  ({', '.join(seq)}, terminal)  corners={cand.corner_count} "
-            f"length={cand.length}"
+            f"  ({', '.join(seq)}, terminal)  corners={len(batch.geometry(i)[1])} "
+            f"length={batch.lengths[i]}"
         )
 
 

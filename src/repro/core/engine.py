@@ -157,19 +157,18 @@ class MBFSEngine(ConnectionEngine):
             ctx.add_nodes(outcome.nodes_created)
             if not outcome.found:
                 continue
-            cands = candidate_paths(outcome, grid)
-            best, _ = select_best_path(cands, evaluator)
+            batch = candidate_paths(outcome, grid)
+            best, _ = select_best_path(batch, evaluator)
             if best is None:
                 continue
+            points, corners = batch.geometry(best)
             with grid.transaction():
-                grid.commit_path(net_id, best.points, best.corners)
+                grid.commit_path(net_id, points, corners)
             return RoutedConnection(
                 source=source,
                 target=target,
-                path=Path.from_points(best.points)
-                if len(best.points) >= 2
-                else Path.from_points([best.points[0], best.points[0]]),
-                corners=best.corners,
+                path=Path.from_points(points),
+                corners=corners,
                 expansions_used=attempt,
             )
         return None

@@ -23,13 +23,20 @@ Key properties implemented here, matching the paper:
   Figure 2 contain the vertex ``h4`` twice.
 * The solution space of each search is a rectangular region around the
   two terminals; the caller widens the region and retries on failure.
+
+The trees are kept as per-level arrays.  :func:`candidate_paths` reads
+the minimum-corner leaves' chains from them into one
+:class:`CandidateBatch` of corner arrays, the only form in which
+selection and the engine's commit see a candidate.  Beyond each
+search's root, ``PSTNode`` objects exist only once
+:attr:`SearchResult.roots` or :attr:`SearchResult.leaves` is read
+(Figure 2, :func:`repro.viz.render_pst`, the tests).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import overload
 
 import numpy as np
 
@@ -69,8 +76,8 @@ class PSTNode:
     span:
         The maximal usable index interval along this track around the
         entry point - how far the wire can slide.  Set on the nodes the
-        search expanded or tested for completion, once
-        :attr:`SearchResult.roots` builds the trees; ``None`` elsewhere.
+        search expanded or tested for completion, the leaves included;
+        ``None`` elsewhere.
     parent:
         The previous track visit (``None`` at a root).
     depth:
@@ -106,28 +113,14 @@ class PSTNode:
 
 
 @dataclass
-class CandidatePath:
-    """A reconstructed minimum-corner candidate for one connection."""
-
-    points: list[Point]
-    corners: list[tuple[int, int]]
-    length: int
-    leaf: PSTNode
-
-    @property
-    def corner_count(self) -> int:
-        return len(self.corners)
-
-
-@dataclass
 class SearchResult:
     """Outcome of the two MBFS runs for one two-terminal connection.
 
     The minimum-corner leaves stay arrays: ``_done`` holds, for each
     search that reached the best depth, its tree and the indices of its
-    completing last-level nodes.  :attr:`leaves` builds their
-    ``PSTNode`` chains on first access, and :attr:`roots` the whole
-    Path Selection Trees around them.
+    completing last-level nodes.  :attr:`roots` builds the whole Path
+    Selection Trees, spans included, on first access, and
+    :attr:`leaves` reads the completing nodes from them.
     """
 
     source: GridTerminal
@@ -137,7 +130,6 @@ class SearchResult:
     aborted: bool = False
     _trees: list["_Tree"] = field(default_factory=list, repr=False)
     _done: list[tuple["_Tree", np.ndarray]] = field(default_factory=list, repr=False)
-    _leaves: list[PSTNode] | None = field(default=None, init=False, repr=False)
     _roots: list[PSTNode] | None = field(default=None, init=False, repr=False)
 
     @property
@@ -146,31 +138,17 @@ class SearchResult:
 
     @property
     def leaves(self) -> list[PSTNode]:
-        """The minimum-corner leaves, each with its root chain, search by search."""
-        if self._leaves is None:
-            self._leaves = [
-                leaf for tree, done in self._done for leaf in tree.chains(done)
-            ]
-        return self._leaves
+        """The minimum-corner leaves, search by search, in candidate order.
 
-    def leaf(self, i: int) -> PSTNode:
-        """Leaf ``i`` alone: the object :attr:`leaves` holds, chain built once."""
-        if self._leaves is not None:
-            return self._leaves[i]
-        for tree, done in self._done:
-            if i < len(done):
-                return tree.chains(done[i : i + 1])[0]
-            i -= len(done)
-        raise IndexError("leaf index out of range")
+        Leaf ``i`` is candidate ``i`` of :func:`candidate_paths`.
+        """
+        self.roots  # noqa: B018 - the leaves are the built trees' nodes
+        return [tree.last[i] for tree, done in self._done for i in done.tolist()]
 
     @property
     def roots(self) -> list[PSTNode]:
-        """One Path Selection Tree root per search that had one.
-
-        The leaves are built first, so the trees reuse their objects.
-        """
+        """One Path Selection Tree root per search that had one."""
         if self._roots is None:
-            self.leaves  # noqa: B018 - built for the trees to reuse
             self._roots = [tree.build() for tree in self._trees]
         return self._roots
 
@@ -282,9 +260,9 @@ class _Tree:
     ``(rows, parents)``: each node's track row on its axis and its
     parent's index in level ``L - 1`` (level 0 is the root alone).  A
     node's entry is its parent's track.  Path selection reads chains as
-    arrays (:meth:`rows`); ``PSTNode`` objects exist only for the chains
-    :meth:`chains` builds, until :meth:`build` makes the whole tree
-    around them.
+    arrays (:meth:`rows`); ``PSTNode`` objects other than the root
+    exist only once :meth:`build` makes the whole tree, which keeps its
+    last level's nodes in ``last``.
 
     ``abort_parent`` is the index of the frontier node whose child broke
     the node budget in the last level, or ``None``.  The search expanded
@@ -294,15 +272,14 @@ class _Tree:
     parent.  Those are the nodes :meth:`build` gives spans.
     """
 
-    __slots__ = ("axes", "root", "levels", "abort_parent", "_nodes")
+    __slots__ = ("axes", "root", "levels", "abort_parent", "last")
 
     def __init__(self, axes: tuple[_Axis, _Axis], root: PSTNode) -> None:
         self.axes = axes  # (root kind, other kind)
         self.root = root
         self.levels: list[tuple[np.ndarray, np.ndarray]] = []
         self.abort_parent: int | None = None
-        # Built nodes per level, by index: chains share their prefixes.
-        self._nodes: list[dict[int, PSTNode]] = [{0: root}]
+        self.last: list[PSTNode] = []
 
     def rows(self, indices: np.ndarray) -> np.ndarray:
         """Each last-level node's chain as window rows, root first.
@@ -321,61 +298,35 @@ class _Tree:
             idx = parents[idx]
         return out
 
-    def chains(self, indices: np.ndarray) -> list[PSTNode]:
-        """The ``PSTNode`` of each last-level node ``indices``, with its chain."""
-        path = [indices]
-        for _, parents in reversed(self.levels[1:]):
-            path.append(parents[path[-1]])
-        nodes = [self.root] * len(indices)
-        for level, ((rows, _), idx) in enumerate(
-            zip(self.levels, reversed(path)), start=1
-        ):
-            axis = self.axes[level % 2]
-            if len(self._nodes) == level:
-                self._nodes.append({})
-            built = self._nodes[level]
-            chained = []
-            for parent, i, row in zip(nodes, idx.tolist(), rows[idx].tolist()):
-                node = built.get(i)
-                if node is None:
-                    node = built[i] = PSTNode(
-                        axis.kind, row + axis.base, parent.track, None, parent, level
-                    )
-                chained.append(node)
-            nodes = chained
-        return nodes
-
     def build(self) -> PSTNode:
         """Link the whole tree (children and spans) and return its root."""
         root = self.root
         axis = self.axes[0]
         root.span = axis.span(root.track - axis.base, root.entry - axis.along)
         frontier = [root]
-        last = len(self.levels)
+        depth = len(self.levels)
         for level, (rows, parents) in enumerate(self.levels, start=1):
             axis, parent_axis = self.axes[level % 2], self.axes[(level - 1) % 2]
             expanded = len(rows)
             checked = len(frontier)
-            if level == last - 1 and self.abort_parent is not None:
+            if level == depth - 1 and self.abort_parent is not None:
                 expanded = self.abort_parent + 1
-            elif level == last:
+            elif level == depth:
                 expanded = 0
                 if self.abort_parent is not None:
                     checked = self.abort_parent
-            built = self._nodes[level] if level < len(self._nodes) else {}
             nodes: list[PSTNode] = []
             for i, (row, p) in enumerate(zip(rows.tolist(), parents.tolist())):
-                node = built.get(i)
                 parent = frontier[p]
-                if node is None:
-                    node = PSTNode(
-                        axis.kind, row + axis.base, parent.track, None, parent, level
-                    )
+                node = PSTNode(
+                    axis.kind, row + axis.base, parent.track, None, parent, level
+                )
                 parent.children.append(node)
                 if i < expanded or (row == axis.target and p < checked):
                     node.span = axis.span(row, parent.track - parent_axis.base)
                 nodes.append(node)
             frontier = nodes
+        self.last = frontier
         return root
 
 
@@ -402,7 +353,9 @@ class MBFSearch:
         report ``aborted`` (default 250_000).
     max_entries_per_track:
         Cap on same-level duplicate entries kept per track; keeps the
-        PSTs small while retaining path diversity (default 8).
+        PSTs small while retaining path diversity (default 8).  The
+        target's two tracks are exempt (a cap of 0 still lets the search
+        enter them); a negative cap raises :class:`ValueError`.
     """
 
     def __init__(
@@ -416,6 +369,10 @@ class MBFSearch:
         max_nodes: int = 250_000,
         max_entries_per_track: int = 8,
     ) -> None:
+        if max_entries_per_track < 0:
+            raise ValueError(
+                f"max_entries_per_track must be >= 0, got {max_entries_per_track}"
+            )
         self.grid = grid
         self.net_id = net_id
         self.source = source
@@ -578,78 +535,29 @@ class MBFSearch:
 # ----------------------------------------------------------------------
 # Path reconstruction
 # ----------------------------------------------------------------------
-class CandidateBatch(Sequence[CandidatePath]):
-    """A connection's candidates as arrays, indexed in leaf order.
+@dataclass(slots=True, eq=False)
+class CandidateBatch:
+    """A connection's minimum-corner candidates as arrays, in leaf order.
 
-    Candidate ``i`` has the corners ``(v[j], h[j])`` for ``j`` in
-    ``range(starts[i], starts[i + 1])`` and the wire length
-    ``lengths[i]``.  ``order`` lists the candidates by ascending
-    ``(length, first point after the source)``, ties in leaf order: the
-    order :func:`repro.core.select.select_best_path` walks.  Indexing
-    builds candidate ``i``'s :class:`CandidatePath` (a batch made by
-    :meth:`of` returns the object it was given); :meth:`geometry` builds
-    only its points and corners.
+    Every candidate has ``depth`` corners: candidate ``i``'s are
+    ``(v[j], h[j])`` for ``j`` in ``range(i * depth, (i + 1) * depth)``,
+    its wire length is ``lengths[i]`` and its leaf is
+    ``SearchResult.leaves[i]``.  ``order`` lists the candidates by
+    ascending ``(length, first point after the source)``, ties in leaf
+    order: the order :func:`repro.core.select.select_best_path` walks.
+    ``geometry(i)`` builds candidate ``i``'s points and corners, the
+    arguments of :meth:`RoutingGrid.commit_path`.
     """
 
-    __slots__ = ("v", "h", "starts", "lengths", "order", "_geometry", "_path")
-
-    def __init__(
-        self,
-        v: np.ndarray,
-        h: np.ndarray,
-        starts: np.ndarray,
-        lengths: np.ndarray,
-        order: np.ndarray,
-        geometry: Callable[[int], tuple[list[Point], list[tuple[int, int]]]],
-        path: Callable[[int], CandidatePath],
-    ) -> None:
-        self.v = v
-        self.h = h
-        self.starts = starts
-        self.lengths = lengths
-        self.order = order
-        self._geometry = geometry
-        self._path = path
-
-    @classmethod
-    def of(cls, candidates: Sequence[CandidatePath]) -> CandidateBatch:
-        """A batch over candidates built elsewhere, in their order."""
-        corners = [c for cand in candidates for c in cand.corners]
-        counts = [len(cand.corners) for cand in candidates]
-        order = sorted(
-            range(len(candidates)),
-            key=lambda i: (candidates[i].length, candidates[i].points[1:2]),
-        )
-        return cls(
-            np.array([v for v, _ in corners], dtype=np.intp),
-            np.array([h for _, h in corners], dtype=np.intp),
-            np.cumsum([0, *counts]),
-            np.array([cand.length for cand in candidates], dtype=np.int64),
-            np.array(order, dtype=np.intp),
-            lambda i: (candidates[i].points, candidates[i].corners),
-            candidates.__getitem__,
-        )
+    v: np.ndarray
+    h: np.ndarray
+    depth: int
+    lengths: np.ndarray
+    order: np.ndarray
+    geometry: Callable[[int], tuple[list[Point], list[tuple[int, int]]]]
 
     def __len__(self) -> int:
         return len(self.lengths)
-
-    def geometry(self, i: int) -> tuple[list[Point], list[tuple[int, int]]]:
-        """Candidate ``i``'s points and corners, without its leaf."""
-        return self._geometry(i)
-
-    @overload
-    def __getitem__(self, i: int) -> CandidatePath: ...
-
-    @overload
-    def __getitem__(self, i: slice) -> list[CandidatePath]: ...
-
-    def __getitem__(self, i: int | slice) -> CandidatePath | list[CandidatePath]:
-        n = len(self)
-        if isinstance(i, slice):
-            return [self._path(j) for j in range(*i.indices(n))]
-        if not -n <= i < n:
-            raise IndexError("candidate index out of range")
-        return self._path(i % n)
 
 
 def candidate_paths(result: SearchResult, grid: RoutingGrid) -> CandidateBatch:
@@ -661,8 +569,8 @@ def candidate_paths(result: SearchResult, grid: RoutingGrid) -> CandidateBatch:
     corners..., target with consecutive points axis-aligned; duplicate
     consecutive points (a corner on a terminal) are merged.
     """
-    if not result._done:
-        return CandidateBatch.of([])
+    if not result._done:  # no candidate: ``geometry`` raises IndexError
+        return CandidateBatch(_NONE, _NONE, 0, _NONE, _NONE, [].__getitem__)
     src = result.source.position(grid)
     dst = result.target.position(grid)
     vt, ht = grid.vtracks, grid.htracks
@@ -703,6 +611,8 @@ def candidate_paths(result: SearchResult, grid: RoutingGrid) -> CandidateBatch:
     h = (h_rows + h_axis.base).ravel()
 
     def geometry(i: int) -> tuple[list[Point], list[tuple[int, int]]]:
+        if not 0 <= i < n:
+            raise IndexError(f"candidate {i} of {n}")
         lo = i * depth
         corners: list[tuple[int, int]] = []
         points = [src]
@@ -715,9 +625,4 @@ def candidate_paths(result: SearchResult, grid: RoutingGrid) -> CandidateBatch:
             points.append(dst)
         return points, corners
 
-    def path(i: int) -> CandidatePath:
-        points, corners = geometry(i)
-        return CandidatePath(points, corners, int(lengths[i]), result.leaf(i))
-
-    starts = np.arange(0, n * depth + 1, depth) if depth else np.zeros(n + 1, np.intp)
-    return CandidateBatch(v, h, starts, lengths, order, geometry, path)
+    return CandidateBatch(v, h, depth, lengths, order, geometry)

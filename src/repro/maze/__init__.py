@@ -8,6 +8,6 @@ reserved-layer model, so head-to-head runs differ only in the search
 algorithm.
 """
 
-from repro.maze.lee import LeeEngine, LeeSearchStats, MazeRouter, lee_search
+from repro.maze.lee import LeeEngine, MazeRouter, lee_search
 
-__all__ = ["lee_search", "LeeEngine", "LeeSearchStats", "MazeRouter"]
+__all__ = ["lee_search", "LeeEngine", "MazeRouter"]

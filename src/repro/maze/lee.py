@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from collections.abc import Iterable
 
 from repro import instrument
@@ -58,13 +57,6 @@ VERTICAL = 1
 State = tuple[int, int, int]  # (v_idx, h_idx, direction)
 
 
-@dataclass
-class LeeSearchStats:
-    """Effort accounting for one wave expansion."""
-
-    nodes_expanded: int = 0
-
-
 def lee_search(
     grid: RoutingGrid,
     net_id: int,
@@ -73,20 +65,20 @@ def lee_search(
     *,
     via_penalty: float = 10.0,
     region: tuple[Interval, Interval] | None = None,
-) -> tuple[list[Point] | None, list[tuple[int, int]] | None, LeeSearchStats]:
+) -> tuple[list[Point] | None, list[tuple[int, int]] | None, int]:
     """Minimum-cost path between two terminals, or ``None``.
 
-    Returns ``(waypoints, corners, stats)``.  Waypoints are the
+    Returns ``(waypoints, corners, nodes_expanded)``.  Waypoints are the
     compressed corner sequence (source, corners..., target); corners
     are ``(v_idx, h_idx)`` index pairs ready for
-    :meth:`repro.grid.RoutingGrid.commit_path`.  Every 1024 expansions
+    :meth:`repro.grid.RoutingGrid.commit_path`, and ``nodes_expanded``
+    counts the states the wave popped.  Every 1024 expansions
     the wave calls :func:`~repro.core.cancel.checkpoint`.  A negative
     or non-finite ``via_penalty`` raises :class:`ValueError`: Dijkstra
     needs finite, non-negative move costs.
     """
     if not (via_penalty >= 0 and math.isfinite(via_penalty)):
         raise ValueError(f"via_penalty must be finite and >= 0, got {via_penalty!r}")
-    stats = LeeSearchStats()
     # Validate both terminals once; every probe below stays inside the
     # (clipped) window, so the matrix reads need no per-cell checks.
     source.position(grid)
@@ -158,17 +150,16 @@ def lee_search(
                 dist[nstate] = nd
                 parent[nstate] = state
                 heapq.heappush(heap, (nd, nstate))
-    stats.nodes_expanded = expanded
 
     # One batched instrumentation report per wave expansion: the inner
-    # loop above tallies into ``stats`` only.
+    # loop above tallies into ``expanded`` only.
     inst = instrument.active()
     if inst.enabled:
         inst.count(MAZE_SEARCHES)
-        inst.count(MAZE_NODES_EXPANDED, stats.nodes_expanded)
+        inst.count(MAZE_NODES_EXPANDED, expanded)
 
     if goal is None:
-        return None, None, stats
+        return None, None, expanded
 
     # Walk parents, then compress to waypoints at direction changes.
     states: list[State] = []
@@ -191,7 +182,7 @@ def lee_search(
         waypoints.append(end)
     elif len(waypoints) == 1:
         waypoints.append(end)  # degenerate same-point path
-    return waypoints, corners, stats
+    return waypoints, corners, expanded
 
 
 class LeeEngine(ConnectionEngine):
@@ -221,7 +212,7 @@ class LeeEngine(ConnectionEngine):
         for attempt, region in enumerate(regions):
             if attempt:
                 instrument.count(REGION_EXPANSIONS)
-            waypoints, corners, stats = lee_search(
+            waypoints, corners, expanded = lee_search(
                 grid,
                 net_id,
                 source,
@@ -229,7 +220,7 @@ class LeeEngine(ConnectionEngine):
                 via_penalty=self.via_penalty,
                 region=region,
             )
-            ctx.add_nodes(stats.nodes_expanded)
+            ctx.add_nodes(expanded)
             if waypoints is None or corners is None:
                 continue
             with grid.transaction():

@@ -115,5 +115,5 @@ class TestCandidateDistinctness:
         res = MBFSearch(tig.grid, 1, *terms).run()
         cands = candidate_paths(res, tig.grid)
         assert len(cands) == len(res.leaves)
-        sequences = [tuple(c.leaf.track_sequence()) for c in cands]
+        sequences = [tuple(leaf.track_sequence()) for leaf in res.leaves]
         assert len(sequences) == len(set(sequences))

@@ -78,29 +78,32 @@ class TestPathGeometry:
         tig = fresh_tig()
         tig.register_net(1, [Point(10, 10), Point(40, 30)])
         res = run_search(tig, 1)
-        for cand in candidate_paths(res, tig.grid):
-            assert cand.points[0] == Point(10, 10)
-            assert cand.points[-1] == Point(40, 30)
-            for p, q in zip(cand.points, cand.points[1:]):
+        batch = candidate_paths(res, tig.grid)
+        for i in range(len(batch)):
+            points, _ = batch.geometry(i)
+            assert points[0] == Point(10, 10)
+            assert points[-1] == Point(40, 30)
+            for p, q in zip(points, points[1:]):
                 assert p.is_aligned_with(q)
 
     def test_candidate_corner_count_matches_depth(self):
         tig = fresh_tig()
         tig.register_net(1, [Point(10, 10), Point(40, 30)])
         res = run_search(tig, 1)
-        for cand in candidate_paths(res, tig.grid):
-            assert cand.corner_count == res.min_corners
+        batch = candidate_paths(res, tig.grid)
+        for i in range(len(batch)):
+            assert len(batch.geometry(i)[1]) == res.min_corners
 
     def test_candidate_length_is_point_sum(self):
         tig = fresh_tig()
         tig.register_net(1, [Point(0, 0), Point(50, 40)])
         res = run_search(tig, 1)
-        for cand in candidate_paths(res, tig.grid):
-            total = sum(
-                a.manhattan_to(b) for a, b in zip(cand.points, cand.points[1:])
-            )
-            assert cand.length == total
-            assert cand.length >= Point(0, 0).manhattan_to(Point(50, 40))
+        batch = candidate_paths(res, tig.grid)
+        for i in range(len(batch)):
+            points, _ = batch.geometry(i)
+            total = sum(a.manhattan_to(b) for a, b in zip(points, points[1:]))
+            assert batch.lengths[i] == total
+            assert batch.lengths[i] >= Point(0, 0).manhattan_to(Point(50, 40))
 
 
 class TestObstaclesAndOccupancy:
@@ -258,7 +261,7 @@ class TestMinCornerOptimality:
             res = MBFSearch(tig.grid, net_id, a, b).run()
             if not res.found:
                 continue
-            cand = candidate_paths(res, tig.grid)[0]
-            tig.grid.commit_path(net_id, cand.points, cand.corners)
+            points, corners = candidate_paths(res, tig.grid).geometry(0)
+            tig.grid.commit_path(net_id, points, corners)
         # Invariant: every slot owner is a registered net or FREE.
         assert set(tig.grid.owners()) <= set(terms)

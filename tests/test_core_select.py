@@ -1,17 +1,12 @@
 """Tests for backtracking path selection over the PST candidates."""
 
+import numpy as np
 import pytest
 
 from repro.geometry import Point
 from repro.grid import RoutingGrid, TrackSet
 from repro.core.cost import CornerCostEvaluator, CostWeights
-from repro.core.search import (
-    CandidateBatch,
-    CandidatePath,
-    MBFSearch,
-    PSTNode,
-    candidate_paths,
-)
+from repro.core.search import CandidateBatch, MBFSearch, candidate_paths
 from repro.core.select import select_best_path
 from repro.core.tig import TrackIntersectionGraph
 
@@ -21,75 +16,88 @@ def make_grid(n=9):
     return RoutingGrid(ts, TrackSet(range(0, n * 10, 10)))
 
 
-def dummy_leaf():
-    from repro.geometry import Interval
+def make_batch(*paths):
+    """A batch over hand-built ``(points, corners)`` pairs, in their order.
 
-    return PSTNode("V", 0, 0, Interval(0, 1), None, 0)
-
-
-def cand(points, corners):
-    length = sum(a.manhattan_to(b) for a, b in zip(points, points[1:]))
-    return CandidatePath(points=points, corners=corners, length=length,
-                         leaf=dummy_leaf())
+    Every pair has the same corner count, as every batch of a search does.
+    """
+    depth = len(paths[0][1]) if paths else 0
+    assert all(len(corners) == depth for _, corners in paths)
+    lengths = [
+        sum(a.manhattan_to(b) for a, b in zip(points, points[1:]))
+        for points, _ in paths
+    ]
+    order = sorted(range(len(paths)), key=lambda i: (lengths[i], paths[i][0][1:2]))
+    corners = [c for _, cs in paths for c in cs]
+    return CandidateBatch(
+        np.array([v for v, _ in corners], dtype=np.intp),
+        np.array([h for _, h in corners], dtype=np.intp),
+        depth,
+        np.array(lengths, dtype=np.int64),
+        np.array(order, dtype=np.intp),
+        lambda i: paths[i],
+    )
 
 
 class TestSelectBestPath:
     def test_empty_returns_none(self):
         ev = CornerCostEvaluator(make_grid(), CostWeights())
-        best, cost = select_best_path([], ev)
+        best, cost = select_best_path(make_batch(), ev)
         assert best is None
         assert cost == float("inf")
 
     def test_single_candidate(self):
         ev = CornerCostEvaluator(make_grid(), CostWeights())
-        c = cand([Point(0, 0), Point(10, 0)], [])
-        best, cost = select_best_path([c], ev)
-        assert best is c
+        c = ([Point(0, 0), Point(10, 0)], [])
+        best, cost = select_best_path(make_batch(c), ev)
+        assert best == 0
         assert cost == 10.0
 
     def test_shorter_wins_on_clean_grid(self):
         ev = CornerCostEvaluator(make_grid(), CostWeights())
-        short = cand([Point(0, 0), Point(10, 0)], [])
-        long = cand([Point(0, 0), Point(40, 0)], [])
-        best, _ = select_best_path([long, short], ev)
-        assert best is short
+        short = ([Point(0, 0), Point(10, 0)], [])
+        long = ([Point(0, 0), Point(40, 0)], [])
+        best, _ = select_best_path(make_batch(long, short), ev)
+        assert best == 1
 
     def test_congestion_flips_choice(self):
         """Equal-length candidates: the one cornering in traffic loses."""
         grid = make_grid()
-        grid.occupy_h(2, 0, 5, net_id=9)
-        grid.occupy_h(3, 0, 5, net_id=9)
+        grid.occupy_h(5, 0, 3, net_id=9)
+        grid.occupy_h(7, 0, 3, net_id=9)
         ev = CornerCostEvaluator(grid, CostWeights())
-        crowded = cand(
-            [Point(0, 0), Point(20, 0), Point(20, 20), Point(40, 20)],
-            [(2, 0), (2, 2)],
-        )
-        open_path = cand(
-            [Point(0, 0), Point(40, 0), Point(40, 20)],
-            [(8, 8)],
-        )
-        # Same length (40+20 = 60 each).
-        assert crowded.length == open_path.length == 60
-        best, _ = select_best_path([crowded, open_path], ev)
-        assert best is open_path
+        crowded = ([Point(0, 0), Point(0, 60), Point(60, 60)], [(0, 6)])
+        open_path = ([Point(0, 0), Point(60, 0), Point(60, 60)], [(6, 0)])
+        cands = make_batch(crowded, open_path)
+        # Same length (60+60 = 120 each).
+        assert cands.lengths.tolist() == [120, 120]
+        best, _ = select_best_path(cands, ev)
+        assert best == 1
 
     def test_length_dominates_when_corner_weights_zero(self):
         grid = make_grid()
         grid.occupy_h(2, 0, 8, net_id=9)
         ev = CornerCostEvaluator(grid, CostWeights.length_only())
-        near_traffic = cand([Point(0, 0), Point(10, 0), Point(10, 10)], [(1, 0)])
-        detour = cand([Point(0, 0), Point(0, 80), Point(10, 80), Point(10, 10)],
-                      [(0, 8), (1, 8)])
-        best, _ = select_best_path([detour, near_traffic], ev)
-        assert best is near_traffic
+        near_traffic = (
+            [Point(0, 0), Point(0, 10), Point(10, 10), Point(10, 20)],
+            [(0, 1), (1, 1)],
+        )
+        detour = (
+            [Point(0, 0), Point(0, 80), Point(10, 80), Point(10, 20)],
+            [(0, 8), (1, 8)],
+        )
+        cands = make_batch(detour, near_traffic)
+        assert cands.lengths.tolist() == [150, 30]
+        best, _ = select_best_path(cands, ev)
+        assert best == 1
 
     def test_deterministic_on_reordered_input(self):
         ev = CornerCostEvaluator(make_grid(), CostWeights())
-        a = cand([Point(0, 0), Point(10, 0), Point(10, 10)], [(1, 0)])
-        b = cand([Point(0, 0), Point(0, 10), Point(10, 10)], [(0, 1)])
-        best1, _ = select_best_path([a, b], ev)
-        best2, _ = select_best_path([b, a], ev)
-        assert best1.points == best2.points
+        a = ([Point(0, 0), Point(10, 0), Point(10, 10)], [(1, 0)])
+        b = ([Point(0, 0), Point(0, 10), Point(10, 10)], [(0, 1)])
+        best1, _ = select_best_path(make_batch(a, b), ev)
+        best2, _ = select_best_path(make_batch(b, a), ev)
+        assert (a, b)[best1][0] == (b, a)[best2][0]
 
 
 class TestEndToEndSelection:
@@ -102,30 +110,61 @@ class TestEndToEndSelection:
         cands = candidate_paths(res, tig.grid)
         ev = CornerCostEvaluator(tig.grid, CostWeights())
         best, cost = select_best_path(cands, ev)
-        assert best in cands
-        assert cost >= best.length  # corner terms are non-negative
+        assert 0 <= best < len(cands)
+        assert cost >= cands.lengths[best]  # corner terms are non-negative
 
     def test_batch_is_a_sequence_of_candidates(self):
         tig = TrackIntersectionGraph(
             TrackSet(range(0, 90, 10)), TrackSet(range(0, 90, 10))
         )
-        terms = tig.register_net(1, [Point(0, 0), Point(80, 80)])
+        terms = tig.register_net(1, [Point(80, 0), Point(0, 80)])
         res = MBFSearch(tig.grid, 1, *terms).run()
         batch = candidate_paths(res, tig.grid)
         assert len(batch) == len(res.leaves) == 2
-        items = list(batch)
-        assert [c.points for c in batch[:]] == [c.points for c in items]
-        assert batch[-1].corners == items[1].corners
-        # Built one at a time, the leaves are the objects res.leaves holds.
-        assert all(c.leaf is leaf for c, leaf in zip(items, res.leaves))
-        assert batch.geometry(0) == (items[0].points, items[0].corners)
+        assert batch.depth == res.min_corners == 1
+        # Both are 160 long; the horizontal root's leaf turns first at x = 0.
+        assert [leaf.kind for leaf in res.leaves] == ["H", "V"]
+        assert batch.order.tolist() == [1, 0]
+        # Candidate i is its slice of the corner arrays, in leaf order.
+        assert batch.geometry(0) == (
+            [Point(80, 0), Point(80, 80), Point(0, 80)], [(8, 8)]
+        )
+        assert batch.geometry(1) == (
+            [Point(80, 0), Point(0, 0), Point(0, 80)], [(0, 0)]
+        )
+        for i in range(len(batch)):
+            points, corners = batch.geometry(i)
+            lo, hi = i * batch.depth, (i + 1) * batch.depth
+            assert corners == list(zip(batch.v[lo:hi].tolist(),
+                                       batch.h[lo:hi].tolist()))
+            assert batch.lengths[i] == sum(
+                a.manhattan_to(b) for a, b in zip(points, points[1:])
+            )
         with pytest.raises(IndexError):
-            batch[2]
+            batch.geometry(2)
 
     def test_hand_built_list_walks_as_a_batch(self):
-        a = cand([Point(0, 0), Point(10, 0), Point(10, 10)], [(1, 0)])
-        b = cand([Point(0, 0), Point(0, 10), Point(10, 10)], [(0, 1)])
-        batch = CandidateBatch.of([a, b])
-        assert batch[0] is a and batch[1] is b
-        assert batch.order.tolist() == [1, 0]  # (length, first point) order
-        assert batch.starts.tolist() == [0, 1, 2]
+        """The search's candidates, rebuilt from a list, walk the same."""
+        winners = []
+        for traffic in (False, True):
+            tig = TrackIntersectionGraph(
+                TrackSet(range(0, 90, 10)), TrackSet(range(0, 90, 10))
+            )
+            if traffic:  # crowd the corner at (0, 0)
+                tig.grid.occupy_h(1, 0, 3, net_id=9)
+                tig.grid.occupy_h(2, 0, 3, net_id=9)
+            terms = tig.register_net(1, [Point(80, 0), Point(0, 80)])
+            res = MBFSearch(tig.grid, 1, *terms).run()
+            batch = candidate_paths(res, tig.grid)
+            hand = make_batch(*[batch.geometry(i) for i in range(len(batch))])
+            for name in ("v", "h", "lengths", "order"):
+                assert getattr(hand, name).tolist() == \
+                    getattr(batch, name).tolist()
+            assert hand.depth == batch.depth
+            ev = CornerCostEvaluator(tig.grid, CostWeights())
+            best = select_best_path(batch, ev)
+            assert select_best_path(hand, ev) == best
+            winners.append(best)
+        # On a clean grid the tie goes to the first in walk order; traffic
+        # at (0, 0) hands the connection to the corner at (8, 8).
+        assert winners == [(1, 160.0), (0, 160.0)]

@@ -87,6 +87,9 @@ class TestExamplesRun:
         out = capsys.readouterr().out
         assert "Track Intersection Graph" in out
         assert "Path Selection Tree" in out
+        # Figure 2's two minimum-corner candidates for net B.
+        assert "  (v2, h4, terminal)  corners=1 length=60\n" in out
+        assert "  (h2, v6, terminal)  corners=1 length=60\n" in out
         assert "completion: 100%" in out
 
     def test_channel_router_demo(self, tmp_path, monkeypatch, capsys):

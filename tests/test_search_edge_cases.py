@@ -21,6 +21,17 @@ def fresh_tig(nv=8, nh=8):
     )
 
 
+def one_net_design():
+    d = Design("rescue")
+    for name, x, y in (("c1", 0, 0), ("c2", 200, 120)):
+        cell = d.add_cell(name, 16, 16)
+        cell.place(x, y)
+    net = d.add_net("n")
+    net.add_pin(d.add_pin("c1", "p", Edge.TOP, 8))
+    net.add_pin(d.add_pin("c2", "p", Edge.TOP, 8))
+    return d
+
+
 class TestCornerCandidates:
     def test_empty_grid_all_candidates(self):
         grid = RoutingGrid(TrackSet(range(0, 50, 10)), TrackSet(range(0, 50, 10)))
@@ -61,6 +72,25 @@ class TestSearchLimits:
         assert res.found
         assert res.min_corners == 1
 
+    def test_negative_entries_cap_raises(self):
+        """A negative cap would also cap the target's column, which the
+        cap exempts, and so silently find nothing."""
+        tig = fresh_tig(8, 8)
+        tig.register_net(1, [Point(0, 0), Point(70, 70)])
+        a, b = tig.terminals_of(1)
+        with pytest.raises(ValueError, match="max_entries_per_track.*-1"):
+            MBFSearch(tig.grid, 1, a, b, max_entries_per_track=-1)
+
+    def test_router_refuses_negative_entries_cap(self):
+        """Refused, not routed by the Lee rescue behind a blind search."""
+        d = one_net_design()
+        config = LevelBConfig(max_entries_per_track=-1)
+        router = LevelBRouter(
+            Rect(-16, -16, 260, 200), list(d.nets.values()), config=config
+        )
+        with pytest.raises(ValueError, match="max_entries_per_track"):
+            router.route()
+
     def test_degenerate_region_single_track(self):
         tig = fresh_tig(8, 8)
         tig.register_net(1, [Point(0, 30), Point(70, 30)])
@@ -88,20 +118,10 @@ class TestSearchLimits:
 
 
 class TestMazeRescue:
-    def make_design(self):
-        d = Design("rescue")
-        for name, x, y in (("c1", 0, 0), ("c2", 200, 120)):
-            cell = d.add_cell(name, 16, 16)
-            cell.place(x, y)
-        net = d.add_net("n")
-        net.add_pin(d.add_pin("c1", "p", Edge.TOP, 8))
-        net.add_pin(d.add_pin("c2", "p", Edge.TOP, 8))
-        return d
-
     def test_rescue_triggers_when_mbfs_capped(self, monkeypatch):
         """With MAX_DEPTH=0 the MBFS can never turn; the maze rescues."""
         monkeypatch.setattr(engine, "MAX_DEPTH", 0)
-        d = self.make_design()
+        d = one_net_design()
         config = LevelBConfig(maze_fallback=True, max_ripups=0)
         router = LevelBRouter(
             Rect(-16, -16, 260, 200), list(d.nets.values()), config=config
@@ -113,7 +133,7 @@ class TestMazeRescue:
 
     def test_no_rescue_when_disabled(self, monkeypatch):
         monkeypatch.setattr(engine, "MAX_DEPTH", 0)
-        d = self.make_design()
+        d = one_net_design()
         config = LevelBConfig(maze_fallback=False, max_ripups=0)
         router = LevelBRouter(
             Rect(-16, -16, 260, 200), list(d.nets.values()), config=config
@@ -139,7 +159,7 @@ class TestMazeRescue:
     ):
         """The flood proves the target unreachable after the first window:
         no wider window, no rescue."""
-        d = self.make_design()
+        d = one_net_design()
         config = LevelBConfig(maze_fallback=fallback, max_ripups=0)
         router = router_cls(
             Rect(-16, -16, 260, 200),

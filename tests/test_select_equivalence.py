@@ -5,16 +5,17 @@
 :func:`~repro.core.select.select_best_path` prices every corner of it
 with one :meth:`RoutingGrid.window_counts` read before its bounded walk.
 This module keeps a test-local copy of the list-based selection as the
-oracle: one :class:`CandidatePath` per leaf chain, its corners converted
-through ``coord_of``, sorted by ``(length, points[1:2])``, and priced
-corner by corner through three scalar window reads memoised per corner.
-On drawn grids - routed wires, obstacles, other nets' reserved
-terminals, wide footprints, keep-outs, regions and entry caps - under
-drawn weights, with and without a :class:`TrackHistory` and a
+oracle: one :class:`Candidate` record per leaf chain, its corners
+converted through ``coord_of``, sorted by ``(length, points[1:2])``,
+and priced corner by corner through three scalar window reads memoised
+per corner.  On drawn grids - routed wires, obstacles, other nets'
+reserved terminals, wide footprints, keep-outs, regions and entry caps
+- under drawn weights, with and without a :class:`TrackHistory` and a
 :class:`ParallelRunPenalty`, the batch must hold the oracle's candidates
-in the oracle's walk order and pick the same winner ``points`` and
-``corners`` at the same float cost (``==``), with the same
-``pst.candidates`` and ``pst.backtrack_steps`` counts.
+(``geometry(i)`` and ``lengths[i]``) in the oracle's walk order, and
+the index it selects must name the oracle's winner - the same
+``points``, ``corners`` and leaf - at the same float cost (``==``),
+with the same ``pst.candidates`` and ``pst.backtrack_steps`` counts.
 
 The search never turns at the target: a node whose slide run holds the
 target completes there, so its children never reach the target column.
@@ -25,6 +26,7 @@ target that coincides with the source, which one example pins.
 from __future__ import annotations
 
 import contextlib
+from typing import NamedTuple
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -38,7 +40,7 @@ from repro.core.cost import (
 )
 from repro.core.coupling import ParallelRunPenalty
 from repro.core.engine import MAX_DEPTH
-from repro.core.search import VERTICAL, CandidatePath, MBFSearch, candidate_paths
+from repro.core.search import VERTICAL, MBFSearch, PSTNode, candidate_paths
 from repro.core.select import select_best_path
 from repro.core.tig import GridTerminal
 from repro.geometry import Point
@@ -51,7 +53,16 @@ from test_search_equivalence import NET, build, recipes
 # ----------------------------------------------------------------------
 # Oracle: list-based candidates, sort and memoised scalar pricing
 # ----------------------------------------------------------------------
-def reference_candidates(result, grid) -> list[CandidatePath]:
+class Candidate(NamedTuple):
+    """One reconstructed candidate: the oracle's record of a leaf chain."""
+
+    points: list[Point]
+    corners: list[tuple[int, int]]
+    length: int
+    leaf: PSTNode
+
+
+def reference_candidates(result, grid) -> list[Candidate]:
     """One candidate per leaf chain, in leaf order."""
     out = []
     src = result.source.position(grid)
@@ -70,7 +81,7 @@ def reference_candidates(result, grid) -> list[CandidatePath]:
             if p != deduped[-1]:
                 deduped.append(p)
         length = sum(a.manhattan_to(b) for a, b in zip(deduped, deduped[1:]))
-        out.append(CandidatePath(deduped, corners, length, leaf))
+        out.append(Candidate(deduped, corners, length, leaf))
     return out
 
 
@@ -192,7 +203,8 @@ def run_case(case):
         ).run()
 
     with instrument.collecting() as col:
-        batch = candidate_paths(search(), grid)
+        result = search()
+        batch = candidate_paths(result, grid)
         best, cost = select_best_path(batch, evaluator)
     cands = reference_candidates(search(), grid)
     want, want_cost, steps = reference_select(
@@ -201,7 +213,7 @@ def run_case(case):
 
     assert len(batch) == len(cands)
     assert batch.order.tolist() == walk_order(cands)
-    assert [(c.points, c.corners, c.length) for c in batch] == [
+    assert [(*batch.geometry(i), batch.lengths[i]) for i in range(len(batch))] == [
         (c.points, c.corners, c.length) for c in cands
     ]
     assert col.counters.get(PST_CANDIDATES, 0) == len(cands)
@@ -210,10 +222,10 @@ def run_case(case):
         assert best is None and cost == float("inf")
     else:
         assert best is not None
-        assert (best.points, best.corners, best.length) == (
+        assert (*batch.geometry(best), batch.lengths[best]) == (
             want.points, want.corners, want.length,
         )
-        assert best.leaf.track_sequence() == want.leaf.track_sequence()
+        assert result.leaves[best].track_sequence() == want.leaf.track_sequence()
         assert cost == want_cost
     return batch, cands
 
@@ -270,11 +282,14 @@ class TestPinnedCases:
     def test_straight_connection_has_no_corner(self):
         batch, _ = run_case((STRAIGHT, [], 8, CostWeights.sparse(), None, None))
         assert len(batch) == 1
-        assert batch[0].corners == [] and len(batch[0].points) == 2
+        points, corners = batch.geometry(0)
+        assert corners == [] and len(points) == 2
 
     def test_coincident_target_is_merged(self):
         batch, cands = run_case((COINCIDENT, [], 8, CostWeights.sparse(), None, None))
-        assert [c.points for c in batch] == [[Point(20, 30)]] * 2
+        assert [batch.geometry(i)[0] for i in range(len(batch))] == [
+            [Point(20, 30)]
+        ] * 2
         assert all(c.length == 0 for c in cands)
 
     def test_edge_windows_are_clipped(self):
@@ -293,4 +308,5 @@ class TestPinnedCases:
             build(TIES)[0], CostWeights.length_only()
         ))
         assert keys.count(keys[order[0]]) > 1
-        assert best is not None and best.points == cands[order[0]].points
+        assert best is not None
+        assert batch.geometry(best)[0] == cands[order[0]].points
