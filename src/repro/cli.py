@@ -236,7 +236,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Run the project-contract static analyzer (repro.lint)."""
     import repro
-    from repro.lint import lint_paths, rules_for_ids, save_baseline
+    from repro.lint import lint_paths, rules_for_ids
 
     if args.list_rules:
         from repro.lint import ALL_RULES
@@ -261,22 +261,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"repro lint: {exc}", file=sys.stderr)
             return 2
-    baseline = Path(args.baseline) if args.baseline else None
-    if baseline is None and not args.no_baseline:
-        candidate = root / "lint-baseline.json"
-        if candidate.exists():
-            baseline = candidate
 
-    if args.write_baseline:
-        report = lint_paths(paths, root=root, select=select)
-        n = save_baseline(_output(args.write_baseline), report.violations)
-        print(f"baseline with {n} entr{'y' if n == 1 else 'ies'} "
-              f"written to {args.write_baseline}")
-        return 0
-
-    report = lint_paths(
-        paths, root=root, select=select, baseline_path=baseline
-    )
+    report = lint_paths(paths, root=root, select=select)
     if args.json:
         _output(args.json).write_text(json.dumps(report.to_dict(), indent=2))
         print(f"lint report written to {args.json}")
@@ -505,19 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict",
         action="store_true",
         help="exit nonzero on warnings too, not just errors",
-    )
-    p_lint.add_argument(
-        "--baseline", help="baseline file (default: <root>/lint-baseline.json)"
-    )
-    p_lint.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the committed baseline",
-    )
-    p_lint.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        help="grandfather current findings into PATH and exit 0",
     )
     p_lint.add_argument(
         "--list-rules",

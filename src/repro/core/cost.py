@@ -25,26 +25,47 @@ which the :meth:`CostWeights.dense` preset does.
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
 
+from repro.geometry import Point
 from repro.grid import RoutingGrid
 
 #: Half-width, in tracks, of the corner measures' window.
 COST_WINDOW_RADIUS = 3
 
 
-class TrackHistory:
+class PathCostTerm(ABC):
+    """A section 3.2 cost-function extension, evaluated per candidate path."""
+
+    __slots__ = ()
+
+    @abstractmethod
+    def cost(
+        self,
+        grid: RoutingGrid,
+        points: Sequence[Point],
+        corners: Sequence[tuple[int, int]],
+    ) -> float:
+        """Non-negative extra cost of the candidate.
+
+        ``points`` is the waypoint list (terminals and corners);
+        ``corners`` the corner index pairs.  Must not mutate the grid.
+        """
+
+
+class TrackHistory(PathCostTerm):
     """Accumulated per-track congestion history (negotiated congestion).
 
     The iterative router (:mod:`repro.iterate`, docs/ITERATION.md)
     keeps one instance per over-cell plane and charges the tracks
     crossing overflowed regions after every iteration, PathFinder
     style: a track that stays contested grows more expensive each
-    round, steering re-routes away from it.  The evaluator folds the
-    charge into the section 3.2 cost as one more additive term — each
+    round, steering re-routes away from it.  The history is one more
+    :class:`PathCostTerm`, the last of a net's terms — each
     axis-aligned segment of a candidate path pays the history value of
     the track it runs on, scaled by ``weight``.
 
@@ -87,7 +108,12 @@ class TrackHistory:
         return max(max(self.v), max(self.h))
 
     # ------------------------------------------------------------------
-    def segment_cost(self, grid: RoutingGrid, points: Sequence) -> float:
+    def cost(
+        self,
+        grid: RoutingGrid,
+        points: Sequence[Point],
+        corners: Sequence[tuple[int, int]],
+    ) -> float:
         """The history surcharge of one candidate path.
 
         Each axis-aligned segment pays the charge of the track it runs
@@ -151,47 +177,32 @@ class CornerCostEvaluator:
     kept: the router creates one evaluator per two-terminal connection
     and prices each candidate batch against the grid as it stands.
 
-    ``extra_terms`` hooks in user cost-function extensions (paper
-    section 3.2's "additional terms ... for nets with special
-    constraints"), each a
-    :class:`~repro.core.coupling.PathCostTerm` evaluated once per
-    candidate path by the selector.
+    ``extra_terms`` hooks in cost-function extensions, each a
+    :class:`PathCostTerm` evaluated once per candidate path by the
+    selector: a net's coupling terms and, under :mod:`repro.iterate`,
+    its plane's :class:`TrackHistory` last.
     """
 
     def __init__(
         self,
         grid: RoutingGrid,
         weights: CostWeights,
-        extra_terms: tuple = (),
-        history: TrackHistory | None = None,
+        extra_terms: tuple[PathCostTerm, ...] = (),
     ) -> None:
         self.grid = grid
         self.weights = weights
         self.extra_terms = tuple(extra_terms)
-        #: Negotiated-congestion history (repro.iterate).  ``None`` in
-        #: one-pass mode, keeping the evaluator bit-identical to the
-        #: seed cost model.
-        self.history = history
 
     @property
     def has_path_terms(self) -> bool:
-        """Does :meth:`extra_cost` add anything (extension terms or history)?"""
-        return bool(self.extra_terms) or self.history is not None
+        """Does :meth:`extra_cost` add anything?"""
+        return bool(self.extra_terms)
 
     def extra_cost(self, points, corners) -> float:
-        """Sum of the user extension terms for one candidate.
-
-        Includes the per-track history surcharge when an iterative run
-        attached a :class:`TrackHistory` — evaluated here (once per
-        surviving candidate) rather than in :meth:`corner_costs` so the
-        corner term stays history-free.
-        """
-        total = sum(
+        """Sum of the extension terms for one candidate, in order."""
+        return sum(
             term.cost(self.grid, points, corners) for term in self.extra_terms
         )
-        if self.history is not None:
-            total += self.history.segment_cost(self.grid, points)
-        return total
 
     def corner_costs(self, v_idx: np.ndarray, h_idx: np.ndarray) -> np.ndarray:
         """``w21*drg + w22*dup + w23*acf`` of every corner ``(v_idx[i], h_idx[i])``.

@@ -5,7 +5,8 @@ function for nets with special constraints, for example, to prevent
 parallel routing of sensitive nets."*  This module provides both
 halves of that sentence:
 
-* :class:`ParallelRunPenalty` - a :class:`PathCostTerm` that charges a
+* :class:`ParallelRunPenalty` - a
+  :class:`~repro.core.cost.PathCostTerm` that charges a
   candidate path for every grid cell where one of its segments runs
   parallel to a *sensitive* net's wiring within a configurable track
   separation;
@@ -21,28 +22,12 @@ on top of the other, over relatively long distances") suggests.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from collections.abc import Iterable, Sequence
+import math
+from collections.abc import Iterable
 
+from repro.core.cost import PathCostTerm
 from repro.geometry import Point
 from repro.grid import RoutingGrid
-
-
-class PathCostTerm(ABC):
-    """A user cost-function extension, evaluated per candidate path."""
-
-    @abstractmethod
-    def cost(
-        self,
-        grid: RoutingGrid,
-        points: Sequence[Point],
-        corners: Sequence[tuple[int, int]],
-    ) -> float:
-        """Non-negative extra cost of the candidate.
-
-        ``points`` is the waypoint list (terminals and corners);
-        ``corners`` the corner index pairs.  Must not mutate the grid.
-        """
 
 
 class ParallelRunPenalty(PathCostTerm):
@@ -64,8 +49,11 @@ class ParallelRunPenalty(PathCostTerm):
         separation: int = 1,
         exclude: int = 0,
     ) -> None:
-        if weight < 0:
-            raise ValueError("weight must be non-negative")
+        # A NaN or infinite weight makes every cost NaN or inf: selection picks none.
+        if not 0 <= weight < math.inf:
+            raise ValueError(
+                f"weight must be finite and non-negative, got {weight}"
+            )
         if separation < 1:
             raise ValueError("separation must be >= 1")
         self.targets: set[int] | None = (

@@ -598,11 +598,11 @@ class LevelBRouter:
         """The engine routing every connection: the paper's MBFS/PST."""
         return MBFSEngine()
 
-    def _rescue_engine(self) -> ConnectionEngine | None:
+    def _rescue_engine(self) -> ConnectionEngine:
         """The whole-grid Lee engine behind ``maze_fallback`` (lazy).
 
         Imported on first use, so loading :mod:`repro.core` never loads
-        :mod:`repro.maze`.  ``None`` means no rescue.
+        :mod:`repro.maze`.
         """
         if self._rescue is None:
             from repro.maze.lee import LeeEngine
@@ -619,14 +619,13 @@ class LevelBRouter:
         self._nodes_created += n
 
     def _evaluator_for(self, net_id: int) -> CornerCostEvaluator:
-        """A fresh cost evaluator carrying the net's extension terms,
-        bound to the net's own plane grid."""
-        plane = self.tig.plane_of(net_id)
+        """A fresh cost evaluator on the net's plane grid, carrying the
+        net's coupling terms and then, under iterate, its plane's history."""
+        terms = coupling_terms(net_id, self._sensitive_ids)
+        if self.history is not None:
+            terms += (self.history[self.tig.plane_of(net_id)],)
         return CornerCostEvaluator(
-            self.tig.grid_of(net_id),
-            self.config.weights,
-            extra_terms=self._extra_terms_for(net_id),
-            history=self.history[plane] if self.history is not None else None,
+            self.tig.grid_of(net_id), self.config.weights, extra_terms=terms
         )
 
     def footprint_of(self, net_id: int) -> tuple[int, int]:
@@ -636,9 +635,6 @@ class LevelBRouter:
     def _ctx_for(self, net_id: int) -> EngineContext:
         """The engine context of a net's plane."""
         return self._ctxs[self.tig.plane_of(net_id)]
-
-    def _extra_terms_for(self, net_id: int) -> tuple:
-        return coupling_terms(net_id, self._sensitive_ids)
 
     # ------------------------------------------------------------------
     def net_id(self, net: Net) -> int:
@@ -655,8 +651,9 @@ class LevelBRouter:
         Nets that fail outright trigger the bounded rip-up loop: the
         blockers crowding the failed terminals are unrouted, the failed
         net retries first, and the victims re-route after it.  The work
-        queue is a deque with per-net generation counters, so pops,
-        victim removals and requeues are all O(1).
+        queue is a plain deque of the nets not yet routed: victims are
+        always routed nets and the failed net has just been popped, so
+        a requeue never duplicates an entry.
 
         The whole run executes inside a ``levelb.route`` instrumentation
         span; ``elapsed_s`` is the span's wall time (measured whether or
@@ -695,20 +692,12 @@ class LevelBRouter:
                         "explicit route order must be a permutation of the "
                         "router's nets"
                     )
-            # Work queue: (net, generation) entries plus a live-generation
-            # map.  Requeueing bumps a net's generation, so stale deque
-            # entries are skipped on pop instead of removed in O(n).
-            queue: deque[tuple[Net, int]] = deque((net, 0) for net in ordered)
-            live: dict[Net, int] = {net: 0 for net in ordered}
-            pushes: dict[Net, int] = {}
+            queue = deque(ordered)
             results: dict[Net, RoutedNet] = {}
             ripups_left = self.config.max_ripups
             ripup_count = 0
             while queue:
-                net, generation = queue.popleft()
-                if live.get(net) != generation:
-                    continue  # superseded by a rip-up requeue
-                del live[net]
+                net = queue.popleft()
                 checkpoint()
                 with instrument.span(SPAN_LEVELB_NET):
                     outcome = self._route_net(net)
@@ -741,16 +730,11 @@ class LevelBRouter:
                     net=net.name,
                     victims=[v.name for v in victims],
                 )
-                self._unroute_net(net)
-                results.pop(net)
-                for victim in victims:
-                    self._unroute_net(victim)
-                    results.pop(victim, None)
-                for requeued in reversed([net, *victims]):
-                    token = pushes.get(requeued, 0) + 1
-                    pushes[requeued] = token
-                    live[requeued] = token
-                    queue.appendleft((requeued, token))
+                requeued = [net, *victims]
+                for ripped in requeued:
+                    self._unroute_net(ripped)
+                    del results[ripped]
+                queue.extendleft(reversed(requeued))
             for _ in range(self.config.refinement_passes):
                 with instrument.span(SPAN_LEVELB_REFINE):
                     self._refine(results, ambient_txn)
@@ -925,12 +909,9 @@ class LevelBRouter:
         model; ``expansions_used == -1`` marks the
         rescue.
         """
-        engine = self._rescue_engine()
-        if engine is None:
-            return None
         instrument.count(MAZE_FALLBACKS)
         with instrument.span(SPAN_MAZE_RESCUE):
-            conn = engine.route(
+            conn = self._rescue_engine().route(
                 self._ctx_for(net_id), net_id, source, target, (None,)
             )
         instrument.event(

@@ -2,14 +2,13 @@
 
 All routing in this package happens on an integer grid in abstract
 "lambda" units.  The geometry layer provides the small, heavily reused
-vocabulary types: :class:`Point`, closed :class:`Interval` (with a
-companion :class:`IntervalSet` for free/occupied bookkeeping),
+vocabulary types: :class:`Point`, closed :class:`Interval`,
 :class:`Rect`, and axis-parallel :class:`Segment` / rectilinear
 :class:`Path` helpers.
 """
 
 from repro.geometry.point import Point, manhattan
-from repro.geometry.interval import Interval, IntervalSet
+from repro.geometry.interval import Interval
 from repro.geometry.rect import Rect
 from repro.geometry.segment import Path, Segment
 
@@ -17,7 +16,6 @@ __all__ = [
     "Point",
     "manhattan",
     "Interval",
-    "IntervalSet",
     "Rect",
     "Segment",
     "Path",

@@ -1,15 +1,14 @@
-"""Closed integer intervals and sorted disjoint interval sets.
+"""Closed integer intervals on a line.
 
-Track occupancy in both the channel router (horizontal trunk spans) and
-the level B occupancy grid reduces to interval algebra on a line, so the
-two classes here are the workhorses of the whole package.
+The greedy channel router books vertical runs as :class:`Interval`
+values, and rectangles, segments, track lists and the Lee search
+region give their extents as them.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -85,150 +84,3 @@ class Interval:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.lo},{self.hi}]"
-
-
-class IntervalSet:
-    """A mutable set of disjoint, sorted, closed integer intervals.
-
-    The set maintains the invariant that stored intervals are pairwise
-    disjoint and non-adjacent (adjacent/overlapping insertions are
-    coalesced), which makes membership and overlap queries
-    ``O(log n)``.
-    """
-
-    __slots__ = ("_los", "_his")
-
-    def __init__(self, intervals: Iterable[Interval] = ()) -> None:
-        self._los: list[int] = []
-        self._his: list[int] = []
-        for iv in intervals:
-            self.add(iv)
-
-    def __len__(self) -> int:
-        return len(self._los)
-
-    def __iter__(self) -> Iterator[Interval]:
-        return (Interval(lo, hi) for lo, hi in zip(self._los, self._his))
-
-    def __bool__(self) -> bool:
-        return bool(self._los)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntervalSet):
-            return NotImplemented
-        return self._los == other._los and self._his == other._his
-
-    def copy(self) -> "IntervalSet":
-        """A deep copy of the set."""
-        out = IntervalSet()
-        out._los = list(self._los)
-        out._his = list(self._his)
-        return out
-
-    @property
-    def total_count(self) -> int:
-        """Total number of integer positions covered."""
-        return sum(hi - lo + 1 for lo, hi in zip(self._los, self._his))
-
-    def add(self, iv: Interval) -> None:
-        """Insert ``iv``, merging with overlapping/adjacent intervals."""
-        lo, hi = iv.lo, iv.hi
-        # Find all stored intervals that touch [lo-1, hi+1] and merge.
-        left = bisect.bisect_left(self._his, lo - 1)
-        right = bisect.bisect_right(self._los, hi + 1)
-        if left < right:
-            lo = min(lo, self._los[left])
-            hi = max(hi, self._his[right - 1])
-        self._los[left:right] = [lo]
-        self._his[left:right] = [hi]
-
-    def remove(self, iv: Interval) -> None:
-        """Remove every covered position inside ``iv`` from the set."""
-        lo, hi = iv.lo, iv.hi
-        left = bisect.bisect_left(self._his, lo)
-        right = bisect.bisect_right(self._los, hi)
-        if left >= right:
-            return
-        new_los: list[int] = []
-        new_his: list[int] = []
-        if self._los[left] < lo:
-            new_los.append(self._los[left])
-            new_his.append(lo - 1)
-        if self._his[right - 1] > hi:
-            new_los.append(hi + 1)
-            new_his.append(self._his[right - 1])
-        self._los[left:right] = new_los
-        self._his[left:right] = new_his
-
-    def contains(self, value: int) -> bool:
-        """True when ``value`` is covered by some interval."""
-        idx = bisect.bisect_left(self._his, value)
-        return idx < len(self._los) and self._los[idx] <= value
-
-    def overlaps(self, iv: Interval) -> bool:
-        """True when any stored interval intersects ``iv``."""
-        idx = bisect.bisect_left(self._his, iv.lo)
-        return idx < len(self._los) and self._los[idx] <= iv.hi
-
-    def covers(self, iv: Interval) -> bool:
-        """True when a single stored interval contains all of ``iv``."""
-        idx = bisect.bisect_left(self._his, iv.lo)
-        return (
-            idx < len(self._los)
-            and self._los[idx] <= iv.lo
-            and iv.hi <= self._his[idx]
-        )
-
-    def interval_at(self, value: int) -> Interval | None:
-        """The stored interval covering ``value``, or ``None``."""
-        idx = bisect.bisect_left(self._his, value)
-        if idx < len(self._los) and self._los[idx] <= value:
-            return Interval(self._los[idx], self._his[idx])
-        return None
-
-    def gap_around(self, value: int, within: Interval) -> Interval | None:
-        """The maximal uncovered interval containing ``value``.
-
-        The result is clipped to ``within``.  Returns ``None`` when
-        ``value`` itself is covered or lies outside ``within``.
-
-        This is the level B router's core query: "how far can a wire
-        slide along this track from its entry point?".
-        """
-        if not within.contains(value) or self.contains(value):
-            return None
-        idx = bisect.bisect_left(self._his, value)
-        lo = within.lo
-        hi = within.hi
-        if idx > 0:
-            lo = max(lo, self._his[idx - 1] + 1)
-        if idx < len(self._los):
-            hi = min(hi, self._los[idx] - 1)
-        if lo > hi:
-            return None
-        return Interval(lo, hi)
-
-    def complement_within(self, within: Interval) -> list[Interval]:
-        """The uncovered intervals inside ``within``, in order."""
-        gaps: list[Interval] = []
-        cursor = within.lo
-        for lo, hi in zip(self._los, self._his):
-            if hi < within.lo:
-                continue
-            if lo > within.hi:
-                break
-            if lo > cursor:
-                gaps.append(Interval(cursor, min(lo - 1, within.hi)))
-            cursor = max(cursor, hi + 1)
-            if cursor > within.hi:
-                break
-        if cursor <= within.hi:
-            gaps.append(Interval(cursor, within.hi))
-        return gaps
-
-    def intervals(self) -> list[tuple[int, int]]:
-        """The stored intervals as ``(lo, hi)`` tuples."""
-        return list(zip(self._los, self._his))
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return "{" + ", ".join(f"[{lo},{hi}]" for lo, hi in self.intervals()) + "}"

@@ -18,7 +18,6 @@ The rule catalogue lives in docs/STATIC_ANALYSIS.md.
 """
 
 from repro.lint.base import FileRule, ProjectRule, Rule
-from repro.lint.baseline import load_baseline, save_baseline
 from repro.lint.context import ModuleContext, Pragma, ProjectContext
 from repro.lint.engine import iter_python_files, lint_paths
 from repro.lint.rules import (
@@ -48,7 +47,5 @@ __all__ = [
     "all_rule_ids",
     "iter_python_files",
     "lint_paths",
-    "load_baseline",
     "rules_for_ids",
-    "save_baseline",
 ]

@@ -1,4 +1,4 @@
-"""The lint engine: parse, run rules, filter pragmas, apply baseline.
+"""The lint engine: parse, run rules, filter pragmas.
 
 ``lint_paths`` is the one entry point; the CLI (``repro lint``) and the
 self-lint test are thin wrappers over it.  The run is deterministic by
@@ -7,16 +7,14 @@ registry order, findings sort by location — so two runs over the same
 tree produce byte-identical reports (the linter holds itself to the
 contract it enforces).
 
-Filtering happens in three layers, in order:
+Filtering happens in two layers, in order:
 
 1. **Pragmas** — ``# repro: allow[rule-id] reason`` at the offending
    line (or on a comment line directly above).  A pragma without a
    reason suppresses nothing and is itself a finding
    (``lint.pragma``); on full runs, a pragma that silenced nothing is
-   reported as stale.
-2. **Baseline** — the committed ``lint-baseline.json`` grandfathers
-   findings by ``(path, rule, snippet)``.  Shipped empty.
-3. **Severity** — ``LintReport.ok`` gates on ERROR; ``--strict`` in
+   reported as stale.  Pragmas are the only suppression mechanism.
+2. **Severity** — ``LintReport.ok`` gates on ERROR; ``--strict`` in
    the CLI gates on any surviving finding.
 
 The run is observable through :mod:`repro.instrument` exactly like the
@@ -38,7 +36,6 @@ from repro.instrument.names import (
     LINT_VIOLATIONS,
     SPAN_LINT,
 )
-from repro.lint.baseline import load_baseline
 from repro.lint.context import ModuleContext, ProjectContext
 from repro.lint.rules import (
     PRAGMA_RULE_ID,
@@ -139,7 +136,6 @@ def lint_paths(
     *,
     root: Path | None = None,
     select: set[str] | None = None,
-    baseline_path: Path | None = None,
 ) -> LintReport:
     """Run the contract linter over ``paths`` and return the report.
 
@@ -153,13 +149,10 @@ def lint_paths(
     select:
         Rule ids (``det.clock``) or group prefixes (``det``) to run;
         ``None`` runs everything including the pragma audit.
-    baseline_path:
-        Committed baseline file; listed findings are filtered out and
-        counted in ``LintReport.baselined``.
     """
     root = (root or Path.cwd()).resolve()
     with instrument.span(SPAN_LINT):
-        report = _lint(paths, root, select, baseline_path)
+        report = _lint(paths, root, select)
     inst = instrument.active()
     inst.count(LINT_RUNS)
     inst.count(LINT_FILES, report.files_scanned)
@@ -178,10 +171,7 @@ def lint_paths(
 
 
 def _lint(
-    paths: list[Path],
-    root: Path,
-    select: set[str] | None,
-    baseline_path: Path | None,
+    paths: list[Path], root: Path, select: set[str] | None
 ) -> LintReport:
     rules = rules_for_ids(select)
     pragma_audit = select is None or bool(
@@ -225,16 +215,6 @@ def _lint(
 
     if pragma_audit:
         kept.extend(_pragma_findings(modules, full_run=full_run))
-
-    if baseline_path is not None:
-        baseline = load_baseline(baseline_path)
-        surviving = []
-        for v in kept:
-            if v.key() in baseline:
-                report.baselined += 1
-            else:
-                surviving.append(v)
-        kept = surviving
 
     kept.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
     report.extend(kept)

@@ -40,8 +40,7 @@ class LintViolation:
     severity:
         See :class:`~repro.check.violations.Severity`.
     snippet:
-        The stripped source line — the stable part of the baseline
-        key, so grandfathered findings survive unrelated line drift.
+        The stripped source line, carried in the JSON report.
     """
 
     rule: str
@@ -51,10 +50,6 @@ class LintViolation:
     message: str
     severity: Severity = Severity.ERROR
     snippet: str = ""
-
-    def key(self) -> tuple[str, str, str]:
-        """Baseline identity: location-stable (no line numbers)."""
-        return (self.path, self.rule, self.snippet)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -83,8 +78,6 @@ class LintReport:
     files_scanned: int = 0
     #: Findings silenced by an in-source suppression pragma.
     suppressed: int = 0
-    #: Findings silenced by the committed baseline file.
-    baselined: int = 0
 
     def extend(self, violations: list[LintViolation]) -> None:
         self.violations.extend(violations)
@@ -115,11 +108,8 @@ class LintReport:
     def summary(self) -> str:
         """One-line human-readable verdict."""
         filtered = ""
-        if self.suppressed or self.baselined:
-            filtered = (
-                f" ({self.suppressed} pragma-suppressed, "
-                f"{self.baselined} baselined)"
-            )
+        if self.suppressed:
+            filtered = f" ({self.suppressed} pragma-suppressed)"
         if not self.violations:
             return (
                 f"lint: CLEAN — {self.files_scanned} file(s), "
@@ -149,6 +139,5 @@ class LintReport:
             "rules_run": list(self.rules_run),
             "counts": self.counts(),
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "violations": [v.to_dict() for v in self.violations],
         }

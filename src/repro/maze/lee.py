@@ -244,11 +244,9 @@ class MazeRouter(LevelBRouter):
     isolate the search algorithm.  Corners cost
     :data:`~repro.core.router.MAZE_VIA_PENALTY`, scaled under
     ``objective="vias"`` exactly as for the rescue engine.
+    The inherited rescue is never reached: Lee's escalation ends on the
+    whole grid, and the flood that cuts it short agrees with whole-grid Lee.
     """
 
     def _primary_engine(self) -> ConnectionEngine:
         return LeeEngine(self._lee_via_penalty())
-
-    def _rescue_engine(self) -> None:
-        """No rescue: Lee's last region is already the whole grid."""
-        return None

@@ -15,9 +15,14 @@ def make_grid(n=12):
 
 
 class TestParallelRunPenalty:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ParallelRunPenalty([1], weight=-1.0)
+    @pytest.mark.parametrize(
+        "weight", [-1.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_validation(self, weight):
+        # A NaN or infinite weight makes every candidate's cost NaN or
+        # infinite, and selection would silently pick none.
+        with pytest.raises(ValueError, match="finite"):
+            ParallelRunPenalty([1], weight=weight)
         with pytest.raises(ValueError):
             ParallelRunPenalty([1], separation=0)
 

@@ -1,9 +1,9 @@
-"""Tests for repro.geometry.interval (incl. IntervalSet properties)."""
+"""Tests for repro.geometry.interval."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geometry import Interval, IntervalSet
+from repro.geometry import Interval
 
 bounds = st.integers(min_value=-500, max_value=500)
 
@@ -64,114 +64,3 @@ class TestInterval:
         if inter is not None:
             assert a.contains_interval(inter)
             assert b.contains_interval(inter)
-
-
-class TestIntervalSet:
-    def test_add_merges_adjacent(self):
-        s = IntervalSet([Interval(0, 3), Interval(4, 7)])
-        assert s.intervals() == [(0, 7)]
-
-    def test_add_merges_overlap(self):
-        s = IntervalSet([Interval(0, 5), Interval(3, 9)])
-        assert s.intervals() == [(0, 9)]
-
-    def test_disjoint_stay_separate(self):
-        s = IntervalSet([Interval(0, 2), Interval(5, 7)])
-        assert s.intervals() == [(0, 2), (5, 7)]
-
-    def test_remove_splits(self):
-        s = IntervalSet([Interval(0, 10)])
-        s.remove(Interval(3, 6))
-        assert s.intervals() == [(0, 2), (7, 10)]
-
-    def test_remove_edges(self):
-        s = IntervalSet([Interval(0, 10)])
-        s.remove(Interval(0, 4))
-        assert s.intervals() == [(5, 10)]
-        s.remove(Interval(8, 10))
-        assert s.intervals() == [(5, 7)]
-
-    def test_contains_and_overlaps(self):
-        s = IntervalSet([Interval(2, 4), Interval(8, 9)])
-        assert s.contains(3)
-        assert not s.contains(5)
-        assert s.overlaps(Interval(4, 8))
-        assert not s.overlaps(Interval(5, 7))
-
-    def test_covers(self):
-        s = IntervalSet([Interval(2, 8)])
-        assert s.covers(Interval(3, 7))
-        assert not s.covers(Interval(3, 9))
-
-    def test_gap_around(self):
-        s = IntervalSet([Interval(0, 2), Interval(8, 10)])
-        gap = s.gap_around(5, Interval(0, 10))
-        assert gap == Interval(3, 7)
-
-    def test_gap_around_covered_returns_none(self):
-        s = IntervalSet([Interval(0, 10)])
-        assert s.gap_around(5, Interval(0, 10)) is None
-
-    def test_gap_around_outside_window(self):
-        s = IntervalSet()
-        assert s.gap_around(15, Interval(0, 10)) is None
-
-    def test_gap_around_empty_set(self):
-        s = IntervalSet()
-        assert s.gap_around(5, Interval(0, 10)) == Interval(0, 10)
-
-    def test_complement_within(self):
-        s = IntervalSet([Interval(2, 3), Interval(6, 7)])
-        gaps = s.complement_within(Interval(0, 9))
-        assert gaps == [Interval(0, 1), Interval(4, 5), Interval(8, 9)]
-
-    def test_complement_of_empty(self):
-        assert IntervalSet().complement_within(Interval(3, 5)) == [Interval(3, 5)]
-
-    def test_interval_at(self):
-        s = IntervalSet([Interval(2, 4)])
-        assert s.interval_at(3) == Interval(2, 4)
-        assert s.interval_at(5) is None
-
-    @given(st.lists(intervals(), max_size=20))
-    def test_invariant_sorted_disjoint_nonadjacent(self, ivs):
-        s = IntervalSet(ivs)
-        stored = s.intervals()
-        for (lo1, hi1), (lo2, hi2) in zip(stored, stored[1:]):
-            assert hi1 + 1 < lo2  # disjoint and non-adjacent
-
-    @given(st.lists(intervals(), max_size=20), bounds)
-    def test_membership_matches_naive(self, ivs, probe):
-        s = IntervalSet(ivs)
-        naive = any(iv.contains(probe) for iv in ivs)
-        assert s.contains(probe) == naive
-
-    @given(st.lists(intervals(), max_size=10), intervals())
-    def test_remove_then_no_overlap(self, ivs, removal):
-        s = IntervalSet(ivs)
-        s.remove(removal)
-        assert not s.overlaps(removal)
-
-    @given(st.lists(intervals(), max_size=10))
-    def test_total_count_matches_naive(self, ivs):
-        s = IntervalSet(ivs)
-        covered = set()
-        for iv in ivs:
-            covered.update(range(iv.lo, iv.hi + 1))
-        assert s.total_count == len(covered)
-
-    @given(st.lists(intervals(), max_size=10), intervals(), bounds)
-    def test_gap_around_is_maximal_and_free(self, ivs, window, probe):
-        s = IntervalSet(ivs)
-        gap = s.gap_around(probe, window)
-        if gap is None:
-            assert s.contains(probe) or not window.contains(probe)
-        else:
-            assert window.contains_interval(gap)
-            assert gap.contains(probe)
-            assert not s.overlaps(gap)
-            # Maximality: one step beyond either end is blocked or out.
-            if gap.lo > window.lo:
-                assert s.contains(gap.lo - 1)
-            if gap.hi < window.hi:
-                assert s.contains(gap.hi + 1)

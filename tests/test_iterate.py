@@ -2,8 +2,9 @@
 
 Four layers of coverage (docs/ITERATION.md):
 
-* the :class:`TrackHistory` cost carrier and its fold into the
-  section 3.2 evaluator (one-pass costs must stay bit-identical);
+* the :class:`TrackHistory` path-cost term and its place among the
+  section 3.2 evaluator's extension terms (one-pass costs must stay
+  bit-identical);
 * the ordering-policy table (``core/ordering.py``) the loop reads and
   the determinism contract every policy keeps;
 * the convergence loop itself — converged-at-zero bit-identity with
@@ -125,23 +126,24 @@ class TestTrackHistory:
         h.charge_window(3, 3, 5, 5, 1.0)  # v-track 3 and h-track 5
         # h-run on y=50 (h index 5), corner, v-run on x=30 (v index 3).
         points = [Point(0, 50), Point(30, 50), Point(30, 0)]
-        assert h.segment_cost(grid, points) == pytest.approx(2.0 * 2.0)
+        assert h.cost(grid, points, []) == pytest.approx(2.0 * 2.0)
         # An uncharged path pays nothing.
         clean = [Point(0, 10), Point(20, 10)]
-        assert h.segment_cost(grid, clean) == 0.0
+        assert h.cost(grid, clean, []) == 0.0
 
     def test_segment_cost_zero_weight_shortcut(self):
         grid = make_grid(9)
         h = TrackHistory(9, 9, weight=0.0)
         h.charge_window(0, 8, 0, 8, 5.0)
-        assert h.segment_cost(grid, [Point(0, 0), Point(40, 0)]) == 0.0
+        assert h.cost(grid, [Point(0, 0), Point(40, 0)], []) == 0.0
 
 
 class TestEvaluatorFold:
     def test_no_history_is_seed_identical(self):
         grid = make_grid()
         base = CornerCostEvaluator(grid, CostWeights())
-        assert base.history is None
+        assert base.extra_terms == ()
+        assert not base.has_path_terms
         points = [Point(0, 20), Point(40, 20)]
         assert base.extra_cost(points, []) == 0.0
 
@@ -149,10 +151,10 @@ class TestEvaluatorFold:
         grid = make_grid()
         h = TrackHistory(9, 9, weight=3.0)
         h.charge_window(0, 8, 2, 2, 1.0)  # h-track at y=20
-        ev = CornerCostEvaluator(grid, CostWeights(), history=h)
+        ev = CornerCostEvaluator(grid, CostWeights(), extra_terms=(h,))
         points = [Point(0, 20), Point(40, 20)]
         assert ev.extra_cost(points, []) == pytest.approx(3.0)
-        # The memoised corner term stays history-free.
+        # The corner term stays history-free.
         assert ev.corner_cost(4, 2) == CornerCostEvaluator(
             grid, CostWeights()
         ).corner_cost(4, 2)

@@ -7,10 +7,11 @@ Three test families:
   ``src/repro/...`` layout in ``tmp_path`` so module-name-scoped rules
   resolve exactly as they do over the real tree.
 * **Machinery** — pragma suppression (reasoned, reasonless, stale),
-  the baseline file, rule selection, report shapes.
-* **Self-lint** — the shipped tree must be CLEAN with the shipped
-  (empty) baseline; the linter's own determinism is asserted by
-  running it twice and comparing serialised reports.
+  rule selection, report shapes.
+* **Self-lint** — the shipped tree must be CLEAN, with its pragmas
+  (the only suppression mechanism) counted; the linter's own
+  determinism is asserted by running it twice and comparing
+  serialised reports.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ from repro.lint import (
     Severity,
     all_rule_ids,
     lint_paths,
-    load_baseline,
     rules_for_ids,
-    save_baseline,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -252,7 +251,7 @@ def test_lint_pragma_quiet_on_reasoned_matching_pragma(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Machinery: pragmas, baseline, selection, determinism
+# Machinery: pragmas, selection, determinism
 # ----------------------------------------------------------------------
 def test_pragma_on_comment_line_above(tmp_path):
     write_module(
@@ -294,41 +293,6 @@ def test_pragma_in_docstring_is_inert(tmp_path):
     fired = rules_fired(report)
     assert "det.clock" in fired  # the string did not suppress it
     assert PRAGMA_RULE_ID not in fired  # ...and is not itself a pragma
-
-
-def test_baseline_roundtrip_filters_known_findings(tmp_path):
-    write_module(
-        tmp_path,
-        "repro.core.fx_base",
-        "import time\n\ndef stamp():\n    return time.time()\n",
-    )
-    first = run_lint(tmp_path)
-    assert first.violations
-    baseline_path = tmp_path / "lint-baseline.json"
-    save_baseline(baseline_path, first.violations)
-    assert load_baseline(baseline_path)
-    second = run_lint(tmp_path, baseline_path=baseline_path)
-    assert second.violations == []
-    assert second.baselined == len(first.violations)
-
-
-def test_baseline_survives_line_drift(tmp_path):
-    path = write_module(
-        tmp_path,
-        "repro.core.fx_drift",
-        "import time\n\ndef stamp():\n    return time.time()\n",
-    )
-    baseline_path = tmp_path / "lint-baseline.json"
-    save_baseline(baseline_path, run_lint(tmp_path).violations)
-    # Unrelated lines added above shift line numbers, not identity.
-    path.write_text(
-        "import time\n\nPAD = 1\nPAD2 = 2\n\ndef stamp():\n"
-        "    return time.time()\n",
-        encoding="utf-8",
-    )
-    report = run_lint(tmp_path, baseline_path=baseline_path)
-    assert report.violations == []
-    assert report.baselined == 1
 
 
 def test_rule_selection_by_group_and_id():
@@ -426,7 +390,6 @@ def test_cli_nonzero_on_violation_and_json_payload(tmp_path):
         str(bad),
         "--root",
         str(tmp_path),
-        "--no-baseline",
         "--json",
         str(report_path),
     )
@@ -449,49 +412,17 @@ def test_cli_list_rules():
         assert rule.rule_id in out.stdout
 
 
-def test_cli_write_baseline_then_clean(tmp_path):
-    write_module(
-        tmp_path,
-        "repro.core.fx_wb",
-        "import time\n\ndef stamp():\n    return time.time()\n",
-    )
-    baseline = tmp_path / "base.json"
-    out = run_cli(
-        str(tmp_path / "src"),
-        "--root",
-        str(tmp_path),
-        "--write-baseline",
-        str(baseline),
-    )
-    assert out.returncode == 0, out.stdout + out.stderr
-    out = run_cli(
-        str(tmp_path / "src"),
-        "--root",
-        str(tmp_path),
-        "--baseline",
-        str(baseline),
-        "--strict",
-    )
-    assert out.returncode == 0, out.stdout + out.stderr
-
-
 # ----------------------------------------------------------------------
 # Self-lint: the shipped tree honours its own contracts
 # ----------------------------------------------------------------------
-def test_shipped_tree_is_clean_with_shipped_baseline():
-    report = lint_paths(
-        [SRC_REPRO],
-        root=REPO_ROOT,
-        baseline_path=REPO_ROOT / "lint-baseline.json",
-    )
+def test_shipped_tree_is_clean():
+    report = lint_paths([SRC_REPRO], root=REPO_ROOT)
     assert report.violations == [], report.render()
     assert report.files_scanned > 100
     assert len(report.rules_run) >= 5
-
-
-def test_shipped_baseline_is_empty():
-    entries = load_baseline(REPO_ROOT / "lint-baseline.json")
-    assert entries == set()
+    # Pragmas are the tree's only suppression mechanism: a new one
+    # must show up here as a recorded change.
+    assert report.suppressed == 8
 
 
 def test_lint_emits_instrument_counters():

@@ -6,11 +6,13 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro import instrument
 from repro.bench_suite import SuiteProfile, make_design, random_design
 from repro.check import check_flow
 from repro.core import LevelBConfig, LevelBRouter, router as router_module
 from repro.flow import FlowParams, overcell_flow
 from repro.geometry import Rect
+from repro.maze import MazeRouter
 from repro.netlist import Design, Edge
 from repro.placement import RowPlacement
 from repro.technology import technology_from_any
@@ -204,8 +206,17 @@ class TestFailureInjection:
 
 
 class TestRegionExpansion:
-    def test_detour_uses_expansion(self, monkeypatch):
-        """A long wall between terminals forces region escalation."""
+    @pytest.mark.parametrize(
+        "router_cls, fallback", [(LevelBRouter, False), (MazeRouter, True)]
+    )
+    def test_detour_uses_expansion(self, monkeypatch, router_cls, fallback):
+        """A long wall between terminals forces region escalation.
+
+        The first window fails but the target is reachable, so the
+        escalation, not the rescue, routes it: under ``MazeRouter`` the
+        whole-grid Lee window ends the schedule and the rescue stays
+        unreached even when enabled.
+        """
         monkeypatch.setattr(router_module, "REGION_MARGIN_TRACKS", 2)
         d = Design("detour")
         for name, x in (("c1", 0), ("c2", 400)):
@@ -217,13 +228,15 @@ class TestRegionExpansion:
         # A tall vertical wall centred between the pins: the direct
         # region cannot contain any path, forcing growth.
         wall = Rect(200, 0, 216, 400)
-        router = LevelBRouter(
+        router = router_cls(
             Rect(-16, 0, 440, 480),
             [net],
             obstacles=[wall],
-            config=LevelBConfig(maze_fallback=False),
+            config=LevelBConfig(maze_fallback=fallback),
         )
-        result = router.route()
+        with instrument.collecting() as col:
+            result = router.route()
+        assert col.counters["maze.fallbacks"] == 0
         routed = result.routed[0]
         assert routed.complete
         assert routed.connections[0].expansions_used > 0

@@ -185,16 +185,16 @@ def run_case(case):
     for v, h in terminals:  # other nets' unrouted terminals feed ``dup``
         with contextlib.suppress(ValueError):
             grid.reserve_terminal(v, h, 4)
-    track_history = None
-    if history is not None:
-        weight, v, h, reach = history
-        track_history = TrackHistory(grid.num_vtracks, grid.num_htracks, weight=weight)
-        track_history.charge_window(v - reach, v + reach, h - reach, h + reach, 1.5)
     terms = ()
     if penalty is not None:
         targets = None if penalty == "all" else {2}
         terms = (ParallelRunPenalty(targets, weight=7.0, exclude=NET),)
-    evaluator = CornerCostEvaluator(grid, weights, terms, track_history)
+    if history is not None:  # the router passes the history last
+        weight, v, h, reach = history
+        track_history = TrackHistory(grid.num_vtracks, grid.num_htracks, weight=weight)
+        track_history.charge_window(v - reach, v + reach, h - reach, h + reach, 1.5)
+        terms += (track_history,)
+    evaluator = CornerCostEvaluator(grid, weights, terms)
 
     def search():
         return MBFSearch(
