@@ -14,31 +14,16 @@ per connection and is faster in wall-clock terms.
 
 import time
 
-from repro.bench_suite import random_design
+from repro.bench_suite import section3_workload
 from repro.core import LevelBConfig, LevelBRouter
 from repro.maze import MazeRouter
-from repro.placement import RowPlacement
 from repro.reporting import format_table
 
 from conftest import print_experiment
 
 
-def build_workload(seed):
-    # 48 nets on 14 cells: busy but fully routable by both engines, so
-    # the timing compares the same realised set of connections.  (At
-    # saturation both engines spend most time proving failures, which
-    # measures exhaustion, not search.)
-    design = random_design(
-        f"speed{seed}", seed=seed, num_cells=14, num_nets=48, num_critical=0
-    )
-    placement = RowPlacement.build(design, pitch=8)
-    placement.realize([16] * placement.channel_count, margin=16)
-    bounds = design.cell_bounds().expanded(24)
-    return design, bounds
-
-
 def route_with(router_cls, seed):
-    design, bounds = build_workload(seed)
+    design, bounds = section3_workload(seed)
     config = LevelBConfig(maze_fallback=False, max_ripups=0)
     router = router_cls(bounds, list(design.nets.values()), config=config)
     started = time.perf_counter()

@@ -25,6 +25,7 @@ from repro.bench_suite.generator import (
     random_design,
     scale_design,
     scale_profile,
+    section3_workload,
     wide_design,
     wide_profile,
     xerox_like,
@@ -42,6 +43,7 @@ __all__ = [
     "make_design",
     "random_corpus",
     "random_design",
+    "section3_workload",
     "ami33_like",
     "xerox_like",
     "ex3_like",

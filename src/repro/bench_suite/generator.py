@@ -15,7 +15,9 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
+from repro.geometry import Rect
 from repro.netlist import Cell, Design, Edge
+from repro.placement import RowPlacement
 from repro.technology import NetClass
 
 PITCH = 8  # pin grid; matches the metal1/metal2 pitch of the presets
@@ -288,6 +290,23 @@ def random_design(
             critical_pin_counts=criticals,
         )
     )
+
+
+def section3_workload(seed: int) -> tuple[Design, Rect]:
+    """Section 3's speed workload: a placed design and its level B bounds.
+
+    48 nets on 14 row-placed cells: busy but fully routable by both the
+    MBFS and the Lee router, so timing them compares the same realised
+    set of connections (at saturation both would mostly prove
+    failures).  ``benchmarks/test_mbfs_vs_maze.py`` times seeds 1-3, and
+    tier-1 pins their node totals.
+    """
+    design = random_design(
+        f"speed{seed}", seed=seed, num_cells=14, num_nets=48, num_critical=0
+    )
+    placement = RowPlacement.build(design, pitch=8)
+    placement.realize([16] * placement.channel_count, margin=16)
+    return design, design.cell_bounds().expanded(24)
 
 
 def random_corpus(

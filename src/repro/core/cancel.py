@@ -2,8 +2,8 @@
 
 :func:`deadline` binds a :class:`threading.Event` to the calling thread
 and arms a :class:`threading.Timer` that sets it.  Level B calls
-:func:`checkpoint` before each net, before each search window and every
-1024 Lee expansions; it raises :class:`RouteCancelled` once the event
+:func:`checkpoint` before each net, before each search window and once
+per round of the Lee wave; it raises :class:`RouteCancelled` once the event
 is set.  The binding is per thread, like
 :func:`repro.instrument.thread_collecting`, so no parameter carries it.
 A cancelled router is spent (its grid may hold a half-routed net).

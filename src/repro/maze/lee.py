@@ -6,7 +6,7 @@ The search state is ``(v_idx, h_idx, direction)``: a wavefront cell
 plus the direction the wire is travelling through it.  Straight moves
 cost their geometric length (tracks are non-uniform); a direction
 change costs ``via_penalty`` and requires the intersection to accept a
-corner via.  With non-negative costs this is Dijkstra - the standard
+corner via.  With positive costs this is Dijkstra - the standard
 generalisation of Lee's algorithm to weighted grids - and it returns a
 minimum-cost path whenever one exists, which also makes it the test
 oracle for the MBFS router's completeness within a region.
@@ -14,10 +14,48 @@ oracle for the MBFS router's completeness within a region.
 Availability is read once per call: one
 :meth:`~repro.grid.RoutingGrid.window_masks` read over the search
 window (the whole grid for the rescue) gives the usable-wire and corner
-matrices the MBFS and the reachability flood read, and a probe is one
-index into them.  States are coded as integers whose order equals the
-``(v_idx, h_idx, direction)`` tuple order, so the heap pops them in the
-same ``(cost, state)`` order.
+matrices the MBFS and the reachability flood read.
+
+The wave is not a heap.  Every move costs more than zero, so a
+cell-by-cell Dijkstra wave pops its states in ``(distance, code)``
+order, where the code ``((v * nh + h) << 1) | direction`` orders like
+the ``(v_idx, h_idx, direction)`` tuple.  Three facts then follow from
+the exact distances alone:
+
+* the wave pops 1 plus the number of states whose ``(distance, code)``
+  orders before the goal state's, where the goal state is whichever of
+  the target cell's two directions has the smaller ``(distance, code)``
+  (horizontal first at equal distance); when the target is
+  unreachable, it pops every state with a finite distance;
+* a state's parent is its tight predecessor with the smallest
+  ``(distance, code)``, taken here as the predecessor that minimises
+  ``(distance + move cost, distance, code)``;
+* the path follows from the parents, and with it the waypoints and
+  corners.
+
+So :func:`lee_search` computes exact distances and derives the heap
+wave's path, corners and pop count from them.  The distances come from
+rounds of segmented run transforms over the window's matrices: a
+distance transform along every usable run of the h-rows (two
+``minimum.accumulate`` passes over ``d - x`` and ``d + x``), the corner
+transfer (``+ via_penalty`` where a corner is allowed), then the same
+on the v-rows and back.  The rounds stop after one in which no
+distance at or below the goal's current estimate went down, or, while
+the goal is unreached, after one in which no distance changed at all.
+That stop is exact: if a state at distance at most the goal estimate
+``G`` were still wrong, take the first wrong state on a shortest path
+to it.  Its predecessor there is right and at most ``G``, so it did not
+go down in the last round, and that round's relaxation of the move
+from it would have lowered the wrong state to its true distance.
+
+Exactness needs exact sums: the transforms add and subtract in another
+order than the heap.  Every routing caller has integer track
+coordinates and a corner price of 10, or 40 under the ``vias``
+objective, and the test oracle's prices are 0.5, 10, 40 and 1e9, so
+every sum is exact and the answer equals the heap wave's bit for bit.
+The run segmentation adds nothing to the distances: a run is a
+segment of a complex scan whose real part is the segment's id, so the
+lexicographic ``minimum``/``maximum`` never mixes two segments.
 
 :class:`LeeEngine` packages the search as a
 :class:`~repro.core.engine.ConnectionEngine`, so the same code serves
@@ -28,9 +66,10 @@ price a corner at :data:`repro.core.router.MAZE_VIA_PENALTY`.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Iterable
+
+import numpy as np
 
 from repro import instrument
 from repro.instrument.names import (
@@ -40,6 +79,7 @@ from repro.instrument.names import (
 )
 from repro.geometry import Interval, Path, Point
 from repro.grid import RoutingGrid
+from repro.grid.occupancy import _run_labels
 from repro.core.engine import (
     ConnectionEngine,
     EngineContext,
@@ -54,7 +94,7 @@ from repro.core.tig import GridTerminal
 HORIZONTAL = 0
 VERTICAL = 1
 
-State = tuple[int, int, int]  # (v_idx, h_idx, direction)
+State = tuple[int, int, int]  # (v, h, direction)
 
 
 def lee_search(
@@ -72,108 +112,101 @@ def lee_search(
     compressed corner sequence (source, corners..., target); corners
     are ``(v_idx, h_idx)`` index pairs ready for
     :meth:`repro.grid.RoutingGrid.commit_path`, and ``nodes_expanded``
-    counts the states the wave popped.  Every 1024 expansions
-    the wave calls :func:`~repro.core.cancel.checkpoint`.  A negative
-    or non-finite ``via_penalty`` raises :class:`ValueError`: Dijkstra
-    needs finite, non-negative move costs.
+    counts the states a cell-by-cell Dijkstra wave pops.  All three are
+    derived from exact distances (module notes): a state's distance is
+    final once a round lowers nothing at or below the goal's estimate,
+    and the path, corners and count equal the heap wave's whenever the
+    sums are exact.  Once per round of the Lee wave the search calls
+    :func:`~repro.core.cancel.checkpoint`.  A ``via_penalty`` that is
+    not finite and > 0 raises :class:`ValueError`: a zero-cost turn
+    breaks the ``(distance, code)`` pop order the count and the parents
+    are derived from.
     """
-    if not (via_penalty >= 0 and math.isfinite(via_penalty)):
-        raise ValueError(f"via_penalty must be finite and >= 0, got {via_penalty!r}")
-    # Validate both terminals once; every probe below stays inside the
-    # (clipped) window, so the matrix reads need no per-cell checks.
+    if not (via_penalty > 0 and math.isfinite(via_penalty)):
+        raise ValueError(f"via_penalty must be finite and > 0, got {via_penalty!r}")
     source.position(grid)
     target.position(grid)
     v_iv, h_iv = search_window(grid, source, target, region)
-    xs, ys = grid.vtracks.coords, grid.htracks.coords
-    v_lo, v_hi, h_lo, h_hi = v_iv.lo, v_iv.hi, h_iv.lo, h_iv.hi
+    xs = grid.vtracks.coords[v_iv.lo : v_iv.hi + 1]
+    ys = grid.htracks.coords[h_iv.lo : h_iv.hi + 1]
     # One availability read for the whole wave, indexed from the
-    # window's low corner: a horizontal move probes ``usable_h[h, v]``,
-    # a vertical move ``usable_v[v, h]`` and a turn ``corner[h, v]``
-    # (the grid folds a wide net's footprint into all three).  Probes go
-    # through memoryviews of the matrices: no copy, and a Python bool
-    # per read.
-    usable_h, usable_v, corner = map(
-        memoryview, grid.window_masks(net_id, v_iv, h_iv)
-    )
-
-    # State (v, h, direction) is coded ((v * nh + h) << 1) | direction.
-    nh = grid.num_htracks
-    v_step, h_step = nh << 1, 2
-    dist: dict[int, float] = {}
-    parent: dict[int, int] = {}
-    heap: list[tuple[float, int]] = []
-    sv, sh = source.v_idx, source.h_idx
-    for direction, usable in (
-        (HORIZONTAL, usable_h[sh - h_lo, sv - v_lo]),
-        (VERTICAL, usable_v[sv - v_lo, sh - h_lo]),
-    ):
-        if usable:
-            state = ((sv * nh + sh) << 1) | direction
-            dist[state] = 0.0
-            parent[state] = -1
-            heapq.heappush(heap, (0.0, state))
-
-    goal_cell = target.v_idx * nh + target.h_idx
-    goal: int | None = None
-    expanded = 0
-    while heap:
-        d, state = heapq.heappop(heap)
-        if d > dist[state]:
-            continue
-        expanded += 1
-        if not expanded & 1023:
-            checkpoint()
-        cell = state >> 1
-        if cell == goal_cell:
-            goal = state
+    # window's low corner: ``usable_h[h, v]``, ``usable_v[v, h]`` and
+    # ``corner[h, v]`` (the grid folds a wide net's footprint into all
+    # three).  The distances share the layouts: ``dist_h[h, v]`` and
+    # ``dist_v[v, h]``.
+    usable_h, usable_v, corner = grid.window_masks(net_id, v_iv, h_iv)
+    dist_h = np.full(usable_h.shape, math.inf)
+    dist_v = np.full(usable_v.shape, math.inf)
+    si, sj = source.v_idx - v_iv.lo, source.h_idx - h_iv.lo
+    ti, tj = target.v_idx - v_iv.lo, target.h_idx - h_iv.lo
+    if usable_h[sj, si]:
+        dist_h[sj, si] = 0.0
+    if usable_v[si, sj]:
+        dist_v[si, sj] = 0.0
+    # A turn costs ``via_penalty`` where a corner is allowed, inf elsewhere.
+    turn = np.where(corner, via_penalty, math.inf)
+    along_h = _RunTransform(usable_h, xs)
+    along_v = _RunTransform(usable_v, ys)
+    while True:
+        checkpoint()
+        before_h, before_v = dist_h.copy(), dist_v.copy()
+        along_h(dist_h)
+        np.minimum(dist_v, (dist_h + turn).T, out=dist_v)
+        along_v(dist_v)
+        np.minimum(dist_h, dist_v.T + turn, out=dist_h)
+        goal = min(float(dist_h[tj, ti]), float(dist_v[ti, tj]))
+        if not (
+            _lowered_to(dist_h, before_h, goal) or _lowered_to(dist_v, before_v, goal)
+        ):
             break
-        v, h = divmod(cell, nh)
-        i, j = v - v_lo, h - h_lo
-        moves: list[tuple[int, float]] = []
-        if (state & 1) == HORIZONTAL:
-            if v > v_lo and usable_h[j, i - 1]:
-                moves.append((state - v_step, float(abs(xs[v - 1] - xs[v]))))
-            if v < v_hi and usable_h[j, i + 1]:
-                moves.append((state + v_step, float(abs(xs[v + 1] - xs[v]))))
-            if corner[j, i]:
-                moves.append((state | VERTICAL, via_penalty))
-        else:
-            if h > h_lo and usable_v[i, j - 1]:
-                moves.append((state - h_step, float(abs(ys[h - 1] - ys[h]))))
-            if h < h_hi and usable_v[i, j + 1]:
-                moves.append((state + h_step, float(abs(ys[h + 1] - ys[h]))))
-            if corner[j, i]:
-                moves.append((state ^ VERTICAL, via_penalty))
-        for nstate, cost in moves:
-            nd = d + cost
-            if nd < dist.get(nstate, float("inf")):
-                dist[nstate] = nd
-                parent[nstate] = state
-                heapq.heappush(heap, (nd, nstate))
 
-    # One batched instrumentation report per wave expansion: the inner
-    # loop above tallies into ``expanded`` only.
+    found = goal < math.inf
+    if found:
+        direction = HORIZONTAL if dist_h[tj, ti] == goal else VERTICAL
+        expanded = 1 + _count_before(dist_h, dist_v, goal, (ti, tj, direction))
+    else:
+        expanded = int(np.count_nonzero(dist_h < math.inf)) + int(
+            np.count_nonzero(dist_v < math.inf)
+        )
     inst = instrument.active()
     if inst.enabled:
         inst.count(MAZE_SEARCHES)
         inst.count(MAZE_NODES_EXPANDED, expanded)
-
-    if goal is None:
+    if not found:
         return None, None, expanded
 
-    # Walk parents, then compress to waypoints at direction changes.
-    states: list[State] = []
-    cursor = goal
-    while cursor >= 0:
-        v, h = divmod(cursor >> 1, nh)
-        states.append((v, h, cursor & 1))
-        cursor = parent[cursor]
+    # Walk parents from the goal, then compress to waypoints at
+    # direction changes.  States are window-relative; only the source's
+    # have distance 0.
+    states: list[State] = [(ti, tj, direction)]
+    d = goal
+    while d > 0:
+        i, j, direction = states[-1]
+        moves: list[tuple[float, float, State]] = []
+        if direction == HORIZONTAL:
+            row = dist_h[j]
+            if i > 0:
+                moves.append((xs[i] - xs[i - 1], float(row[i - 1]), (i - 1, j, HORIZONTAL)))
+            if i + 1 < len(xs):
+                moves.append((xs[i + 1] - xs[i], float(row[i + 1]), (i + 1, j, HORIZONTAL)))
+            if corner[j, i]:
+                moves.append((via_penalty, float(dist_v[i, j]), (i, j, VERTICAL)))
+        else:
+            row = dist_v[i]
+            if j > 0:
+                moves.append((ys[j] - ys[j - 1], float(row[j - 1]), (i, j - 1, VERTICAL)))
+            if j + 1 < len(ys):
+                moves.append((ys[j + 1] - ys[j], float(row[j + 1]), (i, j + 1, VERTICAL)))
+            if corner[j, i]:
+                moves.append((via_penalty, float(dist_h[j, i]), (i, j, HORIZONTAL)))
+        _, d, parent = min((dp + cost, dp, p) for cost, dp, p in moves)
+        states.append(parent)
     states.reverse()
     waypoints: list[Point] = [Point(xs[states[0][0]], ys[states[0][1]])]
     corners: list[tuple[int, int]] = []
     for prev, nxt in zip(states, states[1:]):
         if prev[2] != nxt[2]:  # in-place direction switch: a corner via
-            corners.append((prev[0], prev[1]))
+            corners.append((prev[0] + v_iv.lo, prev[1] + h_iv.lo))
             point = Point(xs[prev[0]], ys[prev[1]])
             if point != waypoints[-1]:
                 waypoints.append(point)
@@ -183,6 +216,70 @@ def lee_search(
     elif len(waypoints) == 1:
         waypoints.append(end)  # degenerate same-point path
     return waypoints, corners, expanded
+
+
+class _RunTransform:
+    """The distance transform along every usable run of a matrix's rows.
+
+    Called on a distance matrix laid out like ``usable`` (a row is a
+    track, a column a position on it, at coordinate ``coords[column]``),
+    it lowers each usable cell to ``min(d[u] + |x - x[u]|)`` over the
+    cells ``u`` of its run, in place.  The two passes are one
+    ``minimum.accumulate`` over ``d - x`` from the left and one
+    ``maximum.accumulate`` over ``-(d + x)`` from the right, both over
+    the whole matrix at once.  Each pass scans a complex buffer whose
+    real part is minus the cell's segment id, so the lexicographic
+    comparison keeps every scan inside its segment and leaves the real
+    parts as they were.  Segments are the maximal runs of usable cells
+    (``_run_labels``) and every unusable cell alone, so an unusable
+    cell's infinite distance stays infinite.
+    """
+
+    __slots__ = ("coords", "neg_coords", "scan")
+
+    def __init__(self, usable: np.ndarray, coords: Iterable[int]) -> None:
+        self.coords = np.asarray(coords, dtype=np.float64)
+        self.neg_coords = -self.coords
+        # Ids rise by one at every run start and at every unusable cell.
+        segment = np.maximum.accumulate(_run_labels(usable).reshape(-1)) + np.cumsum(
+            ~usable.reshape(-1)
+        )
+        self.scan = np.empty(usable.shape, dtype=np.complex128)
+        self.scan.real = -segment.reshape(usable.shape)
+
+    def __call__(self, dist: np.ndarray) -> None:
+        scan, flat = self.scan, self.scan.reshape(-1)
+        np.subtract(dist, self.coords, out=scan.imag)
+        np.minimum.accumulate(flat, out=flat)
+        np.minimum(dist, scan.imag + self.coords, out=dist)
+        np.subtract(self.neg_coords, dist, out=scan.imag)
+        backward = flat[::-1]
+        np.maximum.accumulate(backward, out=backward)
+        np.minimum(dist, self.neg_coords - scan.imag, out=dist)
+
+
+def _lowered_to(dist: np.ndarray, before: np.ndarray, goal: float) -> bool:
+    """Did a round lower some distance to ``goal`` or below?"""
+    return bool(np.any((dist < before) & (dist <= goal)))
+
+
+def _count_before(
+    dist_h: np.ndarray, dist_v: np.ndarray, goal: float, state: State
+) -> int:
+    """States whose ``(distance, code)`` orders before the goal state's.
+
+    ``state`` is the goal's window-relative ``(v, h, direction)``; a
+    tie at the goal's distance is broken by the code.  In the ``[v, h]``
+    layout of ``dist_v`` and ``dist_h.T``, the state at flat index ``f``
+    has code ``2 * f + direction``.
+    """
+    v, h, direction = state
+    goal_code = 2 * (v * dist_v.shape[1] + h) + direction
+    count = int(np.count_nonzero(dist_h < goal)) + int(np.count_nonzero(dist_v < goal))
+    for dist, d in ((dist_h.T, HORIZONTAL), (dist_v, VERTICAL)):
+        codes = 2 * np.flatnonzero(dist == goal) + d
+        count += int(np.count_nonzero(codes < goal_code))
+    return count
 
 
 class LeeEngine(ConnectionEngine):

@@ -164,24 +164,27 @@ class TestLevelBCheckpoints:
             with pytest.raises(RouteCancelled):
                 next(windows)  # the whole grid, a new window
 
-    def test_event_set_mid_wave_stops_lee_within_1024_expansions(
-        self, monkeypatch
-    ):
+    def test_event_set_mid_wave_stops_lee_within_one_round(self, monkeypatch):
         ts = TrackSet(range(0, 1200, 10))
         tig = TrackIntersectionGraph(ts, TrackSet(range(0, 1200, 10)))
         a, b = tig.register_net(1, [Point(0, 0), Point(1190, 1190)])
-        _, _, expanded = lee_search(tig.grid, 1, a, b)
-        assert expanded > 2048  # long enough to interrupt
-
-        checks = {"n": 0}
+        grid = tig.grid
+        checks = {"n": 0, "set_at": None}
+        events = {}
 
         def counted_checkpoint():
             checks["n"] += 1
+            if checks["n"] == checks["set_at"]:
+                events["now"].set()
             checkpoint()
 
         monkeypatch.setattr(lee_mod, "checkpoint", counted_checkpoint)
-        grid = tig.grid
+        # The wave checks once per round; this one takes three.
+        lee_search(grid, 1, a, b)
+        assert checks["n"] == 3
+
         original = type(grid).window_masks
+        checks["n"] = 0
         with deadline(3600) as event:
 
             def window_masks(self, *args):
@@ -192,7 +195,15 @@ class TestLevelBCheckpoints:
             monkeypatch.setattr(type(grid), "window_masks", window_masks)
             with pytest.raises(RouteCancelled):
                 lee_search(grid, 1, a, b)
-        assert checks["n"] == 1  # the first check, at expansion 1024
+        assert checks["n"] == 1  # the first round's check
+        monkeypatch.setattr(type(grid), "window_masks", original)
+
+        checks["n"], checks["set_at"] = 0, 2
+        with deadline(3600) as event:
+            events["now"] = event
+            with pytest.raises(RouteCancelled):
+                lee_search(grid, 1, a, b)
+        assert checks["n"] == 2  # set in the second round, stopped there
 
     def test_fresh_router_after_cancel_routes_seed_digest(self, monkeypatch):
         router = _ami33_router()

@@ -1,16 +1,23 @@
 """Tests for the Lee/Dijkstra maze baseline."""
 
 import math
+from pathlib import Path
 
 import pytest
 
+from repro.bench_suite import section3_workload
+from repro.core import LevelBConfig, LevelBRouter
 from repro.core.cancel import deadline
 from repro.geometry import Point, Rect, Interval
 from repro.grid import TrackSet
 from repro.core.tig import TrackIntersectionGraph
+from repro.io import canonical_json, flow_result_to_dict
 from repro.maze import MazeRouter, lee_search
 
 from conftest import make_toy_design
+from counter_golden import routed
+
+EXPERIMENTS = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
 
 
 def make_tig(n=8):
@@ -38,7 +45,7 @@ class TestLeeSearch:
     def test_length_optimal_on_empty_grid(self):
         tig = make_tig()
         a, b = tig.register_net(1, [Point(0, 0), Point(50, 40)])
-        waypoints, _, _ = lee_search(tig.grid, 1, a, b, via_penalty=0.0)
+        waypoints, _, _ = lee_search(tig.grid, 1, a, b, via_penalty=0.5)
         length = sum(p.manhattan_to(q) for p, q in zip(waypoints, waypoints[1:]))
         assert length == 90  # Manhattan distance
 
@@ -83,12 +90,35 @@ class TestLeeSearch:
         assert waypoints is not None
         assert len(corners) >= 2  # must leave the blocked row
 
-    @pytest.mark.parametrize("penalty", [-1.0, -math.inf, math.nan, math.inf])
+    def test_outputs_are_python_ints(self):
+        # numpy scalars would leak into counters and served results,
+        # which JSON cannot encode.  The L has ties at the goal's
+        # distance, so the tie count runs too.
+        tig = make_tig()
+        a, b = tig.register_net(1, [Point(0, 0), Point(50, 40)])
+        waypoints, corners, expanded = lee_search(tig.grid, 1, a, b)
+        assert waypoints is not None and corners
+        assert type(expanded) is int
+        for corner in corners:
+            assert type(corner) is tuple and [type(i) for i in corner] == [int, int]
+        tig.add_obstacle(Rect(30, 0, 30, 70))  # a full wall
+        waypoints, corners, expanded = lee_search(tig.grid, 1, a, b)
+        assert waypoints is None and corners is None
+        assert type(expanded) is int and expanded > 0
+
+    def test_rescued_flow_result_encodes_as_json(self):
+        result = routed("ex3")  # cached: the counter golden routes it too
+        assert result.profile["counters"]["maze.nodes_expanded"] == 77232
+        canonical_json(flow_result_to_dict(result))
+
+    @pytest.mark.parametrize("penalty", [-1.0, -math.inf, math.nan, math.inf, 0.0])
     def test_rejects_negative_or_non_finite_via_penalty(self, penalty):
         # Unchecked, -1.0 lowers a state's distance at every turn and the
         # wave never ends, -inf makes two states each other's parent, and
-        # NaN and +inf find no path where an L exists.  The deadline turns
-        # an endless wave into a failure; the parent walk has no checkpoint.
+        # NaN and +inf find no path where an L exists.  A zero-cost turn
+        # breaks the (distance, code) pop order the wave's count and
+        # parents are derived from.  The deadline turns an endless wave
+        # into a failure; the parent walk has no checkpoint.
         tig = make_tig(10)
         a, b = tig.register_net(1, [Point(0, 0), Point(90, 90)])
         with deadline(5.0), pytest.raises(ValueError, match=repr(penalty)):
@@ -105,8 +135,6 @@ class TestMazeRouter:
 
     def test_same_model_as_levelb(self):
         """Maze and MBFS routers produce comparable wire lengths."""
-        from repro.core import LevelBRouter
-
         design = make_toy_design()
         maze = MazeRouter(Rect(0, 0, 256, 256), list(design.nets.values())).route()
         design2 = make_toy_design()
@@ -135,3 +163,19 @@ class TestMazeRouter:
         # objective="wire" run's 1340 / 14 (test_toy_maze_parity).
         assert (vias.total_wire_length, vias.total_corners) == (1296, 13)
         assert (priced.total_wire_length, priced.total_corners) == (1296, 13)
+
+
+def test_section3_node_totals_are_the_quoted_ones():
+    """The section 3 benchmark's deterministic half: the search nodes of
+    both engines over seeds 1-3, as EXPERIMENTS.md quotes them."""
+    config = LevelBConfig(maze_fallback=False, max_ripups=0)
+    totals = {}
+    for router_cls in (LevelBRouter, MazeRouter):
+        totals[router_cls] = 0
+        for seed in (1, 2, 3):
+            design, bounds = section3_workload(seed)
+            router = router_cls(bounds, list(design.nets.values()), config=config)
+            totals[router_cls] += router.route().nodes_created
+    assert totals == {LevelBRouter: 80_679, MazeRouter: 246_474}
+    text = EXPERIMENTS.read_text()
+    assert "80,679" in text and "246,474" in text

@@ -1,17 +1,19 @@
-"""Differential equivalence: level-step MBFS, matrix-probing Lee and the flood vs per-cell.
+"""Differential equivalence: level-step MBFS, run-transform Lee and the flood vs per-cell.
 
 The MBFS and Lee read their window once as boolean matrices
 (:meth:`RoutingGrid.window_masks`); the MBFS expands one BFS level per
-numpy step and Lee probes the matrices cell by cell.  This module
-keeps a test-local copy of the per-crossing MBFS expansion
-and the per-probe Lee wave as the oracle, both reading the grid one
+numpy step and Lee computes exact distances by rounds of run transforms
+over the matrices, then derives its path and pop count from them.  This
+module keeps a test-local copy of the per-crossing MBFS expansion
+and the per-probe heap Lee wave as the oracle, both reading the grid one
 cell at a time through ``h_slot``/``v_slot``, and checks on random
 grids - obstacles, foreign wiring, wide-net footprints, foreign pin
 keep-outs, random regions, entry caps (zero included), depth limits and
 node budgets small enough to abort - that the fast engines produce
 exactly the oracle's searches: the same minimum corner count, abort
 flag, node count, ordered leaves and Path Selection Tree, spans
-included, and the same Lee paths and expansion counts.  The window and
+included, and the same Lee paths and expansion counts at the routing
+callers' corner prices and at the extremes.  The window and
 whole-grid masks must match the per-cell reads, and the reachability
 flood (:meth:`RoutingGrid.reachable`) must agree with whether the
 oracle's whole-grid Lee wave finds a path.  A grid replayed with int8
@@ -448,6 +450,33 @@ def mid_level_abort_instance():
     return grid, source, target, None
 
 
+def serpentine_instance():
+    """Five walls with gaps at alternate ends: the only paths weave up
+    and down between them, so the cheapest one turns 10 times and the
+    wave needs many rounds."""
+    grid = RoutingGrid(TrackSet(range(0, 120, 10)), TrackSet(range(0, 120, 10)))
+    source, target = GridTerminal(0, 0), GridTerminal(11, 0)
+    for term in (source, target):
+        grid.reserve_terminal(term.v_idx, term.h_idx, NET)
+    for x in (20, 60, 100):
+        grid.add_obstacle(Rect(x, 0, x, 90))  # gap at the top
+    for x in (40, 80):
+        grid.add_obstacle(Rect(x, 20, x, 110))  # gap at the bottom
+    return grid, source, target, None
+
+
+def walled_region_instance():
+    """A wall cuts the bounded region in two; the target is reachable
+    only around the wall's end, outside the region.  The wave fails
+    after popping every state on the source's side."""
+    grid = RoutingGrid(TrackSet(range(0, 100, 10)), TrackSet(range(0, 100, 10)))
+    source, target = GridTerminal(1, 1), GridTerminal(4, 4)
+    for term in (source, target):
+        grid.reserve_terminal(term.v_idx, term.h_idx, NET)
+    grid.add_obstacle(Rect(30, 0, 30, 50))
+    return grid, source, target, (Interval(0, 5), Interval(0, 5))
+
+
 def _tree(node: PSTNode):
     """A node's whole subtree as nested tuples (span included)."""
     return (
@@ -491,8 +520,16 @@ class TestMBFSEquivalence:
 
 
 class TestLeeEquivalence:
+    # 10 and 40 are the rescue's corner prices (objective "wire" and
+    # "vias"); 0.5 and 1e9 are the extremes of an exact float sum.
     @FAST
-    @given(instances(), st.sampled_from([0.5, 10.0, 1e9]))
+    @given(instances(), st.sampled_from([0.5, 10.0, 40.0, 1e9]))
+    @example(serpentine_instance(), 10.0)
+    @example(serpentine_instance(), 1e9)
+    @example(walled_region_instance(), 10.0)
+    # An open grid: both L-shaped paths cost the same, so the target's
+    # two states tie and the horizontal one must be the goal.
+    @example(split_instance(wall=False), 10.0)
     def test_matches_per_probe_wave(self, inst, via_penalty):
         grid, source, target, region = inst
         want = reference_lee(grid, source, target, via_penalty, region)
