@@ -124,30 +124,6 @@ def test_track_reentry_budget_ablation(benchmark):
     assert results[8]["wire"] <= results[1]["wire"]
 
 
-def test_refinement_ablation(benchmark):
-    """Post-routing refinement passes (beyond the paper): rip up and
-    reroute each net with full knowledge of the others."""
-
-    def sweep():
-        return {
-            passes: run_config(LevelBConfig(refinement_passes=passes))
-            for passes in (0, 1, 2)
-        }
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = [
-        [passes, f"{r['complete']}/{r['nets']}", r["wire"], r["corners"]]
-        for passes, r in results.items()
-    ]
-    print_experiment(
-        "Ablation: post-routing refinement passes",
-        format_table(["Passes", "Completed", "Wire", "Corners"], rows),
-    )
-    assert results[1]["wire"] <= results[0]["wire"]
-    assert results[2]["wire"] <= results[1]["wire"]
-    assert results[2]["complete"] >= results[0]["complete"]
-
-
 def test_partition_strategy_ablation(benchmark, flow_results):
     """Section 5: "If layout area optimization is the priority, channel
     areas can be eliminated and the entire set of interconnections can

@@ -54,20 +54,18 @@ class GreedyChannelRouter:
     """Always-completing greedy channel router.
 
     ``initial_tracks`` overrides the starting width (default: channel
-    density).  ``max_extension_columns`` caps the right-side extension
-    used to collapse leftover split nets (a generous default; hitting
-    it raises :class:`ChannelRoutingError`).
+    density).  The right-side extension that collapses leftover split
+    nets is capped at ``2 * tracks + length + 16`` columns; hitting the
+    cap raises :class:`ChannelRoutingError`.
     """
 
     def __init__(
         self,
         initial_tracks: int | None = None,
-        max_extension_columns: int | None = None,
         steady_jogs: bool = True,
         min_jog_length: int = 2,
     ) -> None:
         self.initial_tracks = initial_tracks
-        self.max_extension_columns = max_extension_columns
         self.steady_jogs = steady_jogs
         self.min_jog_length = min_jog_length
 
@@ -85,9 +83,7 @@ class GreedyChannelRouter:
                 state.collapse(col)
                 if self.steady_jogs:
                     state.steady_jogs(col, self.min_jog_length)
-            extension_cap = self.max_extension_columns
-            if extension_cap is None:
-                extension_cap = 2 * len(state.track_ids) + problem.length + 16
+            extension_cap = 2 * len(state.track_ids) + problem.length + 16
             col = problem.length
             while state.any_split():
                 if col - problem.length >= extension_cap:

@@ -42,10 +42,6 @@ class HVHResult:
     def tracks(self) -> int:
         return self.route.tracks
 
-    @property
-    def track_saving(self) -> int:
-        return self.base_tracks - self.route.tracks
-
 
 class HVHChannelRouter:
     """Three-layer channel routing by adjacent-track pairing."""

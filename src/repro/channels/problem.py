@@ -94,15 +94,6 @@ class ChannelProblem:
         bottom = sum(1 for n in self.bottom if n == net)
         return top + bottom
 
-    def local_density(self, column: int) -> int:
-        """Nets whose pin span covers ``column``."""
-        count = 0
-        for net in self.nets():
-            lo, hi = self.span(net)
-            if lo <= column <= hi and self.pin_count(net) >= 2:
-                count += 1
-        return count
-
     def density(self) -> int:
         """Channel density: the two-layer track-count lower bound."""
         if self.length == 0:
@@ -116,11 +107,6 @@ class ChannelProblem:
             cover = sum(1 for lo, hi in spans if lo <= c <= hi)
             best = max(best, cover)
         return best
-
-    def trivial(self) -> bool:
-        """True when no net needs a trunk (every net wholly at one column)."""
-        return all(self.pin_count(n) < 2 or self.span(n)[0] == self.span(n)[1]
-                   for n in self.nets())
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (

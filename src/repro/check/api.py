@@ -211,12 +211,11 @@ def sanitize_commit(
 ) -> list[Violation]:
     """Checked mode's per-commit slice: one net's invariants + grid audit.
 
-    Runs after a net commits (or a refinement transaction closes): the
-    paper invariants of the net's own connections plus the full ledger
-    replay and journal-balance audit.  ``in_ambient_txn`` relaxes the
-    journal check for callers running inside an outer transaction
-    (the passes of :mod:`repro.iterate`), where a populated journal is
-    legitimate.
+    Runs after each net routes: the paper invariants of the net's own
+    connections plus the full ledger replay and journal-balance audit.
+    ``in_ambient_txn`` relaxes the journal check for callers running
+    inside an outer transaction (the passes of :mod:`repro.iterate`),
+    where a populated journal is legitimate.
     """
     with instrument.span(SPAN_CHECK_COMMIT):
         violations = []

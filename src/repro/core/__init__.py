@@ -25,8 +25,8 @@ stacked pairs via ``LevelBRouter(planes=)`` (docs/LAYERS.md):
   (search -> candidates -> select -> commit); the MBFS/PST engine
   lives here, the Lee rescue engine in :mod:`repro.maze.lee`.
 * :mod:`repro.core.router` - the :class:`LevelBRouter` orchestrator:
-  net ordering, Steiner decomposition, rip-up, refinement - thin
-  sequencing over engines and grid transactions.
+  net ordering, Steiner decomposition, rip-up - thin sequencing over
+  engines and grid transactions.
 """
 
 from repro.core.tig import GridTerminal, TrackIntersectionGraph

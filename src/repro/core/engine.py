@@ -4,8 +4,8 @@ The level B orchestrator (:class:`repro.core.router.LevelBRouter`)
 routes one two-terminal connection at a time.  *How* a connection is
 found is an engine concern, expressed by the
 :class:`ConnectionEngine` protocol; the orchestrator only sequences
-nets, decomposes multi-terminal trees, escalates regions, rips up and
-refines.  Two engines ship with the package:
+nets, decomposes multi-terminal trees, escalates regions and rips up.
+Two engines ship with the package:
 
 :class:`MBFSEngine` (this module)
     The paper's modified breadth-first search over the Track

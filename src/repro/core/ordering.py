@@ -5,8 +5,8 @@ option of a user specified ordering criterion"; arXiv 2412.21035
 (PAPERS.md) shows that the order alone moves completion and
 wirelength.  A policy is a function ``(nets, feedback) -> list[Net]``
 and :data:`POLICIES` maps the three names to them.  The router routes
-(and refines) in ``policy(nets, {})``; :mod:`repro.iterate` feeds each
-later pass the previous pass's :class:`NetFeedback`, keyed by net name.
+in ``policy(nets, {})``; :mod:`repro.iterate` feeds each later pass
+the previous pass's :class:`NetFeedback`, keyed by net name.
 Any other order goes to ``LevelBRouter.route(order=...)``.
 
 ``longest-first``
@@ -40,8 +40,9 @@ class NetFeedback:
     ``overflow`` counts the overflowed coarse regions the net's read
     window touches; ``demand`` is the peak demand/capacity utilization
     over all the regions it touches — both from the
-    :class:`~repro.globalroute.RegionModel` the iterate loop rebuilds
-    each pass.
+    :class:`~repro.globalroute.RegionModel` over the nets' terminal
+    windows, which the iterate loop builds once per run: only
+    ``failed`` changes from pass to pass.
     """
 
     failed: bool = False

@@ -22,11 +22,13 @@ Ties the pieces together exactly as section 3 describes:
    again, and a connection a whole-grid reachability flood proves
    unroutable is given up after its first window).
 
-Speculative state changes - rip-up-and-reroute, refinement and the
-passes of :mod:`repro.iterate` - run inside
-:class:`~repro.grid.GridTransaction` journals, so undoing a decision
-costs time proportional to the cells it touched, never a full-grid
-scan.
+Two mechanisms re-route.  The bounded rip-up inside
+:meth:`LevelBRouter.route` (``max_ripups``) completes a failed net
+within one pass; :mod:`repro.iterate` re-routes a design a pass left
+incomplete, each later pass inside one
+:class:`~repro.grid.GridTransaction` journal.  A rip replays the net's
+mutation ledger and a rollback its journal, so undoing a decision costs
+time proportional to the cells it touched, never a full-grid scan.
 
 Under a passed :func:`repro.core.cancel.deadline` a checkpoint before
 each net and each search window raises ``RouteCancelled``.
@@ -59,7 +61,6 @@ from repro.instrument.names import (
     REGION_EXPANSIONS,
     RIPUPS,
     SPAN_LEVELB_NET,
-    SPAN_LEVELB_REFINE,
     SPAN_LEVELB_ROUTE,
     SPAN_MAZE_RESCUE,
     SPAN_REACH_FLOOD,
@@ -131,12 +132,6 @@ class LevelBConfig:
     # paper (whose experiments assume the solution space admits 100%
     # completion); set to 0 to disable.
     max_ripups: int = 24
-    # Post-routing refinement: after all nets route, each net is
-    # ripped up and rerouted once per pass with full knowledge of the
-    # others (serial routers over-constrain early nets).  Each net's
-    # rip/reroute runs in a grid transaction; a reroute that does not
-    # improve on the old wiring is rolled back in O(cells touched).
-    refinement_passes: int = 0
 
 
 #: A connection's first search region is its terminals' bounding box
@@ -434,9 +429,9 @@ class LevelBRouter:
         across them by estimated congestion.
     ordering_policy:
         The :data:`~repro.core.ordering.POLICIES` name that orders the
-        nets: :meth:`route` and its refinement passes route in
-        ``POLICIES[ordering_policy](nets, {})``, and
-        :mod:`repro.iterate` asks the same policy for every later pass.
+        nets: :meth:`route` routes in ``POLICIES[ordering_policy](nets,
+        {})``, and :mod:`repro.iterate` asks the same policy for every
+        later pass.
         The default is the paper's longest-distance-first criterion.
     objective:
         ``"wire"`` (the paper's wire-length-led cost, the default) or
@@ -732,12 +727,9 @@ class LevelBRouter:
                 )
                 requeued = [net, *victims]
                 for ripped in requeued:
-                    self._unroute_net(ripped)
+                    self.unroute(ripped)
                     del results[ripped]
                 queue.extendleft(reversed(requeued))
-            for _ in range(self.config.refinement_passes):
-                with instrument.span(SPAN_LEVELB_REFINE):
-                    self._refine(results, ambient_txn)
             routed = [results[net] for net in self.nets if net in results]
             inst = instrument.active()
             if inst.enabled:
@@ -757,40 +749,6 @@ class LevelBRouter:
             obstacles=tuple(self.obstacles),
             technology=self.technology,
         )
-
-    def _refine(
-        self, results: dict[Net, RoutedNet], ambient_txn: bool = False
-    ) -> None:
-        """One refinement pass: reroute every net with others in place.
-
-        Nets revisit in the ``ordering_policy`` order, with no
-        feedback.  Each rip/reroute runs inside a
-        grid transaction: a net's own wiring is freed before its
-        reroute (so its previous path remains available), and a reroute
-        that does not improve on the old outcome is rolled back through
-        the journal - O(cells touched), with the old wiring restored
-        byte-identically.
-        """
-        for net in POLICIES[self.ordering_policy](list(results), {}):
-            old = results[net]
-            if not old.connections and old.complete:
-                continue  # nothing wired (coincident pins)
-            checkpoint()
-            txn = self.tig.grid_of(self._net_ids[net]).begin()
-            self._unroute_net(net)
-            new = self._route_net(net)
-            if (new.failed_terminals, new.wire_length, new.corner_count) <= (
-                old.failed_terminals,
-                old.wire_length,
-                old.corner_count,
-            ):
-                txn.commit()
-                results[net] = new
-            else:
-                txn.rollback()
-                results[net] = old
-            if self.checked:
-                self._sanitize(results[net], ambient_txn)
 
     def _sanitize(self, outcome: RoutedNet, ambient_txn: bool) -> None:
         """Checked mode: sanitize one committed net, raise on violations.
@@ -839,27 +797,19 @@ class LevelBRouter:
         return victims
 
     def unroute(self, net: Net) -> None:
-        """Rip one net's wiring, leaving its terminals reserved.
-
-        The public face of :meth:`_unroute_net` for the iterative
-        driver (:mod:`repro.iterate`): after ripping every net the grid
-        holds terminals only, exactly the state a fresh :meth:`route`
-        starts from.  Callers must hold an open plane-set transaction
-        (or accept that the rip is permanent).
-        """
-        self._unroute_net(net)
-
-    def _unroute_net(self, net: Net) -> None:
         """Rip a net's wiring off the grid and re-reserve its terminals.
 
-        ``rip_net`` replays the net's mutation ledger, so the cost is
-        proportional to the cells the net actually occupied.  Only the
-        net's own plane is ripped: its through-stack blockage on lower
-        planes belongs to its terminals, which persist across rips.
+        After ripping every net the grid holds terminals only, exactly
+        the state a fresh :meth:`route` starts from.  ``rip_net``
+        replays the net's mutation ledger, so the cost is proportional
+        to the cells the net actually occupied.  Only the net's own
+        plane is ripped: its through-stack blockage on lower planes
+        belongs to its terminals, which persist across rips.  The rip is
+        permanent unless the caller holds an open transaction.
         """
         net_id = self._net_ids[net]
         grid = self.tig.grid_of(net_id)
-        # repro: allow[txn.commit] ambient transaction: callers hold explicit savepoints (grid.begin() in _refine, planes.begin() in repro.iterate) or run under the engine's `with grid.transaction():` scope
+        # repro: allow[txn.commit] no ambient transaction in one-pass routing: the in-pass rip-up's rip is permanent and requeues the net at once; repro.iterate's later passes hold planes.begin() around every rip
         grid.rip_net(net_id)
         for term in self.tig.terminals_of(net_id):
             grid.reserve_terminal(term.v_idx, term.h_idx, net_id)

@@ -29,9 +29,9 @@ class FlowParams:
         Half-perimeter threshold for ``LONG_TO_B`` partitioning.
     levelb:
         Level B router tuning (cost weights, the MBFS entry cap,
-        rescue, rip-up, refinement); the router's ``planes``,
-        ``ordering_policy``, ``objective`` and ``checked`` arguments
-        come from the fields below.
+        rescue, rip-up); the router's ``planes``, ``ordering_policy``,
+        ``objective`` and ``checked`` arguments come from the fields
+        below.
     obstacles:
         Over-cell exclusions forwarded to the level B router.
     checked:

@@ -16,10 +16,6 @@ class Point(NamedTuple):
     x: int
     y: int
 
-    def translated(self, dx: int, dy: int) -> "Point":
-        """Return the point moved by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
     def manhattan_to(self, other: "Point") -> int:
         """Rectilinear (L1) distance to ``other``."""
         return abs(self.x - other.x) + abs(self.y - other.y)

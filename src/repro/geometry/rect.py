@@ -131,9 +131,6 @@ class Rect:
             self.x1 - margin, self.y1 - margin, self.x2 + margin, self.y2 + margin
         )
 
-    def translated(self, dx: int, dy: int) -> "Rect":
-        return Rect(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
-
     def corners(self) -> tuple[Point, Point, Point, Point]:
         """The four corners (ll, lr, ur, ul)."""
         return (

@@ -66,8 +66,9 @@ class Region:
 class RegionModel:
     """Region tiling + terminal-window demand for one routing grid.
 
-    Build once per routing pass with :meth:`build`; the model is
-    immutable afterwards.
+    Build it with :meth:`build`; the model is immutable afterwards, and
+    :mod:`repro.iterate` builds one per run, since terminal windows
+    never move.
     """
 
     def __init__(self, num_vtracks: int, num_htracks: int) -> None:

@@ -6,10 +6,9 @@ updated after the completion of each two-terminal connection", an
 array, plus the **transactional state layer** the routing stack builds
 on: every mutation is recorded in a per-net ledger (so rip-up is
 ``O(cells the net touches)``, never a full-array scan) and, while a
-:class:`GridTransaction` is open, in an undo journal (so speculative
-route/undo cycles - refinement, rip-up-and-reroute, the passes of the
-negotiated-congestion loop - roll back in time proportional to the
-cells they touched).
+:class:`GridTransaction` is open, in an undo journal (so a connection
+commit, or a whole pass of the negotiated-congestion loop, rolls back
+in time proportional to the cells it touched).
 
 Model
 -----

@@ -20,7 +20,6 @@ SPAN_CHANNEL_GREEDY = "channel.greedy"
 SPAN_CHANNEL_LEFT_EDGE = "channel.left_edge"
 SPAN_LEVELB_ROUTE = "levelb.route"
 SPAN_LEVELB_NET = "levelb.net"
-SPAN_LEVELB_REFINE = "levelb.refine"
 SPAN_MBFS_SEARCH = "mbfs.search"
 SPAN_MAZE_RESCUE = "maze.rescue"
 SPAN_REACH_FLOOD = "reach.flood"

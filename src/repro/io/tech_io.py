@@ -114,7 +114,4 @@ def save_technology(tech: Technology, path: str | Path) -> None:
 
 def load_technology(path: str | Path) -> Technology:
     """Read a technology JSON: repro-technology or stackup format."""
-    data = json.loads(Path(path).read_text())
-    if isinstance(data, dict) and data.get("format") == "repro-technology":
-        return technology_from_dict(data)
-    return technology_from_any(data)
+    return technology_from_any(json.loads(Path(path).read_text()))

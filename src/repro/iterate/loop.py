@@ -31,7 +31,7 @@ fixed (:func:`history_weight`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro import instrument
@@ -46,7 +46,7 @@ from repro.instrument.names import (
     SPAN_ITERATE_PASS,
 )
 from repro.core.cost import TrackHistory
-from repro.core.ordering import POLICIES, NetFeedback
+from repro.core.ordering import NO_FEEDBACK, POLICIES, NetFeedback
 from repro.core.router import LevelBResult, LevelBRouter
 from repro.globalroute.regions import RegionModel
 
@@ -150,39 +150,61 @@ def _short_sweep_clean(result: LevelBResult) -> bool:
     return not check_shorts(extract_levelb(result))
 
 
-def _build_feedback(
-    router: LevelBRouter, result: LevelBResult
-) -> tuple[dict[str, NetFeedback], RegionModel, dict[int, tuple[int, int, int, int]]]:
-    """The previous pass distilled for the policy and the history.
+@dataclass(frozen=True)
+class _RegionContacts:
+    """Each net's contact with the coarse :class:`RegionModel`.
 
-    Demand comes from the coarse :class:`RegionModel` over the nets'
-    terminal windows; failure comes from the routing result itself.
+    The model reads only the nets' terminal windows, and those never
+    move (:meth:`~repro.core.router.LevelBRouter.unroute` re-reserves
+    the same terminals), so it is built once per :func:`iterate_levelb`
+    call; from pass to pass only which nets failed changes.
     """
-    windows = router.tig.terminal_windows()
-    grid = router.tig.grid  # planes share one track lattice
-    model = RegionModel.build(grid.num_vtracks, grid.num_htracks, windows)
-    overflowed = set(model.overflowed_regions())
-    feedback: dict[str, NetFeedback] = {}
-    for routed in result.routed:
-        window = windows.get(routed.net_id)
-        if window is None:
-            feedback[routed.net.name] = NetFeedback(failed=not routed.complete)
-            continue
-        touching = model.regions_touching(*window)
-        feedback[routed.net.name] = NetFeedback(
-            failed=not routed.complete,
-            overflow=sum(1 for rid in touching if rid in overflowed),
-            demand=max(model.region(rid).utilization for rid in touching),
-        )
-    return feedback, model, windows
+
+    model: RegionModel
+    #: ``net_id`` -> the net's terminal window in track index space.
+    windows: dict[int, tuple[int, int, int, int]]
+    #: ``net_id`` -> the overflowed regions its window touches.
+    overflowed: dict[int, list[int]]
+    #: ``net_id`` -> the policy's view of the net, ``failed`` left False.
+    standing: dict[int, NetFeedback]
+
+    @classmethod
+    def build(cls, router: LevelBRouter) -> _RegionContacts:
+        windows = router.tig.terminal_windows()
+        grid = router.tig.grid  # planes share one track lattice
+        model = RegionModel.build(grid.num_vtracks, grid.num_htracks, windows)
+        overflowed_ids = set(model.overflowed_regions())
+        overflowed: dict[int, list[int]] = {}
+        standing: dict[int, NetFeedback] = {}
+        for net_id, window in windows.items():
+            touching = model.regions_touching(*window)
+            hit = [rid for rid in touching if rid in overflowed_ids]
+            overflowed[net_id] = hit
+            standing[net_id] = NetFeedback(
+                overflow=len(hit),
+                demand=max(model.region(rid).utilization for rid in touching),
+            )
+        return cls(model, windows, overflowed, standing)
+
+    def feedback(self, result: LevelBResult) -> dict[str, NetFeedback]:
+        """The previous pass distilled for the ordering policy.
+
+        Demand comes from the region model; failure from the routing
+        result itself.
+        """
+        return {
+            routed.net.name: replace(
+                self.standing.get(routed.net_id, NO_FEEDBACK),
+                failed=not routed.complete,
+            )
+            for routed in result.routed
+        }
 
 
 def _charge_history(
-    router: LevelBRouter,
     history: tuple[TrackHistory, ...],
     result: LevelBResult,
-    model: RegionModel,
-    windows: dict[int, tuple[int, int, int, int]],
+    contacts: _RegionContacts,
     iteration: int,
 ) -> None:
     """Charge and re-weight the history for the next pass.
@@ -194,23 +216,24 @@ def _charge_history(
     region) pair is charged once per pass, PathFinder's
     once-per-congested-resource rule.
     """
-    overflowed = set(model.overflowed_regions())
     charged: set[tuple[int, int]] = set()
     fallback: list[tuple[int, tuple[int, int, int, int]]] = []
     for routed in result.routed:
         if routed.complete:
             continue
-        window = windows.get(routed.net_id)
+        window = contacts.windows.get(routed.net_id)
         if window is None:
             continue
-        hit = [rid for rid in model.regions_touching(*window) if rid in overflowed]
+        hit = contacts.overflowed[routed.net_id]
         if not hit:
             fallback.append((routed.plane, window))
             continue
         for rid in hit:
             charged.add((routed.plane, rid))
     for plane, rid in sorted(charged):
-        history[plane].charge_window(*model.bounds_of(rid), HISTORY_INCREMENT)
+        history[plane].charge_window(
+            *contacts.model.bounds_of(rid), HISTORY_INCREMENT
+        )
     for plane, window in fallback:
         history[plane].charge_window(*window, HISTORY_INCREMENT)
     weight = history_weight(iteration)
@@ -259,6 +282,7 @@ def iterate_levelb(
             )
         )
         history: tuple[TrackHistory, ...] | None = None
+        contacts: _RegionContacts  # built with the history
         try:
             while (
                 not _complete(best)
@@ -276,11 +300,9 @@ def iterate_levelb(
                             for _ in range(router.tig.planes.num_planes)
                         )
                         router.history = history
-                    feedback, model, windows = _build_feedback(router, best)
-                    _charge_history(
-                        router, history, best, model, windows, iterations
-                    )
-                    order = policy(router.nets, feedback)
+                        contacts = _RegionContacts.build(router)
+                    _charge_history(history, best, contacts, iterations)
+                    order = policy(router.nets, contacts.feedback(best))
                     txn = router.tig.planes.begin()
                     ripped = 0
                     for routed in best.routed:

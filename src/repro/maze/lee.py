@@ -336,7 +336,7 @@ class MazeRouter(LevelBRouter):
     """Drop-in level B router that searches with Lee wave expansion.
 
     Inherits the whole net loop (ordering, Steiner decomposition,
-    region escalation, rip-up, refinement) from :class:`LevelBRouter`
+    region escalation, rip-up) from :class:`LevelBRouter`
     and swaps only the per-connection engine, so benchmark comparisons
     isolate the search algorithm.  Corners cost
     :data:`~repro.core.router.MAZE_VIA_PENALTY`, scaled under

@@ -55,10 +55,6 @@ class Net:
         """Number of terminals."""
         return len(self.pins)
 
-    @property
-    def is_multi_terminal(self) -> bool:
-        return self.degree > 2
-
     def pin_positions(self) -> list[Point]:
         """Absolute positions of all terminals (requires placement)."""
         return [pin.position for pin in self.pins]

@@ -28,16 +28,6 @@ class SteinerTree:
     def length(self) -> int:
         return sum(s.length for s in self.segments)
 
-    def steiner_points(self) -> list[Point]:
-        """Segment junction points that are not terminals."""
-        term = set(self.terminals)
-        endpoints: list[Point] = []
-        for seg in self.segments:
-            for p in (seg.a, seg.b):
-                if p not in term and p not in endpoints:
-                    endpoints.append(p)
-        return endpoints
-
     def covers(self, p: Point) -> bool:
         """Is ``p`` on some tree segment (or a terminal)?"""
         if p in self.terminals:

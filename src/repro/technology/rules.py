@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 from repro.technology.layers import Layer, RoutingDirection
 from repro.technology.stack import LayerStack, plane_layer_indices
@@ -99,12 +98,6 @@ class Technology:
             raise KeyError(f"no metal{index} in {self.name}")
         return self.layers[index - 1]
 
-    def layer_by_name(self, name: str) -> Layer:
-        for layer in self.layers:
-            if layer.name == name:
-                return layer
-        raise KeyError(f"no layer named {name!r} in {self.name}")
-
     def via(self, lower: int) -> ViaRule:
         """The via rule from metal ``lower`` to metal ``lower + 1``."""
         for rule in self.vias:
@@ -115,29 +108,6 @@ class Technology:
     @property
     def num_layers(self) -> int:
         return len(self.layers)
-
-    # ------------------------------------------------------------------
-    # Derived quantities used by the area model
-    # ------------------------------------------------------------------
-    def channel_track_pitch(self, layer_indices: Sequence[int]) -> int:
-        """The horizontal-track pitch a channel built on these layers needs.
-
-        A channel's height is ``tracks * pitch``; with several candidate
-        trunk layers the densest track grid is limited by the coarsest
-        horizontal layer in use.
-        """
-        pitches = [
-            self.layer(i).pitch for i in layer_indices if self.layer(i).is_horizontal
-        ]
-        if not pitches:
-            raise ValueError("no horizontal layer among %r" % (layer_indices,))
-        return max(pitches)
-
-    def via_stack_size(self, lower: int, upper: int) -> int:
-        """Largest via size on a stack from metal ``lower`` to ``upper``."""
-        if lower >= upper:
-            raise ValueError("need lower < upper")
-        return max(self.via(i).size for i in range(lower, upper))
 
     # ------------------------------------------------------------------
     # Width classes and via pricing (the data-driven rules model)
@@ -229,12 +199,6 @@ class Technology:
     def num_overcell_planes(self) -> int:
         """How many complete reserved pairs sit above the channel pair."""
         return max(0, (self.num_layers - 2) // 2)
-
-    def horizontal_layers(self) -> list[Layer]:
-        return [l for l in self.layers if l.is_horizontal]
-
-    def vertical_layers(self) -> list[Layer]:
-        return [l for l in self.layers if l.is_vertical]
 
 
 def ensure_overcell_planes(tech: Technology, planes: int) -> Technology:

@@ -152,12 +152,6 @@ class LayerStack:
             )
         return self.planes[index]
 
-    def plane_of_layer(self, layer_index: int) -> RoutingPlane:
-        """The plane owning metal ``layer_index`` (3 and up)."""
-        if layer_index < 3:
-            raise KeyError(f"metal{layer_index} belongs to the channel pair")
-        return self.plane((layer_index - 3) // 2)
-
     def labels(self) -> list[str]:
         """Pair labels for every plane, lowest first."""
         return [p.label for p in self.planes]

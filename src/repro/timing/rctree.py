@@ -111,18 +111,3 @@ class RCTree:
             delay_ffs += resistance * subtree[node]
             node = up
         return delay_ffs / 1000.0  # ohm*fF = fs; report ps
-
-    def max_delay(self, source: Hashable) -> tuple[Hashable | None, float]:
-        """The worst Elmore delay from ``source`` over all nodes."""
-        worst_node: Hashable | None = None
-        worst = 0.0
-        for node in self._adj:
-            if node == source:
-                continue
-            try:
-                delay = self.elmore_delay(source, node)
-            except ValueError:
-                continue
-            if delay > worst:
-                worst, worst_node = delay, node
-        return worst_node, worst

@@ -128,24 +128,6 @@ class TestLevelBCheckpoints:
                 router.route()
         assert calls["n"] == k
 
-    def test_refinement_checks_before_each_net(self, monkeypatch):
-        from repro.core import LevelBConfig
-
-        params = FlowParams(levelb=LevelBConfig(refinement_passes=1))
-        level_a = realize_level_a(SUITES["ami33"](), params)
-        router = levelb_router(level_a.bounds, level_a.set_b, params)
-        nets = len(level_a.set_b)
-        with deadline(3600) as event:
-            # The first pass routes every net once (ami33 rips nothing
-            # up); cancel two nets into the refinement pass.
-            calls = _count_route_net(
-                monkeypatch, after=lambda n: n == nets + 2 and event.set()
-            )
-            with pytest.raises(RouteCancelled) as excinfo:
-                router.route()
-        assert calls["n"] == nets + 2
-        assert any(entry.name == "_refine" for entry in excinfo.traceback)
-
     def test_escalation_checks_before_each_window(self):
         from repro.core.router import Escalation
 

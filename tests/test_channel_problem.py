@@ -71,16 +71,10 @@ class TestQueries:
         p = self.make()
         # Columns 1..4 are covered by both nets' spans.
         assert p.density() == 2
-        assert p.local_density(0) == 1
-        assert p.local_density(2) == 2
 
     def test_density_excludes_single_pin_nets(self):
         p = ChannelProblem(top=[1, 0, 0], bottom=[0, 0, 2])
         assert p.density() == 0
-
-    def test_trivial(self):
-        assert ChannelProblem(top=[1], bottom=[1]).trivial()
-        assert not self.make().trivial()
 
     def test_empty_channel(self):
         p = ChannelProblem(top=[], bottom=[])

@@ -35,7 +35,7 @@ from repro.check import (
     check_layer_assignment,
     check_levelb,
 )
-from repro.core import LevelBConfig, LevelBRouter
+from repro.core import LevelBRouter
 from repro.core.engine import RoutedConnection
 from repro.core.router import LevelBResult, Obstacle, RoutedNet
 from repro.core.tig import GridTerminal, TrackIntersectionGraph
@@ -384,7 +384,6 @@ class TestCheckedMode:
         router = LevelBRouter(
             Rect(0, 0, 256, 256),
             list(design.nets.values()),
-            config=LevelBConfig(refinement_passes=1),
             checked=True,
         )
         result = router.route()

@@ -213,42 +213,3 @@ class TestOccupancyConsistency:
         result = route_toy()
         ids = {r.net_id for r in result.routed}
         assert set(result.tig.grid.owners()) <= ids
-
-
-class TestRefinement:
-    def test_refinement_never_worse(self):
-        base = route_toy()
-        refined = route_toy(refinement_passes=1)
-        assert refined.completion_rate >= base.completion_rate
-        assert refined.total_wire_length <= base.total_wire_length
-
-    def test_multiple_passes_monotone(self):
-        one = route_toy(refinement_passes=1)
-        three = route_toy(refinement_passes=3)
-        assert three.total_wire_length <= one.total_wire_length
-        assert three.completion_rate == 1.0
-
-    def test_refinement_on_congested_design(self):
-        """On a denser random instance the pass must hold completion
-        and not regress quality."""
-        from repro.bench_suite import random_design
-        from repro.placement import RowPlacement
-        from repro.core import LevelBConfig, LevelBRouter
-
-        def run(passes):
-            design = random_design("refine", seed=4, num_cells=10,
-                                   num_nets=36, num_critical=0)
-            pl = RowPlacement.build(design, pitch=8)
-            pl.realize([16] * pl.channel_count, margin=16)
-            bounds = design.cell_bounds().expanded(24)
-            router = LevelBRouter(
-                bounds, list(design.nets.values()),
-                config=LevelBConfig(refinement_passes=passes),
-            )
-            return router.route()
-
-        base = run(0)
-        refined = run(1)
-        assert refined.nets_completed >= base.nets_completed
-        if refined.nets_completed == base.nets_completed:
-            assert refined.total_wire_length <= base.total_wire_length

@@ -79,11 +79,6 @@ class TestSeedParity:
         assert result.nets_completed == result.nets_attempted == 36
         assert result.ripups == 3
 
-    def test_dense_parity_refined(self):
-        result = self._dense(refinement_passes=1)
-        assert result.total_wire_length == 11992
-        assert result.total_corners == 115
-
     def test_dense_parity_no_fallback(self):
         result = self._dense(maze_fallback=False)
         assert result.total_wire_length == 12088

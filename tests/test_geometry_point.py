@@ -15,9 +15,6 @@ class TestPoint:
         x, y = Point(3, 4)
         assert (x, y) == (3, 4)
 
-    def test_translated(self):
-        assert Point(1, 2).translated(3, -5) == Point(4, -3)
-
     def test_manhattan_to(self):
         assert Point(0, 0).manhattan_to(Point(3, 4)) == 7
 

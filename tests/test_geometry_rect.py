@@ -47,9 +47,6 @@ class TestRectBasics:
         ll, lr, ur, ul = Rect(0, 0, 2, 3).corners()
         assert (ll, lr, ur, ul) == (Point(0, 0), Point(2, 0), Point(2, 3), Point(0, 3))
 
-    def test_translated(self):
-        assert Rect(0, 0, 2, 2).translated(5, -1) == Rect(5, -1, 7, 1)
-
 
 class TestRectRelations:
     def test_overlap_vs_open_overlap_on_edges(self):

@@ -364,6 +364,29 @@ class TestIterateLoop:
                 "committed",
             }
 
+    def test_dense_full_feature_passes_are_pinned(self):
+        """A published design's multi-pass run, rolled-back passes
+        included: pins the history charges and the feedback of every
+        pass, and the whole-pass journal rollbacks between them."""
+        from repro.bench_suite import dense_design
+        from repro.flow import FlowParams, overcell_flow
+
+        result = overcell_flow(
+            dense_design("full"),
+            FlowParams(iterate=True, ordering_policy="feature"),
+        )
+        records = [
+            (r["iteration"], r["completion"], r["wire_length"], r["committed"])
+            for r in result.notes["iterate"]["records"]
+        ]
+        assert records == [
+            (0, 0.97, 71864, True),
+            (1, 0.96, 70440, False),
+            (2, 0.98, 70640, True),
+            (3, 0.97, 68696, False),
+            (4, 1.0, 71000, True),
+        ]
+
     def test_iterate_counters_emitted(self):
         from repro import instrument
         from repro.instrument.names import (

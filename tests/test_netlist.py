@@ -72,15 +72,6 @@ class TestNet:
             net.add_pin(pin)
         assert net.half_perimeter == 20  # (10-0) + (10-0)
 
-    def test_is_multi_terminal(self):
-        net = Net("n")
-        assert not net.is_multi_terminal
-        cell = Cell("a", 30, 10)
-        for i in range(3):
-            pin = Pin(f"p{i}", cell, Edge.TOP, i)
-            net.add_pin(pin)
-        assert net.is_multi_terminal
-
 
 class TestDesign:
     def make_design(self):

@@ -56,13 +56,6 @@ class TestLayerStack:
         assert stack.via_depth(0) == 0
         assert stack.via_depth(1) == 2
 
-    def test_plane_of_layer(self):
-        stack = Technology.six_layer().layer_stack()
-        assert stack.plane_of_layer(3).index == 0
-        assert stack.plane_of_layer(6).index == 1
-        with pytest.raises(KeyError):
-            stack.plane_of_layer(2)
-
     def test_plane_index_error(self):
         stack = Technology.four_layer().layer_stack()
         with pytest.raises(IndexError):

@@ -81,12 +81,6 @@ class TestSteinerPrim:
             s.b for s in tree.segments
         }
 
-    def test_steiner_points_enumerated(self):
-        pts = [Point(0, 0), Point(20, 0), Point(10, 10)]
-        tree = steiner_prim_tree(pts)
-        for sp in tree.steiner_points():
-            assert sp not in pts
-
     def test_covers(self):
         tree = steiner_prim_tree([Point(0, 0), Point(10, 0)])
         assert tree.covers(Point(5, 0))

@@ -47,9 +47,6 @@ class TestTechnology:
 
     def test_layer_lookup(self):
         tech = Technology.four_layer()
-        assert tech.layer_by_name("metal3").index == 3
-        with pytest.raises(KeyError):
-            tech.layer_by_name("poly")
         with pytest.raises(KeyError):
             tech.layer(5)
 
@@ -58,24 +55,6 @@ class TestTechnology:
         assert tech.via(2).upper == 3
         with pytest.raises(KeyError):
             tech.via(4)
-
-    def test_via_stack_size(self):
-        tech = Technology.four_layer()
-        assert tech.via_stack_size(1, 4) == max(v.size for v in tech.vias)
-        with pytest.raises(ValueError):
-            tech.via_stack_size(3, 3)
-
-    def test_channel_track_pitch(self):
-        tech = Technology.four_layer()
-        assert tech.channel_track_pitch([1, 2]) == 8
-        assert tech.channel_track_pitch([1, 2, 3, 4]) == 12
-        with pytest.raises(ValueError):
-            tech.channel_track_pitch([1, 3])  # no horizontal layer
-
-    def test_direction_partitions(self):
-        tech = Technology.four_layer()
-        assert [l.index for l in tech.horizontal_layers()] == [2, 4]
-        assert [l.index for l in tech.vertical_layers()] == [1, 3]
 
     def test_stack_validation(self):
         with pytest.raises(ValueError):

@@ -84,14 +84,6 @@ class TestRCTree:
         tree.add_node_cap("b", 5.0)
         assert tree.total_cap() == pytest.approx(15.0)
 
-    def test_max_delay(self):
-        tree = RCTree()
-        tree.add_wire("a", "b", 100.0, 10.0)
-        tree.add_wire("b", "c", 100.0, 10.0)
-        node, worst = tree.max_delay("a")
-        assert node == "c"
-        assert worst == pytest.approx(tree.elmore_delay("a", "c"))
-
 
 class TestLevelBDelays:
     def route_straight_net(self, length=400):
