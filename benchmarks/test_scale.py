@@ -7,8 +7,9 @@ over-cell flow, asserting full completion and a CLEAN report from the
 independent checker (``repro.check``, strict mode).
 
 Exports ``benchmarks/artifacts/BENCH_scale.json``.  With ``--quick``
-(the CI scale job) only the quick tier runs; without it the ``full``
-tier runs too, at ~4x the area.
+only the quick tier runs; without it (the CI scale job) the ``full``
+tier runs too, at ~4x the area, and its process peak must stay below
+:data:`FULL_PEAK_RSS_BYTES`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ from repro.flow import FlowParams, overcell_flow
 from conftest import print_experiment
 
 ARTIFACTS = os.path.join(os.path.dirname(__file__), "artifacts")
+
+#: The full tier's ceiling on the process peak (``ru_maxrss``, the
+#: quick tier's run included).  The grid holds 16 MB; the MBFS's level
+#: temporaries on the largest windows once took the peak to 319 MiB
+#: (docs/SCALING.md), and it reads about 131 MiB since the search
+#: counts the level it ends on.
+FULL_PEAK_RSS_BYTES = 200 * 2**20
 
 
 def _routed_run(tier: str) -> tuple[dict, object]:
@@ -60,6 +68,7 @@ def _line(name: str, run: dict) -> str:
     return (
         f"{name:6s} wall={run['wall_s']:7.2f}s  "
         f"mem={run['grid_bytes']:>12,}B  "
+        f"peak={run['peak_rss_bytes'] / 2**20:6.1f}MiB  "
         f"completion={run['completion']:.3f}"
     )
 
@@ -98,3 +107,6 @@ def test_scale_tier(request: pytest.FixtureRequest) -> None:
     print_experiment(
         f"Scale tier - {scale_profile('quick').name}", "\n".join(lines)
     )
+    if not quick:
+        peak = doc["full"]["run"]["peak_rss_bytes"]
+        assert peak < FULL_PEAK_RSS_BYTES, f"full tier peaked at {peak / 2**20:.1f} MiB"

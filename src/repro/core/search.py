@@ -24,13 +24,16 @@ Key properties implemented here, matching the paper:
 * The solution space of each search is a rectangular region around the
   two terminals; the caller widens the region and retries on failure.
 
-The trees are kept as per-level arrays.  :func:`candidate_paths` reads
-the minimum-corner leaves' chains from them into one
-:class:`CandidateBatch` of corner arrays, the only form in which
-selection and the engine's commit see a candidate.  Beyond each
-search's root, ``PSTNode`` objects exist only once
+The trees are kept as per-level arrays, and the level a search ends on
+is counted, not listed: its completing leaves are known from its
+target column alone, and the rest of it is never expanded.
+:func:`candidate_paths` reads the minimum-corner leaves' chains from
+the arrays into one :class:`CandidateBatch` of corner arrays, the only
+form in which selection and the engine's commit see a candidate.
+Beyond each search's root, ``PSTNode`` objects exist only once
 :attr:`SearchResult.roots` or :attr:`SearchResult.leaves` is read
-(Figure 2, :func:`repro.viz.render_pst`, the tests).
+(Figure 2, :func:`repro.viz.render_pst`, the tests), which lists the
+counted level by the same step that lists the others.
 """
 
 from __future__ import annotations
@@ -116,10 +119,10 @@ class PSTNode:
 class SearchResult:
     """Outcome of the two MBFS runs for one two-terminal connection.
 
-    The minimum-corner leaves stay arrays: ``_done`` holds, for each
-    search that reached the best depth, its tree and the indices of its
-    completing last-level nodes.  :attr:`roots` builds the whole Path
-    Selection Trees, spans included, on first access, and
+    The minimum-corner leaves stay arrays: ``_done`` holds the trees of
+    the searches that reached the best depth, each with its completing
+    nodes as indices (``_Tree.done``).  :attr:`roots` builds the whole
+    Path Selection Trees, spans included, on first access, and
     :attr:`leaves` reads the completing nodes from them.
     """
 
@@ -129,7 +132,7 @@ class SearchResult:
     nodes_created: int
     aborted: bool = False
     _trees: list["_Tree"] = field(default_factory=list, repr=False)
-    _done: list[tuple["_Tree", np.ndarray]] = field(default_factory=list, repr=False)
+    _done: list["_Tree"] = field(default_factory=list, repr=False)
     _roots: list[PSTNode] | None = field(default=None, init=False, repr=False)
 
     @property
@@ -143,7 +146,7 @@ class SearchResult:
         Leaf ``i`` is candidate ``i`` of :func:`candidate_paths`.
         """
         self.roots  # noqa: B018 - the leaves are the built trees' nodes
-        return [tree.last[i] for tree, done in self._done for i in done.tolist()]
+        return [leaf for tree in self._done for leaf in tree.leaves]
 
     @property
     def roots(self) -> list[PSTNode]:
@@ -185,16 +188,17 @@ class _Axis:
 
     Row ``t`` is the kind's track ``base + t``; column ``p`` is position
     ``along + p`` on it, i.e. the orthogonal kind's track ``along + p``.
-    ``lo``/``hi`` hold, for every usable cell, the first and last column
-    of the usable run through it: a node's slide interval.  ``target``
-    is the row of the target's track and ``goal`` the target's column
-    on it; a child entering row ``target`` completes when its entry
-    lies in ``[goal_lo, goal_hi]``, the run holding the goal (empty when
-    the goal cell is unusable).
+    ``blocked`` holds the flat indices (``row * width + column``) of the
+    unusable cells in ascending order, between the sentinels ``-1`` and
+    ``rows * width``; :meth:`runs` reads a node's slide interval from
+    it.  ``target`` is the row of the target's track and ``goal`` the
+    target's column on it; a child entering row ``target`` completes
+    when its entry lies in ``[goal_lo, goal_hi]``, the run holding the
+    goal (empty when the goal cell is unusable).
     """
 
     __slots__ = (
-        "kind", "base", "along", "usable", "corner", "lo", "hi", "cols",
+        "kind", "base", "along", "usable", "corner", "blocked", "cols",
         "target", "goal_lo", "goal_hi",
     )
 
@@ -213,56 +217,121 @@ class _Axis:
         self.along = along
         self.usable = usable
         self.corner = corner
-        self.lo, self.hi = _run_bounds(usable)
+        self.blocked = np.concatenate(([-1], np.flatnonzero(~usable), [usable.size]))
         self.cols = np.arange(usable.shape[1])
         self.target = target
+        self.goal_lo, self.goal_hi = 1, 0
         if usable[target, goal]:
-            self.goal_lo = int(self.lo[target, goal])
-            self.goal_hi = int(self.hi[target, goal])
-        else:
-            self.goal_lo, self.goal_hi = 1, 0
+            lo, hi = self.runs(np.array([target]), np.array([goal]))
+            self.goal_lo, self.goal_hi = int(lo[0]), int(hi[0])
 
-    def span(self, track: int, entry: int) -> Interval:
-        """The grid-index slide interval of a node at (row, column)."""
-        return Interval(
-            int(self.lo[track, entry]) + self.along,
-            int(self.hi[track, entry]) + self.along,
-        )
+    def runs(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The first and last column of the usable run through each cell.
+
+        ``rows[i], cols[i]`` must be a usable cell.  One binary search
+        finds the nearest unusable cells after and before it in flat
+        order, and the run ends next to them, clamped to the row.
+        Bounds rather than run labels (``_run_labels``, the flood's): a
+        level compares its columns with two per-node vectors instead of
+        gathering an ``int32`` label row per node, which would more than
+        double the level's temporaries.  And found per node rather than
+        stored per cell: the level step, the goal and the spans of a
+        built tree read only a few cells of a window, while per-cell
+        bounds cost two whole-window ``int32`` arrays, and the passes
+        that fill them, per axis of every search.
+        """
+        width = self.cols.size
+        start = rows * width
+        after = np.searchsorted(self.blocked, start + cols)
+        lo = np.maximum(self.blocked[after - 1] + 1, start) - start
+        hi = np.minimum(self.blocked[after] - 1, start + width - 1) - start
+        return lo, hi
 
 
-def _run_bounds(usable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per cell, the first and last column of the usable run through it.
+def _candidates(
+    axis: _Axis,
+    rows: np.ndarray,
+    entries: np.ndarray,
+    enter: np.ndarray,
+    cap: int,
+    target: int,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """A level's candidate matrix and, when the cap can bite, its column counts.
 
-    Only usable cells hold meaningful values.  A running maximum of the
-    run starts gives ``lo``; a running minimum of the run ends, taken
-    from the right, gives ``hi``.  Bounds rather than run labels
-    (``_run_labels``, the flood's): a level then compares its rows with
-    two per-node vectors instead of gathering an ``int32`` label row per
-    node, which would more than double the level's temporaries.
+    ``cand[i, c]`` is set when frontier node ``i`` (on ``axis`` at
+    ``(rows[i], entries[i])``) may turn onto the child kind's track
+    ``c``: its corner row ANDed with its usable run, the child kind's
+    *enterable* columns and everything but its entry column.  ``counts``
+    is each column's sum with the ``target`` column's zeroed, or
+    ``None`` when ``rows.size <= cap`` and so no column can exceed the
+    cap.
     """
-    n = usable.shape[1]
-    cols = np.arange(n, dtype=np.int32)
-    edge = usable.copy()
-    edge[:, 1:] &= ~usable[:, :-1]
-    lo = np.where(edge, cols, 0)
-    np.maximum.accumulate(lo, axis=1, out=lo)
-    edge = usable.copy()
-    edge[:, :-1] &= ~usable[:, 1:]
-    hi = np.where(edge, cols, n)[:, ::-1]
-    np.minimum.accumulate(hi, axis=1, out=hi)
-    return lo, hi[:, ::-1]
+    lo, hi = axis.runs(rows, entries)
+    cand = axis.corner[rows]
+    cand &= axis.cols >= lo[:, None]
+    cand &= axis.cols <= hi[:, None]
+    cand &= enter
+    cand[np.arange(rows.size), entries] = False
+    if rows.size <= cap:
+        return cand, None
+    counts = cand.sum(axis=0, dtype=np.int32)
+    counts[target] = 0
+    return cand, counts
+
+
+def _level_size(cand: np.ndarray, counts: np.ndarray | None, cap: int, target: int) -> int:
+    """How many children :func:`_list_level` would list, without listing them.
+
+    Listing keeps, per column but the target's, the first
+    ``min(count, cap)`` candidates, and every target-column candidate;
+    without ``counts`` (``rows.size <= cap``) no count exceeds the cap,
+    so it keeps every candidate.
+    """
+    if counts is None:
+        return int(np.count_nonzero(cand))
+    return int(np.minimum(counts, cap).sum()) + int(np.count_nonzero(cand[:, target]))
+
+
+def _list_level(
+    cand: np.ndarray, counts: np.ndarray | None, cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A level's children as ``(parents, columns)``, in creation order.
+
+    A column keeps its first ``cap`` candidates in frontier order, which
+    is exactly the per-entry cap of a node-by-node walk (the target's
+    column has a zero count, so it keeps them all).  ``np.nonzero``
+    lists them in row-major order - frontier order, then ascending
+    track - the next frontier.  ``cand`` is capped in place.
+    """
+    if counts is not None:
+        over = np.flatnonzero(counts > cap)
+        if over.size:
+            sub = cand[:, over]
+            sub &= np.cumsum(sub, axis=0, dtype=np.int32) <= cap
+            cand[:, over] = sub
+    return np.nonzero(cand)
 
 
 class _Tree:
     """One search's Path Selection Tree, stored as per-level arrays.
 
-    ``levels[L - 1]`` holds level ``L``'s nodes in creation order as
-    ``(rows, parents)``: each node's track row on its axis and its
+    ``levels[L - 1]`` holds listed level ``L``'s nodes in creation order
+    as ``(rows, parents)``: each node's track row on its axis and its
     parent's index in level ``L - 1`` (level 0 is the root alone).  A
-    node's entry is its parent's track.  Path selection reads chains as
-    arrays (:meth:`rows`); ``PSTNode`` objects other than the root
-    exist only once :meth:`build` makes the whole tree, which keeps its
-    last level's nodes in ``last``.
+    node's entry is its parent's track.
+
+    ``tail`` is ``None`` or the level the search ended on, counted but
+    not listed: ``(rows, entries, enter)``, its frontier's rows and
+    entries and the enterable mask its children read.  :meth:`build`
+    lists it with :func:`_list_level`, the step that listed every other
+    level, and gets the same nodes the search counted: nothing touches
+    ``enter`` after the search returns.  ``done`` holds the completing
+    nodes' parents in the tail's frontier, ascending (``[0]``, the root
+    itself, when the root completes).
+
+    Path selection reads chains as arrays (:meth:`rows`); ``PSTNode``
+    objects other than the root exist only once :meth:`build` makes the
+    whole tree, which keeps the completing nodes in ``leaves``.
 
     ``abort_parent`` is the index of the frontier node whose child broke
     the node budget in the last level, or ``None``.  The search expanded
@@ -272,41 +341,68 @@ class _Tree:
     parent.  Those are the nodes :meth:`build` gives spans.
     """
 
-    __slots__ = ("axes", "root", "levels", "abort_parent", "last")
+    __slots__ = ("axes", "root", "cap", "levels", "tail", "done", "abort_parent", "leaves")
 
-    def __init__(self, axes: tuple[_Axis, _Axis], root: PSTNode) -> None:
+    def __init__(self, axes: tuple[_Axis, _Axis], root: PSTNode, cap: int) -> None:
         self.axes = axes  # (root kind, other kind)
         self.root = root
+        self.cap = cap
         self.levels: list[tuple[np.ndarray, np.ndarray]] = []
+        self.tail: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.done = _NONE
         self.abort_parent: int | None = None
-        self.last: list[PSTNode] = []
+        self.leaves: list[PSTNode] = []
 
-    def rows(self, indices: np.ndarray) -> np.ndarray:
-        """Each last-level node's chain as window rows, root first.
+    @property
+    def depth(self) -> int:
+        return len(self.levels) + (self.tail is not None)
 
-        Row ``i`` of the ``(len(indices), depth + 1)`` result holds the
-        track rows, on their own axes, of node ``indices[i]`` and of its
-        ancestors up to the root, in column ``depth`` down to column 0.
+    def rows(self) -> np.ndarray:
+        """Each completing node's chain as window rows, root first.
+
+        Row ``i`` of the ``(len(done), depth + 1)`` result holds the
+        track rows, on their own axes, of completing node ``i`` and of
+        its ancestors up to the root, in column ``depth`` down to column
+        0; the node's own row is the target's.
         """
-        depth = len(self.levels)
-        out = np.empty((len(indices), depth + 1), dtype=np.int32)
+        depth = self.depth
+        out = np.empty((len(self.done), depth + 1), dtype=np.int32)
         out[:, 0] = self.root.track - self.axes[0].base
-        idx = indices
-        for level in range(depth, 0, -1):
+        if self.tail is not None:
+            out[:, depth] = self.axes[depth % 2].target
+        idx = self.done
+        for level in range(len(self.levels), 0, -1):
             rows, parents = self.levels[level - 1]
             out[:, level] = rows[idx]
             idx = parents[idx]
         return out
 
     def build(self) -> PSTNode:
-        """Link the whole tree (children and spans) and return its root."""
+        """Link the whole tree (children and spans) and return its root.
+
+        A completing node is its parent's one child on the target's
+        track, so ``done`` finds the completing nodes among the listed
+        tail's target-track children, which are in ascending parent
+        order.
+        """
         root = self.root
         axis = self.axes[0]
-        root.span = axis.span(root.track - axis.base, root.entry - axis.along)
+        prev = np.array([root.track - axis.base])  # the frontier's rows
+        lo, hi = axis.runs(prev, np.array([root.entry - axis.along]))
+        root.span = Interval(int(lo[0]) + axis.along, int(hi[0]) + axis.along)
+        depth = self.depth
+        levels = self.levels
+        if self.tail is not None:
+            front, entries, enter = self.tail
+            cand, counts = _candidates(
+                self.axes[(depth - 1) % 2], front, entries, enter, self.cap,
+                self.axes[depth % 2].target,
+            )
+            parents, kids = _list_level(cand, counts, self.cap)
+            levels = [*levels, (kids, parents)]
         frontier = [root]
-        depth = len(self.levels)
-        for level, (rows, parents) in enumerate(self.levels, start=1):
-            axis, parent_axis = self.axes[level % 2], self.axes[(level - 1) % 2]
+        for level, (rows, parents) in enumerate(levels, start=1):
+            axis = self.axes[level % 2]
             expanded = len(rows)
             checked = len(frontier)
             if level == depth - 1 and self.abort_parent is not None:
@@ -315,18 +411,30 @@ class _Tree:
                 expanded = 0
                 if self.abort_parent is not None:
                     checked = self.abort_parent
+            spanned = np.flatnonzero(
+                (np.arange(len(rows)) < expanded)
+                | ((rows == axis.target) & (parents < checked))
+            )
+            lo, hi = axis.runs(rows[spanned], prev[parents[spanned]])
+            spans: list[Interval | None] = [None] * len(rows)
+            for i, a, b in zip(
+                spanned.tolist(), (lo + axis.along).tolist(), (hi + axis.along).tolist()
+            ):
+                spans[i] = Interval(a, b)
             nodes: list[PSTNode] = []
-            for i, (row, p) in enumerate(zip(rows.tolist(), parents.tolist())):
+            for row, p, span in zip(rows.tolist(), parents.tolist(), spans):
                 parent = frontier[p]
-                node = PSTNode(
-                    axis.kind, row + axis.base, parent.track, None, parent, level
-                )
+                node = PSTNode(axis.kind, row + axis.base, parent.track, span, parent, level)
                 parent.children.append(node)
-                if i < expanded or (row == axis.target and p < checked):
-                    node.span = axis.span(row, parent.track - parent_axis.base)
                 nodes.append(node)
             frontier = nodes
-        self.last = frontier
+            prev = rows
+        at = self.done
+        if self.tail is not None:
+            kids, parents = levels[-1]
+            on_target = np.flatnonzero(kids == self.axes[depth % 2].target)
+            at = on_target[np.searchsorted(parents[on_target], self.done)]
+        self.leaves = [frontier[i] for i in at.tolist()]
         return root
 
 
@@ -398,7 +506,7 @@ class MBFSearch:
         instrumentation collector in one batch here.
         """
         trees: list[_Tree] = []
-        found: list[tuple[int, _Tree, np.ndarray]] = []
+        found: list[tuple[int, _Tree]] = []
         best_depth: int | None = None
         with instrument.span(SPAN_MBFS_SEARCH):
             v_iv, h_iv = self.v_region, self.h_region
@@ -417,11 +525,11 @@ class MBFSearch:
             )
             for axes in ((v_axis, h_axis), (h_axis, v_axis)):
                 limit = self.max_depth if best_depth is None else best_depth
-                tree, done, depth = self._search(axes, limit)
+                tree, depth = self._search(axes, limit)
                 if tree is not None:
                     trees.append(tree)
                 if depth is not None:
-                    found.append((depth, tree, done))
+                    found.append((depth, tree))
                     best_depth = (
                         depth if best_depth is None else min(best_depth, depth)
                     )
@@ -438,30 +546,37 @@ class MBFSearch:
             nodes_created=self._nodes_created,
             aborted=self._aborted,
             _trees=trees,
-            _done=[(tree, done) for depth, tree, done in found if depth == best_depth],
+            _done=[tree for depth, tree in found if depth == best_depth],
         )
 
     # ------------------------------------------------------------------
     def _search(
         self, axes: tuple[_Axis, _Axis], depth_limit: int
-    ) -> tuple[_Tree | None, np.ndarray, int | None]:
+    ) -> tuple[_Tree | None, int | None]:
         """One MBFS from one of the source's two tracks.
 
         Returns the tree (``None`` when the source track is unusable),
-        the indices of the completing nodes in its last level, and their
-        depth (``None`` when none completed).
+        whose ``done`` holds the completing nodes, and their depth
+        (``None`` when none completed).
 
-        Each level is one step over the frontier's (row, entry) arrays.
-        A node's candidate children are its corner row ANDed with its
-        usable run, the child kind's *enterable* columns and everything
-        but its entry column.  A column stays enterable until the end of
+        Each level is one step over the frontier's (row, entry) arrays
+        (:func:`_candidates`).  A column stays enterable until the end of
         the level that first reached it (each track is examined once),
         except the target's, which always is; within a level, a column
         keeps its first ``max_entries_per_track`` entries in frontier
-        order, which is exactly the per-entry cap of a node-by-node
-        walk.  The level is counted once against the node budget, and
-        ``np.nonzero`` lists the children in row-major order - frontier
-        order, then ascending track - the next frontier.
+        order (:func:`_list_level`).
+
+        The target's column alone tells whether a level completes: a
+        frontier node has at most one child on the target track, so the
+        completing children are the frontier nodes whose target-column
+        candidate enters inside the goal's run, in ascending order,
+        which is the leaf and candidate order.  A level that completes,
+        or that is the last the depth limit allows, ends the search, so
+        it is counted (:func:`_level_size`) and left unlisted as the
+        tree's ``tail``.  Every level is counted once against the node
+        budget first; a level that breaks it is listed, so the
+        truncation keeps creation order, and the abort wins over a
+        completion in that level.
         """
         own = axes[0]
         source = self.source
@@ -470,13 +585,14 @@ class MBFSearch:
         else:
             track, entry = source.h_idx - own.base, source.v_idx - own.along
         if not own.usable[track, entry]:
-            return None, _NONE, None
+            return None, None
+        cap = self.max_entries_per_track
         root = PSTNode(own.kind, track + own.base, entry + own.along, None, None, 0)
-        tree = _Tree(axes, root)
+        tree = _Tree(axes, root, cap)
         self._nodes_created += 1
         if track == own.target and own.goal_lo <= entry <= own.goal_hi:
-            return tree, np.zeros(1, dtype=np.intp), 0
-        cap = self.max_entries_per_track
+            tree.done = np.zeros(1, dtype=np.intp)
+            return tree, 0
         enterable = []
         for axis in axes:
             enter = np.full(axis.usable.shape[0], cap > 0)
@@ -493,20 +609,18 @@ class MBFSearch:
             level += 1
             axis, child = axes[(level - 1) % 2], axes[level % 2]
             enter = enterable[level % 2]
-            cand = axis.corner[rows]
-            cand &= axis.cols >= axis.lo[rows, entries][:, None]
-            cand &= axis.cols <= axis.hi[rows, entries][:, None]
-            cand &= enter
-            cand[np.arange(rows.size), entries] = False
-            if rows.size > cap:  # else no column can exceed the cap
-                counts = cand.sum(axis=0, dtype=np.int32)
-                counts[child.target] = 0
-                over = np.flatnonzero(counts > cap)
-                if over.size:
-                    sub = cand[:, over]
-                    sub &= np.cumsum(sub, axis=0, dtype=np.int32) <= cap
-                    cand[:, over] = sub
-            parents, kids = np.nonzero(cand)
+            cand, counts = _candidates(axis, rows, entries, enter, cap, child.target)
+            done = np.flatnonzero(
+                cand[:, child.target] & (rows >= child.goal_lo) & (rows <= child.goal_hi)
+            )
+            if done.size or level == depth_limit:
+                size = _level_size(cand, counts, cap, child.target)
+                if created + size <= max_nodes or not size:
+                    self._nodes_created = created + size
+                    tree.tail = (rows, entries, enter)
+                    tree.done = done
+                    return tree, level if done.size else None
+            parents, kids = _list_level(cand, counts, cap)
             aborted = kids.size > 0 and created + kids.size > max_nodes
             if aborted:  # keep the children up to the one that crosses
                 keep = max(max_nodes - created, 0) + 1
@@ -517,19 +631,11 @@ class MBFSearch:
             if aborted:
                 tree.abort_parent = int(parents[-1])
                 self._aborted = True
-                return tree, _NONE, None
-            on_target = np.flatnonzero(kids == child.target)
-            if on_target.size:
-                entered = rows[parents[on_target]]
-                done = on_target[
-                    (entered >= child.goal_lo) & (entered <= child.goal_hi)
-                ]
-                if done.size:
-                    return tree, done, level
+                return tree, None
             enter[kids] = False
             enter[child.target] = True
             rows, entries = kids, rows[parents]
-        return tree, _NONE, None
+        return tree, None
 
 
 # ----------------------------------------------------------------------
@@ -576,7 +682,7 @@ def candidate_paths(result: SearchResult, grid: RoutingGrid) -> CandidateBatch:
     vt, ht = grid.vtracks, grid.htracks
     depth = result.min_corners or 0
     # Both searches read the same window, as the same two axes.
-    axes = result._done[0][0].axes
+    axes = result._done[0].axes
     v_axis, h_axis = axes if axes[0].kind == VERTICAL else axes[::-1]
     # Corner j joins the tracks of levels j - 1 and j; the vertical one
     # is the even level when the root is vertical.
@@ -584,8 +690,8 @@ def candidate_paths(result: SearchResult, grid: RoutingGrid) -> CandidateBatch:
     even, odd = j - j % 2, j - 1 + j % 2
     v_parts: list[np.ndarray] = []
     h_parts: list[np.ndarray] = []
-    for tree, done in result._done:
-        rows = tree.rows(done)
+    for tree in result._done:
+        rows = tree.rows()
         v_cols, h_cols = (even, odd) if tree.axes[0] is v_axis else (odd, even)
         v_parts.append(rows[:, v_cols])
         h_parts.append(rows[:, h_cols])

@@ -387,6 +387,50 @@ class TestIterateLoop:
             (4, 1.0, 71000, True),
         ]
 
+    def test_failed_net_outside_overflow_charges_its_own_window(self):
+        """History charging, with both of its branches: a failed net
+        whose window touches an overflowed region charges that region,
+        and one whose window touches none charges its own window, on
+        its own plane."""
+        from types import SimpleNamespace
+
+        from repro.core.router import RoutedNet
+        from repro.globalroute.regions import RegionModel
+        from repro.iterate.loop import HISTORY_INCREMENT, _charge_history, _RegionContacts
+        from repro.netlist import Net
+
+        # 64 x 32 tracks are two regions side by side.  Nets 3..35 pile
+        # onto region 0 (demand 66 > capacity 64); net 2's window lies
+        # in region 1 alone.
+        windows = {net_id: (0, 31, 0, 31) for net_id in range(3, 36)}
+        windows[1] = (2, 5, 1, 4)
+        windows[2] = (40, 45, 3, 6)
+        model = RegionModel.build(64, 32, windows)
+        assert model.overflowed_regions() == [0]
+        contacts = _RegionContacts(
+            model,
+            windows,
+            {net_id: [0] if w[1] < 32 else [] for net_id, w in windows.items()},
+            {},
+        )
+        routed = [
+            RoutedNet(Net("in_overflow"), 1, failed_terminals=1, plane=0),
+            RoutedNet(Net("outside"), 2, failed_terminals=1, plane=1),
+            RoutedNet(Net("complete"), 3, plane=1),
+        ]
+        history = (TrackHistory(64, 32), TrackHistory(64, 32))
+        _charge_history(history, SimpleNamespace(routed=routed), contacts, iteration=1)
+
+        step = HISTORY_INCREMENT
+        # Plane 0: net 1 charged region 0's tracks, not its own window.
+        assert history[0].v == [step] * 32 + [0.0] * 32
+        assert history[0].h == [step] * 32
+        # Plane 1: net 2 charged exactly its own window; complete net 3
+        # charged nothing.
+        assert history[1].v == [step if 40 <= v <= 45 else 0.0 for v in range(64)]
+        assert history[1].h == [step if 3 <= h <= 6 else 0.0 for h in range(32)]
+        assert history[0].weight == history[1].weight == history_weight(1)
+
     def test_iterate_counters_emitted(self):
         from repro import instrument
         from repro.instrument.names import (

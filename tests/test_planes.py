@@ -19,7 +19,7 @@ import pytest
 from repro.bench_suite import ami33_like
 from repro.core import LevelBRouter, NetDemand, assign_planes
 from repro.flow import FlowParams, overcell_flow
-from repro.geometry import Interval, Point, Rect
+from repro.geometry import Point, Rect
 from repro.grid import PlaneSet, TrackSet
 from repro.technology import (
     LayerStack,

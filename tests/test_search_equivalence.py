@@ -2,14 +2,16 @@
 
 The MBFS and Lee read their window once as boolean matrices
 (:meth:`RoutingGrid.window_masks`); the MBFS expands one BFS level per
-numpy step and Lee computes exact distances by rounds of run transforms
-over the matrices, then derives its path and pop count from them.  This
-module keeps a test-local copy of the per-crossing MBFS expansion
-and the per-probe heap Lee wave as the oracle, both reading the grid one
-cell at a time through ``h_slot``/``v_slot``, and checks on random
-grids - obstacles, foreign wiring, wide-net footprints, foreign pin
-keep-outs, random regions, entry caps (zero included), depth limits and
-node budgets small enough to abort - that the fast engines produce
+numpy step, counting the level it ends on and listing it only when its
+trees are built, and Lee computes exact distances by rounds of run
+transforms over the matrices, then derives its path and pop count from
+them.  This module keeps a test-local copy of the per-crossing MBFS
+expansion and the per-probe heap Lee wave as the oracle, both reading
+the grid one cell at a time through ``h_slot``/``v_slot``, and checks
+on random grids - obstacles, foreign wiring, wide-net footprints,
+foreign pin keep-outs, random regions, entry caps (zero included),
+depth limits and node budgets small enough to abort, in inner and in
+last levels - that the fast engines produce
 exactly the oracle's searches: the same minimum corner count, abort
 flag, node count, ordered leaves and Path Selection Tree, spans
 included, and the same Lee paths and expansion counts at the routing
@@ -450,6 +452,22 @@ def mid_level_abort_instance():
     return grid, source, target, None
 
 
+def split_completion_instance():
+    """Foreign wires on v1, h1 and h2 leave no one-corner path.  The
+    vertical search's level 1 is h0, h1 and h3; in level 2, h0 and h3
+    reach the target's track and h1's run stops short of it, so the
+    completing nodes' parents are 0 and 2.  At cap 1, h0 takes every
+    column it reaches first, and level 2 caps six columns."""
+    grid = RoutingGrid(TrackSet(range(0, 80, 10)), TrackSet(range(0, 80, 10)))
+    source, target = GridTerminal(1, 2), GridTerminal(6, 6)
+    for term in (source, target):
+        grid.reserve_terminal(term.v_idx, term.h_idx, NET)
+    grid.occupy_v(1, 4, 4, 2)
+    grid.occupy_h(2, 3, 3, 2)
+    grid.occupy_h(1, 4, 4, 2)
+    return grid, source, target, None
+
+
 def serpentine_instance():
     """Five walls with gaps at alternate ends: the only paths weave up
     and down between them, so the cheapest one turns 10 times and the
@@ -500,6 +518,15 @@ class TestMBFSEquivalence:
     )
     @example(abort_then_idle_instance(), 1, 3, 2)
     @example(mid_level_abort_instance(), 1, 10, 12)
+    # The budget breaks in level 2, the last that max_depth allows, at
+    # the seventh of its eleven frontier nodes.
+    @example(serpentine_instance(), 8, 18, 2)
+    # The budget breaks in a completing level, just after its first
+    # completing node: the abort wins.
+    @example(split_completion_instance(), 1, 10, 12)
+    # A completing level that is counted, not listed: its two leaves'
+    # parents are not adjacent and the cap trims its other columns.
+    @example(split_completion_instance(), 1, 250_000, 12)
     def test_matches_per_crossing_search(self, inst, cap, max_nodes, max_depth):
         grid, source, target, region = inst
         ref = ReferenceSearch(
