@@ -35,6 +35,7 @@ import json
 import math
 import sys
 from collections.abc import Callable
+from dataclasses import replace
 from pathlib import Path
 
 from repro.bench_suite import SUITES
@@ -51,31 +52,28 @@ from repro.viz.svg import svg_flow_result
 
 
 def _load_design_arg(args: argparse.Namespace):
-    if getattr(args, "design", None):
+    if args.design:
         return load_design(args.design)
-    if getattr(args, "suite", None):
+    if args.suite:
         return SUITES[args.suite]()
     raise SystemExit("one of --suite or --design is required")
 
 
 def _flow_params(args: argparse.Namespace):
-    """FlowParams honouring ``--tech`` and ``--planes`` arguments."""
+    """FlowParams from the flags :func:`_add_flow_args` declares."""
     from repro.flow import FlowParams
     from repro.io import load_technology
 
-    kwargs = {}
-    if getattr(args, "tech", None):
-        kwargs["technology"] = load_technology(args.tech)
-    if getattr(args, "planes", None) is not None:
-        kwargs["planes"] = args.planes
-    if getattr(args, "iterate", False):
-        kwargs["iterate"] = True
-        kwargs["max_iterations"] = getattr(args, "max_iterations", 8)
-    if getattr(args, "ordering_policy", None):
-        kwargs["ordering_policy"] = args.ordering_policy
-    if getattr(args, "objective", "wire") != "wire":
-        kwargs["objective"] = args.objective
-    return FlowParams(**kwargs)
+    params = FlowParams(
+        planes=args.planes,
+        iterate=args.iterate,
+        max_iterations=args.max_iterations,
+        ordering_policy=args.ordering_policy,
+        objective=args.objective,
+    )
+    if args.tech:
+        return replace(params, technology=load_technology(args.tech))
+    return params
 
 
 def _seconds(text: str) -> float:
@@ -338,10 +336,20 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_levelb_args(parser: argparse.ArgumentParser) -> None:
-    """Level B strategy knobs shared by the flow-running commands."""
+def _add_flow_args(parser: argparse.ArgumentParser, *, flow: bool = True) -> None:
+    """The design, technology and level B flags of the five
+    flow-running commands; ``flow=False`` leaves out ``--flow``."""
     from repro.core.ordering import POLICIES
 
+    parser.add_argument("--suite", choices=sorted(SUITES))
+    parser.add_argument("--design", help="design JSON (repro.io format)")
+    if flow:
+        parser.add_argument("--flow", choices=sorted(FLOWS), default="overcell")
+    parser.add_argument("--tech", help="technology JSON (repro.io format)")
+    parser.add_argument(
+        "--planes", type=_at_least(1), default=1,
+        help="over-cell routing planes for level B (default 1)",
+    )
     parser.add_argument(
         "--iterate",
         action="store_true",
@@ -383,51 +391,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.set_defaults(func=_cmd_suite)
 
     p_flow = sub.add_parser("flow", help="run one routing flow")
-    p_flow.add_argument("--suite", choices=sorted(SUITES))
-    p_flow.add_argument("--design", help="design JSON (repro.io format)")
-    p_flow.add_argument(
-        "--flow", choices=sorted(FLOWS), default="overcell"
-    )
-    p_flow.add_argument("--tech", help="technology JSON (repro.io format)")
-    p_flow.add_argument(
-        "--planes", type=_at_least(1), default=1,
-        help="over-cell routing planes for level B (default 1)",
-    )
+    _add_flow_args(p_flow)
     p_flow.add_argument("--svg", help="write an SVG layout plot")
     p_flow.add_argument("--json", help="write a JSON result summary")
-    _add_levelb_args(p_flow)
     p_flow.set_defaults(func=_cmd_flow)
 
     p_route = sub.add_parser(
         "route",
         help="over-cell flow with per-plane output (see docs/LAYERS.md)",
     )
-    p_route.add_argument("--suite", choices=sorted(SUITES))
-    p_route.add_argument("--design", help="design JSON (repro.io format)")
-    p_route.add_argument("--tech", help="technology JSON (repro.io format)")
-    p_route.add_argument(
-        "--planes", type=_at_least(1), default=1,
-        help="over-cell routing planes for level B (default 1)",
-    )
+    _add_flow_args(p_route, flow=False)
     p_route.add_argument(
         "--svg", help="write an SVG layout plot with the plane legend"
     )
     p_route.add_argument("--json", help="write a JSON result summary")
-    _add_levelb_args(p_route)
     p_route.set_defaults(func=_cmd_route)
 
     p_prof = sub.add_parser(
         "profile",
         help="run a flow with instrumentation and export the profile",
     )
-    p_prof.add_argument("--suite", choices=sorted(SUITES))
-    p_prof.add_argument("--design", help="design JSON (repro.io format)")
-    p_prof.add_argument("--flow", choices=sorted(FLOWS), default="overcell")
-    p_prof.add_argument("--tech", help="technology JSON (repro.io format)")
-    p_prof.add_argument(
-        "--planes", type=_at_least(1), default=1,
-        help="over-cell routing planes for level B (default 1)",
-    )
+    _add_flow_args(p_prof)
     p_prof.add_argument(
         "--out", required=True, help="output profile JSON path"
     )
@@ -436,21 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write <prefix>.{counters,spans,events}.csv files",
         metavar="PREFIX",
     )
-    _add_levelb_args(p_prof)
     p_prof.set_defaults(func=_cmd_profile)
 
     p_check = sub.add_parser(
         "check",
         help="run a flow and verify its output with the static checker",
     )
-    p_check.add_argument("--suite", choices=sorted(SUITES))
-    p_check.add_argument("--design", help="design JSON (repro.io format)")
-    p_check.add_argument("--flow", choices=sorted(FLOWS), default="overcell")
-    p_check.add_argument("--tech", help="technology JSON (repro.io format)")
-    p_check.add_argument(
-        "--planes", type=_at_least(1), default=1,
-        help="over-cell routing planes for level B (default 1)",
-    )
+    _add_flow_args(p_check)
     p_check.add_argument("--json", help="write the check report as JSON")
     p_check.add_argument(
         "--limit", type=_at_least(0), default=50, help="violations to print"
@@ -460,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit nonzero on warnings too, not just errors",
     )
-    _add_levelb_args(p_check)
     p_check.set_defaults(func=_cmd_check)
 
     p_lint = sub.add_parser(
@@ -566,18 +541,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser(
         "report", help="run a flow and print the full routing report"
     )
-    p_report.add_argument("--suite", choices=sorted(SUITES))
-    p_report.add_argument("--design", help="design JSON (repro.io format)")
-    p_report.add_argument("--flow", choices=sorted(FLOWS), default="overcell")
-    p_report.add_argument("--tech", help="technology JSON (repro.io format)")
-    p_report.add_argument(
-        "--planes", type=_at_least(1), default=1,
-        help="over-cell routing planes for level B (default 1)",
-    )
+    _add_flow_args(p_report)
     p_report.add_argument("--top", type=_at_least(0), default=5,
                           help="slowest pins to list")
     p_report.add_argument("--html", help="also write a single-file HTML report")
-    _add_levelb_args(p_report)
     p_report.set_defaults(func=_cmd_report)
 
     return parser

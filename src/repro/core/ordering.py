@@ -13,8 +13,8 @@ Any other order goes to ``LevelBRouter.route(order=...)``.
     The paper's criterion, with failed nets promoted to the front.
 ``congestion``
     Failed nets first, then nets whose read windows touch more
-    overflowed coarse regions (:class:`repro.globalroute.RegionModel`),
-    then higher peak region demand, then longest-first.
+    overflowed coarse regions (docs/ITERATION.md), then higher peak
+    region demand, then longest-first.
 ``feature``
     A fixed linear score over length, degree and the feedback.
 
@@ -39,10 +39,9 @@ class NetFeedback:
 
     ``overflow`` counts the overflowed coarse regions the net's read
     window touches; ``demand`` is the peak demand/capacity utilization
-    over all the regions it touches — both from the
-    :class:`~repro.globalroute.RegionModel` over the nets' terminal
-    windows, which the iterate loop builds once per run: only
-    ``failed`` changes from pass to pass.
+    over all the regions it touches.  The iterate loop computes both
+    from the nets' terminal windows once per run (docs/ITERATION.md):
+    only ``failed`` changes from pass to pass.
     """
 
     failed: bool = False

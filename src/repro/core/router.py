@@ -70,7 +70,7 @@ from repro.instrument.names import (
 )
 from repro.geometry import Interval, Rect
 from repro.netlist import Net
-from repro.technology import Technology
+from repro.technology import Technology, ensure_overcell_planes
 from repro.core.assign import NetDemand, assign_planes
 from repro.core.cancel import checkpoint
 from repro.core.cost import CornerCostEvaluator, CostWeights, TrackHistory
@@ -416,8 +416,10 @@ class LevelBRouter:
     technology:
         Supplies the over-cell plane stack (pitches, layer names);
         must carry at least ``planes`` reserved pairs above
-        metal1/metal2.  Defaults to the paper's four-layer stack, or
-        an extended preset when ``planes > 1``.
+        metal1/metal2.  Defaults to the paper's four-layer stack,
+        grown to ``planes`` pairs by
+        :func:`~repro.technology.ensure_overcell_planes` as every flow
+        grows it.
     obstacles:
         Over-cell exclusions (:class:`Obstacle` or bare :class:`Rect`).
     config:
@@ -475,10 +477,8 @@ class LevelBRouter:
         self.ordering_policy = ordering_policy
         self.objective = objective
         self.checked = checked
-        tech = technology or (
-            Technology.four_layer()
-            if planes == 1
-            else Technology.with_overcell_planes(planes)
+        tech = technology or ensure_overcell_planes(
+            Technology.four_layer(), planes
         )
         if tech.num_layers < 4:
             raise ValueError("level B routing needs a 4-layer technology")
@@ -539,7 +539,7 @@ class LevelBRouter:
         if objective == "vias":
             mean_via_cost = sum(v.cost for v in tech.vias) / len(tech.vias)
             via_weight *= VIA_OBJECTIVE_SCALE * mean_via_cost
-        self._plane_assignment = assign_planes(
+        plane_assignment = assign_planes(
             [
                 NetDemand(net_id, tuple(net.pin_positions()))
                 for net, net_id in self._net_ids.items()
@@ -550,18 +550,13 @@ class LevelBRouter:
         )
         # Width-class footprints: each net's (span, guard) claim on its
         # assigned plane, (1, 0) for signal nets on every preset.
-        self._footprints: dict[int, tuple[int, int]] = {
-            net_id: tech.net_footprint(
-                net.net_class, self._plane_assignment[net_id]
-            )
-            for net, net_id in self._net_ids.items()
-        }
         for net, net_id in self._net_ids.items():
+            plane = plane_assignment[net_id]
             self.tig.register_net(
                 net_id,
                 net.pin_positions(),
-                self._plane_assignment[net_id],
-                footprint=self._footprints[net_id],
+                plane,
+                footprint=tech.net_footprint(net.net_class, plane),
             )
         self._nodes_created = 0
         self._sensitive_ids = frozenset(
@@ -622,10 +617,6 @@ class LevelBRouter:
         return CornerCostEvaluator(
             self.tig.grid_of(net_id), self.config.weights, extra_terms=terms
         )
-
-    def footprint_of(self, net_id: int) -> tuple[int, int]:
-        """The ``(span, guard)`` footprint of a registered net."""
-        return self._footprints[net_id]
 
     def _ctx_for(self, net_id: int) -> EngineContext:
         """The engine context of a net's plane."""

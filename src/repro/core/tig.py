@@ -240,8 +240,8 @@ class TrackIntersectionGraph:
         """Every net's terminal bounding box in track index space.
 
         Maps ``net_id`` to inclusive ``(v_lo, v_hi, h_lo, h_hi)`` for
-        each net with at least one terminal: the window the coarse
-        :class:`~repro.globalroute.RegionModel` charges demand to.
+        each net with at least one terminal: the window the iterate
+        loop's coarse regions charge demand to (docs/ITERATION.md).
         """
         windows: dict[int, tuple[int, int, int, int]] = {}
         for net_id, terminals in self._terminals.items():

@@ -31,6 +31,7 @@ fixed (:func:`history_weight`).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -48,7 +49,6 @@ from repro.instrument.names import (
 from repro.core.cost import TrackHistory
 from repro.core.ordering import NO_FEEDBACK, POLICIES, NetFeedback
 from repro.core.router import LevelBResult, LevelBRouter
-from repro.globalroute.regions import RegionModel
 
 __all__ = ["IterateReport", "IterationRecord", "iterate_levelb"]
 
@@ -67,6 +67,14 @@ HISTORY_INCREMENT = 1.0
 
 #: Consecutive non-improving passes before the loop gives up.
 STALL_LIMIT = 2
+
+#: Edge length, in tracks, of the square regions the track index space
+#: is tiled into; the last row and column are clipped to the grid.
+REGION_TRACKS = 32
+
+#: Inclusive track bounds ``(v_lo, v_hi, h_lo, h_hi)`` of a terminal
+#: window or a region.
+Bounds = tuple[int, int, int, int]
 
 
 def history_weight(iteration: int) -> float:
@@ -150,47 +158,83 @@ def _short_sweep_clean(result: LevelBResult) -> bool:
     return not check_shorts(extract_levelb(result))
 
 
+def _spans(lo: int, hi: int, num_tracks: int) -> list[tuple[int, int]]:
+    """The inclusive track spans of the regions ``[lo, hi]`` overlaps
+    along one axis of ``num_tracks`` tracks."""
+    return [
+        (start, min(start + REGION_TRACKS, num_tracks) - 1)
+        for start in range(lo - lo % REGION_TRACKS, hi + 1, REGION_TRACKS)
+    ]
+
+
+def _regions(num_vtracks: int, num_htracks: int, window: Bounds) -> list[Bounds]:
+    """The bounds of every region a window overlaps, row by row."""
+    v_lo, v_hi, h_lo, h_hi = window
+    return [
+        (rv_lo, rv_hi, rh_lo, rh_hi)
+        for rh_lo, rh_hi in _spans(h_lo, h_hi, num_htracks)
+        for rv_lo, rv_hi in _spans(v_lo, v_hi, num_vtracks)
+    ]
+
+
 @dataclass(frozen=True)
 class _RegionContacts:
-    """Each net's contact with the coarse :class:`RegionModel`.
+    """Each net's contact with the overflowed regions of the grid.
 
-    The model reads only the nets' terminal windows, and those never
-    move (:meth:`~repro.core.router.LevelBRouter.unroute` re-reserves
-    the same terminals), so it is built once per :func:`iterate_levelb`
+    The overflow signal is a coarse capacity/demand model after arXiv
+    1810.12789 (docs/ITERATION.md).  It reads only the nets' terminal
+    windows, and those never move
+    (:meth:`~repro.core.router.LevelBRouter.unroute` re-reserves the
+    same terminals), so it is built once per :func:`iterate_levelb`
     call; from pass to pass only which nets failed changes.
     """
 
-    model: RegionModel
     #: ``net_id`` -> the net's terminal window in track index space.
-    windows: dict[int, tuple[int, int, int, int]]
-    #: ``net_id`` -> the overflowed regions its window touches.
-    overflowed: dict[int, list[int]]
+    windows: dict[int, Bounds]
+    #: ``net_id`` -> the overflowed regions its window touches, row by row.
+    overflowed: dict[int, list[Bounds]]
     #: ``net_id`` -> the policy's view of the net, ``failed`` left False.
     standing: dict[int, NetFeedback]
 
     @classmethod
-    def build(cls, router: LevelBRouter) -> _RegionContacts:
-        windows = router.tig.terminal_windows()
-        grid = router.tig.grid  # planes share one track lattice
-        model = RegionModel.build(grid.num_vtracks, grid.num_htracks, windows)
-        overflowed_ids = set(model.overflowed_regions())
-        overflowed: dict[int, list[int]] = {}
-        standing: dict[int, NetFeedback] = {}
-        for net_id, window in windows.items():
-            touching = model.regions_touching(*window)
-            hit = [rid for rid in touching if rid in overflowed_ids]
-            overflowed[net_id] = hit
-            standing[net_id] = NetFeedback(
-                overflow=len(hit),
-                demand=max(model.region(rid).utilization for rid in touching),
+    def build(
+        cls, num_vtracks: int, num_htracks: int, windows: dict[int, Bounds]
+    ) -> _RegionContacts:
+        """Every net's overflowed regions, their count and its peak
+        region utilization, from the terminal windows of a grid.
+
+        A region's capacity is the h- plus v-tracks threading it; each
+        window overlapping it demands two of them (one h, one v: the
+        least a route through it consumes).  A region whose demand
+        exceeds its capacity is overflowed.
+        """
+        touching = {
+            net_id: _regions(num_vtracks, num_htracks, window)
+            for net_id, window in windows.items()
+        }
+        crossings = Counter(r for regions in touching.values() for r in regions)
+        utilization = {
+            (v_lo, v_hi, h_lo, h_hi): 2 * n / (v_hi - v_lo + 1 + h_hi - h_lo + 1)
+            for (v_lo, v_hi, h_lo, h_hi), n in crossings.items()
+        }
+        overflowed = {
+            net_id: [r for r in regions if utilization[r] > 1.0]
+            for net_id, regions in touching.items()
+        }
+        standing = {
+            net_id: NetFeedback(
+                overflow=len(overflowed[net_id]),
+                demand=max(utilization[r] for r in regions),
             )
-        return cls(model, windows, overflowed, standing)
+            for net_id, regions in touching.items()
+        }
+        return cls(windows, overflowed, standing)
 
     def feedback(self, result: LevelBResult) -> dict[str, NetFeedback]:
         """The previous pass distilled for the ordering policy.
 
-        Demand comes from the region model; failure from the routing
-        result itself.
+        Overflow and demand come from the regions; failure from the
+        routing result itself.
         """
         return {
             routed.net.name: replace(
@@ -214,10 +258,10 @@ def _charge_history(
     coarse demand model under-reads local contention) charges its own
     window instead, so every failure leaves a mark.  Each (plane,
     region) pair is charged once per pass, PathFinder's
-    once-per-congested-resource rule.
+    once-per-congested-resource rule, plane by plane and row by row.
     """
-    charged: set[tuple[int, int]] = set()
-    fallback: list[tuple[int, tuple[int, int, int, int]]] = []
+    charged: set[tuple[int, Bounds]] = set()
+    fallback: list[tuple[int, Bounds]] = []
     for routed in result.routed:
         if routed.complete:
             continue
@@ -228,12 +272,10 @@ def _charge_history(
         if not hit:
             fallback.append((routed.plane, window))
             continue
-        for rid in hit:
-            charged.add((routed.plane, rid))
-    for plane, rid in sorted(charged):
-        history[plane].charge_window(
-            *contacts.model.bounds_of(rid), HISTORY_INCREMENT
-        )
+        for region in hit:
+            charged.add((routed.plane, region))
+    for plane, region in sorted(charged, key=lambda c: (c[0], c[1][2], c[1][0])):
+        history[plane].charge_window(*region, HISTORY_INCREMENT)
     for plane, window in fallback:
         history[plane].charge_window(*window, HISTORY_INCREMENT)
     weight = history_weight(iteration)
@@ -300,7 +342,11 @@ def iterate_levelb(
                             for _ in range(router.tig.planes.num_planes)
                         )
                         router.history = history
-                        contacts = _RegionContacts.build(router)
+                        contacts = _RegionContacts.build(
+                            grid.num_vtracks,
+                            grid.num_htracks,
+                            router.tig.terminal_windows(),
+                        )
                     _charge_history(history, best, contacts, iterations)
                     order = policy(router.nets, contacts.feedback(best))
                     txn = router.tig.planes.begin()

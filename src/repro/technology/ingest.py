@@ -201,60 +201,36 @@ def technology_from_any(data: dict[str, Any]) -> Technology:
 # ----------------------------------------------------------------------
 # The presets, as stackup data
 # ----------------------------------------------------------------------
-def preset_stackup(planes: int) -> dict[str, Any]:
-    """The generic preset stack as a stackup document.
+def preset_stackup() -> dict[str, Any]:
+    """The paper's four-layer preset stack as a stackup document.
 
-    ``planes`` over-cell pairs above the metal1/metal2 channel pair.
-    Plane 0 is the paper's metal3/metal4; each further pair follows the
-    process trend the paper leans on — coarser pitch, wider lines,
-    thicker (lower sheet resistance) metal, larger vias.  Ingesting
-    this document reproduces the historical hard-coded presets
-    byte-for-byte, which is what pins the seed route digests.
+    metal1/metal2 for cells and channels, metal3/metal4 over the cells.
+    Ingesting this document reproduces the historical hard-coded preset
+    byte-for-byte, which is what pins the seed route digests; more
+    over-cell pairs come from
+    :func:`~repro.technology.ensure_overcell_planes`.
     """
-    if planes < 1:
-        raise ValueError("need at least one over-cell plane")
-    metals: list[dict[str, Any]] = [
-        {"name": "metal1", "index": 1, "direction": "vertical",
-         "pitch": 8, "width": 4,
-         "sheet_resistance": 0.09, "cap_per_lambda": 0.23},
-        {"name": "metal2", "index": 2, "direction": "horizontal",
-         "pitch": 8, "width": 4,
-         "sheet_resistance": 0.07, "cap_per_lambda": 0.21},
-        {"name": "metal3", "index": 3, "direction": "vertical",
-         "pitch": 12, "width": 6,
-         "sheet_resistance": 0.04, "cap_per_lambda": 0.19},
-        {"name": "metal4", "index": 4, "direction": "horizontal",
-         "pitch": 12, "width": 6,
-         "sheet_resistance": 0.03, "cap_per_lambda": 0.18},
-    ]
-    vias: list[dict[str, Any]] = [
-        {"lower": 1, "upper": 2, "size": 4},
-        {"lower": 2, "upper": 3, "size": 6},
-        {"lower": 3, "upper": 4, "size": 8},
-    ]
-    for p in range(1, planes):
-        v_idx, h_idx = 3 + 2 * p, 4 + 2 * p
-        pitch = 12 + 4 * p
-        width = pitch // 2
-        scale = 0.75**p
-        metals.append(
-            {"name": f"metal{v_idx}", "index": v_idx, "direction": "vertical",
-             "pitch": pitch, "width": width,
-             "sheet_resistance": 0.04 * scale,
-             "cap_per_lambda": max(0.05, 0.19 - 0.01 * p)}
-        )
-        metals.append(
-            {"name": f"metal{h_idx}", "index": h_idx,
-             "direction": "horizontal", "pitch": pitch, "width": width,
-             "sheet_resistance": 0.03 * scale,
-             "cap_per_lambda": max(0.05, 0.18 - 0.01 * p)}
-        )
-        vias.append({"lower": v_idx - 1, "upper": v_idx, "size": 8 + 2 * (v_idx - 4)})
-        vias.append({"lower": v_idx, "upper": h_idx, "size": 8 + 2 * (v_idx - 3)})
     return {
         "format": STACKUP_FORMAT,
-        "name": f"generic-{2 + 2 * planes}L",
+        "name": "generic-4L",
         "grid_unit": 1,
-        "metals": metals,
-        "vias": vias,
+        "metals": [
+            {"name": "metal1", "index": 1, "direction": "vertical",
+             "pitch": 8, "width": 4,
+             "sheet_resistance": 0.09, "cap_per_lambda": 0.23},
+            {"name": "metal2", "index": 2, "direction": "horizontal",
+             "pitch": 8, "width": 4,
+             "sheet_resistance": 0.07, "cap_per_lambda": 0.21},
+            {"name": "metal3", "index": 3, "direction": "vertical",
+             "pitch": 12, "width": 6,
+             "sheet_resistance": 0.04, "cap_per_lambda": 0.19},
+            {"name": "metal4", "index": 4, "direction": "horizontal",
+             "pitch": 12, "width": 6,
+             "sheet_resistance": 0.03, "cap_per_lambda": 0.18},
+        ],
+        "vias": [
+            {"lower": 1, "upper": 2, "size": 4},
+            {"lower": 2, "upper": 3, "size": 6},
+            {"lower": 3, "upper": 4, "size": 8},
+        ],
     }

@@ -160,24 +160,8 @@ class Technology:
         and wider lines than the lower pair, which is how the paper
         justifies routing long nets over the cells with shorter delays
         and why a 50 % track cut in a multi-layer channel is not a 50 %
-        area cut.
-        """
-        return Technology.with_overcell_planes(1)
-
-    @staticmethod
-    def six_layer() -> "Technology":
-        """Two over-cell planes: metal3/metal4 plus metal5/metal6."""
-        return Technology.with_overcell_planes(2)
-
-    @staticmethod
-    def with_overcell_planes(planes: int) -> "Technology":
-        """The channel pair plus ``planes`` reserved over-cell pairs.
-
-        Plane 0 reproduces :meth:`four_layer`'s metal3/metal4 exactly;
-        each further pair follows the same process trend the paper
-        leans on - coarser pitch, wider lines, thicker (lower sheet
-        resistance) metal, larger vias.
-        ``with_overcell_planes(1) == four_layer()`` up to the name.
+        area cut.  :func:`ensure_overcell_planes` grows it by further
+        over-cell pairs.
 
         The preset is *data*, not code: it is expressed as a stackup
         document (:func:`repro.technology.ingest.preset_stackup`) and
@@ -186,7 +170,7 @@ class Technology:
         """
         from repro.technology.ingest import preset_stackup, technology_from_stackup
 
-        return technology_from_stackup(preset_stackup(planes))
+        return technology_from_stackup(preset_stackup())
 
     # ------------------------------------------------------------------
     # The over-cell plane view
@@ -204,11 +188,12 @@ class Technology:
 def ensure_overcell_planes(tech: Technology, planes: int) -> Technology:
     """``tech``, extended with extrapolated pairs if it is too short.
 
-    A flow asked for ``planes`` over-cell planes keeps the caller's
-    technology untouched when it already has them; otherwise the stack
-    is grown by extrapolating the process trend from the topmost
-    existing pair (pitch +4 lambda per pair, width = pitch/2, sheet
-    resistance x0.75, via size +2 per level).
+    The one rule that grows a stack: every flow, the routing report and
+    the level B router's default technology go through it.  A stack
+    that already has ``planes`` over-cell planes is returned untouched;
+    otherwise it is grown by extrapolating the process trend from the
+    topmost existing pair (pitch +4 lambda per pair, width = pitch/2,
+    sheet resistance x0.75, via size +2 per level).
     """
     have = tech.num_overcell_planes
     if planes <= have:

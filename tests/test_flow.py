@@ -135,41 +135,6 @@ class TestHelpers:
         assert a.via_count == b.via_count
 
 
-class TestRegionProfile:
-    """The coarse region profile (arXiv 1810.12789) of a suite's level B
-    instance, pinned.
-
-    The profile is a pure function of the nets' terminal windows, so
-    how those windows are gathered may change but these values may not.
-    """
-
-    @pytest.mark.parametrize(
-        "suite, expected",
-        [
-            ("ami33", (20, 9, 1.9375)),
-            ("ex3", (49, 22, 3.3125)),
-        ],
-        ids=["ami33", "ex3"],
-    )
-    def test_region_profile_pinned(self, suite, expected):
-        from repro.flow.pipeline import levelb_router, realize_level_a
-        from repro.globalroute import RegionModel
-
-        params = FlowParams()
-        level_a = realize_level_a(SUITES[suite](), params)
-        router = levelb_router(level_a.bounds, level_a.set_b, params)
-        grid = router.tig.grid
-        model = RegionModel.build(
-            grid.num_vtracks, grid.num_htracks, router.tig.terminal_windows()
-        )
-        tiles = model.rows * model.cols
-        assert (
-            tiles,
-            len(model.overflowed_regions()),
-            max(model.region(rid).utilization for rid in range(tiles)),
-        ) == expected
-
-
 class TestLevelBConstruction:
     """The flow builds level B from FlowParams."""
 
@@ -178,6 +143,18 @@ class TestLevelBConstruction:
         params = FlowParams(planes=planes)
         with pytest.raises(ValueError, match="planes must be >= 1"):
             overcell_flow(SUITES["ami33"](), params)
+
+    def test_router_default_stack_is_the_flows(self):
+        """A router given no technology grows the paper's stack by the
+        same rule as every flow, so both price upper planes alike."""
+        from repro.core import LevelBRouter
+        from repro.flow.pipeline import levelb_router, realize_level_a
+
+        params = FlowParams(planes=2)
+        level_a = realize_level_a(SUITES["ami33"](), params)
+        flow_router = levelb_router(level_a.bounds, level_a.set_b, params)
+        router = LevelBRouter(level_a.bounds, level_a.set_b, planes=2)
+        assert router.technology == flow_router.technology
 
     def test_short_stack_extended_at_one_plane(self):
         from repro.technology import Technology

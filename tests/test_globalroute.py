@@ -219,44 +219,3 @@ class TestMultiPinNets:
         # Every touched channel's problem gained an exit pin.
         for ch, _col in use.exits:
             assert gr.specs[ch].problem.pin_count(1) >= 2
-
-
-class TestRegionModel:
-    """The coarse capacity model behind the negotiated-congestion loop
-    (docs/ITERATION.md).  Advisory only: it never touches occupancy
-    state."""
-
-    def test_tiling_covers_grid(self):
-        from repro.globalroute import RegionModel
-
-        model = RegionModel(num_vtracks=70, num_htracks=40)
-        assert (model.rows, model.cols) == (2, 3)  # ceil(40/32), ceil(70/32)
-        # Edge tiles are clipped to the grid, not padded past it.
-        corner = model.regions_touching(69, 69, 39, 39)[0]
-        v_lo, v_hi, h_lo, h_hi = model.bounds_of(corner)
-        assert v_hi == 69 and h_hi == 39
-
-    def test_capacity_is_tracks_threading_tile(self):
-        from repro.globalroute import RegionModel
-
-        model = RegionModel(num_vtracks=64, num_htracks=64)
-        # A full 32x32 tile is threaded by 32 h-tracks + 32 v-tracks.
-        assert model.capacity(0) == 64
-
-    def test_demand_assignment_and_overflow(self):
-        from repro.globalroute import RegionModel
-
-        # One net inside each of two tiles: each gets demand 2.
-        windows = {1: (2, 6, 2, 6), 2: (34, 38, 2, 6)}
-        model = RegionModel.build(64, 64, windows)
-        assert [model.region(rid).demand for rid in (0, 1)] == [2, 2]
-        assert not model.overflowed_regions()
-        assert 0.0 < model.region(0).utilization < 1.0
-
-    def test_wide_window_charges_every_region_it_touches(self):
-        from repro.globalroute import RegionModel
-
-        # A net spanning all of a 2x1 region row charges both tiles.
-        model = RegionModel.build(64, 32, {7: (0, 63, 4, 8)})
-        charged = [r for r in (model.region(i) for i in range(model.rows * model.cols)) if r.demand]
-        assert len(charged) == 2

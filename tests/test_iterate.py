@@ -33,7 +33,7 @@ from repro.core.ordering import (
 from repro.geometry import Point, Rect
 from repro.grid import RoutingGrid, TrackSet
 from repro.iterate import iterate_levelb
-from repro.iterate.loop import history_weight
+from repro.iterate.loop import _regions, _RegionContacts, history_weight
 
 from conftest import make_toy_design
 
@@ -256,6 +256,80 @@ class TestPolicyDeterminism:
 # ----------------------------------------------------------------------
 # The loop
 # ----------------------------------------------------------------------
+class TestRegionContacts:
+    """The coarse capacity model behind the negotiated-congestion loop
+    (docs/ITERATION.md): each net's overflowed regions, their count and
+    its peak region utilization.  Advisory only: it never touches
+    occupancy state."""
+
+    def test_tiling_covers_grid(self):
+        regions = _regions(70, 40, (0, 69, 0, 39))
+        rows = len({h_lo for _, _, h_lo, _ in regions})
+        cols = len({v_lo for v_lo, _, _, _ in regions})
+        assert (rows, cols) == (2, 3)  # ceil(40/32), ceil(70/32)
+        # Edge regions are clipped to the grid, not padded past it.
+        (corner,) = _regions(70, 40, (69, 69, 39, 39))
+        v_lo, v_hi, h_lo, h_hi = corner
+        assert v_hi == 69 and h_hi == 39
+
+    def test_capacity_is_tracks_threading_tile(self):
+        # A full 32x32 region is threaded by 32 h-tracks + 32 v-tracks:
+        # 32 windows (demand 2 each) fill its capacity of 64 exactly.
+        windows = {net_id: (0, 31, 0, 31) for net_id in range(32)}
+        full = _RegionContacts.build(64, 64, windows)
+        assert full.standing[0] == NetFeedback(overflow=0, demand=64 / 64)
+        windows[32] = (0, 31, 0, 31)
+        over = _RegionContacts.build(64, 64, windows)
+        assert over.standing[0] == NetFeedback(overflow=1, demand=66 / 64)
+
+    def test_demand_assignment_and_overflow(self):
+        # One net inside each of two regions: each gets demand 2.
+        windows = {1: (2, 6, 2, 6), 2: (34, 38, 2, 6)}
+        contacts = _RegionContacts.build(64, 64, windows)
+        assert [contacts.standing[n].demand * 64 for n in (1, 2)] == [2, 2]
+        assert contacts.overflowed == {1: [], 2: []}
+        assert 0.0 < contacts.standing[1].demand < 1.0
+
+    def test_wide_window_charges_every_region_it_touches(self):
+        # A net spanning all of a 2x1 region row charges both regions:
+        # a net inside either one shares its region with it.
+        windows = {7: (0, 63, 4, 8), 8: (2, 6, 2, 6), 9: (40, 45, 3, 6)}
+        contacts = _RegionContacts.build(64, 32, windows)
+        assert len(_regions(64, 32, windows[7])) == 2
+        assert contacts.standing[8].demand == contacts.standing[9].demand == 4 / 64
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("ami33", (20, 9, 1.9375)),
+            ("ex3", (49, 22, 3.3125)),
+            ("dense-quick", (12, 9, 2.1875)),
+            ("dense-full", (12, 9, 2.40625)),
+        ],
+        ids=["ami33", "ex3", "dense-quick", "dense-full"],
+    )
+    def test_region_profile_pinned(self, name, expected):
+        """A design's (regions, overflowed regions, peak utilization)
+        profile, pinned.  It is a pure function of the nets' terminal
+        windows, so how those are gathered may change but these values
+        may not.  ``congested`` iterates on the two dense designs."""
+        from repro.bench_suite import SUITES, dense_design
+        from repro.flow import FlowParams
+        from repro.flow.pipeline import levelb_router, realize_level_a
+
+        design = SUITES[name]() if name in SUITES else dense_design(name[6:])
+        params = FlowParams()
+        level_a = realize_level_a(design, params)
+        router = levelb_router(level_a.bounds, level_a.set_b, params)
+        nv, nh = router.tig.grid.num_vtracks, router.tig.grid.num_htracks
+        contacts = _RegionContacts.build(nv, nh, router.tig.terminal_windows())
+        assert (
+            len(_regions(nv, nh, (0, nv - 1, 0, nh - 1))),
+            len({r for hit in contacts.overflowed.values() for r in hit}),
+            max(f.demand for f in contacts.standing.values()),
+        ) == expected
+
+
 class TestIterateLoop:
     def test_converged_at_zero_is_one_pass_identical(self):
         """A design that completes one-pass takes the identical path."""
@@ -395,8 +469,7 @@ class TestIterateLoop:
         from types import SimpleNamespace
 
         from repro.core.router import RoutedNet
-        from repro.globalroute.regions import RegionModel
-        from repro.iterate.loop import HISTORY_INCREMENT, _charge_history, _RegionContacts
+        from repro.iterate.loop import HISTORY_INCREMENT, _charge_history
         from repro.netlist import Net
 
         # 64 x 32 tracks are two regions side by side.  Nets 3..35 pile
@@ -405,14 +478,11 @@ class TestIterateLoop:
         windows = {net_id: (0, 31, 0, 31) for net_id in range(3, 36)}
         windows[1] = (2, 5, 1, 4)
         windows[2] = (40, 45, 3, 6)
-        model = RegionModel.build(64, 32, windows)
-        assert model.overflowed_regions() == [0]
-        contacts = _RegionContacts(
-            model,
-            windows,
-            {net_id: [0] if w[1] < 32 else [] for net_id, w in windows.items()},
-            {},
-        )
+        contacts = _RegionContacts.build(64, 32, windows)
+        region0 = (0, 31, 0, 31)
+        assert contacts.overflowed == {
+            net_id: [region0] if w[1] < 32 else [] for net_id, w in windows.items()
+        }
         routed = [
             RoutedNet(Net("in_overflow"), 1, failed_terminals=1, plane=0),
             RoutedNet(Net("outside"), 2, failed_terminals=1, plane=1),

@@ -50,7 +50,7 @@ class TestLayerStack:
         assert stack.labels() == ["metal3/metal4"]
 
     def test_six_layer_has_two_planes(self):
-        stack = Technology.six_layer().layer_stack()
+        stack = ensure_overcell_planes(Technology.four_layer(), 2).layer_stack()
         assert stack.num_planes == 2
         assert stack.labels() == ["metal3/metal4", "metal5/metal6"]
         assert stack.via_depth(0) == 0
@@ -74,7 +74,7 @@ class TestLayerStack:
         assert extended.layer(5).pitch > extended.layer(3).pitch
 
     def test_ensure_overcell_planes_noop_when_tall_enough(self):
-        tech = Technology.six_layer()
+        tech = ensure_overcell_planes(Technology.four_layer(), 2)
         assert ensure_overcell_planes(tech, 2) is tech
 
 

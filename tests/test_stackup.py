@@ -19,12 +19,14 @@ from repro.geometry import Interval, Point, Rect
 from repro.grid import FREE, RoutingGrid, TrackSet
 from repro.io import technology_from_dict, technology_to_dict
 from repro.technology import (
+    STACKUP_FORMAT,
     Layer,
     LayerStack,
     NetClass,
     RoutingDirection,
     Technology,
     WidthSpacingTuple,
+    ensure_overcell_planes,
     preset_stackup,
     technology_from_any,
     technology_from_stackup,
@@ -41,6 +43,20 @@ def golden_stackup() -> dict:
 
 def golden_technology() -> Technology:
     return technology_from_any(golden_stackup())
+
+
+def preset_document(planes: int) -> dict:
+    """The preset stack grown to ``planes`` over-cell pairs, written as
+    a stackup document."""
+    canonical = technology_to_dict(
+        ensure_overcell_planes(Technology.four_layer(), planes)
+    )
+    return {
+        "format": STACKUP_FORMAT,
+        "name": canonical["name"],
+        "metals": canonical["layers"],
+        "vias": canonical["vias"],
+    }
 
 
 # ----------------------------------------------------------------------
@@ -149,11 +165,9 @@ class TestIngest:
         assert technology_from_any(doc) == Technology.four_layer()
 
     def test_presets_are_stackup_instances(self):
-        assert technology_from_stackup(preset_stackup(1)) == Technology.four_layer()
-        assert (
-            technology_from_stackup(preset_stackup(2))
-            == Technology.with_overcell_planes(2)
-        )
+        assert technology_from_stackup(preset_stackup()) == Technology.four_layer()
+        six = ensure_overcell_planes(Technology.four_layer(), 2)
+        assert technology_from_stackup(preset_document(2)) == six
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +219,7 @@ class TestProperties:
     def test_ingest_serialize_ingest_roundtrips(
         self, planes, min_widths, rows, costs
     ):
-        doc = preset_stackup(planes)
+        doc = preset_document(planes)
         for i, mw in enumerate(min_widths[: len(doc["metals"])]):
             doc["metals"][i]["min_width"] = mw
             doc["metals"][i]["power_strap_widths_and_spacings"] = [
@@ -401,7 +415,7 @@ class TestViasObjective:
         for net in design.nets.values():
             nid = router.net_id(net)
             plane = router.tig.plane_of(nid)
-            assert router.footprint_of(nid) == tech.net_footprint(
+            assert router.tig.grid_of(nid).footprint_of(nid) == tech.net_footprint(
                 net.net_class, plane
             )
 

@@ -152,7 +152,7 @@ class TestPlaneParasitics:
             r for r in result.levelb.routed
             if r.plane == 1 and r.corner_count and r.wire_length
         )
-        tech = Technology.with_overcell_planes(2)
+        tech = result.levelb.technology
         m5, m6 = tech.layer(5), tech.layer(6)
         assert (m5.cap_per_lambda, m6.cap_per_lambda) != (
             tech.layer(3).cap_per_lambda, tech.layer(4).cap_per_lambda
