@@ -4,25 +4,12 @@ from __future__ import annotations
 
 
 from repro.analysis.congestion import congestion_map
-from repro.technology import Technology, ensure_overcell_planes
 from repro.timing import DriverModel, levelb_net_delays
-
-
-def _plane_labels(tech: Technology, num_planes: int) -> list[str]:
-    """Layer-pair labels for the first ``num_planes`` over-cell planes.
-
-    Derived from the technology's layer names (extrapolating upward
-    when the stack is shorter than the result's plane count), never
-    hard-coded.
-    """
-    stack = ensure_overcell_planes(tech, num_planes).layer_stack()
-    return stack.labels()[:num_planes]
 
 
 def routing_report(
     result,
     *,
-    technology: Technology | None = None,
     driver: DriverModel | None = None,
     top_n: int = 5,
 ) -> str:
@@ -30,9 +17,10 @@ def routing_report(
 
     Sections: headline metrics, channel usage, and - when the flow
     carried a level B stage - over-cell statistics, one congestion
-    heatmap per plane, and the slowest nets by Elmore delay.
+    heatmap per plane, and the slowest nets by Elmore delay.  Planes
+    are named and timed by the technology level B routed under
+    (:meth:`~repro.core.router.LevelBResult.plane_labels`).
     """
-    tech = technology or Technology.four_layer()
     lines: list[str] = []
     lines.append(f"Routing report: {result.design} / {result.flow}")
     lines.append("=" * len(lines[0]))
@@ -57,8 +45,8 @@ def routing_report(
         )
     levelb = result.levelb
     if levelb is not None:
-        num_planes = getattr(levelb, "num_planes", 1)
-        labels = _plane_labels(tech, num_planes)
+        labels = levelb.plane_labels()
+        num_planes = len(labels)
         lines.append("")
         header = f"Level B (over-cell, {', '.join(labels)})"
         lines.append(header)
@@ -94,13 +82,12 @@ def routing_report(
                 f"(mean {stats.mean_ratio:.3f}, max {stats.max_ratio:.3f} "
                 f"on {stats.worst_net})"
             )
-        # Time each net on the layers it was routed on: the run's own
-        # technology has every plane the result uses.
-        delay_tech = levelb.technology or ensure_overcell_planes(tech, num_planes)
+        # Time each net on the layers it was routed on.
+        tech = levelb.routed_technology
         delays = []
         for routed in levelb.routed:
             for pin_name, delay in levelb_net_delays(
-                routed, delay_tech, driver or DriverModel()
+                routed, tech, driver or DriverModel()
             ).items():
                 delays.append((delay, routed.net.name, pin_name))
         if delays:

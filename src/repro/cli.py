@@ -139,20 +139,13 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 
 def _cmd_route(args: argparse.Namespace) -> int:
     """Over-cell flow with plane-labelled output (``--planes N``)."""
-    from repro.technology import plane_layer_indices
-
     design = _load_design_arg(args)
     result = overcell_flow(design, _flow_params(args))
     print(result.summary())
     levelb = result.levelb
     if levelb is not None:
-        for p in range(levelb.num_planes):
-            v_idx, h_idx = plane_layer_indices(p)
-            nets = levelb.nets_on_plane(p)
-            print(
-                f"  plane {p} (metal{v_idx}/metal{h_idx}): "
-                f"{len(nets)} nets"
-            )
+        for p, label in enumerate(levelb.plane_labels()):
+            print(f"  plane {p} ({label}): {len(levelb.nets_on_plane(p))} nets")
     iterate = result.notes.get("iterate")
     if iterate is not None:
         status = "converged" if iterate["converged"] else (
@@ -177,15 +170,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis import routing_report
 
     design = _load_design_arg(args)
-    params = _flow_params(args)
-    result = FLOWS[args.flow](design, params)
-    print(routing_report(result, technology=params.technology, top_n=args.top))
+    result = FLOWS[args.flow](design, _flow_params(args))
+    print(routing_report(result, top_n=args.top))
     if args.html:
         from repro.reporting import html_report
 
-        _output(args.html).write_text(
-            html_report(result, technology=params.technology, top_n=args.top)
-        )
+        _output(args.html).write_text(html_report(result, top_n=args.top))
         print(f"HTML report written to {args.html}")
     return 0 if result.completion == 1.0 else 1
 

@@ -225,7 +225,8 @@ class LevelBResult:
     obstacles: tuple[Obstacle, ...] = ()
     #: The technology the run routed under.  Carried so the independent
     #: checker (repro.check) can enforce its width-dependent spacing
-    #: and min-width rules against the extracted geometry.
+    #: and min-width rules against the extracted geometry, and so the
+    #: reports name and time each plane by its own layers.
     technology: Technology | None = None
 
     def __post_init__(self) -> None:
@@ -251,6 +252,24 @@ class LevelBResult:
     def num_planes(self) -> int:
         """Over-cell planes the run routed on."""
         return self.tig.planes.num_planes
+
+    @property
+    def routed_technology(self) -> Technology:
+        """:attr:`technology`, or for a hand-built result that carries
+        none, the four-layer preset grown to :attr:`num_planes`."""
+        return self.technology or ensure_overcell_planes(
+            Technology.four_layer(), self.num_planes
+        )
+
+    def plane_labels(self) -> list[str]:
+        """Each routed plane's layer pair, lowest first: ``"metal3/metal4"``
+        under the presets.  Every report, legend and CLI line that names
+        a plane reads it here."""
+        tech = self.routed_technology
+        return [
+            "/".join(layer.name for layer in tech.plane(p))
+            for p in range(self.num_planes)
+        ]
 
     @property
     def total_vias(self) -> int:
@@ -480,8 +499,6 @@ class LevelBRouter:
         tech = technology or ensure_overcell_planes(
             Technology.four_layer(), planes
         )
-        if tech.num_layers < 4:
-            raise ValueError("level B routing needs a 4-layer technology")
         if tech.num_overcell_planes < planes:
             raise ValueError(
                 f"level B routing on {planes} planes needs a "
@@ -489,8 +506,6 @@ class LevelBRouter:
                 f"{tech.name} has {tech.num_layers}"
             )
         self.technology = tech
-        #: The over-cell plane decomposition the run routes on.
-        self.stack = tech.layer_stack()
         self.nets = [n for n in nets if n.degree >= 2]
         seen_names = set()
         for net in self.nets:
@@ -509,10 +524,11 @@ class LevelBRouter:
         # enters the area/delay models, not the grid (docs/LAYERS.md).
         # Net ids run 1..len(self.nets) and no intersection holds more
         # unrouted terminals than one net has: these size the arrays.
+        vertical, horizontal = tech.plane(0)
         self.tig = TrackIntersectionGraph.over_area(
             bounds,
-            v_pitch=self.stack.plane(0).v_pitch,
-            h_pitch=self.stack.plane(0).h_pitch,
+            v_pitch=vertical.pitch,
+            h_pitch=horizontal.pitch,
             terminal_points=terminal_points,
             num_planes=planes,
             num_nets=len(self.nets),

@@ -1,9 +1,10 @@
 """A stack of routing grids, one per over-cell reserved-layer plane.
 
 The paper's TIG state is a single two-dimensional occupancy array
-because the paper routes on a single metal3/metal4 plane.  With the
-generalized :class:`~repro.technology.stack.LayerStack` the over-cell
-area carries several such planes, and each gets its *own*
+because the paper routes on a single metal3/metal4 plane.  A
+technology with more reserved pairs
+(:attr:`~repro.technology.Technology.num_overcell_planes`) gives the
+over-cell area several such planes, and each gets its *own*
 :class:`~repro.grid.occupancy.RoutingGrid` — its own ownership arrays,
 per-net ledgers, undo journal and snapshots — while all planes share
 the same track coordinate sets.

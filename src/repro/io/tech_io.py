@@ -58,7 +58,7 @@ def technology_to_dict(tech: Technology) -> dict[str, Any]:
     vias = []
     for v in tech.vias:
         vd: dict[str, Any] = {"lower": v.lower, "upper": v.upper, "size": v.size}
-        if v.cost != 1.0:
+        if v.cost != ViaRule.cost:
             vd["cost"] = v.cost
         vias.append(vd)
     return {
@@ -85,8 +85,8 @@ def technology_from_dict(data: dict[str, Any]) -> Technology:
             direction=RoutingDirection(ld["direction"]),
             pitch=ld["pitch"],
             width=ld["width"],
-            sheet_resistance=ld.get("sheet_resistance", 0.07),
-            cap_per_lambda=ld.get("cap_per_lambda", 0.20),
+            sheet_resistance=ld.get("sheet_resistance", Layer.sheet_resistance),
+            cap_per_lambda=ld.get("cap_per_lambda", Layer.cap_per_lambda),
             min_width=ld.get("min_width"),
             spacing_table=tuple(
                 WidthSpacingTuple(row["width_at_least"], row["min_spacing"])
@@ -100,7 +100,7 @@ def technology_from_dict(data: dict[str, Any]) -> Technology:
             lower=vd["lower"],
             upper=vd["upper"],
             size=vd["size"],
-            cost=vd.get("cost", 1.0),
+            cost=vd.get("cost", ViaRule.cost),
         )
         for vd in data["vias"]
     )

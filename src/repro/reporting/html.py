@@ -10,7 +10,6 @@ from __future__ import annotations
 import html
 
 from repro.analysis import routing_report
-from repro.technology import Technology
 
 _STYLE = """
 body { font-family: -apple-system, 'Segoe UI', sans-serif; margin: 2em;
@@ -38,7 +37,6 @@ def _metric(label: str, value: str) -> str:
 def html_report(
     result,
     *,
-    technology: Technology | None = None,
     scale: float = 0.5,
     top_n: int = 8,
 ) -> str:
@@ -59,7 +57,7 @@ def html_report(
                 f"{result.levelb.nets_completed}/{result.levelb.nets_attempted}",
             )
         )
-    report_text = routing_report(result, technology=technology, top_n=top_n)
+    report_text = routing_report(result, top_n=top_n)
     parts = [
         "<!DOCTYPE html>",
         "<html><head><meta charset='utf-8'>",

@@ -293,10 +293,10 @@ class JobQueue:
 
         Raises :class:`QueueClosed` while shutting down and
         :class:`QueueFull` when the bounded queue is at capacity —
-        callers map these to HTTP 503 so clients back off.  A design
-        that does not build raises
-        :class:`~repro.serve.protocol.SpecError`.  A refused request
-        leaves no record and counts as no submission.
+        callers map these to HTTP 503 so clients back off.  A spec
+        holding a non-finite number, or a design that does not build,
+        raises :class:`~repro.serve.protocol.SpecError`.  A refused
+        request leaves no record and counts as no submission.
 
         The design is built with the lock released, so cache hits and
         readers never wait on a large inline design; the answer is

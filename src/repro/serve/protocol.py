@@ -240,8 +240,15 @@ class JobSpec:
         }
 
     def digest(self) -> str:
-        """Content digest keying the result cache."""
-        return canonical_digest(self.canonical())
+        """Content digest keying the result cache.
+
+        Canonical JSON has no NaN or infinity, so a spec carrying one
+        (an inline design's pin offset, say) raises :class:`SpecError`.
+        """
+        try:
+            return canonical_digest(self.canonical())
+        except ValueError as exc:
+            raise SpecError(f"job spec numbers must be finite: {exc}") from None
 
     @property
     def design_name(self) -> str:

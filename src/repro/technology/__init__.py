@@ -27,15 +27,13 @@ from repro.technology.rules import (
     Technology,
     ViaRule,
     ensure_overcell_planes,
+    plane_layer_indices,
 )
-from repro.technology.stack import LayerStack, RoutingPlane, plane_layer_indices
 
 __all__ = [
     "Layer",
-    "LayerStack",
     "NetClass",
     "RoutingDirection",
-    "RoutingPlane",
     "STACKUP_FORMAT",
     "Technology",
     "ViaRule",

@@ -29,6 +29,7 @@ therefore one serve cache digest.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from repro.technology.layers import Layer, RoutingDirection, WidthSpacingTuple
@@ -48,7 +49,10 @@ def _quantize(value: Any, grid_unit: float, what: str) -> int:
     """``value`` in physical units onto the integer lambda grid."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"stackup {what} must be a number, got {value!r}")
-    lam = round(float(value) / grid_unit)
+    try:
+        lam = round(float(value) / grid_unit)
+    except (OverflowError, ValueError):  # NaN, infinite, or past float range
+        raise ValueError(f"stackup {what} must be finite, got {value!r}") from None
     if abs(lam * grid_unit - float(value)) > 1e-6 * max(1.0, abs(value)):
         raise ValueError(
             f"stackup {what} {value} is not a multiple of grid_unit {grid_unit}"
@@ -89,16 +93,20 @@ def technology_from_stackup(data: dict[str, Any]) -> Technology:
     ``power_strap_widths_and_spacings`` (hammer's spelling of the
     piecewise spacing table) and optional electricals — and an optional
     ``vias`` list.  Missing per-metal drawn width defaults to half the
-    pitch; missing via rules are synthesized with size equal to the
-    wider of the two layers they join and cost 1.
+    pitch and missing electricals to :class:`Layer`'s defaults; missing
+    via rules are synthesized with size equal to the wider of the two
+    layers they join and :class:`ViaRule`'s default cost.  Every number
+    must be finite.
     """
     if not isinstance(data, dict):
         raise ValueError("stackup document must be a JSON object")
     if "metals" not in data:
         raise ValueError("stackup document requires a 'metals' list")
     grid_unit = data.get("grid_unit", 1.0)
-    if not isinstance(grid_unit, (int, float)) or grid_unit <= 0:
-        raise ValueError(f"grid_unit must be a positive number, got {grid_unit!r}")
+    if not isinstance(grid_unit, (int, float)) or not 0 < grid_unit < math.inf:
+        raise ValueError(
+            f"grid_unit must be a finite positive number, got {grid_unit!r}"
+        )
     grid_unit = float(grid_unit)
     metals = data["metals"]
     if not isinstance(metals, list) or not metals:
@@ -136,8 +144,10 @@ def technology_from_stackup(data: dict[str, Any]) -> Technology:
                 direction=RoutingDirection(direction),
                 pitch=pitch,
                 width=width,
-                sheet_resistance=metal.get("sheet_resistance", 0.07),
-                cap_per_lambda=metal.get("cap_per_lambda", 0.20),
+                sheet_resistance=metal.get(
+                    "sheet_resistance", Layer.sheet_resistance
+                ),
+                cap_per_lambda=metal.get("cap_per_lambda", Layer.cap_per_lambda),
                 min_width=min_width,
                 spacing_table=table,
             )
@@ -162,7 +172,7 @@ def _ingest_vias(
                 lower=vd["lower"],
                 upper=vd["upper"],
                 size=_quantize(vd["size"], grid_unit, "via size"),
-                cost=float(vd.get("cost", 1.0)),
+                cost=float(vd.get("cost", ViaRule.cost)),
             )
             declared[rule.lower] = rule
     vias = []

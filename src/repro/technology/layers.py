@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -91,8 +92,12 @@ class Layer:
             raise ValueError(
                 f"{self.name}: width {self.width} must be < pitch {self.pitch}"
             )
-        if self.sheet_resistance <= 0 or self.cap_per_lambda <= 0:
-            raise ValueError(f"{self.name}: electrical parameters must be positive")
+        for field in ("sheet_resistance", "cap_per_lambda"):
+            value = getattr(self, field)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{self.name}: {field} must be finite and positive, got {value}"
+                )
         if self.min_width is not None and self.min_width <= 0:
             raise ValueError(f"{self.name}: min_width must be positive")
         if self.spacing_table:

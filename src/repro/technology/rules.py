@@ -3,10 +3,21 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from repro.technology.layers import Layer, RoutingDirection
-from repro.technology.stack import LayerStack, plane_layer_indices
+
+
+def plane_layer_indices(plane: int) -> tuple[int, int]:
+    """(vertical, horizontal) metal indices of over-cell plane ``plane``.
+
+    Plane 0 is the paper's metal3/metal4 pair; each further plane sits
+    one reserved pair higher.
+    """
+    if plane < 0:
+        raise ValueError(f"plane index must be >= 0, got {plane}")
+    return (3 + 2 * plane, 4 + 2 * plane)
 
 
 class NetClass(enum.Enum):
@@ -59,8 +70,10 @@ class ViaRule:
             raise ValueError("vias connect adjacent layers only")
         if self.size <= 0:
             raise ValueError("via size must be positive")
-        if self.cost <= 0:
-            raise ValueError("via cost must be positive")
+        if not 0 < self.cost < math.inf:
+            raise ValueError(
+                f"via cost must be finite and positive, got {self.cost}"
+            )
 
 
 @dataclass(frozen=True)
@@ -72,6 +85,12 @@ class Technology:
     :meth:`four_layer` (adds the over-cell pair metal3/metal4 with
     coarser pitch, matching the paper's assumption that the upper
     layers run wider lines over the cells).
+
+    Above the channel pair the layers pair into over-cell planes
+    (:func:`plane_layer_indices`): :attr:`num_overcell_planes` counts
+    them and :meth:`plane` returns one.  Construction checks what level
+    B relies on: the channel pair is present, layer names are unique
+    and every complete over-cell pair runs vertical, then horizontal.
     """
 
     name: str
@@ -79,9 +98,22 @@ class Technology:
     vias: tuple[ViaRule, ...]
 
     def __post_init__(self) -> None:
+        if len(self.layers) < 2:
+            raise ValueError("a layer stack needs at least the channel pair")
         indices = [layer.index for layer in self.layers]
         if indices != list(range(1, len(self.layers) + 1)):
             raise ValueError("layers must be contiguous and 1-based")
+        seen: set[str] = set()
+        for layer in self.layers:
+            if layer.name in seen:
+                raise ValueError(f"duplicate layer name {layer.name!r} in stack")
+            seen.add(layer.name)
+        for p in range(self.num_overcell_planes):
+            vertical, horizontal = self.plane(p)
+            if not vertical.is_vertical:
+                raise ValueError(f"{vertical.name} must route vertically")
+            if not horizontal.is_horizontal:
+                raise ValueError(f"{horizontal.name} must route horizontally")
         via_pairs = {(v.lower, v.upper) for v in self.vias}
         needed = {(i, i + 1) for i in range(1, len(self.layers))}
         if via_pairs != needed:
@@ -109,6 +141,25 @@ class Technology:
     def num_layers(self) -> int:
         return len(self.layers)
 
+    @property
+    def num_overcell_planes(self) -> int:
+        """How many complete reserved pairs sit above the channel pair.
+
+        A trailing unpaired layer (odd ``num_layers``) carries no
+        plane: a lone vertical layer has no horizontal partner.
+        """
+        return max(0, (self.num_layers - 2) // 2)
+
+    def plane(self, plane: int) -> tuple[Layer, Layer]:
+        """Over-cell plane ``plane``'s (vertical, horizontal) layers."""
+        if not 0 <= plane < self.num_overcell_planes:
+            raise IndexError(
+                f"no over-cell plane {plane} "
+                f"({self.name} has {self.num_overcell_planes})"
+            )
+        v_idx, h_idx = plane_layer_indices(plane)
+        return self.layer(v_idx), self.layer(h_idx)
+
     # ------------------------------------------------------------------
     # Width classes and via pricing (the data-driven rules model)
     # ------------------------------------------------------------------
@@ -124,12 +175,7 @@ class Technology:
         technology is ``(1, 0)`` — the historical single-track claim.
         """
         span = net_class.track_span
-        v_idx, h_idx = plane_layer_indices(plane)
-        guard = max(
-            self.layer(v_idx).guard_tracks(span),
-            self.layer(h_idx).guard_tracks(span),
-        )
-        return span, guard
+        return span, max(layer.guard_tracks(span) for layer in self.plane(plane))
 
     # ------------------------------------------------------------------
     # Presets
@@ -171,18 +217,6 @@ class Technology:
         from repro.technology.ingest import preset_stackup, technology_from_stackup
 
         return technology_from_stackup(preset_stackup())
-
-    # ------------------------------------------------------------------
-    # The over-cell plane view
-    # ------------------------------------------------------------------
-    def layer_stack(self) -> LayerStack:
-        """This technology's reserved-layer plane decomposition."""
-        return LayerStack.from_technology(self)
-
-    @property
-    def num_overcell_planes(self) -> int:
-        """How many complete reserved pairs sit above the channel pair."""
-        return max(0, (self.num_layers - 2) // 2)
 
 
 def ensure_overcell_planes(tech: Technology, planes: int) -> Technology:

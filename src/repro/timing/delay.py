@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.netlist import Net
-from repro.technology import LayerStack, Technology
+from repro.technology import Technology
 from repro.timing.rctree import RCTree
 
 
@@ -43,7 +43,7 @@ def build_levelb_rctree(
     corner.  The driver attaches at the net's first pin; every other pin
     gets a sink load.
     """
-    plane = LayerStack.from_technology(technology).plane(routed.plane)
+    vertical, horizontal = technology.plane(routed.plane)
     tree = RCTree()
     source = routed.net.pins[0].position
     tree.add_node_cap(source, 0.0)
@@ -52,7 +52,7 @@ def build_levelb_rctree(
         for seg in conn.path:
             if seg.is_point:
                 continue
-            layer = plane.horizontal if seg.is_horizontal else plane.vertical
+            layer = horizontal if seg.is_horizontal else vertical
             resistance = layer.resistance_per_lambda * seg.length
             if not first:
                 resistance += driver.via_resistance  # corner via entering

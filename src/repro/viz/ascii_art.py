@@ -104,22 +104,17 @@ def _plane_glyphs(plane: int) -> tuple[str, str]:
 
 
 def levelb_legend(result: "LevelBResult") -> str:
-    """A per-plane glyph legend with labels derived from the layer stack.
+    """A per-plane glyph legend.
 
-    One line per routed plane: its layer-pair label (from
-    :func:`repro.technology.plane_layer_indices`, never hard-coded
-    strings) and the glyphs :func:`render_levelb_ascii` draws it with.
+    One line per routed plane: its layer-pair label (the routed
+    technology's layer names,
+    :meth:`~repro.core.router.LevelBResult.plane_labels`) and the glyphs
+    :func:`render_levelb_ascii` draws it with.
     """
-    from repro.technology import plane_layer_indices
-
     lines = []
-    for p in range(getattr(result, "num_planes", 1)):
-        v_idx, h_idx = plane_layer_indices(p)
+    for p, label in enumerate(result.plane_labels()):
         h_glyph, v_glyph = _plane_glyphs(p)
-        lines.append(
-            f"plane {p} (metal{v_idx}/metal{h_idx}): "
-            f"{h_glyph} horizontal, {v_glyph} vertical"
-        )
+        lines.append(f"plane {p} ({label}): {h_glyph} horizontal, {v_glyph} vertical")
     return "\n".join(lines)
 
 

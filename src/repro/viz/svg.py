@@ -33,20 +33,17 @@ def _plane_dash(plane: int) -> str:
 
 
 def _plane_legend(levelb: "LevelBResult", x: float, y: float) -> list[str]:
-    """A per-plane legend group, labels derived from the layer stack."""
-    from repro.technology import plane_layer_indices
-
+    """A per-plane legend group, labelled by the routed technology's
+    layer names (:meth:`~repro.core.router.LevelBResult.plane_labels`)."""
     parts = ['<g font-size="10" fill="#333">']
-    for p in range(getattr(levelb, "num_planes", 1)):
-        v_idx, h_idx = plane_layer_indices(p)
+    for p, label in enumerate(levelb.plane_labels()):
         ly = y + 14 * p
         parts.append(
             f'<line x1="{x:.1f}" y1="{ly:.1f}" x2="{x + 24:.1f}" '
             f'y2="{ly:.1f}" stroke="#333" stroke-width="2"{_plane_dash(p)}/>'
         )
         parts.append(
-            f'<text x="{x + 30:.1f}" y="{ly + 3:.1f}">'
-            f"plane {p}: metal{v_idx}/metal{h_idx}</text>"
+            f'<text x="{x + 30:.1f}" y="{ly + 3:.1f}">plane {p}: {label}</text>'
         )
     parts.append("</g>")
     return parts
@@ -68,8 +65,8 @@ def svg_layout(
     layer pair reads at a glance; corner vias are dots.  Results routed
     on several over-cell planes draw higher planes dashed
     (:func:`_plane_dash`); ``legend`` adds a per-plane key whose layer
-    labels come from the technology's layer numbering, never hard-coded
-    names.  The y axis is flipped so the layout origin sits bottom-left.
+    labels are the routed technology's layer names, never hard-coded.
+    The y axis is flipped so the layout origin sits bottom-left.
     """
     w = bounds.width * scale
     h = bounds.height * scale

@@ -1,7 +1,8 @@
-"""Tests for the N-plane LayerStack generalization.
+"""Tests for the N-plane over-cell generalization.
 
-Covers the technology-level :class:`LayerStack`/:class:`RoutingPlane`
-model, the per-plane :class:`PlaneSet` grid container, the static
+Covers the technology's plane model (:meth:`Technology.plane`,
+:attr:`Technology.num_overcell_planes`), the plane labels every report
+prints, the per-plane :class:`PlaneSet` grid container, the static
 plane-assignment pass, and the two whole-stack guarantees:
 
 * **planes=1 parity** - the default single-plane configuration commits
@@ -22,10 +23,11 @@ from repro.flow import FlowParams, overcell_flow
 from repro.geometry import Point, Rect
 from repro.grid import PlaneSet, TrackSet
 from repro.technology import (
-    LayerStack,
     Technology,
     ensure_overcell_planes,
     plane_layer_indices,
+    preset_stackup,
+    technology_from_stackup,
 )
 
 from conftest import make_toy_design
@@ -33,8 +35,12 @@ from counter_golden import routed
 
 
 # ----------------------------------------------------------------------
-# Technology: LayerStack / RoutingPlane
+# Technology: the over-cell planes of a stack
 # ----------------------------------------------------------------------
+def _names(layers):
+    return [layer.name for layer in layers]
+
+
 class TestLayerStack:
     def test_plane_layer_indices(self):
         assert plane_layer_indices(0) == (3, 4)
@@ -44,32 +50,42 @@ class TestLayerStack:
             plane_layer_indices(-1)
 
     def test_four_layer_has_one_plane(self):
-        stack = Technology.four_layer().layer_stack()
-        assert stack.num_planes == 1
-        assert stack.plane(0).layer_indices == (3, 4)
-        assert stack.labels() == ["metal3/metal4"]
+        tech = Technology.four_layer()
+        assert tech.num_overcell_planes == 1
+        assert [layer.index for layer in tech.plane(0)] == [3, 4]
+        assert _names(tech.plane(0)) == ["metal3", "metal4"]
 
     def test_six_layer_has_two_planes(self):
-        stack = ensure_overcell_planes(Technology.four_layer(), 2).layer_stack()
-        assert stack.num_planes == 2
-        assert stack.labels() == ["metal3/metal4", "metal5/metal6"]
-        assert stack.via_depth(0) == 0
-        assert stack.via_depth(1) == 2
+        tech = ensure_overcell_planes(Technology.four_layer(), 2)
+        assert tech.num_overcell_planes == 2
+        assert _names(tech.plane(0)) == ["metal3", "metal4"]
+        assert _names(tech.plane(1)) == ["metal5", "metal6"]
 
     def test_plane_index_error(self):
-        stack = Technology.four_layer().layer_stack()
+        tech = Technology.four_layer()
         with pytest.raises(IndexError):
-            stack.plane(1)
+            tech.plane(1)
+        with pytest.raises(IndexError):
+            tech.plane(-1)
 
     def test_trailing_unpaired_layer_ignored(self):
-        tech = Technology.two_layer()
-        assert LayerStack.from_technology(tech).num_planes == 0
+        assert Technology.two_layer().num_overcell_planes == 0
+        # A layer with no partner carries no plane, so construction does
+        # not check its direction either.
+        doc = preset_stackup()
+        doc["metals"].append(
+            {"name": "metal5", "index": 5, "direction": "horizontal", "pitch": 16}
+        )
+        tech = technology_from_stackup(doc)
+        assert tech.num_layers == 5 and tech.num_overcell_planes == 1
+        with pytest.raises(IndexError):
+            tech.plane(1)
 
     def test_ensure_overcell_planes_extends(self):
         tech = Technology.four_layer()
         extended = ensure_overcell_planes(tech, 3)
         assert extended.num_layers == 8
-        assert extended.layer_stack().num_planes == 3
+        assert extended.num_overcell_planes == 3
         # Upper planes follow the wider-pitch extrapolation.
         assert extended.layer(5).pitch > extended.layer(3).pitch
 
@@ -210,6 +226,68 @@ class TestMultiPlaneRouting:
         assert result.total_vias >= naive
         if any(r.plane == 1 for r in result.routed):
             assert result.total_vias > naive
+
+
+# ----------------------------------------------------------------------
+# Plane labels: the routed technology's layer names, at every site
+# ----------------------------------------------------------------------
+def _m_stackup() -> dict:
+    """The four-layer preset with its metals named ``M1`` ... ``M4``."""
+    doc = preset_stackup()
+    for metal in doc["metals"]:
+        metal["name"] = f"M{metal['index']}"
+    return doc
+
+
+class TestPlaneLabels:
+    @pytest.fixture(scope="class")
+    def m_result(self):
+        tech = technology_from_stackup(_m_stackup())
+        return overcell_flow(make_toy_design(), FlowParams(technology=tech))
+
+    def test_report_names_the_routed_layers(self, m_result):
+        from repro.analysis import routing_report
+
+        assert m_result.levelb.plane_labels() == ["M3/M4"]
+        report = routing_report(m_result)
+        assert "Level B (over-cell, M3/M4)" in report
+        assert "metal3" not in report
+
+    def test_legends_name_the_routed_layers(self, m_result):
+        from repro.viz import levelb_legend, render_levelb_ascii
+        from repro.viz.svg import svg_flow_result
+
+        assert levelb_legend(m_result.levelb) == (
+            "plane 0 (M3/M4): - horizontal, | vertical"
+        )
+        art = render_levelb_ascii(m_result.levelb, width=40, legend=True)
+        assert "plane 0 (M3/M4)" in art
+        doc = svg_flow_result(m_result, legend=True)
+        assert "plane 0: M3/M4" in doc and "metal3" not in doc
+
+    def test_route_command_names_the_routed_layers(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.io import save_design
+
+        design, tech = tmp_path / "design.json", tmp_path / "m.json"
+        save_design(make_toy_design(), design)
+        tech.write_text(json.dumps(_m_stackup()))
+        main(["route", "--design", str(design), "--tech", str(tech)])
+        out = capsys.readouterr().out
+        assert "  plane 0 (M3/M4): " in out and "metal3" not in out
+
+    def test_hand_built_result_falls_back_to_the_grown_preset(self):
+        from repro.core.router import LevelBResult
+        from repro.core.tig import TrackIntersectionGraph
+
+        tig = TrackIntersectionGraph(
+            TrackSet([0, 8]), TrackSet([0, 8]), num_planes=2
+        )
+        result = LevelBResult(tig=tig, routed=[], elapsed_s=0.0, nodes_created=0)
+        assert result.plane_labels() == ["metal3/metal4", "metal5/metal6"]
+        assert result.routed_technology == ensure_overcell_planes(
+            Technology.four_layer(), 2
+        )
 
 
 # ----------------------------------------------------------------------

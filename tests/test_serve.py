@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import socket
 import subprocess
 import sys
@@ -26,6 +27,9 @@ from repro.serve import (
     ServeError,
     SpecError,
 )
+
+
+GOLDEN_STACKUP = Path(__file__).parent / "golden" / "stackup_wide.json"
 
 
 def toy_spec(seed: int = 7, **overrides) -> dict:
@@ -542,8 +546,10 @@ class TestJobQueue:
 # HTTP server end-to-end
 # ----------------------------------------------------------------------
 def _raw_post_job(server, doc) -> tuple[bytes, dict]:
-    """``POST /jobs`` over a raw socket: the reply head and JSON body."""
-    body = json.dumps(doc).encode()
+    """``POST /jobs`` over a raw socket: the reply head and JSON body.
+
+    ``doc`` is a spec to encode, or a body already encoded."""
+    body = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
     with socket.create_connection((server.host, server.port), timeout=30.0) as sock:
         sock.sendall(
             b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
@@ -772,6 +778,55 @@ class TestServerEndpoints:
         assert first["id"] == f"j{counted['submitted'] + 1:06d}"
         assert client.wait(first["id"], timeout_s=60.0)["state"] == "done"
         assert client.submit(spec)["cache_hit"] is True
+
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("design-nan-offset", "job spec numbers must be finite"),
+            ("via-cost-infinity", "via cost must be finite and positive"),
+            ("pitch-1e400", "stackup metal3 pitch must be finite"),
+            ("no-layers", "a layer stack needs at least the channel pair"),
+            ("repeated-name", "duplicate layer name 'metal3' in stack"),
+        ],
+        ids=[
+            "design-nan-offset", "via-cost-infinity", "pitch-1e400",
+            "no-layers", "repeated-name",
+        ],
+    )
+    def test_unusable_spec_is_400_without_record(
+        self, server, client, case, error
+    ):
+        stackup = json.loads(GOLDEN_STACKUP.read_text())
+        if case == "design-nan-offset":
+            spec = toy_spec(seed=211)
+            spec["design"]["cells"][0]["pins"][0]["offset"] = math.nan
+            body = json.dumps(spec).encode()
+        elif case == "via-cost-infinity":
+            stackup["vias"][2]["cost"] = math.inf
+            body = json.dumps({"design": "ex3", "technology": stackup}).encode()
+        elif case == "pitch-1e400":
+            stackup["metals"][2]["pitch"] = math.inf
+            body = json.dumps(
+                {"design": "ex3", "technology": stackup}
+            ).replace("Infinity", "1e400").encode()
+        elif case == "no-layers":
+            body = json.dumps({"design": "ex3", "technology": {
+                "format": "repro-technology", "version": 1, "name": "x",
+                "layers": [], "vias": [],
+            }}).encode()
+        else:
+            stackup["metals"][3]["name"] = "metal3"
+            body = json.dumps({"design": "ex3", "technology": stackup}).encode()
+        before = {r["id"] for r in client.jobs()}
+        counted = client.stats()["queue"]["counters"]
+        head, payload = _raw_post_job(server, body)
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert error in payload["error"]
+        assert {r["id"] for r in client.jobs()} == before
+        now = client.stats()["queue"]["counters"]
+        for key in ("submitted", "cache_misses", "coalesced"):
+            assert now[key] == counted[key]
+        assert client.health()["ok"] is True
 
     def test_stats_shape(self, client):
         stats = client.stats()

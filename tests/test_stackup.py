@@ -7,6 +7,7 @@ technology canonicalization — see docs/TECHNOLOGY.md.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -21,10 +22,10 @@ from repro.io import technology_from_dict, technology_to_dict
 from repro.technology import (
     STACKUP_FORMAT,
     Layer,
-    LayerStack,
     NetClass,
     RoutingDirection,
     Technology,
+    ViaRule,
     WidthSpacingTuple,
     ensure_overcell_planes,
     preset_stackup,
@@ -60,48 +61,73 @@ def preset_document(planes: int) -> dict:
 
 
 # ----------------------------------------------------------------------
-# LayerStack validation (regression: invalid stacks used to pass)
+# Stack validation at construction (regression: invalid stacks used to
+# pass until level B started, and every other flow accepted them)
 # ----------------------------------------------------------------------
-def _raw_layer(index, name, direction, pitch, width):
-    """A Layer bypassing its own validation, to probe LayerStack's."""
-    layer = Layer.__new__(Layer)
-    object.__setattr__(layer, "index", index)
-    object.__setattr__(layer, "name", name)
-    object.__setattr__(layer, "direction", direction)
-    object.__setattr__(layer, "pitch", pitch)
-    object.__setattr__(layer, "width", width)
-    object.__setattr__(layer, "sheet_resistance", 0.07)
-    object.__setattr__(layer, "cap_per_lambda", 0.20)
-    object.__setattr__(layer, "min_width", None)
-    object.__setattr__(layer, "spacing_table", ())
-    return layer
+def _stack(*layers):
+    """A technology over ``(name, direction)`` layers, metal1 upward."""
+    return Technology(
+        name="t",
+        layers=tuple(
+            Layer(i, name, direction, pitch=8, width=4)
+            for i, (name, direction) in enumerate(layers, 1)
+        ),
+        vias=tuple(ViaRule(i, i + 1, size=4) for i in range(1, len(layers))),
+    )
+
+
+V, H = RoutingDirection.VERTICAL, RoutingDirection.HORIZONTAL
 
 
 class TestLayerStackValidation:
-    def test_zero_pitch_rejected(self):
-        bad = _raw_layer(1, "m1", RoutingDirection.VERTICAL, 0, 4)
-        good = _raw_layer(2, "m2", RoutingDirection.HORIZONTAL, 8, 4)
-        with pytest.raises(ValueError, match="pitch must be positive"):
-            LayerStack(channel=(bad, good), planes=())
+    def test_no_layers_rejected(self):
+        with pytest.raises(ValueError, match="at least the channel pair"):
+            _stack()
 
-    def test_negative_pitch_rejected(self):
-        good = _raw_layer(1, "m1", RoutingDirection.VERTICAL, 8, 4)
-        bad = _raw_layer(2, "m2", RoutingDirection.HORIZONTAL, -8, 4)
-        with pytest.raises(ValueError, match="pitch must be positive"):
-            LayerStack(channel=(good, bad), planes=())
+    def test_one_layer_rejected(self):
+        with pytest.raises(ValueError, match="at least the channel pair"):
+            _stack(("metal1", V))
 
     def test_duplicate_layer_names_rejected(self):
-        a = _raw_layer(1, "metal1", RoutingDirection.VERTICAL, 8, 4)
-        b = _raw_layer(2, "metal1", RoutingDirection.HORIZONTAL, 8, 4)
-        with pytest.raises(ValueError, match="duplicate layer name"):
-            LayerStack(channel=(a, b), planes=())
+        with pytest.raises(ValueError, match="duplicate layer name 'metal1'"):
+            _stack(("metal1", V), ("metal1", H))
+
+    def test_horizontal_metal3_rejected(self):
+        with pytest.raises(ValueError, match="metal3 must route vertically"):
+            _stack(("metal1", V), ("metal2", H), ("metal3", H), ("metal4", H))
+
+    def test_vertical_metal4_rejected(self):
+        with pytest.raises(ValueError, match="metal4 must route horizontally"):
+            _stack(("metal1", V), ("metal2", H), ("metal3", V), ("metal4", V))
 
     def test_valid_stack_from_technology(self):
-        stack = LayerStack.from_technology(golden_technology())
-        assert stack.num_planes == 2
-        assert [l.name for l in stack.all_layers()] == [
-            f"metal{i}" for i in range(1, 7)
-        ]
+        tech = golden_technology()
+        assert tech.num_overcell_planes == 2
+        assert [
+            layer.name for p in range(2) for layer in tech.plane(p)
+        ] == [f"metal{i}" for i in range(3, 7)]
+
+    def test_ingestion_refuses_what_level_b_cannot_use(self, tmp_path):
+        # Refused where the document is read, for every flow: the
+        # two-layer flow never builds a level B router.
+        from repro.cli import main
+
+        doc = golden_stackup()
+        doc["metals"][3]["name"] = "metal3"
+        with pytest.raises(ValueError, match="duplicate layer name 'metal3'"):
+            technology_from_stackup(doc)
+        doc = golden_stackup()
+        doc["metals"][2]["direction"] = "horizontal"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="metal3 must route vertically"):
+            main(["flow", "--suite", "ami33", "--flow", "two-layer",
+                  "--tech", str(path)])
+        with pytest.raises(ValueError, match="at least the channel pair"):
+            technology_from_dict(
+                {"format": "repro-technology", "version": 1, "name": "x",
+                 "layers": [], "vias": []}
+            )
 
 
 # ----------------------------------------------------------------------
@@ -144,6 +170,31 @@ class TestIngest:
         doc = golden_stackup()
         doc["metals"][0]["pitch"] = 0.41  # not a multiple of 0.05
         with pytest.raises(ValueError, match="not a multiple of grid_unit"):
+            technology_from_stackup(doc)
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "10**400"]
+    )
+    def test_non_finite_value_rejected(self, value):
+        doc = golden_stackup()
+        doc["metals"][2]["pitch"] = value
+        with pytest.raises(ValueError, match="metal3 pitch must be finite"):
+            technology_from_stackup(doc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0])
+    def test_non_finite_grid_unit_rejected(self, value):
+        doc = golden_stackup()
+        doc["grid_unit"] = value
+        with pytest.raises(ValueError, match="grid_unit must be a finite"):
+            technology_from_stackup(doc)
+
+    def test_nan_via_costs_rejected(self):
+        # NaN costs made the via objective's plane price NaN, so no
+        # plane compared cheaper and every net stayed on plane 0.
+        doc = golden_stackup()
+        for via in doc["vias"]:
+            via["cost"] = math.nan
+        with pytest.raises(ValueError, match="via cost must be finite"):
             technology_from_stackup(doc)
 
     def test_bad_direction_rejected(self):

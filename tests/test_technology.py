@@ -1,5 +1,7 @@
 """Tests for repro.technology."""
 
+import math
+
 import pytest
 
 from repro.technology import Layer, RoutingDirection, Technology, ViaRule
@@ -13,6 +15,18 @@ class TestLayer:
             Layer(1, "m1", RoutingDirection.VERTICAL, pitch=0, width=4)
         with pytest.raises(ValueError):
             Layer(1, "m1", RoutingDirection.VERTICAL, pitch=4, width=4)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_sheet_resistance_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="sheet_resistance must be finite"):
+            Layer(1, "m1", RoutingDirection.VERTICAL, pitch=8, width=4,
+                  sheet_resistance=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_cap_per_lambda_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="cap_per_lambda must be finite"):
+            Layer(1, "m1", RoutingDirection.VERTICAL, pitch=8, width=4,
+                  cap_per_lambda=value)
 
     def test_direction_helpers(self):
         layer = Layer(1, "m1", RoutingDirection.VERTICAL, pitch=8, width=4)
@@ -28,6 +42,11 @@ class TestViaRule:
     def test_positive_size(self):
         with pytest.raises(ValueError):
             ViaRule(1, 2, size=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_cost_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="via cost must be finite"):
+            ViaRule(1, 2, size=4, cost=value)
 
 
 class TestTechnology:
